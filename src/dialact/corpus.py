@@ -98,30 +98,54 @@ class TagSet:
         return tuple(out)
 
 
-def load_tagset(path: str | Path) -> TagSet:
-    labels = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
+def _parse_tagset(text: str, source: object) -> TagSet:
+    labels: list[str] = []
+    folds: list[tuple[int, str, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
             continue
-        labels.append(line)
-    return TagSet(tuple(labels))
+        if fields[0] == "collapse":
+            if len(fields) != 3:
+                raise CorpusError(f"{source}:{lineno}: expected "
+                                  f"'collapse <class> <member>'")
+            folds.append((lineno, fields[1], fields[2]))
+        elif len(fields) != 1:
+            raise CorpusError(f"{source}:{lineno}: a label line holds one label")
+        elif fields[0] in labels:
+            raise CorpusError(f"{source}:{lineno}: duplicate label {fields[0]!r}")
+        else:
+            labels.append(fields[0])
+    collapsed: dict[str, list[str]] = {}
+    for lineno, cls, member in folds:
+        if cls not in labels:
+            raise CorpusError(f"{source}:{lineno}: collapsed class {cls!r} "
+                              f"is not a label")
+        if member in labels or any(member in ms for ms in collapsed.values()):
+            raise CorpusError(f"{source}:{lineno}: collapsed member {member!r} "
+                              f"is ambiguous")
+        collapsed.setdefault(cls, []).append(member)
+    return TagSet(tuple(labels), tuple((cls, tuple(ms))
+                                       for cls, ms in collapsed.items()))
+
+
+def load_tagset(path: str | Path) -> TagSet:
+    """One label per line; ``collapse <class> <member>`` folds a corpus
+    label into a modeled class."""
+    return _parse_tagset(Path(path).read_text(encoding="utf-8"), path)
 
 
 def save_tagset(tagset: TagSet, path: str | Path) -> None:
-    Path(path).write_text("".join(f"{lab}\n" for lab in tagset.labels),
-                          encoding="utf-8")
+    lines = [f"{lab}\n" for lab in tagset.labels]
+    lines += [f"collapse\t{cls}\t{member}\n"
+              for cls, members in tagset.collapsed for member in members]
+    Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 def default_tagset() -> TagSet:
     """The bundled 42-label SWBD-DAMSL inventory."""
     ref = importlib.resources.files("dialact.data") / "swbd_damsl_42.txt"
-    labels = []
-    for raw in ref.read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            labels.append(line)
-    return TagSet(tuple(labels))
+    return _parse_tagset(ref.read_text(encoding="utf-8"), ref)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ stream are supported:
                         predicts the label given the speaker.
 
 Conversation boundaries are modeled with speakerless ``<start>``/``<end>``
-tokens.  An order-0 grammar ("no grammar") scores every event uniformly
-and makes decoders fall back to per-utterance argmax.
+tokens.  An order-0 grammar ("no grammar") scores every event uniformly,
+so decoding under it is a per-utterance argmax.
 """
 
 from __future__ import annotations

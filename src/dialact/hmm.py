@@ -5,7 +5,17 @@ clamped, so a state history is a label tuple and the speakers come from the
 conversation.  Any object with ``labels``, ``order``,
 ``transition_log_prob(history, event)`` and ``end_log_prob(history)`` works
 as the prior (see :class:`dialact.discourse.DiscourseGrammar`), where
-``history``/``event`` hold (label, speaker) pairs.
+``history``/``event`` hold (label, speaker) pairs.  Grammars are treated as
+immutable: each one is compiled once and the result reused.
+
+Compiling turns the prior into dense arrays over history states.  A state
+is the last m = max(order - 1, 1) labels, each axis with one extra "before
+the conversation" index, so (t+1)^m states for t labels.  Arrays are built
+lazily per speaker pattern (the speakers of the last m utterances and of
+the current one): a transition array of (t+1)^m x t entries, O(t^order)
+for order >= 2, and an end array per pattern of the last m speakers.  One
+forward-backward and one Viterbi recursion then run over these arrays for
+every grammar order.
 
 Evidence enters through :class:`LikelihoodTable`: per-utterance natural-log
 likelihoods, one column per label.  Decoders:
@@ -16,12 +26,17 @@ likelihoods, one column per label.  Decoders:
                       to forward-only (filtered) posteriors
   brute_force_decode  exhaustive reference implementation for small cases
 
+Fusion tuning (:func:`tune_alpha_beta`) decodes each conversation once per
+prosody weight alpha, with every scale beta of the grid in one batch.
+
 Everything is computed in log space; conversations of 10^4 utterances
 decode without underflow.
 """
 
 from __future__ import annotations
 
+import itertools
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -29,7 +44,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import Conversation, jackknife_split
-from .ngram import log_sum
 
 
 @dataclass
@@ -139,13 +153,16 @@ def combine_likelihoods(word: LikelihoodTable,
 # Decoders
 # ---------------------------------------------------------------------------
 
+# Shifting an all -inf row by the most negative float instead of its max
+# keeps finite shifts exact and turns that row into -max + log(0) = -inf.
+_FLOOR = -np.finfo(float).max
+
+
 def _logsumexp(arr: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(arr, axis=axis)
-    safe = np.where(m == -np.inf, 0.0, m)
-    with np.errstate(divide="ignore"):
-        out = safe + np.log(np.sum(np.exp(arr - np.expand_dims(safe, axis)),
-                                   axis=axis))
-    return np.where(m == -np.inf, -np.inf, out)
+    """log(sum(exp(arr))) along ``axis``; callers silence log(0) warnings."""
+    shift = np.maximum(arr.max(axis=axis, keepdims=True), _FLOOR)
+    diff = arr - shift
+    return shift.squeeze(axis) + np.log(np.exp(diff, out=diff).sum(axis=axis))
 
 
 def _check_inputs(grammar, table: LikelihoodTable) -> None:
@@ -155,45 +172,70 @@ def _check_inputs(grammar, table: LikelihoodTable) -> None:
         raise ValueError("empty conversation")
 
 
-def _start_vector(grammar, table: LikelihoodTable) -> np.ndarray:
-    return np.array([grammar.transition_log_prob((), (lab, table.speakers[0]))
-                     for lab in table.labels])
+class _CompiledPrior:
+    """A grammar's transitions as dense arrays over history states.
+
+    States are flattened with the oldest label most significant.  A
+    transition array has shape (t+1, (t+1)^(m-1), t): oldest label, rest of
+    the state, next label.  A speaker pattern holds None before the start,
+    and the states it rules out hold -inf.  The grammar is passed to each
+    method rather than stored, so the weak-keyed cache can drop it.
+    """
+
+    def __init__(self, grammar) -> None:
+        self.labels = tuple(grammar.labels)
+        self.m = max(grammar.order - 1, 1)
+        self._trans: dict[tuple, np.ndarray] = {}
+        self._end: dict[tuple, np.ndarray] = {}
+
+    def _histories(self, speakers: tuple):
+        """(flat state index, history events) of every state ``speakers`` allows."""
+        t = len(self.labels)
+        for hist in itertools.product(*[range(t) if spk is not None else (t,)
+                                        for spk in speakers]):
+            flat = 0
+            for h in hist:
+                flat = flat * (t + 1) + h
+            yield flat, tuple((self.labels[h], spk)
+                              for h, spk in zip(hist, speakers) if spk is not None)
+
+    def transition(self, grammar, pattern: tuple) -> np.ndarray:
+        arr = self._trans.get(pattern)
+        if arr is None:
+            t = len(self.labels)
+            arr = np.full(((t + 1) ** self.m, t), -np.inf)
+            for flat, events in self._histories(pattern[:-1]):
+                arr[flat] = [grammar.transition_log_prob(events, (lab, pattern[-1]))
+                             for lab in self.labels]
+            arr = self._trans[pattern] = arr.reshape(t + 1, -1, t)
+        return arr
+
+    def end(self, grammar, speakers: tuple) -> np.ndarray:
+        arr = self._end.get(speakers)
+        if arr is None:
+            arr = np.full((len(self.labels) + 1) ** self.m, -np.inf)
+            for flat, events in self._histories(speakers):
+                arr[flat] = grammar.end_log_prob(events)
+            self._end[speakers] = arr
+        return arr
 
 
-def _prior_vector(grammar, table: LikelihoodTable, i: int) -> np.ndarray:
-    # For order <= 1 the history never matters.
-    return np.array([grammar.transition_log_prob((), (lab, table.speakers[i]))
-                     for lab in table.labels])
+# Grammars are immutable by contract, so each one is compiled once.
+_COMPILED: "weakref.WeakKeyDictionary[object, _CompiledPrior]" = \
+    weakref.WeakKeyDictionary()
 
 
-class _StepMatrices:
-    """Per-conversation cache of order-2 transition matrices by speaker pair."""
-
-    def __init__(self, grammar, table: LikelihoodTable) -> None:
-        self.grammar = grammar
-        self.table = table
-        self._cache: dict[tuple[str, str], np.ndarray] = {}
-
-    def at(self, i: int) -> np.ndarray:
-        key = (self.table.speakers[i - 1], self.table.speakers[i])
-        mat = self._cache.get(key)
-        if mat is None:
-            labels = self.table.labels
-            mat = np.empty((len(labels), len(labels)))
-            for p, prev in enumerate(labels):
-                hist = ((prev, key[0]),)
-                for c, cur in enumerate(labels):
-                    mat[p, c] = self.grammar.transition_log_prob(hist, (cur, key[1]))
-            self._cache[key] = mat
-        return mat
-
-
-def _events_for(table: LikelihoodTable, hist: tuple[int, ...],
-                next_pos: int) -> tuple[tuple[str, str], ...]:
-    # hist holds label indices for utterances next_pos-len(hist) .. next_pos-1
-    base = next_pos - len(hist)
-    return tuple((table.labels[d], table.speakers[base + j])
-                 for j, d in enumerate(hist))
+def _compile(grammar, table: LikelihoodTable) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per-utterance transition arrays and the end array for one conversation."""
+    _check_inputs(grammar, table)
+    prior = _COMPILED.get(grammar)
+    if prior is None:
+        prior = _COMPILED[grammar] = _CompiledPrior(grammar)
+    m = prior.m
+    speakers = (None,) * m + tuple(table.speakers)
+    trans = [prior.transition(grammar, speakers[i:i + m + 1])
+             for i in range(len(table))]
+    return trans, prior.end(grammar, speakers[-m:])
 
 
 def viterbi_decode(grammar, table: LikelihoodTable) -> tuple[list[str], float]:
@@ -202,94 +244,60 @@ def viterbi_decode(grammar, table: LikelihoodTable) -> tuple[list[str], float]:
     The joint includes prior transitions, the end-of-conversation term, and
     the evidence log likelihoods.
     """
-    _check_inputs(grammar, table)
+    trans, end = _compile(grammar, table)
     n, t = table.scores.shape
-    lik = table.scores
-    if grammar.order <= 1:
-        # No usable history: decode each utterance independently.  The end
-        # term is history-independent at these orders, a plain constant.
-        rows = np.vstack([_prior_vector(grammar, table, i) + lik[i]
-                          for i in range(n)])
-        if np.max(rows, axis=1).min() == -np.inf:
-            raise ValueError("utterance with no admissible label")
-        picks = np.argmax(rows, axis=1)
-        score = float(rows[np.arange(n), picks].sum()) + grammar.end_log_prob(())
-        return [table.labels[j] for j in picks], score
-    if grammar.order == 2:
-        return _viterbi_bigram(grammar, table)
-    return _viterbi_general(grammar, table)
-
-
-def _viterbi_bigram(grammar, table: LikelihoodTable) -> tuple[list[str], float]:
-    n, t = table.scores.shape
-    lik = table.scores
-    steps = _StepMatrices(grammar, table)
-    score = _start_vector(grammar, table) + lik[0]
-    back = np.zeros((n, t), dtype=int)
-    for i in range(1, n):
-        if np.max(score) == -np.inf:
-            raise ValueError(f"utterance {i - 1}: no admissible label")
-        cand = score[:, None] + steps.at(i)
-        back[i] = np.argmax(cand, axis=0)
-        score = cand[back[i], np.arange(t)] + lik[i]
-    end = np.array([grammar.end_log_prob(((lab, table.speakers[n - 1]),))
-                    for lab in table.labels])
-    score = score + end
-    if np.max(score) == -np.inf:
-        raise ValueError(f"utterance {n - 1}: no admissible label")
-    last = int(np.argmax(score))
-    total = float(score[last])
-    seq = [last]
-    for i in range(n - 1, 0, -1):
-        last = int(back[i][last])
-        seq.append(last)
+    size = end.size // (t + 1)
+    score = np.full((t + 1, size), -np.inf)
+    score[-1, -1] = 0.0                  # every axis "before the conversation"
+    state = np.full((size, t + 1), -np.inf)
+    back = np.empty((n, size, t), dtype=np.intp)
+    for i, step in enumerate(trans):
+        cand = score[..., None] + step
+        back[i] = cand.argmax(axis=0)
+        state[:, :t] = cand.max(axis=0) + table.scores[i]
+        if state.max() == -np.inf:
+            raise ValueError(f"utterance {i}: no admissible label")
+        score = state.reshape(t + 1, size)
+    final = score.ravel() + end
+    best = int(final.argmax())           # first maximum: lowest label indices
+    total = float(final[best])
+    if total == -np.inf:
+        raise ValueError("no admissible label sequence")
+    seq = []
+    for i in range(n - 1, -1, -1):
+        rest, label = divmod(best, t + 1)
+        seq.append(label)
+        best = int(back[i, rest, label]) * size + rest
     seq.reverse()
     return [table.labels[j] for j in seq], total
 
 
-def _viterbi_general(grammar, table: LikelihoodTable) -> tuple[list[str], float]:
-    n, t = table.scores.shape
-    lik = table.scores
-    m = grammar.order - 1
-    states: dict[tuple[int, ...], float] = {(): 0.0}
-    parents: list[dict[tuple[int, ...], tuple[tuple[int, ...], int]]] = []
-    for i in range(n):
-        new: dict[tuple[int, ...], float] = {}
-        par: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
-        for hist in sorted(states):
-            s = states[hist]
-            if s == -np.inf:
-                continue
-            ev_hist = _events_for(table, hist, i)
-            for d in range(t):
-                val = s + grammar.transition_log_prob(
-                    ev_hist, (table.labels[d], table.speakers[i])) + lik[i, d]
-                if val == -np.inf:
-                    continue
-                nh = (hist + (d,))[-m:]
-                if nh not in new or val > new[nh]:
-                    new[nh] = val
-                    par[nh] = (hist, d)
-        if not new:
-            raise ValueError(f"utterance {i}: no admissible label")
-        states = new
-        parents.append(par)
-    best_hist: tuple[int, ...] | None = None
-    best = -np.inf
-    for hist in sorted(states):
-        val = states[hist] + grammar.end_log_prob(_events_for(table, hist, n))
-        if val > best:
-            best, best_hist = val, hist
-    if best_hist is None:
-        raise ValueError("no admissible label sequence")
-    seq = []
-    state = best_hist
-    for i in range(n - 1, -1, -1):
-        prev, d = parents[i][state]
-        seq.append(d)
-        state = prev
-    seq.reverse()
-    return [table.labels[j] for j in seq], float(best)
+@np.errstate(divide="ignore")
+def _posteriors(trans: list[np.ndarray], end: np.ndarray, lik: np.ndarray,
+                online: bool) -> np.ndarray:
+    """Forward-backward over a leading batch axis: lik (b, n, t) -> posteriors."""
+    b, n, t = lik.shape
+    size = end.size // (t + 1)
+    lik = lik.transpose(1, 0, 2)[:, :, None]          # (n, b, 1, t)
+    alpha = np.full((n, b, size, t + 1), -np.inf)
+    prev = np.full((b, t + 1, size), -np.inf)
+    prev[:, -1, -1] = 0.0                # every axis "before the conversation"
+    for i, step in enumerate(trans):
+        alpha[i, ..., :t] = _logsumexp(prev[..., None] + step, axis=1) + lik[i]
+        prev = alpha[i].reshape(b, t + 1, size)
+    if not online:
+        beta = np.empty_like(alpha)
+        beta[n - 1] = end.reshape(size, t + 1)
+        for i in range(n - 2, -1, -1):
+            nxt = lik[i + 1] + beta[i + 1, ..., :t]
+            beta[i] = _logsumexp(trans[i + 1] + nxt[:, None], axis=-1).reshape(
+                b, size, t + 1)
+        alpha += beta                    # the joint, for smoothed posteriors
+    rows = _logsumexp(alpha, axis=2)[..., :t]
+    z = _logsumexp(rows, axis=-1)
+    if (z == -np.inf).any():
+        raise ValueError("utterance with no admissible label")
+    return np.exp(rows - z[..., None]).transpose(1, 0, 2)
 
 
 def forward_backward(grammar, table: LikelihoodTable,
@@ -299,105 +307,11 @@ def forward_backward(grammar, table: LikelihoodTable,
     ``online=True`` uses only evidence up to each utterance (forward pass,
     no end-of-conversation term): filtered rather than smoothed posteriors.
     """
-    _check_inputs(grammar, table)
-    n, t = table.scores.shape
-    lik = table.scores
-    if grammar.order <= 1:
-        rows = np.vstack([_prior_vector(grammar, table, i) + lik[i]
-                          for i in range(n)])
-        return _normalize_rows(rows)
-    if grammar.order == 2:
-        return _forward_backward_bigram(grammar, table, online)
-    return _forward_backward_general(grammar, table, online)
+    trans, end = _compile(grammar, table)
+    return _posteriors(trans, end, table.scores[None], online)[0]
 
 
-def _normalize_rows(rows: np.ndarray) -> np.ndarray:
-    z = _logsumexp(rows, axis=1)
-    if (z == -np.inf).any():
-        raise ValueError("utterance with no admissible label")
-    return np.exp(rows - z[:, None])
-
-
-def _forward_backward_bigram(grammar, table: LikelihoodTable,
-                             online: bool) -> np.ndarray:
-    n, t = table.scores.shape
-    lik = table.scores
-    steps = _StepMatrices(grammar, table)
-    alpha = np.empty((n, t))
-    alpha[0] = _start_vector(grammar, table) + lik[0]
-    for i in range(1, n):
-        alpha[i] = _logsumexp(alpha[i - 1][:, None] + steps.at(i), axis=0) + lik[i]
-    if online:
-        return _normalize_rows(alpha)
-    beta = np.empty((n, t))
-    beta[n - 1] = np.array([grammar.end_log_prob(((lab, table.speakers[n - 1]),))
-                            for lab in table.labels])
-    for i in range(n - 2, -1, -1):
-        beta[i] = _logsumexp(steps.at(i + 1) + (lik[i + 1] + beta[i + 1])[None, :],
-                             axis=1)
-    return _normalize_rows(alpha + beta)
-
-
-def _forward_backward_general(grammar, table: LikelihoodTable,
-                              online: bool) -> np.ndarray:
-    n, t = table.scores.shape
-    lik = table.scores
-    m = grammar.order - 1
-    forward: list[dict[tuple[int, ...], float]] = []
-    cur: dict[tuple[int, ...], float] = {(): 0.0}
-    for i in range(n):
-        gather: dict[tuple[int, ...], list[float]] = {}
-        for hist, s in cur.items():
-            if s == -np.inf:
-                continue
-            ev_hist = _events_for(table, hist, i)
-            for d in range(t):
-                val = s + grammar.transition_log_prob(
-                    ev_hist, (table.labels[d], table.speakers[i])) + lik[i, d]
-                if val == -np.inf:
-                    continue
-                gather.setdefault((hist + (d,))[-m:], []).append(val)
-        if not gather:
-            raise ValueError(f"utterance {i}: no admissible label")
-        cur = {h: log_sum(v) for h, v in gather.items()}
-        forward.append(cur)
-
-    posts = np.full((n, t), -np.inf)
-    if online:
-        for i in range(n):
-            for hist, s in forward[i].items():
-                d = hist[-1]
-                posts[i, d] = np.logaddexp(posts[i, d], s)
-        return _normalize_rows(posts)
-
-    backward: list[dict[tuple[int, ...], float] | None] = [None] * n
-    backward[n - 1] = {hist: grammar.end_log_prob(_events_for(table, hist, n))
-                       for hist in forward[n - 1]}
-    for i in range(n - 2, -1, -1):
-        cur_b: dict[tuple[int, ...], float] = {}
-        nxt = backward[i + 1]
-        for hist in forward[i]:
-            ev_hist = _events_for(table, hist, i + 1)
-            vals = []
-            for d in range(t):
-                nh = (hist + (d,))[-m:]
-                b = nxt.get(nh)
-                if b is None or b == -np.inf:
-                    continue
-                vals.append(grammar.transition_log_prob(
-                    ev_hist, (table.labels[d], table.speakers[i + 1]))
-                    + lik[i + 1, d] + b)
-            cur_b[hist] = log_sum(vals)
-        backward[i] = cur_b
-
-    for i in range(n):
-        for hist, s in forward[i].items():
-            total = s + backward[i][hist]
-            d = hist[-1]
-            posts[i, d] = np.logaddexp(posts[i, d], total)
-    return _normalize_rows(posts)
-
-
+@np.errstate(divide="ignore")
 def brute_force_decode(grammar, table: LikelihoodTable,
                        limit: int = 1_000_000) -> tuple[list[str], float, np.ndarray]:
     """Exhaustive decode: enumerate all label sequences.
@@ -467,21 +381,6 @@ class JackknifeResult:
             else self.weights[1]
 
 
-def _decode_accuracy(grammar, word_tables, prosody_tables, references,
-                     weights: CombinationWeights) -> tuple[int, int]:
-    correct = total = 0
-    for wt, pt in zip(word_tables, prosody_tables):
-        combined = combine_likelihoods(wt, pt, weights)
-        posts = forward_backward(grammar, combined)
-        picks = np.argmax(posts, axis=1)
-        ref = references[wt.conversation_id]
-        for i, j in enumerate(picks):
-            total += 1
-            if wt.labels[j] == ref[i]:
-                correct += 1
-    return correct, total
-
-
 def tune_alpha_beta(grammar,
                     word_tables: Sequence[LikelihoodTable],
                     prosody_tables: Sequence[LikelihoodTable | None],
@@ -494,34 +393,45 @@ def tune_alpha_beta(grammar,
     Conversations are split in two seeded halves; each half's best
     (alpha, beta) on the grid is evaluated on the other half, and the pooled
     accuracy over both evaluations is reported.  Grid ties resolve to the
-    smallest alpha, then the smallest beta.
+    smallest alpha, then the smallest beta.  Each conversation is decoded
+    once per alpha, with every beta in one batch.
     """
     if len(word_tables) != len(prosody_tables):
         raise ValueError("word/prosody table lists differ in length")
     if len(word_tables) < 2:
         raise ValueError("need at least two conversations to jackknife")
-    pairs = list(zip(word_tables, prosody_tables))
-    half1, half2 = jackknife_split(pairs, seed)
+    grid = [[CombinationWeights(a, b) for b in betas] for a in alphas]
+    half1, half2 = jackknife_split(list(zip(word_tables, prosody_tables)), seed)
+
+    def correct(half, alphas, betas) -> np.ndarray:
+        """Correct posterior picks on ``half`` at each (alpha, beta)."""
+        counts = np.zeros((len(alphas), len(betas)), dtype=int)
+        scale = np.array(betas, dtype=float)[:, None, None]
+        for wt, pt in half:
+            trans, end = _compile(grammar, wt)
+            index = {lab: j for j, lab in enumerate(wt.labels)}
+            truth = np.array([index.get(lab, -1)
+                              for lab in references[wt.conversation_id]])
+            for a, alpha in enumerate(alphas):
+                # beta 1 keeps the scores unscaled; the batch applies each beta
+                fused = combine_likelihoods(wt, pt, CombinationWeights(alpha))
+                posts = _posteriors(trans, end, scale * fused.scores, False)
+                counts[a] += (np.argmax(posts, axis=-1) == truth[:len(wt)]).sum(axis=1)
+        return counts
 
     def best_on(half) -> CombinationWeights:
-        wts = [p[0] for p in half]
-        pts = [p[1] for p in half]
-        best_w, best_acc = None, -1.0
-        for a in alphas:
-            for b in betas:
-                w = CombinationWeights(a, b)
-                c, tot = _decode_accuracy(grammar, wts, pts, references, w)
-                acc = c / tot
-                if acc > best_acc:
-                    best_w, best_acc = w, acc
-        return best_w
+        counts = correct(half, alphas, betas)
+        a, b = np.unravel_index(np.argmax(counts), counts.shape)  # first maximum
+        return grid[a][b]
+
+    def hits_on(half, w: CombinationWeights) -> tuple[int, int]:
+        return (int(correct(half, (w.alpha,), (w.beta,))[0, 0]),
+                sum(len(wt) for wt, _ in half))
 
     w1 = best_on(half1)
     w2 = best_on(half2)
-    c2, t2 = _decode_accuracy(grammar, [p[0] for p in half2],
-                              [p[1] for p in half2], references, w1)
-    c1, t1 = _decode_accuracy(grammar, [p[0] for p in half1],
-                              [p[1] for p in half1], references, w2)
+    c2, t2 = hits_on(half2, w1)
+    c1, t1 = hits_on(half1, w2)
     return JackknifeResult(
         weights=(w1, w2),
         accuracy=(c1 + c2) / (t1 + t2),

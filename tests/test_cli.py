@@ -108,6 +108,22 @@ def test_zero_count_class_shares_the_fallback_after_reload(workdir, tmp_path):
     assert models.smoothed.models["Filler"] is models.smoothed.fallback
 
 
+
+def test_collapsed_tagset_survives_the_model_directory(workdir, tmp_path):
+    tags = tmp_path / "collapsed.txt"
+    tags.write_text("Statement\nQuestion\n"
+                    "collapse\tQuestion\tBackchannel/Acknowledge\n")
+    out = tmp_path / "m"
+    assert cli.main(["train", "--corpus", str(workdir / "corpus.tsv"),
+                     "--models", str(out), "--tagset", str(tags),
+                     "--order", "2", "--word-order", "2"]) == 0
+    pred = tmp_path / "pred.tsv"
+    assert cli.main(["tag", "--models", str(out),
+                     "--corpus", str(workdir / "corpus.tsv"),
+                     "--output", str(pred)]) == 0
+    assert {line.split("\t")[2] for line in pred.read_text().splitlines()} \
+        == {"Statement", "Question"}
+
 # ---------------------------------------------------------------------------
 # tag
 # ---------------------------------------------------------------------------

@@ -74,6 +74,33 @@ def test_tagset_file_round_trip(tmp_path):
     assert load_tagset(path).labels == ts.labels
 
 
+def test_tagset_collapse_lines_round_trip(tmp_path):
+    ts = TagSet(("S", "Other", "Q"),
+                collapsed=(("Other", ("Oh", "Um")), ("Q", ("Qy",))))
+    path = tmp_path / "tags.txt"
+    save_tagset(ts, path)
+    assert load_tagset(path) == ts
+    path.write_text("# folded\nS\ncollapse Other Oh\nOther\n"
+                    "collapse\tOther\tUm\n")
+    assert load_tagset(path).collapse("Um") == "Other"
+
+
+@pytest.mark.parametrize("text,lineno", [
+    ("S\ncollapse S\n", 2),
+    ("S\ncollapse S a b\n", 2),
+    ("S Q\n", 1),
+    ("S\n\nS\n", 3),
+    ("S\ncollapse Q a\n", 2),
+    ("S\nQ\ncollapse S Q\n", 3),
+    ("S\ncollapse S a\ncollapse S a\n", 3),
+])
+def test_tagset_malformed_lines_name_file_and_line(tmp_path, text, lineno):
+    path = tmp_path / "tags.txt"
+    path.write_text(text)
+    with pytest.raises(CorpusError, match=f"tags.txt:{lineno}:"):
+        load_tagset(path)
+
+
 # ---------------------------------------------------------------------------
 # Conversations
 # ---------------------------------------------------------------------------

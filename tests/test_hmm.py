@@ -6,8 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from dialact.corpus import Conversation, TagSet, Utterance
-from dialact.discourse import GrammarVariant, train_discourse
+from dialact.corpus import Conversation, TagSet, Utterance, jackknife_split
+from dialact.discourse import DiscourseGrammar, GrammarVariant, train_discourse
 from dialact.hmm import (CombinationWeights, LikelihoodTable,
                          brute_force_decode, combine_likelihoods,
                          dump_likelihoods, forward_backward, load_likelihoods,
@@ -58,7 +58,10 @@ def rand_instance(rng, n_labels, order, n_utts):
                      for i in range(rng.randrange(3, 9)))
         convs.append(Conversation(f"t{c}", utts))
     variant = rng.choice(list(GrammarVariant))
-    grammar = train_discourse(convs, tagset, order, variant)
+    if order == 0:
+        grammar = DiscourseGrammar.uniform(tagset, variant)
+    else:
+        grammar = train_discourse(convs, tagset, order, variant)
     speakers = tuple(rng.choice("AB") for _ in range(n_utts))
     scores = np.array([[rng.uniform(-6.0, 0.0) for _ in labels]
                        for _ in range(n_utts)])
@@ -98,10 +101,13 @@ def test_two_state_brute_force_agrees():
 
 def test_decoders_match_brute_force():
     rng = random.Random(7)
-    for trial in range(40):
-        order = rng.choice((1, 2, 3))
-        grammar, table = rand_instance(rng, rng.choice((2, 3)), order,
-                                       rng.randrange(1, 7))
+    for trial in range(50):
+        if trial < 40:
+            order, n_labels, max_n = rng.choice((1, 2, 3)), rng.choice((2, 3)), 6
+        else:  # no grammar, and 4-grams over two labels
+            order, n_labels, max_n = (0, 3, 6) if trial % 2 else (4, 2, 5)
+        grammar, table = rand_instance(rng, n_labels, order,
+                                       rng.randrange(1, max_n + 1))
         bseq, bscore, bposts = brute_force_decode(grammar, table)
         vseq, vscore = viterbi_decode(grammar, table)
         assert vseq == bseq, f"trial {trial}: {vseq} vs {bseq}"
@@ -251,7 +257,7 @@ def test_table_rejects_nan_and_plus_inf():
 def test_inadmissible_utterance_raises():
     bad = LikelihoodTable("c", ("S", "Q"), ("A", "B"),
                           np.array([[-1.0, -2.0], [-math.inf, -math.inf]]))
-    for order in (1, 2):
+    for order in (0, 1, 2, 3):
         grammar, _ = rand_instance(random.Random(5), 2, order, 2)
         with pytest.raises(ValueError, match="admissible"):
             viterbi_decode(grammar, bad)
@@ -344,3 +350,53 @@ def test_tuning_input_validation():
         tune_alpha_beta(grammar, wts, pts[:-1], refs)
     with pytest.raises(ValueError):
         tune_alpha_beta(grammar, wts[:1], pts[:1], refs)
+
+
+def test_tuning_matches_public_decodes():
+    # the batched grid search must agree exactly with decoding each grid
+    # point through combine_likelihoods and forward_backward
+    rng = random.Random(31)
+    grammar, _ = rand_instance(rng, 3, 2, 1)
+    wts, pts, refs = [], [], {}
+    for c in range(6):
+        _, table = rand_instance(rng, 3, 2, rng.randrange(2, 7))
+        conv_id = f"c{c}"
+        refs[conv_id] = [rng.choice(table.labels) for _ in range(len(table))]
+        pros = np.array([[(-0.3 if lab == ref else -2.0) + rng.uniform(-1.0, 0.0)
+                          for lab in table.labels] for ref in refs[conv_id]])
+        if c == 1:
+            pros[0, 2] = -math.inf
+        wts.append(LikelihoodTable(conv_id, table.labels, table.speakers,
+                                   table.scores))
+        pts.append(None if c == 3 else LikelihoodTable(
+            conv_id, table.labels, table.speakers, pros))
+    alphas, betas = (0.0, 0.5, 1.0, 3.0), (0.1, 0.7, 1.0, 2.0)
+
+    def correct(half, w):
+        hits = 0
+        for wt, pt in half:
+            posts = forward_backward(grammar, combine_likelihoods(wt, pt, w))
+            hits += sum(wt.labels[j] == ref for j, ref in
+                        zip(np.argmax(posts, axis=1), refs[wt.conversation_id]))
+        return hits, sum(len(wt) for wt, _ in half)
+
+    def best(half):
+        best_w, best_hits = None, -1
+        for a in alphas:
+            for b in betas:
+                hits, _ = correct(half, CombinationWeights(a, b))
+                if hits > best_hits:
+                    best_w, best_hits = CombinationWeights(a, b), hits
+        return best_w
+
+    for seed in range(3):
+        half1, half2 = jackknife_split(list(zip(wts, pts)), seed)
+        w1, w2 = best(half1), best(half2)
+        c2, t2 = correct(half2, w1)
+        c1, t1 = correct(half1, w2)
+        with np.errstate(invalid="raise"):  # 0 * -inf would make a NaN
+            got = tune_alpha_beta(grammar, wts, pts, refs, alphas, betas,
+                                  seed=seed)
+        assert got.weights == (w1, w2)
+        assert got.accuracy == (c1 + c2) / (t1 + t2)
+        assert got.half_accuracies == (c2 / t2, c1 / t1)
