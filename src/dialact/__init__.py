@@ -20,8 +20,8 @@ from .hmm import (CombinationWeights, JackknifeResult, LikelihoodTable,
                   viterbi_decode)
 from .metrics import EvalReport, focused_binary_task, tagging_accuracy
 from .ngram import (InterpolatedModel, NGramModel, fit_interp_weight,
-                    interpolate, materialize, perplexity, read_arpa,
-                    sequence_log_prob, train_ngram, write_arpa)
+                    interpolate, perplexity, read_arpa, sequence_log_prob,
+                    train_ngram, write_arpa)
 from .prosody import (DecisionTree, ProsodyError, TreeConfig, load_tree,
                       prosody_likelihood_tables, serialize_tree,
                       train_tree, tree_posterior, tree_scaled_likelihood)
@@ -45,8 +45,8 @@ __all__ = [
     "discourse_perplexity", "downsample_uniform", "dump_likelihoods",
     "fit_interp_weight", "focused_binary_task", "forward_backward",
     "hypothesis_scores", "interpolate", "jackknife_split", "load_discourse",
-    "load_likelihoods", "load_tagset", "load_tree", "materialize",
-    "mixture_lm_scores", "mixture_posterior_scores", "nbest_da_log_likelihood",
+    "load_likelihoods", "load_tagset", "load_tree", "mixture_lm_scores",
+    "mixture_posterior_scores", "nbest_da_log_likelihood",
     "parse_conversations", "parse_nbest", "parse_prosody", "per_da_wer_report",
     "perplexity", "prosody_likelihood_tables", "read_arpa", "rescore_corpus",
     "save_discourse", "save_tagset", "sequence_log_prob",

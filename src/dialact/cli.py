@@ -8,11 +8,12 @@ Subcommands
   eval        compare a predictions file against reference labels
 
 Model directory layout (written by train, read by everything else):
-  manifest.tsv           kind, key, relative path per artifact
+  manifest.tsv           kind, key, relative path per artifact; and per
+                         label a smoothing_weight row, the weight of its model
+                         in a query-time mix with the pooled one (rescoring)
   tagset.txt             the label inventory
   discourse.arpa         the dialogue-act sequence prior
   da_lms/<label>.arpa    per-DA word models plus _fallback.arpa (pooled)
-  da_lms_smoothed/...    the same models interpolated with the pooled one
   prosody.tree           decision tree (only when trained with --prosody)
 
 Labels may contain characters unfit for filenames, so the manifest records
@@ -30,6 +31,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -42,7 +44,7 @@ from .discourse import (DiscourseGrammar, GrammarVariant, discourse_perplexity,
 from .hmm import (CombinationWeights, combine_likelihoods, forward_backward,
                   tune_alpha_beta, viterbi_decode)
 from .metrics import tagging_accuracy
-from .ngram import END, UNK, materialize, perplexity, read_arpa, write_arpa
+from .ngram import END, UNK, interpolate, perplexity, read_arpa, write_arpa
 from .prosody import (DecisionTree, TreeConfig, load_tree,
                       prosody_likelihood_tables, serialize_tree, train_tree)
 from .rescore import METHODS, per_da_wer_report, rescore_corpus
@@ -78,11 +80,12 @@ def _sanitize(label: str, used: set[str]) -> str:
 
 
 def save_models(directory: str | Path, tagset: TagSet,
-                grammar: DiscourseGrammar, da_lms: DaLmSet, smoothed: DaLmSet,
-                tree: DecisionTree | None) -> None:
+                grammar: DiscourseGrammar, da_lms: DaLmSet,
+                weights: Mapping[str, float], tree: DecisionTree | None) -> None:
+    """Write the model directory; ``weights`` are the per-label smoothing
+    weights of :func:`dialact.wordmodels.smooth_da_lms`."""
     out = Path(directory)
     (out / "da_lms").mkdir(parents=True, exist_ok=True)
-    (out / "da_lms_smoothed").mkdir(exist_ok=True)
     rows: list[tuple[str, str, str]] = []
 
     save_tagset(tagset, out / "tagset.txt")
@@ -105,13 +108,7 @@ def save_models(directory: str | Path, tagset: TagSet,
             path = f"da_lms/{stem}.arpa"
             write_arpa(model, out / path)
             rows.append(("da_lm", lab, path))
-        smodel = smoothed.models[lab]
-        if smodel is da_lms.fallback:
-            rows.append(("da_lm_smoothed", lab, fallback_path))
-        else:
-            spath = f"da_lms_smoothed/{stem}.arpa"
-            write_arpa(materialize(smodel), out / spath)
-            rows.append(("da_lm_smoothed", lab, spath))
+        rows.append(("smoothing_weight", lab, repr(float(weights[lab]))))
 
     if tree is not None:
         serialize_tree(tree, out / "prosody.tree")
@@ -127,7 +124,8 @@ def load_models(directory: str | Path) -> TrainedModels:
     manifest = root / "manifest.tsv"
     if not manifest.is_file():
         raise CorpusError(f"{manifest}: not found (is this a model directory?)")
-    rows: list[tuple[str, str, str]] = []
+    # kind -> key -> (value, manifest line)
+    by_kind: dict[str, dict[str, tuple[str, int]]] = {}
     for lineno, raw in enumerate(manifest.read_text(encoding="utf-8")
                                  .splitlines(), 1):
         if not raw.strip() or raw.startswith("#"):
@@ -135,16 +133,16 @@ def load_models(directory: str | Path) -> TrainedModels:
         fields = raw.split("\t")
         if len(fields) != 3:
             raise CorpusError(f"{manifest}:{lineno}: expected 3 fields")
-        rows.append((fields[0], fields[1], fields[2]))
-    by_kind: dict[str, dict[str, str]] = {}
-    for kind, key, path in rows:
-        by_kind.setdefault(kind, {})[key] = path
+        if fields[0] == "da_lm_smoothed":
+            raise CorpusError(f"{manifest}:{lineno}: old dense smoothed model "
+                              f"row; re-run `dialact train`")
+        by_kind.setdefault(fields[0], {})[fields[1]] = (fields[2], lineno)
     for kind in ("tagset", "discourse", "fallback"):
         if kind not in by_kind:
             raise CorpusError(f"{manifest}: missing {kind} entry")
 
-    tagset = load_tagset(root / by_kind["tagset"]["-"])
-    grammar = load_discourse(root / by_kind["discourse"]["-"], tagset)
+    tagset = load_tagset(root / by_kind["tagset"]["-"][0])
+    grammar = load_discourse(root / by_kind["discourse"]["-"][0], tagset)
 
     cache: dict[str, object] = {}
 
@@ -153,21 +151,36 @@ def load_models(directory: str | Path) -> TrainedModels:
             cache[path] = read_arpa(root / path)
         return cache[path]
 
-    fallback = model_at(by_kind["fallback"]["-"])
-    sets = []
-    for kind in ("da_lm", "da_lm_smoothed"):
-        table = by_kind.get(kind, {})
-        models = {}
-        for lab in tagset.labels:
-            if lab not in table:
-                raise CorpusError(f"{manifest}: no {kind} entry for {lab!r}")
-            models[lab] = model_at(table[lab])
-        sets.append(DaLmSet(tagset, models, fallback, fallback.order,
-                            frozenset(fallback.vocab) - {END, UNK}))
+    fallback = model_at(by_kind["fallback"]["-"][0])
+    table = by_kind.get("da_lm", {})
+    weights = by_kind.get("smoothing_weight", {})
+    for lab, (_, lineno) in weights.items():
+        if lab not in tagset.labels:
+            raise CorpusError(f"{manifest}:{lineno}: smoothing weight for "
+                              f"{lab!r}, which is not in the tag set")
+    models, smoothed = {}, {}
+    for lab in tagset.labels:
+        if lab not in table:
+            raise CorpusError(f"{manifest}: no da_lm entry for {lab!r}")
+        if lab not in weights:
+            raise CorpusError(f"{manifest}:{table[lab][1]}: no "
+                              f"smoothing_weight row for {lab!r}")
+        model = models[lab] = model_at(table[lab][0])
+        text, lineno = weights[lab]
+        try:    # non-numbers, NaN and weights outside [0, 1] all raise
+            mix = interpolate(model, fallback, float(text))
+        except ValueError as exc:
+            raise CorpusError(f"{manifest}:{lineno}: cannot smooth {lab!r} "
+                              f"with weight {text!r}: {exc}") from None
+        smoothed[lab] = model if model is fallback else mix
+    vocab = frozenset(fallback.vocab) - {END, UNK}
     tree = None
     if "prosody" in by_kind:
-        tree = load_tree(root / by_kind["prosody"]["-"])
-    return TrainedModels(tagset, grammar, sets[0], sets[1], tree)
+        tree = load_tree(root / by_kind["prosody"]["-"][0])
+    return TrainedModels(
+        tagset, grammar,
+        DaLmSet(tagset, models, fallback, fallback.order, vocab),
+        DaLmSet(tagset, smoothed, fallback, fallback.order, vocab), tree)
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +248,13 @@ def cmd_train(args) -> int:
 
     if args.heldout:
         heldout = parse_conversations(args.heldout, tagset)
-        smoothed, weights = smooth_da_lms(da_lms, heldout)
+        _, weights = smooth_da_lms(da_lms, heldout)
     else:
         print("note: no --heldout corpus; smoothing weights default to 0.5",
               file=sys.stderr)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            smoothed, weights = smooth_da_lms(da_lms, [])
+            _, weights = smooth_da_lms(da_lms, [])
 
     tree = None
     if args.prosody:
@@ -256,7 +269,7 @@ def cmd_train(args) -> int:
                           TreeConfig(args.min_leaf, args.max_depth),
                           classes=tagset.labels)
 
-    save_models(args.models, tagset, grammar, da_lms, smoothed, tree)
+    save_models(args.models, tagset, grammar, da_lms, weights, tree)
 
     print(f"discourse_perplexity\t{_g(discourse_perplexity(grammar, convs))}")
     all_words = [u.words for conv in convs for u in conv]

@@ -69,6 +69,11 @@ class DiscourseGrammar:
     def labels(self) -> tuple[str, ...]:
         return self.tagset.labels
 
+    @property
+    def uses_speakers(self) -> bool:
+        """False when no score depends on speakers (DA-only view, order 0)."""
+        return self.order > 0 and self.variant != GrammarVariant.DA_ONLY
+
     def _token(self, label: str, speaker: str) -> str:
         if self.variant == GrammarVariant.DA_ONLY:
             return label

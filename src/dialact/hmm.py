@@ -13,9 +13,10 @@ is the last m = max(order - 1, 1) labels, each axis with one extra "before
 the conversation" index, so (t+1)^m states for t labels.  Arrays are built
 lazily per speaker pattern (the speakers of the last m utterances and of
 the current one): a transition array of (t+1)^m x t entries, O(t^order)
-for order >= 2, and an end array per pattern of the last m speakers.  One
-forward-backward and one Viterbi recursion then run over these arrays for
-every grammar order.
+for order >= 2, and an end array per pattern of the last m speakers (one
+placeholder speaker, so m + 1 patterns, if ``uses_speakers`` is False).
+One forward-backward and one Viterbi recursion then run over these arrays
+for every grammar order.
 
 Evidence enters through :class:`LikelihoodTable`: per-utterance natural-log
 likelihoods, one column per label.  Decoders:
@@ -232,7 +233,9 @@ def _compile(grammar, table: LikelihoodTable) -> tuple[list[np.ndarray], np.ndar
     if prior is None:
         prior = _COMPILED[grammar] = _CompiledPrior(grammar)
     m = prior.m
-    speakers = (None,) * m + tuple(table.speakers)
+    speakers = (None,) * m + (tuple(table.speakers)
+                              if getattr(grammar, "uses_speakers", True)
+                              else ("",) * len(table))
     trans = [prior.transition(grammar, speakers[i:i + m + 1])
              for i in range(len(table))]
     return trans, prior.end(grammar, speakers[-m:])

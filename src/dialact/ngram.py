@@ -260,24 +260,13 @@ class InterpolatedModel:
         self.order = max(first.order, second.order)
         self.vocab = frozenset(first.vocab)
         self.padded = first.padded
+        # a zero weight silences its component exactly through _log_add
+        self._log_w = math.log(weight) if weight > 0.0 else -math.inf
+        self._log_rest = math.log(1.0 - weight) if weight < 1.0 else -math.inf
 
     def cond_log_prob(self, context: Sequence[str], token: str) -> float:
-        w = self.weight
-        if w == 1.0:
-            return self.first.cond_log_prob(context, token)
-        if w == 0.0:
-            return self.second.cond_log_prob(context, token)
-        la = self.first.cond_log_prob(context, token)
-        lb = self.second.cond_log_prob(context, token)
-        return _log_add(math.log(w) + la, math.log(1.0 - w) + lb)
-
-    def contexts(self) -> Iterator[tuple[str, ...]]:
-        seen = set()
-        for model in (self.first, self.second):
-            for ctx in model.contexts():
-                if ctx not in seen:
-                    seen.add(ctx)
-                    yield ctx
+        return _log_add(self._log_w + self.first.cond_log_prob(context, token),
+                        self._log_rest + self.second.cond_log_prob(context, token))
 
     def sequence_log_prob(self, sequence: Sequence[str]) -> float:
         return sequence_log_prob(self, sequence)
@@ -342,8 +331,8 @@ def write_arpa(model, path: str | Path, comments: Sequence[str] = ()) -> None:
     byte-deterministic: sections and grams are sorted.
     """
     if not isinstance(model, NGramModel):
-        raise TypeError("write_arpa needs a concrete NGramModel; "
-                        "materialize interpolations first")
+        raise TypeError("write_arpa needs a concrete NGramModel; store an "
+                        "interpolation as its components and weight")
     order = model.order
 
     # gram -> [log prob or None, log bow or None]
@@ -459,17 +448,3 @@ def read_arpa(path: str | Path) -> NGramModel:
         raise ValueError(f"{path}: no unigram probabilities")
     return NGramModel(order, vocab, logprob, logbow, padded=END in vocab)
 
-
-def materialize(model) -> NGramModel:
-    """Flatten any scorer (e.g. an interpolation) into a dense NGramModel.
-
-    Every stored context keeps an explicit probability for every vocabulary
-    token, so suffix-truncation lookups reproduce the source scorer exactly.
-    Dense output: intended for desk-scale vocabularies.
-    """
-    vocab = sorted(model.vocab)
-    contexts = {()} | {ctx for ctx in model.contexts() if len(ctx) < model.order}
-    logprob = {ctx: {w: model.cond_log_prob(ctx, w) for w in vocab}
-               for ctx in contexts}
-    return NGramModel(model.order, frozenset(vocab), logprob, {},
-                      padded=model.padded)

@@ -17,8 +17,9 @@ a substitution over an insertion-deletion pair when totals tie.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -135,7 +136,7 @@ def hypothesis_scores(nbest: NBestList, model,
                       scaling: ScoreScaling = ScoreScaling()) -> np.ndarray:
     """Score every hypothesis under one fixed LM."""
     return np.array([scaling.hyp_score(h.acoustic_score,
-                                       sequence_log_prob(model, h.words),
+                                       model.sequence_log_prob(h.words),
                                        len(h.words))
                      for h in nbest])
 
@@ -149,7 +150,7 @@ def mixture_lm_scores(nbest: NBestList, da_lms: DaLmSet,
     logpost = {lab: (math.log(p) if p > 0.0 else -math.inf)
                for lab, p in posterior.items()}
     for h_i, hyp in enumerate(nbest):
-        terms = [logpost[lab] + sequence_log_prob(da_lms.models[lab], hyp.words)
+        terms = [logpost[lab] + da_lms.models[lab].sequence_log_prob(hyp.words)
                  for lab in da_lms.labels if logpost[lab] > -math.inf]
         out[h_i] = scaling.hyp_score(hyp.acoustic_score, log_sum(terms),
                                      len(hyp.words))
@@ -236,8 +237,10 @@ def rescore_corpus(convs: Sequence[Conversation], grammar,
     DA posteriors come from forward-backward over n-best word evidence using
     ``da_lms`` (the unsmoothed classification set); hypothesis probabilities
     use ``rescoring_lms`` (typically the smoothed set; defaults to
-    ``da_lms``).  Utterances without recognizer output are skipped and
-    reported.
+    ``da_lms``).  Per utterance, each distinct word sequence (hypothesis or
+    reference) is scored once under each rescoring model, and every method
+    and perplexity reuses that score.  Utterances without recognizer output
+    are skipped and reported.
     """
     for m in methods:
         if m not in METHODS:
@@ -275,58 +278,59 @@ def rescore_corpus(convs: Sequence[Conversation], grammar,
                 true_labels[key] = da_lms.tagset.collapse(utt.da_label)
             nbests[key] = utt.nbest
 
-    results: dict[str, MethodResult] = {}
-    for method in methods:
-        chosen: dict[tuple[str, int], tuple[str, ...]] = {}
-        log_total = 0.0
-        tokens = 0
-        has_ppl = method != "mixture_of_posteriors"
-        for key, nbest in nbests.items():
-            post = posteriors[key]
-            if method == "baseline":
-                scores = hypothesis_scores(nbest, rescoring_lms.fallback, scaling)
-            elif method == "one_best":
-                top = max(da_lms.labels, key=lambda lab: post[lab])
-                scores = hypothesis_scores(nbest, rescoring_lms.models[top],
-                                           scaling)
-            elif method == "oracle":
-                if key not in true_labels:
+    methods = tuple(dict.fromkeys(methods))
+    chosen: dict[str, dict[tuple[str, int], tuple[str, ...]]] = {
+        method: {} for method in methods}
+    log_totals = dict.fromkeys(methods, 0.0)
+    tokens = 0
+    for key, nbest in nbests.items():
+        post, words = posteriors[key], references[key]
+        lms = _shared_scores(rescoring_lms)     # lives for this utterance
+        for method in methods:
+            if method == "mixture_of_lms":
+                scores = mixture_lm_scores(nbest, lms, post, scaling)
+                # the reference's sentence probability is itself a mixture
+                log_totals[method] += log_sum([
+                    math.log(post[lab]) + lms.models[lab].sequence_log_prob(words)
+                    for lab in lms.labels if post[lab] > 0.0])
+            elif method == "mixture_of_posteriors":
+                scores = mixture_posterior_scores(nbest, lms, post, scaling)
+            else:
+                if method == "baseline":
+                    model = lms.fallback
+                elif method == "one_best":
+                    model = lms.models[max(da_lms.labels,
+                                           key=lambda lab: post[lab])]
+                elif key in true_labels:
+                    model = lms.models[true_labels[key]]
+                else:
                     raise ValueError(f"{key}: oracle rescoring needs a labeled "
                                      f"reference")
-                scores = hypothesis_scores(
-                    nbest, rescoring_lms.models[true_labels[key]], scaling)
-            elif method == "mixture_of_lms":
-                scores = mixture_lm_scores(nbest, rescoring_lms, post, scaling)
-            else:
-                scores = mixture_posterior_scores(nbest, rescoring_lms, post,
-                                                  scaling)
-            chosen[key] = nbest.hypotheses[best_hypothesis(nbest, scores)].words
-            if has_ppl:
-                log_total += _reference_log_prob(method, rescoring_lms, post,
-                                                 true_labels.get(key),
-                                                 references[key])
-                tokens += len(references[key]) + 1
-        pairs = [(references[k], chosen[k]) for k in chosen]
-        results[method] = MethodResult(
-            chosen=chosen,
-            wer=corpus_wer(pairs),
-            perplexity=math.exp(-log_total / tokens) if has_ppl and tokens else None,
-        )
+                scores = hypothesis_scores(nbest, model, scaling)
+                log_totals[method] += model.sequence_log_prob(words)
+            chosen[method][key] = \
+                nbest.hypotheses[best_hypothesis(nbest, scores)].words
+        tokens += len(words) + 1
+    results = {method: MethodResult(
+        chosen=chosen[method],
+        wer=corpus_wer([(references[k], c) for k, c in chosen[method].items()]),
+        perplexity=(math.exp(-log_totals[method] / tokens)
+                    if method != "mixture_of_posteriors" and tokens else None))
+        for method in methods}
     return RescoreResult(results, posteriors, skipped, references, true_labels)
 
 
-def _reference_log_prob(method: str, lms: DaLmSet, post: Mapping[str, float],
-                        true_label: str | None, words: Sequence[str]) -> float:
-    if method == "baseline":
-        return sequence_log_prob(lms.fallback, words)
-    if method == "one_best":
-        top = max(lms.labels, key=lambda lab: post[lab])
-        return sequence_log_prob(lms.models[top], words)
-    if method == "oracle":
-        if true_label is None:
-            raise ValueError("oracle perplexity needs labeled references")
-        return sequence_log_prob(lms.models[true_label], words)
-    # mixture of LMs: the sentence probability is itself a mixture
-    terms = [math.log(post[lab]) + sequence_log_prob(lms.models[lab], words)
-             for lab in lms.labels if post[lab] > 0.0]
-    return log_sum(terms)
+class _SharedScorer:
+    """A model whose score for each word sequence is computed once."""
+
+    def __init__(self, model) -> None:
+        self.sequence_log_prob = functools.cache(
+            functools.partial(sequence_log_prob, model))
+
+
+def _shared_scores(lms: DaLmSet) -> DaLmSet:
+    """``lms`` with every distinct model behind one shared scorer."""
+    scorers = {id(m): _SharedScorer(m)
+               for m in (lms.fallback, *lms.models.values())}
+    return replace(lms, fallback=scorers[id(lms.fallback)],
+                   models={lab: scorers[id(m)] for lab, m in lms.models.items()})

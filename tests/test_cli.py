@@ -1,12 +1,16 @@
 """Command-line frontend: train, tag, rescore, perplexity, eval."""
 
 import random
+import shutil
 import warnings
 from pathlib import Path
 
 import pytest
 
 from dialact import cli
+from dialact.corpus import CorpusError, load_tagset, parse_conversations
+from dialact.ngram import sequence_log_prob
+from dialact.wordmodels import smooth_da_lms, train_da_lms
 
 LABELS = ("Statement", "Question", "Backchannel/Acknowledge")
 WORDS = {
@@ -107,6 +111,81 @@ def test_zero_count_class_shares_the_fallback_after_reload(workdir, tmp_path):
     assert models.da_lms.models["Filler"] is models.da_lms.fallback
     assert models.smoothed.models["Filler"] is models.smoothed.fallback
 
+
+def test_smoothed_set_round_trips_through_the_model_directory(workdir,
+                                                              tmp_path):
+    build_fixtures(tmp_path, n_convs=3, seed=5)      # held-out data
+    out = tmp_path / "m"
+    assert cli.main(["train", "--corpus", str(workdir / "corpus.tsv"),
+                     "--models", str(out),
+                     "--tagset", str(tmp_path / "tagset.txt"),
+                     "--order", "2", "--word-order", "2",
+                     "--heldout", str(tmp_path / "corpus.tsv")]) == 0
+    tagset = load_tagset(tmp_path / "tagset.txt")
+    da_lms = train_da_lms(parse_conversations(workdir / "corpus.tsv", tagset),
+                          tagset, order=2)
+    smoothed, weights = smooth_da_lms(
+        da_lms, parse_conversations(tmp_path / "corpus.tsv", tagset))
+    loaded = cli.load_models(out).smoothed
+    assert not (out / "da_lms_smoothed").exists()
+    assert len(set(weights.values())) == len(LABELS)  # EM-fit, not defaults
+    for lab in LABELS:
+        assert loaded.models[lab].weight == weights[lab]
+    rng = random.Random(11)
+    vocab = sorted(da_lms.vocab) + ["unseen-word"]
+    for _ in range(200):
+        words = [rng.choice(vocab) for _ in range(rng.randrange(0, 8))]
+        for lab in LABELS:
+            assert abs(sequence_log_prob(loaded.models[lab], words)
+                       - sequence_log_prob(smoothed.models[lab], words)) <= 1e-9
+
+
+def _drop_weight(lines):
+    row = lines.index(next(l for l in lines
+                           if l.startswith("smoothing_weight\tQuestion\t")))
+    da_lm = next(i for i, l in enumerate(lines)
+                 if l.startswith("da_lm\tQuestion\t"))
+    return lines[:row] + lines[row + 1:], da_lm + 1
+
+
+def _set_weight(text):
+    def edit(lines):
+        row = next(i for i, l in enumerate(lines)
+                   if l.startswith("smoothing_weight\tStatement\t"))
+        lines[row] = f"smoothing_weight\tStatement\t{text}"
+        return lines, row + 1
+    return edit
+
+
+def _append(line):
+    return lambda lines: (lines + [line], len(lines) + 1)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop_weight, "no smoothing_weight row for 'Question'"),
+    (_set_weight("heavy"), "weight 'heavy': could not convert"),
+    (_set_weight("nan"), "weight 'nan': interpolation weight must be in"),
+    (_set_weight("1.5"), "weight '1.5': interpolation weight must be in"),
+    (_set_weight("-0.25"), "weight '-0.25': interpolation weight must be in"),
+    (_append("smoothing_weight\tFiller\t0.5"), "not in the tag set"),
+    (_append("da_lm_smoothed\tStatement\tda_lms_smoothed/Statement.arpa"),
+     "re-run `dialact train`"),
+], ids=["missing", "not-a-float", "nan", "above-one", "below-zero",
+        "unknown-label", "old-dense-row"])
+def test_bad_manifest_rows_name_the_line(workdir, tmp_path, capsys, edit,
+                                         message):
+    models = tmp_path / "models"
+    shutil.copytree(workdir / "models", models)
+    manifest = models / "manifest.tsv"
+    lines, lineno = edit(manifest.read_text().splitlines())
+    manifest.write_text("".join(l + "\n" for l in lines))
+    with pytest.raises(CorpusError) as exc:
+        cli.load_models(models)
+    assert f"manifest.tsv:{lineno}: " in str(exc.value)
+    assert message in str(exc.value)
+    assert cli.main(["tag", "--models", str(models),
+                     "--corpus", str(workdir / "corpus.tsv")]) == 1
+    assert f"manifest.tsv:{lineno}: " in capsys.readouterr().err
 
 
 def test_collapsed_tagset_survives_the_model_directory(workdir, tmp_path):

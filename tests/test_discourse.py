@@ -51,6 +51,15 @@ def test_da_only_strips_speakers():
         g.transition_log_prob([("Q", "B")], ("S", "B"))
 
 
+def test_uses_speakers_only_for_pair_views_with_a_model():
+    for variant in GrammarVariant:
+        trained = train_discourse(sample_convs(), TS3, 2, variant)
+        assert trained.uses_speakers == (variant != GrammarVariant.DA_ONLY)
+        assert not DiscourseGrammar.uniform(TS3, variant).uses_speakers
+    with pytest.raises(AttributeError):
+        trained.uses_speakers = True
+
+
 def test_unlabeled_utterance_rejected():
     conv = Conversation("c", (Utterance(0, "A", None, ("w",)),))
     with pytest.raises(CorpusError):

@@ -8,6 +8,7 @@ import pytest
 
 from dialact.corpus import Conversation, TagSet, Utterance, jackknife_split
 from dialact.discourse import DiscourseGrammar, GrammarVariant, train_discourse
+from dialact import hmm
 from dialact.hmm import (CombinationWeights, LikelihoodTable,
                          brute_force_decode, combine_likelihoods,
                          dump_likelihoods, forward_backward, load_likelihoods,
@@ -49,7 +50,7 @@ def two_state_table():
          {"S": math.log(0.4), "Q": math.log(0.1)}])
 
 
-def rand_instance(rng, n_labels, order, n_utts):
+def rand_instance(rng, n_labels, order, n_utts, variant=None):
     labels = ("S", "Q", "B", "X")[:n_labels]
     tagset = TagSet(labels)
     convs = []
@@ -57,7 +58,7 @@ def rand_instance(rng, n_labels, order, n_utts):
         utts = tuple(Utterance(i, rng.choice("AB"), rng.choice(labels), ("w",))
                      for i in range(rng.randrange(3, 9)))
         convs.append(Conversation(f"t{c}", utts))
-    variant = rng.choice(list(GrammarVariant))
+    variant = variant or rng.choice(list(GrammarVariant))
     if order == 0:
         grammar = DiscourseGrammar.uniform(tagset, variant)
     else:
@@ -400,3 +401,30 @@ def test_tuning_matches_public_decodes():
         assert got.weights == (w1, w2)
         assert got.accuracy == (c1 + c2) / (t1 + t2)
         assert got.half_accuracies == (c2 / t2, c1 / t1)
+
+
+class SpeakerBlind:
+    """A grammar proxy without ``uses_speakers``: compiled per speaker
+    pattern, as any duck-typed prior is."""
+
+    def __init__(self, grammar):
+        self.labels, self.order = grammar.labels, grammar.order
+        self.transition_log_prob = grammar.transition_log_prob
+        self.end_log_prob = grammar.end_log_prob
+
+
+def test_speaker_blind_grammars_compile_one_pattern_per_depth():
+    rng = random.Random(41)
+    for trial in range(12):
+        order = 2 + trial % 2
+        grammar, table = rand_instance(rng, rng.randint(2, 4), order,
+                                       rng.randint(1, 7),
+                                       GrammarVariant.DA_ONLY)
+        assert not grammar.uses_speakers
+        proxy = SpeakerBlind(grammar)
+        assert viterbi_decode(grammar, table) == viterbi_decode(proxy, table)
+        for online in (False, True):
+            assert np.array_equal(forward_backward(grammar, table, online),
+                                  forward_backward(proxy, table, online))
+        # one transition pattern per count of "before the conversation" slots
+        assert len(hmm._COMPILED[grammar]._trans) <= order

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dialact.ngram import (END, START, UNK, InterpolatedModel,
-                           fit_interp_weight, interpolate, materialize,
-                           perplexity, read_arpa, sequence_log_prob,
-                           train_ngram, write_arpa)
+                           fit_interp_weight, interpolate, perplexity,
+                           read_arpa, sequence_log_prob, train_ngram,
+                           write_arpa)
 
 
 def p(model, ctx, tok):
@@ -316,23 +316,6 @@ def test_write_arpa_rejects_interpolations(tmp_path):
     a, b = two_models()
     with pytest.raises(TypeError):
         write_arpa(interpolate(a, b, 0.5), tmp_path / "x.arpa")
-
-
-def test_materialized_interpolation_round_trips(tmp_path):
-    a = train_ngram([["a", "b", "a"], ["b", "b"]], 2, vocabulary=["a", "b"])
-    b = train_ngram([["b", "a"], ["a", "a", "b"]], 2, vocabulary=["a", "b"])
-    mix = interpolate(a, b, 0.37)
-    dense = materialize(mix)
-    path = tmp_path / "mix.arpa"
-    write_arpa(dense, path)
-    back = read_arpa(path)
-    rng = random.Random(8)
-    vocab = sorted(mix.vocab)
-    for _ in range(500):
-        ctx = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 3)))
-        tok = rng.choice(vocab)
-        assert back.cond_log_prob(ctx, tok) == \
-            pytest.approx(mix.cond_log_prob(ctx, tok), abs=1e-9)
 
 
 def test_training_and_arpa_output_deterministic(tmp_path):

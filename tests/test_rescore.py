@@ -3,30 +3,36 @@
 import math
 import random
 
+import warnings
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from dialact import rescore
 from dialact.corpus import (Conversation, Hypothesis, NBestList, TagSet,
                             Utterance)
-from dialact.discourse import DiscourseGrammar, GrammarVariant
-from dialact.ngram import sequence_log_prob
+from dialact.discourse import DiscourseGrammar, GrammarVariant, train_discourse
+from dialact.hmm import forward_backward
+from dialact.ngram import log_sum, sequence_log_prob
 from dialact.rescore import (METHODS, WordErrors, best_hypothesis, corpus_wer,
                              hypothesis_scores, mixture_lm_scores,
                              mixture_posterior_scores, per_da_wer_report,
                              rescore_corpus, wer)
-from dialact.wordmodels import ScoreScaling, train_da_lms
+from dialact.wordmodels import (ScoreScaling, smooth_da_lms, train_da_lms,
+                                word_likelihood_tables)
 
 TS2 = TagSet(("S", "Q"))
 
 
-def train_lms():
+def train_lms(tagset=TS2):
     rows = [("S", ("i", "think", "so")), ("S", ("we", "did", "it")),
             ("S", ("i", "agree", "so")), ("S", ("so", "we", "did")),
             ("Q", ("do", "you", "know")), ("Q", ("what", "was", "that")),
             ("Q", ("do", "we", "know")), ("Q", ("what", "do", "you"))]
     utts = tuple(Utterance(i, "AB"[i % 2], lab, words)
                  for i, (lab, words) in enumerate(rows))
-    return train_da_lms([Conversation("train", utts)], TS2, order=2)
+    return train_da_lms([Conversation("train", utts)], tagset, order=2)
 
 
 def nb(*hyps):
@@ -324,3 +330,128 @@ def test_separate_rescoring_lms_are_used_for_scores():
                            methods=("baseline",))
     assert own.methods["baseline"].chosen[("e", 0)] == ("i", "think", "so")
     assert other.methods["baseline"].chosen[("e", 0)] == ("do", "you", "know")
+
+
+# ---------------------------------------------------------------------------
+# Shared per-utterance scores
+# ---------------------------------------------------------------------------
+
+POOL = ["i", "think", "so", "we", "did", "it", "do", "you", "know", "what",
+        "was", "that", "agree", "zebra"]
+
+
+def smoothed_setup():
+    """Three classes, one without training data (its model is the
+    fallback), the EM-smoothed rescoring set and an order-2 grammar."""
+    ts3 = TagSet(("S", "Q", "B"))
+    heldout = Conversation("h", (
+        Utterance(0, "A", "S", ("i", "think", "it")),
+        Utterance(1, "B", "Q", ("what", "do", "we", "know"))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the empty class warns
+        lms = train_lms(ts3)
+        smoothed, _ = smooth_da_lms(lms, [heldout])
+    assert smoothed.models["B"] is lms.fallback
+    grammar = train_discourse([eval_conv()], ts3, 2,
+                              GrammarVariant.SPEAKER_CONDITIONED)
+    return lms, smoothed, grammar
+
+
+def random_corpus(rng, n_convs=4):
+    """Random conversations whose n-best lists repeat word strings, within
+    an utterance and across utterances, and often contain the reference."""
+    convs = []
+    for c in range(n_convs):
+        utts = []
+        for i in range(rng.randint(1, 5)):
+            ref = tuple(rng.choice(POOL) for _ in range(rng.randint(1, 4)))
+            hyps = [(ref if rng.random() < 0.5 else
+                     tuple(rng.choice(POOL) for _ in range(rng.randint(0, 4))),
+                     rng.uniform(-30.0, -10.0))
+                    for _ in range(rng.randint(1, 5))]
+            hyps.append((hyps[0][0], rng.uniform(-30.0, -10.0)))
+            utts.append(Utterance(i, rng.choice("AB"), rng.choice("SQB"), ref,
+                                  nbest=NBestList(tuple(
+                                      Hypothesis(w, a) for w, a in hyps))))
+        convs.append(Conversation(f"r{c}", tuple(utts)))
+    return convs
+
+
+def rescore_by_primitives(convs, grammar, lms, rescoring, scaling):
+    """Each method rescored through the public per-method primitives, every
+    hypothesis and reference scored afresh for every method."""
+    posts = {}
+    for conv in convs:
+        table = word_likelihood_tables(lms, [conv], "nbest", scaling)[0]
+        for row, utt in zip(forward_backward(grammar, table), conv):
+            posts[(conv.conv_id, utt.index)] = {
+                lab: float(p) for lab, p in zip(lms.labels, row)}
+    utts = [((conv.conv_id, u.index), u) for conv in convs for u in conv]
+    out = {}
+    for method in METHODS:
+        chosen, log_total, tokens = {}, 0.0, 0
+        for key, utt in utts:
+            post, nbest, words = posts[key], utt.nbest, utt.words
+            top = max(lms.labels, key=lambda lab: post[lab])
+            model = {"baseline": rescoring.fallback,
+                     "one_best": rescoring.models[top],
+                     "oracle": rescoring.models[utt.da_label]}.get(method)
+            if model is not None:
+                scores = hypothesis_scores(nbest, model, scaling)
+                log_total += sequence_log_prob(model, words)
+            elif method == "mixture_of_lms":
+                scores = mixture_lm_scores(nbest, rescoring, post, scaling)
+                log_total += log_sum([
+                    math.log(post[lab])
+                    + sequence_log_prob(rescoring.models[lab], words)
+                    for lab in rescoring.labels if post[lab] > 0.0])
+            else:
+                scores = mixture_posterior_scores(nbest, rescoring, post,
+                                                  scaling)
+            chosen[key] = nbest.hypotheses[best_hypothesis(nbest,
+                                                           scores)].words
+            tokens += len(words) + 1
+        ppl = (None if method == "mixture_of_posteriors"
+               else math.exp(-log_total / tokens))
+        out[method] = (chosen, corpus_wer([(u.words, chosen[k])
+                                           for k, u in utts]), ppl)
+    return posts, out
+
+
+def test_rescore_corpus_equals_the_per_method_primitives():
+    lms, smoothed, grammar = smoothed_setup()
+    rng = random.Random(23)
+    for trial in range(6):
+        convs = random_corpus(rng)
+        scaling = ScoreScaling(rng.uniform(4.0, 12.0), rng.uniform(0.0, 2.0))
+        result = rescore_corpus(convs, grammar, lms, smoothed, METHODS,
+                                scaling)
+        posts, expected = rescore_by_primitives(convs, grammar, lms, smoothed,
+                                                scaling)
+        assert result.posteriors == posts
+        for method, (chosen, errors, ppl) in expected.items():
+            got = result.methods[method]
+            assert got.chosen == chosen
+            assert got.wer == errors
+            assert got.perplexity == ppl
+
+
+def test_each_sequence_is_scored_once_per_model_and_utterance(monkeypatch):
+    lms, smoothed, grammar = smoothed_setup()
+    calls = Counter()
+
+    def counting(model, words):
+        calls[tuple(words), id(model)] += 1
+        return sequence_log_prob(model, words)
+
+    monkeypatch.setattr(rescore, "sequence_log_prob", counting)
+    convs = random_corpus(random.Random(5), n_convs=6)
+    rescore_corpus(convs, grammar, lms, smoothed)
+    # utterances in which each word string occurs (hypothesis or reference)
+    utterances = Counter(seq for conv in convs for u in conv
+                         for seq in {u.words, *(h.words for h in u.nbest)})
+    models = {id(m) for m in (smoothed.fallback, *smoothed.models.values())}
+    assert calls
+    for (seq, model), n in calls.items():
+        assert model in models
+        assert n <= utterances[seq], (seq, n)
