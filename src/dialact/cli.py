@@ -57,6 +57,8 @@ from .wordmodels import (DaLmSet, MODES, ScoreScaling, smooth_da_lms,
 # ---------------------------------------------------------------------------
 
 _FALLBACK_STEM = "_fallback"
+_MANIFEST_KINDS = ("tagset", "discourse", "fallback", "da_lm",
+                   "smoothing_weight", "prosody")
 
 
 @dataclass
@@ -133,10 +135,17 @@ def load_models(directory: str | Path) -> TrainedModels:
         fields = raw.split("\t")
         if len(fields) != 3:
             raise CorpusError(f"{manifest}:{lineno}: expected 3 fields")
-        if fields[0] == "da_lm_smoothed":
+        kind, key, value = fields
+        if kind == "da_lm_smoothed":
             raise CorpusError(f"{manifest}:{lineno}: old dense smoothed model "
                               f"row; re-run `dialact train`")
-        by_kind.setdefault(fields[0], {})[fields[1]] = (fields[2], lineno)
+        if kind not in _MANIFEST_KINDS:
+            raise CorpusError(f"{manifest}:{lineno}: unknown kind {kind!r}")
+        rows = by_kind.setdefault(kind, {})
+        if key in rows:
+            raise CorpusError(f"{manifest}:{lineno}: second {kind} row for "
+                              f"{key!r} (the first is on line {rows[key][1]})")
+        rows[key] = (value, lineno)
     for kind in ("tagset", "discourse", "fallback"):
         if kind not in by_kind:
             raise CorpusError(f"{manifest}: missing {kind} entry")

@@ -17,17 +17,16 @@ a substitution over an insertion-deletion pair when totals tie.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .corpus import Conversation, Hypothesis, NBestList
-from .hmm import LikelihoodTable, forward_backward
-from .ngram import log_sum, sequence_log_prob
-from .wordmodels import DaLmSet, ScoreScaling, word_likelihood_tables
+from .hmm import forward_backward
+from .ngram import CompiledModelSet, log_sum, sequence_log_prob
+from .wordmodels import DaLmSet, ScoreScaling, _scored_evidence
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +131,15 @@ def per_da_wer_report(references: Mapping[tuple[str, int], Sequence[str]],
 # Per-utterance rescoring primitives
 # ---------------------------------------------------------------------------
 
+# The per-utterance primitives score with the scalar sequence_log_prob;
+# rescore_corpus gets the same numbers for a whole conversation at once
+# from a CompiledModelSet and shares the mixture formulas below.
+
 def hypothesis_scores(nbest: NBestList, model,
                       scaling: ScoreScaling = ScoreScaling()) -> np.ndarray:
     """Score every hypothesis under one fixed LM."""
-    return np.array([scaling.hyp_score(h.acoustic_score,
-                                       model.sequence_log_prob(h.words),
-                                       len(h.words))
-                     for h in nbest])
+    lm = np.array([[sequence_log_prob(model, h.words)] for h in nbest])
+    return scaling.hyp_scores(nbest, lm)[:, 0]
 
 
 def mixture_lm_scores(nbest: NBestList, da_lms: DaLmSet,
@@ -146,15 +147,9 @@ def mixture_lm_scores(nbest: NBestList, da_lms: DaLmSet,
                       scaling: ScoreScaling = ScoreScaling()) -> np.ndarray:
     """Sentence-level mixture: acoustic and penalty terms plus
     log sum_U P(W | U) P(U | E)."""
-    out = np.empty(len(nbest))
-    logpost = {lab: (math.log(p) if p > 0.0 else -math.inf)
-               for lab, p in posterior.items()}
-    for h_i, hyp in enumerate(nbest):
-        terms = [logpost[lab] + da_lms.models[lab].sequence_log_prob(hyp.words)
-                 for lab in da_lms.labels if logpost[lab] > -math.inf]
-        out[h_i] = scaling.hyp_score(hyp.acoustic_score, log_sum(terms),
-                                     len(hyp.words))
-    return out
+    mixed = _mixed_log_probs(_label_scores(nbest, da_lms),
+                             [posterior[lab] for lab in da_lms.labels])
+    return scaling.hyp_scores(nbest, mixed[:, None])[:, 0]
 
 
 def mixture_posterior_scores(nbest: NBestList, da_lms: DaLmSet,
@@ -169,24 +164,42 @@ def mixture_posterior_scores(nbest: NBestList, da_lms: DaLmSet,
     one shared normalizer for all DAs, which reduces the method to a
     monotone transform of :func:`mixture_lm_scores`.
     """
-    m = len(nbest)
-    score_rows = {}
-    for lab in da_lms.labels:
-        if posterior.get(lab, 0.0) <= 0.0:
-            continue
-        score_rows[lab] = hypothesis_scores(nbest, da_lms.models[lab], scaling)
+    return _mixture_posterior(
+        scaling.hyp_scores(nbest, _label_scores(nbest, da_lms)),
+        [posterior.get(lab, 0.0) for lab in da_lms.labels], per_da_normalizer)
+
+
+def _label_scores(nbest: NBestList, da_lms: DaLmSet) -> np.ndarray:
+    return np.array([[sequence_log_prob(da_lms.models[lab], h.words)
+                      for lab in da_lms.labels] for h in nbest])
+
+
+# The mixtures, from scores already computed: one row per hypothesis and
+# one column per label, the columns aligned with ``post``, the labels'
+# posterior probabilities.
+
+def _mixed_log_probs(lm: np.ndarray, post: Sequence[float]) -> np.ndarray:
+    """log sum_U P(W | U) P(U | E) of every row of LM log probabilities,
+    over the labels with posterior mass."""
+    terms = [(j, math.log(p)) for j, p in enumerate(post) if p > 0.0]
+    return np.array([log_sum([log_p + row[j] for j, log_p in terms])
+                     for row in lm.tolist()])
+
+
+def _mixture_posterior(hyp_scores: np.ndarray, post: Sequence[float],
+                       per_da_normalizer: bool = True) -> np.ndarray:
+    score_rows = [(p, hyp_scores[:, j]) for j, p in enumerate(post) if p > 0.0]
     if not score_rows:
         raise ValueError("posterior puts no mass on any label")
-    out = np.zeros(m)
+    out = np.zeros(len(hyp_scores))
     if per_da_normalizer:
-        for lab, row in score_rows.items():
-            z = log_sum(row)
-            out += posterior[lab] * np.exp(row - z)
+        for p, row in score_rows:
+            z = log_sum(row.tolist())
+            out += p * np.exp(row - z)
     else:
-        mixed = np.array([
-            log_sum(math.log(posterior[lab]) + row[h]
-                    for lab, row in score_rows.items())
-            for h in range(m)])
+        mixed = np.array([log_sum(math.log(p) + row[h]
+                                  for p, row in score_rows)
+                          for h in range(len(out))])
         out = np.exp(mixed - log_sum(mixed))
     return out
 
@@ -237,10 +250,10 @@ def rescore_corpus(convs: Sequence[Conversation], grammar,
     DA posteriors come from forward-backward over n-best word evidence using
     ``da_lms`` (the unsmoothed classification set); hypothesis probabilities
     use ``rescoring_lms`` (typically the smoothed set; defaults to
-    ``da_lms``).  Per utterance, each distinct word sequence (hypothesis or
-    reference) is scored once under each rescoring model, and every method
-    and perplexity reuses that score.  Utterances without recognizer output
-    are skipped and reported.
+    ``da_lms``).  Per conversation, each distinct word sequence (hypothesis
+    or reference) is scored once under every model of both sets, and the
+    evidence, every method and every perplexity read those scores.
+    Utterances without recognizer output are skipped and reported.
     """
     for m in methods:
         if m not in METHODS:
@@ -248,7 +261,7 @@ def rescore_corpus(convs: Sequence[Conversation], grammar,
     if rescoring_lms is None:
         rescoring_lms = da_lms
 
-    with_nbest = []
+    kept_utts, subs = [], []
     skipped = []
     for conv in convs:
         missing = [u.index for u in conv if u.nbest is None]
@@ -257,60 +270,77 @@ def rescore_corpus(convs: Sequence[Conversation], grammar,
         if len(missing) < len(conv):
             # decode over the utterances that do have recognizer output
             kept = [u for u in conv if u.nbest is not None]
-            with_nbest.append((conv, kept))
+            kept_utts.append(kept)
+            subs.append(Conversation(conv.conv_id, tuple(
+                u.__class__(i, u.speaker, u.da_label, u.words, u.nbest,
+                            u.prosody)
+                for i, u in enumerate(kept))))
 
+    labels = da_lms.labels
+    # columns: the unsmoothed set (evidence), the rescoring set, and the
+    # rescoring fallback (baseline), all from one compiled model set
+    rescoring_col = {lab: len(labels) + j
+                     for j, lab in enumerate(rescoring_lms.labels)}
+    baseline_col = len(labels) + len(rescoring_col)
+    mixing = slice(len(labels), baseline_col)
+    engine = CompiledModelSet([
+        *(da_lms.models[lab] for lab in labels),
+        *(rescoring_lms.models[lab] for lab in rescoring_lms.labels),
+        rescoring_lms.fallback])
+
+    methods = tuple(dict.fromkeys(methods))
     posteriors: dict[tuple[str, int], dict[str, float]] = {}
     references: dict[tuple[str, int], tuple[str, ...]] = {}
     true_labels: dict[tuple[str, int], str] = {}
-    nbests: dict[tuple[str, int], NBestList] = {}
-    for conv, kept in with_nbest:
-        sub = Conversation(conv.conv_id, tuple(
-            u.__class__(i, u.speaker, u.da_label, u.words, u.nbest, u.prosody)
-            for i, u in enumerate(kept)))
-        table = word_likelihood_tables(da_lms, [sub], "nbest", scaling)[0]
-        posts = forward_backward(grammar, table)
-        for row, utt in zip(posts, kept):
-            key = (conv.conv_id, utt.index)
-            posteriors[key] = {lab: float(p) for lab, p in
-                               zip(da_lms.labels, row)}
-            references[key] = utt.words
-            if utt.da_label is not None:
-                true_labels[key] = da_lms.tagset.collapse(utt.da_label)
-            nbests[key] = utt.nbest
-
-    methods = tuple(dict.fromkeys(methods))
     chosen: dict[str, dict[tuple[str, int], tuple[str, ...]]] = {
         method: {} for method in methods}
     log_totals = dict.fromkeys(methods, 0.0)
     tokens = 0
-    for key, nbest in nbests.items():
-        post, words = posteriors[key], references[key]
-        lms = _shared_scores(rescoring_lms)     # lives for this utterance
-        for method in methods:
-            if method == "mixture_of_lms":
-                scores = mixture_lm_scores(nbest, lms, post, scaling)
-                # the reference's sentence probability is itself a mixture
-                log_totals[method] += log_sum([
-                    math.log(post[lab]) + lms.models[lab].sequence_log_prob(words)
-                    for lab in lms.labels if post[lab] > 0.0])
-            elif method == "mixture_of_posteriors":
-                scores = mixture_posterior_scores(nbest, lms, post, scaling)
-            else:
-                if method == "baseline":
-                    model = lms.fallback
-                elif method == "one_best":
-                    model = lms.models[max(da_lms.labels,
-                                           key=lambda lab: post[lab])]
-                elif key in true_labels:
-                    model = lms.models[true_labels[key]]
+    # every distinct hypothesis and reference, scored once under every
+    # model of the group of conversations it falls in
+    for kept, (conv, table, scores, row_of) in zip(kept_utts, _scored_evidence(
+            engine, subs, labels, "nbest", scaling, references=True)):
+        posts = forward_backward(grammar, table)
+        for row, utt in zip(posts, kept):
+            key = (conv.conv_id, utt.index)
+            post = posteriors[key] = {lab: float(p) for lab, p in
+                                      zip(labels, row)}
+            words = references[key] = utt.words
+            if utt.da_label is not None:
+                true_labels[key] = da_lms.tagset.collapse(utt.da_label)
+            nbest = utt.nbest
+            lm = scores[[row_of[h.words] for h in nbest]]
+            scaled = scaling.hyp_scores(nbest, lm)
+            ref = scores[row_of[words]]
+            for method in methods:
+                if method == "mixture_of_lms":
+                    mix_post = [post[lab] for lab in rescoring_lms.labels]
+                    mixed = _mixed_log_probs(
+                        np.vstack([lm[:, mixing], ref[mixing]]), mix_post)
+                    by_hyp = scaling.hyp_scores(nbest, mixed[:-1, None])[:, 0]
+                    # the reference's sentence probability is itself a
+                    # mixture
+                    log_totals[method] += float(mixed[-1])
+                elif method == "mixture_of_posteriors":
+                    by_hyp = _mixture_posterior(
+                        scaled[:, mixing],
+                        [post.get(lab, 0.0) for lab in rescoring_lms.labels])
                 else:
-                    raise ValueError(f"{key}: oracle rescoring needs a labeled "
-                                     f"reference")
-                scores = hypothesis_scores(nbest, model, scaling)
-                log_totals[method] += model.sequence_log_prob(words)
-            chosen[method][key] = \
-                nbest.hypotheses[best_hypothesis(nbest, scores)].words
-        tokens += len(words) + 1
+                    if method == "baseline":
+                        col = baseline_col
+                    elif method == "one_best":
+                        col = rescoring_col[max(labels,
+                                                key=lambda lab: post[lab])]
+                    elif key in true_labels:
+                        col = rescoring_col[true_labels[key]]
+                    else:
+                        raise ValueError(f"{key}: oracle rescoring needs a "
+                                         f"labeled reference")
+                    by_hyp = scaled[:, col]
+                    log_totals[method] += float(ref[col])
+                chosen[method][key] = \
+                    nbest.hypotheses[best_hypothesis(nbest, by_hyp)].words
+            tokens += len(words) + 1
     results = {method: MethodResult(
         chosen=chosen[method],
         wer=corpus_wer([(references[k], c) for k, c in chosen[method].items()]),
@@ -318,19 +348,3 @@ def rescore_corpus(convs: Sequence[Conversation], grammar,
                     if method != "mixture_of_posteriors" and tokens else None))
         for method in methods}
     return RescoreResult(results, posteriors, skipped, references, true_labels)
-
-
-class _SharedScorer:
-    """A model whose score for each word sequence is computed once."""
-
-    def __init__(self, model) -> None:
-        self.sequence_log_prob = functools.cache(
-            functools.partial(sequence_log_prob, model))
-
-
-def _shared_scores(lms: DaLmSet) -> DaLmSet:
-    """``lms`` with every distinct model behind one shared scorer."""
-    scorers = {id(m): _SharedScorer(m)
-               for m in (lms.fallback, *lms.models.values())}
-    return replace(lms, fallback=scorers[id(lms.fallback)],
-                   models={lab: scorers[id(m)] for lab, m in lms.models.items()})

@@ -23,8 +23,8 @@ import numpy as np
 
 from .corpus import Conversation, NBestList, TagSet
 from .hmm import LikelihoodTable, forward_backward
-from .ngram import (InterpolatedModel, NGramModel, fit_interp_weight, interpolate,
-                    log_sum, sequence_log_prob)
+from .ngram import (CompiledModelSet, NGramModel, fit_interp_weight,
+                    interpolate, log_sum, sequence_log_prob)
 
 MODES = ("true_words", "nbest", "one_best")
 
@@ -47,6 +47,13 @@ class ScoreScaling:
 
     def hyp_score(self, acoustic: float, lm_log_prob: float, n_words: int) -> float:
         return (acoustic - self.word_penalty * n_words) / self.lm_weight + lm_log_prob
+
+    def hyp_scores(self, nbest: NBestList, lm: np.ndarray) -> np.ndarray:
+        """:meth:`hyp_score` of every hypothesis (rows of ``lm``) under
+        every LM (columns), elementwise, so each entry is bit-identical."""
+        acoustic = np.array([[h.acoustic_score] for h in nbest])
+        n_words = np.array([[len(h.words)] for h in nbest])
+        return self.hyp_score(acoustic, lm, n_words)
 
 
 @dataclass
@@ -155,45 +162,98 @@ def nbest_da_log_likelihood(da_lms: DaLmSet, nbest: NBestList, label: str,
     over the n-best list, in log space.
     """
     model = da_lms.model_for(label)
-    return log_sum(
-        scaling.hyp_score(h.acoustic_score,
-                          sequence_log_prob(model, h.words), len(h.words))
-        for h in nbest)
+    lm = np.array([[sequence_log_prob(model, h.words)] for h in nbest])
+    return _nbest_evidence(nbest, lm, scaling)[0]
+
+
+def _nbest_evidence(nbest: NBestList, lm: np.ndarray,
+                    scaling: ScoreScaling) -> list[float]:
+    """:func:`nbest_da_log_likelihood` of every column of ``lm``, which
+    holds one LM log probability per hypothesis (row) and label (column)."""
+    return [log_sum(col) for col in scaling.hyp_scores(nbest, lm).T.tolist()]
+
+
+def _evidence_sequences(utt, mode: str) -> tuple[tuple[str, ...], ...]:
+    """The word sequences one utterance's evidence is scored from."""
+    if mode == "true_words":
+        return (utt.words,)
+    if mode == "one_best":
+        return (utt.nbest.first.words,)
+    return tuple(h.words for h in utt.nbest)
+
+
+# Conversations are scored in groups holding at most this many (sequence,
+# scorer) scores (a conversation larger than that is a group of its own),
+# so the scores alive at once stay near 512 KB at any corpus size.
+_GROUP_CELLS = 1 << 16
+
+
+def _scored_evidence(engine: CompiledModelSet, convs: Sequence[Conversation],
+                     labels: tuple[str, ...], mode: str, scaling: ScoreScaling,
+                     references: bool = False):
+    """Yield ``(conv, table, scores, row_of)`` for each conversation.
+
+    The first ``len(labels)`` scorers of ``engine`` are the class models of
+    ``labels``; ``table`` is the conversation's evidence table from them.
+    ``scores`` holds one row per distinct word sequence of the
+    conversation's group (``row_of`` maps a sequence to its row) and one
+    column per scorer of ``engine``.  The sequences are those the evidence
+    reads, plus every utterance's own words when ``references`` is set.
+    """
+    group: list[Conversation] = []
+    row_of: dict[tuple[str, ...], int] = {}
+
+    def flush():
+        scores = engine.score(list(row_of))
+        for conv in group:
+            index = [[row_of[seq] for seq in _evidence_sequences(utt, mode)]
+                     for utt in conv]
+            if mode == "nbest":
+                rows = [_nbest_evidence(utt.nbest, scores[i, :len(labels)],
+                                        scaling)
+                        for utt, i in zip(conv, index)]
+            else:
+                rows = scores[[i[0] for i in index], :len(labels)]
+            table = LikelihoodTable(conv.conv_id, labels, conv.speakers,
+                                    np.reshape(rows, (len(conv), len(labels))),
+                                    frozenset({f"words:{mode}"}))
+            yield conv, table, scores, row_of
+
+    for conv in convs:
+        seqs = []
+        for utt in conv:
+            if mode != "true_words" and utt.nbest is None:
+                raise ValueError(f"{conv.conv_id}:{utt.index}: mode "
+                                 f"{mode!r} needs an n-best list")
+            seqs += _evidence_sequences(utt, mode)
+            if references:
+                seqs.append(utt.words)
+        if group and (len(row_of) + len(seqs)) * engine.n_scorers \
+                > _GROUP_CELLS:
+            yield from flush()
+            group, row_of = [], {}
+        group.append(conv)
+        for seq in seqs:
+            row_of.setdefault(seq, len(row_of))
+    if group:
+        yield from flush()
 
 
 def word_likelihood_tables(da_lms: DaLmSet, convs: Sequence[Conversation],
                            mode: str = "true_words",
                            scaling: ScoreScaling = ScoreScaling()
                            ) -> list[LikelihoodTable]:
-    """Build the decoder's evidence tables from the word stream."""
+    """Build the decoder's evidence tables from the word stream.
+
+    Each distinct word sequence of a group of conversations is scored once
+    under every class model, all of them in one :class:`CompiledModelSet`.
+    """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     labels = da_lms.labels
-    tables = []
-    for conv in convs:
-        rows = np.empty((len(conv), len(labels)))
-        for i, utt in enumerate(conv):
-            if mode == "true_words":
-                seqs = [utt.words]
-            elif mode == "one_best":
-                if utt.nbest is None:
-                    raise ValueError(f"{conv.conv_id}:{utt.index}: mode "
-                                     f"{mode!r} needs an n-best list")
-                seqs = [utt.nbest.first.words]
-            else:
-                if utt.nbest is None:
-                    raise ValueError(f"{conv.conv_id}:{utt.index}: mode "
-                                     f"'nbest' needs an n-best list")
-                seqs = None
-            for j, lab in enumerate(labels):
-                if seqs is not None:
-                    rows[i, j] = sequence_log_prob(da_lms.models[lab], seqs[0])
-                else:
-                    rows[i, j] = nbest_da_log_likelihood(da_lms, utt.nbest, lab,
-                                                         scaling)
-        tables.append(LikelihoodTable(conv.conv_id, labels, conv.speakers, rows,
-                                      frozenset({f"words:{mode}"})))
-    return tables
+    engine = CompiledModelSet([da_lms.models[lab] for lab in labels])
+    return [table for _, table, _, _ in
+            _scored_evidence(engine, convs, labels, mode, scaling)]
 
 
 def classify_from_words(da_lms: DaLmSet, grammar, convs: Sequence[Conversation],

@@ -170,8 +170,14 @@ def _append(line):
     (_append("smoothing_weight\tFiller\t0.5"), "not in the tag set"),
     (_append("da_lm_smoothed\tStatement\tda_lms_smoothed/Statement.arpa"),
      "re-run `dialact train`"),
+    (_append("da_lm\tStatement\tda_lms/_fallback.arpa"),
+     "second da_lm row for 'Statement'"),
+    (_append("smoothing_weight\tStatement\t0.5"),
+     "second smoothing_weight row for 'Statement'"),
+    (_append("bogus_kind\tx\ty"), "unknown kind 'bogus_kind'"),
 ], ids=["missing", "not-a-float", "nan", "above-one", "below-zero",
-        "unknown-label", "old-dense-row"])
+        "unknown-label", "old-dense-row", "second-da-lm", "second-weight",
+        "unknown-kind"])
 def test_bad_manifest_rows_name_the_line(workdir, tmp_path, capsys, edit,
                                          message):
     models = tmp_path / "models"

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dialact.ngram import (END, START, UNK, InterpolatedModel,
-                           fit_interp_weight, interpolate, perplexity,
-                           read_arpa, sequence_log_prob, train_ngram,
-                           write_arpa)
+from dialact.ngram import (_BLOCK_CELLS, END, START, UNK, CompiledModelSet,
+                           InterpolatedModel, fit_interp_weight, interpolate,
+                           perplexity, read_arpa, sequence_log_prob,
+                           train_ngram, write_arpa)
 
 
 def p(model, ctx, tok):
@@ -334,3 +334,85 @@ def test_sequence_log_prob_pads():
     want = m.cond_log_prob((START,), "a") + m.cond_log_prob(("a",), "b") \
         + m.cond_log_prob(("b",), END)
     assert sequence_log_prob(m, ["a", "b"]) == pytest.approx(want, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Compiled scoring against the scalar walk
+# ---------------------------------------------------------------------------
+
+def assert_compiled_equals_scalar(scorers, seqs):
+    got = CompiledModelSet(scorers).score(seqs)
+    assert got.shape == (len(seqs), len(scorers))
+    for s, seq in enumerate(seqs):
+        for c, scorer in enumerate(scorers):
+            assert got[s, c] == sequence_log_prob(scorer, seq), (seq, c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.booleans(),
+       st.sampled_from([0.0, 1.0, None]), st.integers(0, 10 ** 6))
+def test_compiled_scores_equal_the_scalar_walk(order_a, order_b, pad, weight,
+                                               seed):
+    rng = random.Random(seed)
+    vocab = ["a", "b", "c", "d", "e"]
+
+    def model(order):
+        seqs = [[rng.choice(vocab[:4]) for _ in range(rng.randint(1, 6))]
+                for _ in range(rng.randint(1, 6))]
+        return train_ngram(seqs, order, vocabulary=vocab, pad=pad)
+
+    a, b = model(order_a), model(order_b)
+    mix = interpolate(a, b, rng.random() if weight is None else weight)
+    scorers = [a, b, mix, interpolate(b, a, rng.random()), a]
+    # out-of-vocabulary tokens (scored as <unk>) only where there is an <unk>
+    tokens = vocab + ([START, UNK, END, "zebra"] if pad else [])
+    seqs = [[rng.choice(tokens) for _ in range(rng.randint(0, 7))]
+            for _ in range(12)] + [[]]
+    assert_compiled_equals_scalar(scorers, seqs)
+    if not pad:
+        with pytest.raises(ValueError, match="closed vocabulary"):
+            sequence_log_prob(a, ["a", "zebra"])
+        with pytest.raises(ValueError, match="closed vocabulary"):
+            CompiledModelSet(scorers).score([["a"], ["a", "zebra"]])
+
+
+def test_compiled_scores_of_arpa_models(tmp_path):
+    # read models carry -99 context-only grams and backoff weights on
+    # n-grams that are no context of any stored row
+    rng = random.Random(4)
+    words = ["w%d" % i for i in range(12)]
+    models = []
+    for i, order in enumerate((3, 2, 3)):
+        seqs = [[rng.choice(words[:9]) for _ in range(rng.randint(1, 8))]
+                for _ in range(40)]
+        write_arpa(train_ngram(seqs, order, vocabulary=words),
+                   tmp_path / f"{i}.arpa")
+        models.append(read_arpa(tmp_path / f"{i}.arpa"))
+    scorers = models + [interpolate(models[0], models[1], 0.25),
+                        interpolate(models[2], models[0], 0.5)]
+    seqs = [[rng.choice(words + ["oov"]) for _ in range(rng.randint(0, 12))]
+            for _ in range(60)]
+    assert_compiled_equals_scalar(scorers, seqs)
+
+
+def test_compiled_scores_in_blocks_equal_one_at_a_time():
+    rng = random.Random(9)
+    vocab = ["a", "b", "c"]
+    m = train_ngram([["a", "b", "c", "a"], ["b", "b"]], 3, vocabulary=vocab)
+    # lengths up to 500 events: about four blocks
+    seqs = [[rng.choice(vocab) for _ in range(rng.randint(0, 499))]
+            for _ in range(4 * _BLOCK_CELLS // 500)]
+    engine = CompiledModelSet([m])
+    whole = engine.score(seqs)
+    assert (whole[:, 0] == [engine.score([s])[0, 0] for s in seqs]).all()
+
+
+def test_compiled_set_rejects_what_it_cannot_score():
+    a = train_ngram([["a"]], 2)
+    b = train_ngram([["a"]], 2, pad=False)
+    with pytest.raises(ValueError, match="padding"):
+        CompiledModelSet([a, b])
+    with pytest.raises(TypeError):
+        CompiledModelSet([a, object()])
+    with pytest.raises(TypeError, match="interpolations of two NGramModels"):
+        CompiledModelSet([interpolate(interpolate(a, a, 0.5), a, 0.5)])

@@ -9,12 +9,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dialact import rescore
 from dialact.corpus import (Conversation, Hypothesis, NBestList, TagSet,
                             Utterance)
 from dialact.discourse import DiscourseGrammar, GrammarVariant, train_discourse
 from dialact.hmm import forward_backward
-from dialact.ngram import log_sum, sequence_log_prob
+from dialact.ngram import CompiledModelSet, log_sum, sequence_log_prob
 from dialact.rescore import (METHODS, WordErrors, best_hypothesis, corpus_wer,
                              hypothesis_scores, mixture_lm_scores,
                              mixture_posterior_scores, per_da_wer_report,
@@ -438,20 +437,29 @@ def test_rescore_corpus_equals_the_per_method_primitives():
 
 def test_each_sequence_is_scored_once_per_model_and_utterance(monkeypatch):
     lms, smoothed, grammar = smoothed_setup()
-    calls = Counter()
+    compiled, calls = [], Counter()
+    init, score = CompiledModelSet.__init__, CompiledModelSet.score
 
-    def counting(model, words):
-        calls[tuple(words), id(model)] += 1
-        return sequence_log_prob(model, words)
+    def recording(self, scorers):
+        compiled.append({id(s) for s in scorers})
+        init(self, scorers)
 
-    monkeypatch.setattr(rescore, "sequence_log_prob", counting)
+    def counting(self, sequences):
+        calls.update(tuple(seq) for seq in sequences)
+        return score(self, sequences)
+
+    monkeypatch.setattr(CompiledModelSet, "__init__", recording)
+    monkeypatch.setattr(CompiledModelSet, "score", counting)
     convs = random_corpus(random.Random(5), n_convs=6)
     rescore_corpus(convs, grammar, lms, smoothed)
+    # one compiled set holds every rescoring model, and each call to it
+    # scores every sequence under each of its models once
+    assert len(compiled) == 1
+    assert {id(m) for m in (smoothed.fallback, *smoothed.models.values())} \
+        <= compiled[0]
     # utterances in which each word string occurs (hypothesis or reference)
     utterances = Counter(seq for conv in convs for u in conv
                          for seq in {u.words, *(h.words for h in u.nbest)})
-    models = {id(m) for m in (smoothed.fallback, *smoothed.models.values())}
-    assert calls
-    for (seq, model), n in calls.items():
-        assert model in models
+    assert set(calls) == set(utterances)
+    for seq, n in calls.items():
         assert n <= utterances[seq], (seq, n)

@@ -10,7 +10,9 @@ from dialact.corpus import (Conversation, Hypothesis, NBestList, TagSet,
                             Utterance)
 from dialact.discourse import (DiscourseGrammar, GrammarVariant,
                                train_discourse)
-from dialact.ngram import InterpolatedModel, sequence_log_prob
+from dialact import wordmodels
+from dialact.ngram import (CompiledModelSet, InterpolatedModel,
+                           sequence_log_prob)
 from dialact.wordmodels import (MODES, DaLmSet, ScoreScaling,
                                 classify_from_words, nbest_da_log_likelihood,
                                 smooth_da_lms, train_da_lms,
@@ -213,6 +215,65 @@ def test_one_best_scores_the_top_hypothesis_as_truth():
     other = word_likelihood_tables(lms, [conv], "one_best",
                                    ScoreScaling(3.0, 7.0))[0]
     assert np.array_equal(other.scores, table.scores)
+
+
+def test_tables_equal_the_per_utterance_definitions_exactly():
+    # every mode, smoothed and unsmoothed models, word strings repeated
+    # within and across utterances and conversations, one unknown word
+    lms = train_da_lms(mk_corpus(), TS2, order=3)
+    smoothed, _ = smooth_da_lms(lms, [Conversation("h", (
+        Utterance(0, "A", "S", ("we", "agree")),
+        Utterance(1, "B", "Q", ("do", "you", "think"))))])
+    hyps = [(("do", "you"), -5.0), (("i", "agree"), -9.0),
+            (("do", "you"), -7.5), (("zebra", "so", "we", "did"), -6.0)]
+    convs = [with_nbest("c", [("A", "S", ("i", "agree"), hyps),
+                              ("B", "Q", ("do", "you"), hyps[1:])]),
+             with_nbest("d", [("A", "Q", ("do", "you"), hyps[::-1])])]
+    scaling = ScoreScaling(7.0, 0.5)
+    for da_lms in (lms, smoothed):
+        for mode in MODES:
+            tables = word_likelihood_tables(da_lms, convs, mode, scaling)
+            for table, conv in zip(tables, convs):
+                for i, utt in enumerate(conv):
+                    for j, lab in enumerate(table.labels):
+                        if mode == "nbest":
+                            want = nbest_da_log_likelihood(
+                                da_lms, utt.nbest, lab, scaling)
+                        else:
+                            words = (utt.words if mode == "true_words"
+                                     else utt.nbest.first.words)
+                            want = true_word_log_likelihood(da_lms, words,
+                                                            lab)
+                        assert table.scores[i, j] == want, (mode, i, lab)
+
+
+def test_tables_are_scored_in_bounded_groups_of_conversations(monkeypatch):
+    lms = train_da_lms(mk_corpus(), TS2, order=3)
+    rng = random.Random(3)
+    words = [w for s in STATEMENTS + QUESTIONS for w in s]
+
+    def hyps():
+        return [(tuple(rng.choice(words) for _ in range(rng.randint(1, 5))),
+                 -float(rng.randint(1, 9))) for _ in range(4)]
+
+    # at most 6 utterances x 4 hypotheses x 2 labels = 48 scores each
+    convs = [with_nbest(f"c{k}", [("AB"[i % 2], "S", (), hyps())
+                                  for i in range(rng.randint(1, 6))])
+             for k in range(30)]
+    whole = word_likelihood_tables(lms, convs, "nbest")
+    cells = []
+    score = CompiledModelSet.score
+
+    def recording(self, sequences):
+        cells.append(len(sequences) * self.n_scorers)
+        return score(self, sequences)
+
+    monkeypatch.setattr(CompiledModelSet, "score", recording)
+    monkeypatch.setattr(wordmodels, "_GROUP_CELLS", 64)
+    grouped = word_likelihood_tables(lms, convs, "nbest")
+    assert len(cells) > 5 and max(cells) <= 64
+    for a, b in zip(whole, grouped):
+        assert np.array_equal(a.scores, b.scores)
 
 
 def test_modes_requiring_nbest_reject_bare_utterances():
