@@ -17,6 +17,7 @@ of a conversation is its modeling order.
 from __future__ import annotations
 
 import importlib.resources
+import math
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -400,13 +401,15 @@ def parse_prosody(path: str | Path) -> tuple[FeatureSchema, dict[tuple[str, int]
 
     The first content line names the features.  Feature kind is inferred per
     column: if every non-missing value parses as a float the feature is
-    continuous, otherwise categorical.
+    continuous, otherwise categorical.  Continuous values must be finite,
+    and categorical values may not contain "," (the tree file's category
+    separator).
     """
     lines = _content_lines(path)
     if not lines:
         raise CorpusError(f"{path}: empty prosody file")
     names = tuple(lines[0][1].split("\t"))
-    rows: list[tuple[tuple[str, int], list[str]]] = []
+    rows: list[tuple[int, tuple[str, int], list[str]]] = []
     for lineno, line in lines[1:]:
         fields = line.split("\t")
         if len(fields) != 2 + len(names):
@@ -416,12 +419,12 @@ def parse_prosody(path: str | Path) -> tuple[FeatureSchema, dict[tuple[str, int]
             idx = int(fields[1])
         except ValueError:
             raise CorpusError(f"{path}:{lineno}: bad utterance index") from None
-        rows.append(((fields[0], idx), fields[2:]))
+        rows.append((lineno, (fields[0], idx), fields[2:]))
 
     kinds = []
     for col in range(len(names)):
         kind = "continuous"
-        for _, vals in rows:
+        for _, _, vals in rows:
             v = vals[col]
             if v == _MISSING_VALUE:
                 continue
@@ -434,7 +437,7 @@ def parse_prosody(path: str | Path) -> tuple[FeatureSchema, dict[tuple[str, int]
     schema = FeatureSchema(names, tuple(kinds))
 
     table: dict[tuple[str, int], FeatureVector] = {}
-    for key, vals in rows:
+    for lineno, key, vals in rows:
         if key in table:
             raise CorpusError(f"{path}: duplicate prosody row for {key}")
         parsed: dict[str, float | str | None] = {}
@@ -443,6 +446,12 @@ def parse_prosody(path: str | Path) -> tuple[FeatureSchema, dict[tuple[str, int]
                 parsed[name] = None
             elif kind == "continuous":
                 parsed[name] = float(v)
+                if not math.isfinite(parsed[name]):
+                    raise CorpusError(f"{path}:{lineno}: feature {name!r}: "
+                                      f"non-finite value {v!r}")
+            elif "," in v:
+                raise CorpusError(f"{path}:{lineno}: feature {name!r}: "
+                                  f"category {v!r} contains ','")
             else:
                 parsed[name] = v
         table[key] = FeatureVector(parsed)

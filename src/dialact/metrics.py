@@ -18,7 +18,7 @@ import numpy as np
 from .corpus import (CorpusError, FeatureSchema, FeatureVector, TagSet,
                      Utterance, downsample_uniform, jackknife_split)
 from .ngram import sequence_log_prob, train_ngram
-from .prosody import TreeConfig, train_tree, tree_posterior
+from .prosody import TreeConfig, _route, train_tree
 
 
 @dataclass(eq=False)
@@ -179,29 +179,30 @@ def focused_binary_task(utterances: Sequence[Utterance], tagset: TagSet,
             schema = _infer_schema(u.prosody for u in train)
         tree = train_tree(schema, [(u.prosody, u.da_label) for u in train],
                           config, classes=pair)
+        reached, leaf_of = _route(tree, [u.prosody for u in test])
+        posteriors = [reached[j].posterior for j in leaf_of]
 
-    def word_score(utt: Utterance, lab: str) -> float:
-        return sequence_log_prob(word_models[lab], utt.words)
+    def word_score(i: int, lab: str) -> float:
+        return sequence_log_prob(word_models[lab], test[i].words)
 
-    def prosody_score(utt: Utterance, lab: str) -> float:
+    def prosody_score(i: int, lab: str) -> float:
         # uniform prior: divide the leaf posterior by the training prior
-        post = tree_posterior(tree, utt.prosody)
-        i = tree.classes.index(lab)
-        p = post[i] / tree.training_priors[i]
+        c = tree.classes.index(lab)
+        p = posteriors[i][c] / tree.training_priors[c]
         return math.log(p) if p > 0.0 else -math.inf
 
     scorers = {
         "words": word_score,
         "prosody": prosody_score,
-        "combined": lambda utt, lab: word_score(utt, lab) + prosody_score(utt, lab),
+        "combined": lambda i, lab: word_score(i, lab) + prosody_score(i, lab),
     }
 
     out: dict[str, float] = {}
     for name in classifiers:
         correct = 0
-        for utt in test:
+        for i, utt in enumerate(test):
             best = pair[0]
-            if scorers[name](utt, pair[1]) > scorers[name](utt, best):
+            if scorers[name](i, pair[1]) > scorers[name](i, best):
                 best = pair[1]
             correct += best == utt.da_label
         out[name] = correct / len(test)

@@ -8,6 +8,14 @@ earliest subset in enumeration order).  Samples with a missing value follow
 the side that received the majority of the non-missing samples; the
 direction is recorded on the node and reused at prediction time.
 
+Training encodes the samples once into arrays (float values, category
+codes, class indices) and scores candidates from class counts: per node, a
+continuous feature costs one sort, with left counts read off a cumulative
+count for every midpoint; the 2^(k-1) subsets of a categorical feature
+with k categories are a blocked matrix product of subset membership and
+per-category class counts, still exponential in k.  Lookup sends a batch
+of feature vectors down the tree together, one test per node.
+
 Leaves store class posteriors (training frequencies).  For use as HMM
 evidence, posteriors are converted to scaled likelihoods P(F|U) ~ P(U|F) /
 P(U) and a collapsed "rest" class hands its score to every member label.
@@ -89,90 +97,183 @@ class DecisionTree:
         return walk(self.root)
 
 
-def _gini(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return float(1.0 - (p * p).sum())
+def _gini(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Gini impurity of each row of class counts; ``sizes`` are the row sums.
 
-
-def _class_counts(labels: Sequence[int], n_classes: int) -> np.ndarray:
-    counts = np.zeros(n_classes)
-    for lab in labels:
-        counts[lab] += 1
-    return counts
-
-
-def _best_split(samples, schema: FeatureSchema, n_classes: int,
-                min_leaf: int):
-    """Best (gain, feature, threshold/categories, missing_left, mask) or None.
-
-    ``samples`` is a list of (FeatureVector, class index).  The returned mask
-    holds True for samples routed left.
+    Rows must be C-contiguous: numpy then sums each row in the order it sums
+    a 1-D array, so every value equals the one-row computation bit for bit.
     """
-    n = len(samples)
-    parent_counts = _class_counts([c for _, c in samples], n_classes)
-    parent_gini = _gini(parent_counts)
-    best = None  # (gain, feature_index, threshold, categories, missing_left, mask)
+    p = counts / sizes[:, None]
+    p *= p
+    return 1.0 - p.sum(axis=1)
 
-    for fi, name in enumerate(schema.names):
-        values = []
-        missing_idx = []
-        for si, (fv, _) in enumerate(samples):
-            if name not in fv.values:
-                raise ProsodyError(f"feature {name!r} missing from sample schema")
-            v = fv.values[name]
-            if v is None:
-                missing_idx.append(si)
-            else:
-                values.append((si, v))
-        if not values:
+
+@dataclass(frozen=True)
+class _Column:
+    """One feature over a batch of feature vectors.
+
+    Continuous: float values (0.0 where missing).  Categorical: integer
+    codes into ``categories`` (sorted distinct strings), -1 where missing.
+    """
+
+    values: np.ndarray
+    known: np.ndarray
+    categories: tuple[str, ...] | None
+
+    @classmethod
+    def of(cls, name: str, continuous: bool, raw: Sequence) -> "_Column":
+        known = np.array([v is not None for v in raw], dtype=bool)
+        if continuous:
+            try:
+                values = np.array([0.0 if v is None else float(v) for v in raw])
+            except (TypeError, ValueError):
+                raise ProsodyError(f"feature {name!r}: a value is not a "
+                                   f"number") from None
+            return cls(values, known, None)
+        cats = tuple(sorted({str(v) for v in raw if v is not None}))
+        code = {c: i for i, c in enumerate(cats)}
+        return cls(np.array([-1 if v is None else code[str(v)] for v in raw],
+                            dtype=np.intp), known, cats)
+
+    def members(self, categories: frozenset[str]) -> np.ndarray:
+        """Per code, whether its category is in ``categories``; indexing
+        with a missing value's code -1 reads the extra last entry, False."""
+        return np.array([c in categories for c in self.categories] + [False])
+
+
+def _encode(schema: FeatureSchema, fvs: Sequence[FeatureVector]) -> list[_Column]:
+    """Training columns in schema order; every vector must hold every feature."""
+    columns = []
+    for name, kind in zip(schema.names, schema.kinds):
+        if any(name not in fv.values for fv in fvs):
+            raise ProsodyError(f"feature {name!r} missing from sample schema")
+        col = _Column.of(name, kind == "continuous",
+                         [fv.values[name] for fv in fvs])
+        if col.categories is None and not np.isfinite(col.values).all():
+            bad = col.values[~np.isfinite(col.values)][0]
+            raise ProsodyError(f"feature {name!r}: non-finite value {float(bad)!r}")
+        columns.append(col)
+    return columns
+
+
+# Candidate splits are scored this many at a time, so memory stays flat in
+# the number of thresholds and in the 2^(k-1) subsets of k categories.
+_BLOCK = 256
+
+
+def _threshold_candidates(values: np.ndarray, labels: np.ndarray,
+                          n_classes: int):
+    """Midpoints between adjacent distinct values, ascending, in blocks.
+
+    Yields (left class counts, left sizes, candidate -> threshold) per block
+    of ``_BLOCK``, counting the known values only.  One sort serves every
+    midpoint: a value goes left when it is <= the midpoint, so
+    ``searchsorted(side="right")`` counts the left side even where a
+    midpoint rounds onto the upper value.
+    """
+    order = np.argsort(values)
+    ordered = values[order]
+    upper = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    if not len(upper):
+        return
+    thresholds = (ordered[upper - 1] + ordered[upper]) / 2.0
+    n_left = np.searchsorted(ordered, thresholds, side="right")
+    cumulative = np.zeros((len(values) + 1, n_classes), dtype=np.int64)
+    cumulative[np.arange(1, len(values) + 1), labels[order]] = 1
+    np.cumsum(cumulative, axis=0, out=cumulative)
+    for start in range(0, len(thresholds), _BLOCK):
+        block = n_left[start:start + _BLOCK]
+        yield cumulative[block], block, \
+            lambda j, start=start: float(thresholds[start + j])
+
+
+def _subset_candidates(codes: np.ndarray, labels: np.ndarray, n_classes: int,
+                       n_codes: int):
+    """Category subsets holding the first category, in enumeration order.
+
+    Only the k categories present among ``codes`` count.  Subset ``mask``
+    holds the first of them plus the b-th of the others for each set bit b;
+    every proper subset comes once, scored in blocks of ``_BLOCK`` as
+    membership x per-category class counts.  Yields (left class counts,
+    left sizes, candidate -> category codes).
+    """
+    per_cat = np.bincount(codes * n_classes + labels, minlength=n_codes * n_classes
+                          ).reshape(n_codes, n_classes)
+    sizes = per_cat.sum(axis=1)
+    present = np.flatnonzero(sizes)
+    per_cat, sizes = per_cat[present], sizes[present]
+    k = len(present)
+    if k < 2:
+        return
+    n_subsets = (1 << (k - 1)) - 1
+    bits = np.arange(k - 1)
+    for start in range(0, n_subsets, _BLOCK):
+        masks = np.arange(start, min(start + _BLOCK, n_subsets))
+        member = np.ones((len(masks), k), dtype=np.int64)
+        member[:, 1:] = (masks[:, None] >> bits) & 1
+        yield member @ per_cat, member @ sizes, \
+            lambda j, member=member: present[member[j].astype(bool)]
+
+
+def _best_split(columns: list[_Column], labels: np.ndarray, rows: np.ndarray,
+                n_classes: int, min_leaf: int):
+    """Best (feature index, threshold, categories, missing_left, left mask).
+
+    Every candidate of every feature is scored from class counts; the first
+    strictly best gain above 1e-12 wins, so ties go to the lowest feature,
+    then the lowest threshold or the earliest subset.  ``None`` if no
+    candidate qualifies.
+    """
+    n = len(rows)
+    node_labels = labels[rows]
+    parent = np.bincount(node_labels, minlength=n_classes)
+    parent_gini = _gini(parent[None], np.array([n]))[0]
+    best_gain, best = 1e-12, None
+
+    for fi, col in enumerate(columns):
+        known = col.known[rows]
+        values = col.values[rows][known]
+        if not len(values):
             continue
-        if schema.kinds[fi] == "continuous":
-            distinct = sorted({float(v) for _, v in values})
-            candidates = [(lo + hi) / 2.0 for lo, hi in zip(distinct, distinct[1:])]
-            tests = [("le", thr) for thr in candidates]
+        known_labels = node_labels[known]
+        missing = parent - np.bincount(known_labels, minlength=n_classes)
+        n_known = len(values)
+        if col.categories is None:
+            blocks = _threshold_candidates(values, known_labels, n_classes)
         else:
-            cats = sorted({str(v) for _, v in values})
-            if len(cats) < 2:
+            blocks = _subset_candidates(values, known_labels, n_classes,
+                                        len(col.categories))
+        for left_known, n_left_known, pick in blocks:
+            missing_left = n_left_known >= n_known - n_left_known
+            n_left = n_left_known + np.where(missing_left, n - n_known, 0)
+            n_right = n - n_left
+            ok = np.flatnonzero((n_left >= min_leaf) & (n_right >= min_leaf))
+            if not len(ok):
                 continue
-            # Enumerate subsets containing the first category: each
-            # partition once, in a deterministic order.
-            tests = []
-            rest = cats[1:]
-            for mask in range(0, 1 << len(rest)):
-                subset = frozenset([cats[0]] + [c for b, c in enumerate(rest)
-                                                if mask >> b & 1])
-                if len(subset) < len(cats):
-                    tests.append(("in", subset))
+            left = left_known[ok]
+            left[missing_left[ok]] += missing
+            nl, nr = n_left[ok], n_right[ok]
+            gain = (parent_gini - (nl / n) * _gini(left, nl)
+                    - (nr / n) * _gini(parent - left, nr))
+            j = int(np.argmax(gain))
+            if gain[j] > best_gain:
+                best_gain = gain[j]
+                best = (fi, pick(ok[j]), bool(missing_left[ok[j]]))
 
-        for kind, test in tests:
-            left = np.zeros(n, dtype=bool)
-            n_left_known = n_right_known = 0
-            for si, v in values:
-                if (float(v) <= test) if kind == "le" else (str(v) in test):
-                    left[si] = True
-                    n_left_known += 1
-                else:
-                    n_right_known += 1
-            missing_left = n_left_known >= n_right_known
-            for si in missing_idx:
-                left[si] = missing_left
-            nl = int(left.sum())
-            nr = n - nl
-            if nl < min_leaf or nr < min_leaf:
-                continue
-            lc = _class_counts([c for (fv, c), flag in zip(samples, left) if flag],
-                               n_classes)
-            rc = parent_counts - lc
-            gain = parent_gini - (nl / n) * _gini(lc) - (nr / n) * _gini(rc)
-            if gain > 1e-12 and (best is None or gain > best[0]):
-                best = (gain, fi,
-                        test if kind == "le" else None,
-                        test if kind == "in" else None,
-                        missing_left, left.copy())
-    return best
+    if best is None:
+        return None
+    fi, test, missing_left = best
+    col = columns[fi]
+    values = col.values[rows]
+    if col.categories is None:
+        threshold, categories = test, None
+        goes_left = values <= threshold
+    else:
+        threshold = None
+        categories = frozenset(col.categories[c] for c in test)
+        goes_left = col.members(categories)[values]
+    left = np.where(col.known[rows], goes_left, missing_left)
+    return fi, threshold, categories, missing_left, left
 
 
 def train_tree(schema: FeatureSchema,
@@ -183,7 +284,8 @@ def train_tree(schema: FeatureSchema,
 
     ``classes`` fixes the class order (default: sorted unique labels).
     Growth stops at purity, when no split keeps ``min_leaf`` samples on both
-    sides with positive Gini decrease, or at ``max_depth``.
+    sides with positive Gini decrease, or at ``max_depth``.  Every sample
+    must carry every schema feature, and continuous values must be finite.
     """
     if not samples:
         raise ProsodyError("no training samples")
@@ -195,45 +297,71 @@ def train_tree(schema: FeatureSchema,
         if stray:
             raise ProsodyError(f"sample labels outside class list: {sorted(stray)}")
     index = {lab: i for i, lab in enumerate(classes)}
-    data = [(fv, index[lab]) for fv, lab in samples]
+    labels = np.array([index[lab] for _, lab in samples], dtype=np.intp)
+    columns = _encode(schema, [fv for fv, _ in samples])
+    k = len(classes)
 
-    def grow(node_samples, depth: int) -> Node:
-        counts = _class_counts([c for _, c in node_samples], len(classes))
+    def grow(rows: np.ndarray, depth: int) -> Node:
+        counts = np.bincount(labels[rows], minlength=k)
         pure = (counts > 0).sum() <= 1
         at_depth = config.max_depth is not None and depth >= config.max_depth
-        if not pure and not at_depth and len(node_samples) >= 2 * config.min_leaf:
-            found = _best_split(node_samples, schema, len(classes), config.min_leaf)
+        if not pure and not at_depth and len(rows) >= 2 * config.min_leaf:
+            found = _best_split(columns, labels, rows, k, config.min_leaf)
             if found is not None:
-                _, fi, threshold, categories, missing_left, mask = found
-                left = [s for s, flag in zip(node_samples, mask) if flag]
-                right = [s for s, flag in zip(node_samples, mask) if not flag]
+                fi, threshold, categories, missing_left, left = found
                 return Node(feature=schema.names[fi], threshold=threshold,
                             categories=categories, missing_left=missing_left,
-                            left=grow(left, depth + 1),
-                            right=grow(right, depth + 1))
+                            left=grow(rows[left], depth + 1),
+                            right=grow(rows[~left], depth + 1))
         return Node(posterior=tuple(float(x) for x in counts / counts.sum()))
 
-    root = grow(data, 0)
-    priors = _class_counts([c for _, c in data], len(classes)) / len(data)
+    root = grow(np.arange(len(samples)), 0)
+    priors = np.bincount(labels, minlength=k) / len(samples)
     return DecisionTree(classes, schema, root, tuple(float(x) for x in priors))
+
+
+def _route(tree: DecisionTree,
+           fvs: Sequence[FeatureVector]) -> tuple[list[Node], np.ndarray]:
+    """The leaves the feature vectors reach, and per vector its leaf's index.
+
+    All vectors descend together, one boolean test per node.  A feature is
+    read into a column once, the first time a node tests it.
+    """
+    leaf_of = np.empty(len(fvs), dtype=np.intp)
+    reached: list[Node] = []
+    columns: dict[tuple[str, bool], tuple[np.ndarray, _Column]] = {}
+    stack = [(tree.root, np.arange(len(fvs)))]
+    while stack:
+        node, rows = stack.pop()
+        if node.is_leaf:
+            leaf_of[rows] = len(reached)
+            reached.append(node)
+            continue
+        key = (node.feature, node.threshold is not None)
+        if key not in columns:
+            columns[key] = (
+                np.array([node.feature not in fv.values for fv in fvs], dtype=bool),
+                _Column.of(node.feature, key[1],
+                           [fv.values.get(node.feature) for fv in fvs]))
+        absent, col = columns[key]
+        if absent[rows].any():
+            raise ProsodyError(f"feature {node.feature!r} queried by the tree "
+                               f"is absent from the probe's schema")
+        if col.categories is None:
+            test = col.values[rows] <= node.threshold
+        else:
+            test = col.members(node.categories)[col.values[rows]]
+        go_left = np.where(col.known[rows], test, node.missing_left)
+        for child, mask in ((node.right, ~go_left), (node.left, go_left)):
+            if mask.any():
+                stack.append((child, rows[mask]))
+    return reached, leaf_of
 
 
 def tree_posterior(tree: DecisionTree, fv: FeatureVector) -> np.ndarray:
     """Class posterior at the leaf this feature vector reaches."""
-    node = tree.root
-    while not node.is_leaf:
-        if node.feature not in fv.values:
-            raise ProsodyError(f"feature {node.feature!r} queried by the tree "
-                               f"is absent from the probe's schema")
-        v = fv.values[node.feature]
-        if v is None:
-            go_left = node.missing_left
-        elif node.threshold is not None:
-            go_left = float(v) <= node.threshold
-        else:
-            go_left = str(v) in node.categories
-        node = node.left if go_left else node.right
-    return np.array(node.posterior)
+    reached, _ = _route(tree, [fv])
+    return np.array(reached[0].posterior)
 
 
 def tree_scaled_likelihood(tree: DecisionTree, fv: FeatureVector,
@@ -279,20 +407,22 @@ def prosody_likelihood_tables(tree: DecisionTree, convs,
     k = len(tree.classes)
     tables = []
     for conv in convs:
-        scores = np.empty((len(conv), k))
-        for i, utt in enumerate(conv):
-            if utt.prosody is None:
-                scores[i] = -math.log(k)
-                continue
-            post = tree_posterior(tree, utt.prosody)
-            raw = np.array([p / pr if pr > 0.0 else 1.0
-                            for p, pr in zip(post, priors)])
-            total = raw.sum()
-            if total <= 0.0:
-                raise ProsodyError(f"{conv.conv_id}:{utt.index}: all scaled "
-                                   f"likelihoods are zero")
+        scores = np.full((len(conv), k), -math.log(k))
+        featured = [i for i, utt in enumerate(conv) if utt.prosody is not None]
+        if featured:
+            reached, leaf_of = _route(
+                tree, [conv.utterances[i].prosody for i in featured])
+            # every utterance reaching a leaf gets that leaf's row
+            raw = np.array([[p / pr if pr > 0.0 else 1.0
+                             for p, pr in zip(leaf.posterior, priors)]
+                            for leaf in reached])
+            totals = raw.sum(axis=1)
+            zero = totals[leaf_of] <= 0.0
+            if zero.any():
+                raise ProsodyError(f"{conv.conv_id}:{featured[int(np.argmax(zero))]}: "
+                                   f"all scaled likelihoods are zero")
             with np.errstate(divide="ignore"):
-                scores[i] = np.log(raw / total)
+                scores[featured] = np.log(raw / totals[:, None])[leaf_of]
         tables.append(LikelihoodTable(conv.conv_id, tree.classes,
                                       conv.speakers, scores,
                                       frozenset({"prosody"})))
@@ -308,7 +438,9 @@ def serialize_tree(tree: DecisionTree, path: str | Path) -> None:
 
     Header lines name the classes, the schema, and the training priors; the
     body has one node per line, children indented two spaces, left child
-    first.  Floats use repr, so reloading is exact.
+    first.  Floats use repr, so reloading is exact.  Categories are joined
+    with ","; a category holding ",", a tab or a line break cannot be
+    written and raises ``ProsodyError`` before anything is written.
     """
     lines = [
         "tree v1",
@@ -328,6 +460,10 @@ def serialize_tree(tree: DecisionTree, path: str | Path) -> None:
             lines.append(f"{pad}node\t{node.feature}\t<=\t{node.threshold!r}"
                          f"\tmissing={miss}")
         else:
+            for cat in node.categories:
+                if "," in cat or "\t" in cat or "".join(cat.splitlines()) != cat:
+                    raise ProsodyError(f"feature {node.feature!r}: category "
+                                       f"{cat!r} would not reload as written")
             cats = ",".join(sorted(node.categories))
             lines.append(f"{pad}node\t{node.feature}\tin\t{cats}\tmissing={miss}")
         emit(node.left, depth + 1)

@@ -237,6 +237,24 @@ def test_prosody_kind_inference(tmp_path):
     assert table[("c1", 1)].values["f0"] is None
 
 
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "Infinity",
+                                   "1e999"])
+def test_prosody_non_finite_values_name_file_and_line(tmp_path, value):
+    # a NaN has no place in a sorted threshold sweep
+    path = tmp_path / "p.tsv"
+    path.write_text(f"f0\tgender\nc1\t0\t1.5\tf\n# note\nc1\t1\t{value}\tm\n")
+    with pytest.raises(CorpusError, match=r"p\.tsv:4: .*non-finite"):
+        parse_prosody(path)
+
+
+def test_prosody_category_with_a_comma_names_file_and_line(tmp_path):
+    # "," separates categories in the tree file: "a,b" would reload as {a, b}
+    path = tmp_path / "p.tsv"
+    path.write_text("f0\tsite\nc1\t0\t1.5\tx\nc1\t1\t2.5\ta,b\n")
+    with pytest.raises(CorpusError, match=r"p\.tsv:3: .*'a,b'"):
+        parse_prosody(path)
+
+
 def test_attach_prosody():
     conv = mk_conv("c1", [("A", "S", "hi")])
     out = attach_prosody([conv], {("c1", 0): FeatureVector({"f0": 2.0})})[0]

@@ -2,10 +2,16 @@
 
 import math
 import random
+from pathlib import Path
+from typing import Sequence
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from dialact import prosody
 from dialact.corpus import (Conversation, FeatureSchema, FeatureVector, TagSet,
                             Utterance)
 from dialact.prosody import (DecisionTree, Node, ProsodyError, TreeConfig,
@@ -27,6 +33,196 @@ def separable_samples():
         out.append((fv(f=-1.0 - i), "S"))
         out.append((fv(f=1.0 + i), "Q"))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference implementation: the scalar split scan and per-utterance walk the
+# array code replaced, kept verbatim as the oracle for byte-identical trees
+# and bit-identical evidence tables
+# ---------------------------------------------------------------------------
+
+def _oracle_gini(counts: np.ndarray) -> float:
+    n = counts.sum()
+    if n == 0:
+        return 0.0
+    p = counts / n
+    return float(1.0 - (p * p).sum())
+
+
+def _oracle_class_counts(labels: Sequence[int], n_classes: int) -> np.ndarray:
+    counts = np.zeros(n_classes)
+    for lab in labels:
+        counts[lab] += 1
+    return counts
+
+
+def _oracle_best_split(samples, schema: FeatureSchema, n_classes: int,
+                min_leaf: int):
+    """Best (gain, feature, threshold/categories, missing_left, mask) or None.
+
+    ``samples`` is a list of (FeatureVector, class index).  The returned mask
+    holds True for samples routed left.
+    """
+    n = len(samples)
+    parent_counts = _oracle_class_counts([c for _, c in samples], n_classes)
+    parent_gini = _oracle_gini(parent_counts)
+    best = None  # (gain, feature_index, threshold, categories, missing_left, mask)
+
+    for fi, name in enumerate(schema.names):
+        values = []
+        missing_idx = []
+        for si, (fv, _) in enumerate(samples):
+            if name not in fv.values:
+                raise ProsodyError(f"feature {name!r} missing from sample schema")
+            v = fv.values[name]
+            if v is None:
+                missing_idx.append(si)
+            else:
+                values.append((si, v))
+        if not values:
+            continue
+        if schema.kinds[fi] == "continuous":
+            distinct = sorted({float(v) for _, v in values})
+            candidates = [(lo + hi) / 2.0 for lo, hi in zip(distinct, distinct[1:])]
+            tests = [("le", thr) for thr in candidates]
+        else:
+            cats = sorted({str(v) for _, v in values})
+            if len(cats) < 2:
+                continue
+            # Enumerate subsets containing the first category: each
+            # partition once, in a deterministic order.
+            tests = []
+            rest = cats[1:]
+            for mask in range(0, 1 << len(rest)):
+                subset = frozenset([cats[0]] + [c for b, c in enumerate(rest)
+                                                if mask >> b & 1])
+                if len(subset) < len(cats):
+                    tests.append(("in", subset))
+
+        for kind, test in tests:
+            left = np.zeros(n, dtype=bool)
+            n_left_known = n_right_known = 0
+            for si, v in values:
+                if (float(v) <= test) if kind == "le" else (str(v) in test):
+                    left[si] = True
+                    n_left_known += 1
+                else:
+                    n_right_known += 1
+            missing_left = n_left_known >= n_right_known
+            for si in missing_idx:
+                left[si] = missing_left
+            nl = int(left.sum())
+            nr = n - nl
+            if nl < min_leaf or nr < min_leaf:
+                continue
+            lc = _oracle_class_counts([c for (fv, c), flag in zip(samples, left) if flag],
+                               n_classes)
+            rc = parent_counts - lc
+            gain = parent_gini - (nl / n) * _oracle_gini(lc) - (nr / n) * _oracle_gini(rc)
+            if gain > 1e-12 and (best is None or gain > best[0]):
+                best = (gain, fi,
+                        test if kind == "le" else None,
+                        test if kind == "in" else None,
+                        missing_left, left.copy())
+    return best
+
+
+def oracle_train_tree(schema: FeatureSchema,
+               samples: Sequence[tuple[FeatureVector, str]],
+               config: TreeConfig = TreeConfig(),
+               classes: Sequence[str] | None = None) -> DecisionTree:
+    """Grow a tree on (features, class label) pairs.
+
+    ``classes`` fixes the class order (default: sorted unique labels).
+    Growth stops at purity, when no split keeps ``min_leaf`` samples on both
+    sides with positive Gini decrease, or at ``max_depth``.
+    """
+    if not samples:
+        raise ProsodyError("no training samples")
+    if classes is None:
+        classes = tuple(sorted({lab for _, lab in samples}))
+    else:
+        classes = tuple(classes)
+        stray = {lab for _, lab in samples} - set(classes)
+        if stray:
+            raise ProsodyError(f"sample labels outside class list: {sorted(stray)}")
+    index = {lab: i for i, lab in enumerate(classes)}
+    data = [(fv, index[lab]) for fv, lab in samples]
+
+    def grow(node_samples, depth: int) -> Node:
+        counts = _oracle_class_counts([c for _, c in node_samples], len(classes))
+        pure = (counts > 0).sum() <= 1
+        at_depth = config.max_depth is not None and depth >= config.max_depth
+        if not pure and not at_depth and len(node_samples) >= 2 * config.min_leaf:
+            found = _oracle_best_split(node_samples, schema, len(classes), config.min_leaf)
+            if found is not None:
+                _, fi, threshold, categories, missing_left, mask = found
+                left = [s for s, flag in zip(node_samples, mask) if flag]
+                right = [s for s, flag in zip(node_samples, mask) if not flag]
+                return Node(feature=schema.names[fi], threshold=threshold,
+                            categories=categories, missing_left=missing_left,
+                            left=grow(left, depth + 1),
+                            right=grow(right, depth + 1))
+        return Node(posterior=tuple(float(x) for x in counts / counts.sum()))
+
+    root = grow(data, 0)
+    priors = _oracle_class_counts([c for _, c in data], len(classes)) / len(data)
+    return DecisionTree(classes, schema, root, tuple(float(x) for x in priors))
+
+
+def oracle_tree_posterior(tree: DecisionTree, fv: FeatureVector) -> np.ndarray:
+    """Class posterior at the leaf this feature vector reaches."""
+    node = tree.root
+    while not node.is_leaf:
+        if node.feature not in fv.values:
+            raise ProsodyError(f"feature {node.feature!r} queried by the tree "
+                               f"is absent from the probe's schema")
+        v = fv.values[node.feature]
+        if v is None:
+            go_left = node.missing_left
+        elif node.threshold is not None:
+            go_left = float(v) <= node.threshold
+        else:
+            go_left = str(v) in node.categories
+        node = node.left if go_left else node.right
+    return np.array(node.posterior)
+
+
+
+def oracle_likelihood_tables(tree: DecisionTree, convs,
+                              priors: Sequence[float] | None = None) -> list:
+    """Decoder evidence tables from the tree, one per conversation.
+
+    Rows are log scaled likelihoods over the tree's classes, normalized to
+    sum 1 before taking logs.  A class never seen in tree training (prior 0,
+    hence posterior 0 everywhere) scores flat: the tree carries no evidence
+    about it.  Utterances without features get a flat row too.
+    """
+    from dialact.hmm import LikelihoodTable
+
+    if priors is None:
+        priors = tree.training_priors
+    k = len(tree.classes)
+    tables = []
+    for conv in convs:
+        scores = np.empty((len(conv), k))
+        for i, utt in enumerate(conv):
+            if utt.prosody is None:
+                scores[i] = -math.log(k)
+                continue
+            post = oracle_tree_posterior(tree, utt.prosody)
+            raw = np.array([p / pr if pr > 0.0 else 1.0
+                            for p, pr in zip(post, priors)])
+            total = raw.sum()
+            if total <= 0.0:
+                raise ProsodyError(f"{conv.conv_id}:{utt.index}: all scaled "
+                                   f"likelihoods are zero")
+            with np.errstate(divide="ignore"):
+                scores[i] = np.log(raw / total)
+        tables.append(LikelihoodTable(conv.conv_id, tree.classes,
+                                      conv.speakers, scores,
+                                      frozenset({"prosody"})))
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -256,3 +452,183 @@ def test_load_rejects_malformed_files(tmp_path):
                          "node\tf\t<=\t0.0\tmissing=left\n  leaf\t1.0\t0.0\n")
     with pytest.raises(ProsodyError, match="truncated"):
         load_tree(truncated)
+
+
+# ---------------------------------------------------------------------------
+# Array code against the scalar oracle
+# ---------------------------------------------------------------------------
+
+CATEGORY_NAMES = ("m", "f", "10", "9", "a b", "Z", "zz", "_")
+
+
+def tree_bytes(tree, directory: Path, name: str) -> bytes:
+    path = directory / name
+    serialize_tree(tree, path)
+    return path.read_bytes()
+
+
+@st.composite
+def tree_cases(draw):
+    """Samples over 1-4 mixed features with duplicates, ~20% missing values
+    and adjacent floats, plus a tree configuration and a class order."""
+    kinds = draw(st.lists(st.sampled_from(("continuous", "categorical")),
+                          min_size=1, max_size=4))
+    names = tuple(f"f{i}" for i in range(len(kinds)))
+    pools = []
+    for kind in kinds:
+        if kind == "continuous":
+            # x and its successor: their midpoint rounds onto one of them
+            x = draw(st.floats(-1e6, 1e6, allow_nan=False))
+            pools.append([x, float(np.nextafter(x, np.inf))]
+                         + draw(st.lists(st.one_of(
+                             st.floats(-50, 50, allow_nan=False),
+                             st.sampled_from((0.0, -0.0, 1.0))),
+                             min_size=1, max_size=5)))
+        else:
+            pools.append(draw(st.lists(st.sampled_from(CATEGORY_NAMES),
+                                       min_size=1, max_size=6, unique=True)))
+    n = draw(st.integers(1, 40))
+    samples = []
+    for _ in range(n):
+        values = {name: None if draw(st.integers(0, 4)) == 0
+                  else draw(st.sampled_from(pool))
+                  for name, pool in zip(names, pools)}
+        samples.append((FeatureVector(values), draw(st.sampled_from("ABC"))))
+    config = TreeConfig(draw(st.integers(1, 5)),
+                        draw(st.one_of(st.none(), st.integers(0, 3))))
+    # an explicit order holds a class no sample has
+    classes = draw(st.one_of(st.none(), st.permutations(("A", "B", "C", "U"))))
+    return FeatureSchema(names, tuple(kinds)), samples, config, classes
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(case=tree_cases(), block=st.sampled_from((1, 3, 256)))
+def test_trees_are_byte_identical_to_the_scalar_scan(tmp_path, case, block):
+    schema, samples, config, classes = case
+    # small blocks put candidates across block boundaries
+    with mock.patch.object(prosody, "_BLOCK", block):
+        tree = train_tree(schema, samples, config, classes)
+    want = oracle_train_tree(schema, samples, config, classes)
+    assert tree_bytes(tree, tmp_path, "array") == \
+        tree_bytes(want, tmp_path, "oracle")
+
+
+def test_twelve_categories_span_several_subset_blocks(tmp_path):
+    # 2^11 - 1 = 2047 subsets; the best, {c00, c05, c11} (mask 1040), lies
+    # in a later block than the lesser ones enumerated before it
+    cats = [f"c{i:02d}" for i in range(12)]
+    rng = random.Random(5)
+    samples = []
+    for i in range(96):
+        cat = cats[i % 12]
+        label = "S" if cat in ("c00", "c05", "c11") else "Q"
+        if rng.random() < 0.1:
+            label = "B"
+        samples.append((fv(site=cat, f=float(i % 7)), label))
+    samples.append((fv(site=None, f=None), "S"))
+    schema = FeatureSchema(("site", "f"), ("categorical", "continuous"))
+    assert prosody._BLOCK < 2047
+    config = TreeConfig(min_leaf=2, max_depth=2)
+    tree = train_tree(schema, samples, config)
+    assert tree.root.categories == frozenset({"c00", "c05", "c11"})
+    assert tree_bytes(tree, tmp_path, "array") == \
+        tree_bytes(oracle_train_tree(schema, samples, config), tmp_path, "oracle")
+
+
+def lookup_fixture():
+    rng = random.Random(23)
+    schema = FeatureSchema(("f", "g", "site"),
+                           ("continuous", "continuous", "categorical"))
+
+    def features(missing_rate):
+        def value(draw):
+            return None if rng.random() < missing_rate else draw()
+        return fv(f=value(lambda: rng.gauss(0, 1)),
+                  g=value(lambda: rng.gauss(2, 3)),
+                  site=value(lambda: rng.choice(["aa", "bb", "cc"])))
+
+    samples = [(features(0.15), rng.choice("SQB")) for _ in range(150)]
+    # class Z is never seen in training: prior 0, posterior 0 at every leaf
+    tree = train_tree(schema, samples, TreeConfig(min_leaf=3),
+                      classes=("S", "Q", "Z", "B"))
+    convs = []
+    for c in range(4):
+        utts = []
+        for i in range(25):
+            pros = None if rng.random() < 0.2 else features(0.25)
+            if pros is not None and rng.random() < 0.1:
+                pros = fv(f=pros["f"], g=pros["g"], site="dd")  # unseen category
+            utts.append(Utterance(i, "AB"[i % 2], None, ("w",), prosody=pros))
+        convs.append(Conversation(f"c{c}", tuple(utts)))
+    return tree, convs
+
+
+@pytest.mark.parametrize("priors", [None, (0.4, 0.3, 0.0, 0.3),
+                                    (0.25, 0.25, 0.25, 0.25)])
+def test_tables_equal_the_per_utterance_walk(priors):
+    tree, convs = lookup_fixture()
+    assert tree.training_priors[2] == 0.0 and tree.depth() >= 3
+    got = prosody_likelihood_tables(tree, convs, priors)
+    want = oracle_likelihood_tables(tree, convs, priors)
+    assert [t.conversation_id for t in got] == \
+        [t.conversation_id for t in want]
+    for g, w in zip(got, want):
+        assert g.labels == w.labels and g.speakers == w.speakers
+        assert g.sources == w.sources
+        assert g.scores.shape == w.scores.shape
+        assert (g.scores == w.scores).all()
+    for conv in convs:
+        for utt in conv:
+            if utt.prosody is not None:
+                assert (tree_posterior(tree, utt.prosody)
+                        == oracle_tree_posterior(tree, utt.prosody)).all()
+
+
+def test_batched_lookup_reports_an_absent_feature_only_where_it_is_tested():
+    tree = DecisionTree(("S", "Q"), FeatureSchema(("f", "g"), ("continuous",) * 2),
+                        Node(feature="f", threshold=0.0, missing_left=True,
+                             left=Node(posterior=(1.0, 0.0)),
+                             right=Node(feature="g", threshold=1.0,
+                                        left=Node(posterior=(0.5, 0.5)),
+                                        right=Node(posterior=(0.0, 1.0)))),
+                        (0.5, 0.5))
+    # the first utterance has no g but never reaches the node that tests it
+    fine = Conversation("p", (Utterance(0, "A", None, ("w",), prosody=fv(f=-1.0)),
+                              Utterance(1, "B", None, ("w",), prosody=fv(f=1.0, g=2.0))))
+    table = prosody_likelihood_tables(tree, [fine])[0]
+    assert (table.scores == oracle_likelihood_tables(tree, [fine])[0].scores).all()
+    bad = Conversation("p", (Utterance(0, "A", None, ("w",), prosody=fv(f=1.0)),))
+    with pytest.raises(ProsodyError, match="'g'"):
+        prosody_likelihood_tables(tree, [bad])
+
+
+def test_non_finite_training_values_rejected():
+    for bad in (math.nan, math.inf, -math.inf):
+        samples = separable_samples() + [(fv(f=bad), "S")]
+        with pytest.raises(ProsodyError, match="non-finite"):
+            train_tree(SCHEMA1, samples)
+
+
+def test_samples_missing_a_schema_feature_rejected_before_growing():
+    # even a tree that would not split checks every sample's features
+    samples = [(fv(f=1.0), "S"), (FeatureVector({"other": 1.0}), "S")]
+    with pytest.raises(ProsodyError, match="'f' missing"):
+        train_tree(SCHEMA1, samples)
+
+
+def test_serialize_refuses_categories_that_would_not_reload(tmp_path):
+    # "a,b" would reload as {"a", "b"} and flip the posterior of "a,b"
+    schema = FeatureSchema(("site",), ("categorical",))
+    samples = [(fv(site="a,b"), "S")] * 3 + [(fv(site="c"), "Q")] * 3
+    tree = train_tree(schema, samples)
+    assert tuple(tree_posterior(tree, fv(site="a,b"))) == (0.0, 1.0)
+    path = tmp_path / "tree.txt"
+    with pytest.raises(ProsodyError, match="'a,b'"):
+        serialize_tree(tree, path)
+    assert not path.exists()
+    for cat in ("a\tb", "a\nb"):
+        tree.root.categories = frozenset({cat})
+        with pytest.raises(ProsodyError, match="would not reload"):
+            serialize_tree(tree, path)
