@@ -16,8 +16,8 @@ from .discourse import (DiscourseGrammar, GrammarVariant, discourse_perplexity,
                         load_discourse, save_discourse, train_discourse)
 from .hmm import (CombinationWeights, JackknifeResult, LikelihoodTable,
                   brute_force_decode, combine_likelihoods, dump_likelihoods,
-                  forward_backward, load_likelihoods, tune_alpha_beta,
-                  viterbi_decode)
+                  forward_backward, forward_backward_corpus, load_likelihoods,
+                  tune_alpha_beta, viterbi_corpus, viterbi_decode)
 from .metrics import EvalReport, focused_binary_task, tagging_accuracy
 from .ngram import (InterpolatedModel, NGramModel, fit_interp_weight,
                     interpolate, perplexity, read_arpa, sequence_log_prob,
@@ -44,7 +44,7 @@ __all__ = [
     "combine_likelihoods", "corpus_wer", "default_tagset",
     "discourse_perplexity", "downsample_uniform", "dump_likelihoods",
     "fit_interp_weight", "focused_binary_task", "forward_backward",
-    "hypothesis_scores", "interpolate", "jackknife_split", "load_discourse",
+    "forward_backward_corpus", "hypothesis_scores", "interpolate", "jackknife_split", "load_discourse",
     "load_likelihoods", "load_tagset", "load_tree", "mixture_lm_scores",
     "mixture_posterior_scores", "nbest_da_log_likelihood",
     "parse_conversations", "parse_nbest", "parse_prosody", "per_da_wer_report",
@@ -54,6 +54,7 @@ __all__ = [
     "serialize_tree", "smooth_da_lms", "symmetrize_speakers",
     "tagging_accuracy", "train_da_lms", "train_discourse", "train_ngram",
     "train_tree", "tree_posterior", "tree_scaled_likelihood",
-    "true_word_log_likelihood", "tune_alpha_beta", "viterbi_decode", "wer",
+    "true_word_log_likelihood", "tune_alpha_beta", "viterbi_corpus",
+    "viterbi_decode", "wer",
     "word_likelihood_tables", "write_arpa",
 ]

@@ -41,8 +41,8 @@ from .corpus import (Conversation, CorpusError, TagSet, attach_nbest,
                      save_tagset, symmetrize_speakers)
 from .discourse import (DiscourseGrammar, GrammarVariant, discourse_perplexity,
                         load_discourse, save_discourse, train_discourse)
-from .hmm import (CombinationWeights, combine_likelihoods, forward_backward,
-                  tune_alpha_beta, viterbi_decode)
+from .hmm import (CombinationWeights, combine_likelihoods,
+                  forward_backward_corpus, tune_alpha_beta, viterbi_corpus)
 from .metrics import tagging_accuracy
 from .ngram import END, UNK, interpolate, perplexity, read_arpa, write_arpa
 from .prosody import (DecisionTree, TreeConfig, load_tree,
@@ -329,17 +329,17 @@ def cmd_tag(args) -> int:
         tables = [combine_likelihoods(w, p, weights)
                   for w, p in zip(word_tables, prosody_tables)]
 
-    predicted: dict[str, list[str]] = {}
-    posteriors: dict[str, np.ndarray | None] = {}
-    for table in tables:
-        if args.decoder == "viterbi":
-            labels, _ = viterbi_decode(grammar, table)
-            posteriors[table.conversation_id] = None
-        else:
-            posts = forward_backward(grammar, table, online=args.online)
-            labels = [table.labels[j] for j in np.argmax(posts, axis=1)]
-            posteriors[table.conversation_id] = posts
-        predicted[table.conversation_id] = list(labels)
+    if args.decoder == "viterbi":
+        paths = [labels for labels, _ in viterbi_corpus(grammar, tables)]
+        posts_of: list[np.ndarray | None] = [None] * len(tables)
+    else:
+        posts_of = forward_backward_corpus(grammar, tables, online=args.online)
+        paths = [[table.labels[j] for j in np.argmax(posts, axis=1)]
+                 for table, posts in zip(tables, posts_of)]
+    predicted = {table.conversation_id: path
+                 for table, path in zip(tables, paths)}
+    posteriors = {table.conversation_id: posts
+                  for table, posts in zip(tables, posts_of)}
 
     order = sorted(convs, key=lambda c: c.conv_id)
     with _out_stream(args.output) as fh:

@@ -385,7 +385,8 @@ def attach_nbest(convs: Sequence[Conversation],
     out = []
     for conv in convs:
         utts = tuple(
-            replace(u, nbest=table[(conv.conv_id, u.index)])
+            Utterance(u.index, u.speaker, u.da_label, u.words,
+                      table[(conv.conv_id, u.index)], u.prosody)
             if (conv.conv_id, u.index) in table else u
             for u in conv)
         out.append(Conversation(conv.conv_id, utts))
@@ -437,9 +438,12 @@ def parse_prosody(path: str | Path) -> tuple[FeatureSchema, dict[tuple[str, int]
     schema = FeatureSchema(names, tuple(kinds))
 
     table: dict[tuple[str, int], FeatureVector] = {}
+    first_line: dict[tuple[str, int], int] = {}
     for lineno, key, vals in rows:
         if key in table:
-            raise CorpusError(f"{path}: duplicate prosody row for {key}")
+            raise CorpusError(f"{path}:{lineno}: duplicate prosody row for "
+                              f"{key} (first at line {first_line[key]})")
+        first_line[key] = lineno
         parsed: dict[str, float | str | None] = {}
         for name, kind, v in zip(names, kinds, vals):
             if v == _MISSING_VALUE:
@@ -481,7 +485,8 @@ def attach_prosody(convs: Sequence[Conversation],
     out = []
     for conv in convs:
         utts = tuple(
-            replace(u, prosody=table[(conv.conv_id, u.index)])
+            Utterance(u.index, u.speaker, u.da_label, u.words, u.nbest,
+                      table[(conv.conv_id, u.index)])
             if (conv.conv_id, u.index) in table else u
             for u in conv)
         out.append(Conversation(conv.conv_id, utts))

@@ -18,17 +18,34 @@ placeholder speaker, so m + 1 patterns, if ``uses_speakers`` is False).
 One forward-backward and one Viterbi recursion then run over these arrays
 for every grammar order.
 
+Decoding is batched over a corpus.  The distinct pattern arrays of the
+corpus are stacked once, and each conversation indexes them at every
+utterance.  Conversations are sorted by length and decoded together,
+start-aligned, in groups whose alpha array (utterances x rows x states)
+plus one step's gathered transitions (rows x states x t) stay within
+``DECODE_BUDGET`` = 2^19 elements (4 MB of float64); a conversation over
+it on its own decodes alone.  A row is a conversation, or in fusion tuning
+a conversation at one scale beta.  Padded steps carry no evidence, each
+conversation's end array enters the backward sweep at its own last step,
+and the backward sweep adds each step's beta into alpha in place, so no
+beta array over the whole group is kept.  Results are bit-identical to decoding each conversation alone.
+
 Evidence enters through :class:`LikelihoodTable`: per-utterance natural-log
 likelihoods, one column per label.  Decoders:
 
-  viterbi_decode      most probable label sequence (ties: lowest label
-                      index at each backtrace step)
-  forward_backward    per-utterance posteriors; ``online=True`` restricts
-                      to forward-only (filtered) posteriors
+  viterbi_corpus      most probable label sequence of every table (ties:
+                      lowest label index at each backtrace step)
+  forward_backward_corpus
+                      per-utterance posteriors of every table;
+                      ``online=True`` restricts to forward-only (filtered)
+                      posteriors
+  viterbi_decode, forward_backward
+                      the same for one table
   brute_force_decode  exhaustive reference implementation for small cases
 
-Fusion tuning (:func:`tune_alpha_beta`) decodes each conversation once per
-prosody weight alpha, with every scale beta of the grid in one batch.
+Fusion tuning (:func:`tune_alpha_beta`) decodes each jackknife half once
+per prosody weight alpha, its conversations and every scale beta of the
+grid in one batch.
 
 Everything is computed in log space; conversations of 10^4 utterances
 decode without underflow.
@@ -40,7 +57,7 @@ import itertools
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -158,6 +175,13 @@ def combine_likelihoods(word: LikelihoodTable,
 # keeps finite shifts exact and turns that row into -max + log(0) = -inf.
 _FLOOR = -np.finfo(float).max
 
+# Conversations decode together in groups whose alpha array and one step's
+# gathered transitions hold at most this many elements (4 MB of float64);
+# a conversation over the budget on its own decodes alone.
+DECODE_BUDGET = 1 << 19
+
+_UNSCALED = np.ones(1)
+
 
 def _logsumexp(arr: np.ndarray, axis: int) -> np.ndarray:
     """log(sum(exp(arr))) along ``axis``; callers silence log(0) warnings."""
@@ -226,81 +250,155 @@ _COMPILED: "weakref.WeakKeyDictionary[object, _CompiledPrior]" = \
     weakref.WeakKeyDictionary()
 
 
-def _compile(grammar, table: LikelihoodTable) -> tuple[list[np.ndarray], np.ndarray]:
-    """Per-utterance transition arrays and the end array for one conversation."""
-    _check_inputs(grammar, table)
+class _Compiled(NamedTuple):
+    """A corpus against one grammar: the transition and end arrays of its
+    speaker patterns, stacked, and per table its row of ``trans`` at each
+    utterance and its row of ``end``."""
+
+    trans: np.ndarray
+    end: np.ndarray
+    steps: list[np.ndarray]
+    ends: np.ndarray
+
+
+def _compile(grammar, tables: Sequence[LikelihoodTable]) -> _Compiled:
+    for table in tables:
+        _check_inputs(grammar, table)
     prior = _COMPILED.get(grammar)
     if prior is None:
         prior = _COMPILED[grammar] = _CompiledPrior(grammar)
     m = prior.m
-    speakers = (None,) * m + (tuple(table.speakers)
-                              if getattr(grammar, "uses_speakers", True)
-                              else ("",) * len(table))
-    trans = [prior.transition(grammar, speakers[i:i + m + 1])
-             for i in range(len(table))]
-    return trans, prior.end(grammar, speakers[-m:])
+    blind = not getattr(grammar, "uses_speakers", True)
+    steps, ends = [], []
+    for table in tables:
+        speakers = (None,) * m + (("",) * len(table) if blind
+                                  else tuple(table.speakers))
+        steps.append([speakers[i:i + m + 1] for i in range(len(table))])
+        ends.append(speakers[-m:])
+    step_row = {p: k for k, p in
+                enumerate(dict.fromkeys(itertools.chain(*steps)))}
+    end_row = {p: k for k, p in enumerate(dict.fromkeys(ends))}
+    return _Compiled(
+        np.stack([prior.transition(grammar, p) for p in step_row]),
+        np.stack([prior.end(grammar, p) for p in end_row]),
+        [np.array([step_row[p] for p in s], dtype=np.intp) for s in steps],
+        np.array([end_row[p] for p in ends], dtype=np.intp))
 
 
-def viterbi_decode(grammar, table: LikelihoodTable) -> tuple[list[str], float]:
-    """Most probable label sequence and its log joint score.
+def _groups(lengths: Sequence[int], per_step: int, t: int) -> list[list[int]]:
+    """Positions of ``lengths`` in decode groups, shortest first.
 
-    The joint includes prior transitions, the end-of-conversation term, and
-    the evidence log likelihoods.
+    A conversation holds ``per_step`` alpha elements per utterance and
+    gathers ``per_step * t`` transition elements at each step, so a group
+    of c conversations, the longest n utterances, counts
+    c * per_step * (n + t) elements.  No group passes DECODE_BUDGET, except
+    a conversation over it alone.
     """
-    trans, end = _compile(grammar, table)
-    n, t = table.scores.shape
-    size = end.size // (t + 1)
-    score = np.full((t + 1, size), -np.inf)
-    score[-1, -1] = 0.0                  # every axis "before the conversation"
-    state = np.full((size, t + 1), -np.inf)
-    back = np.empty((n, size, t), dtype=np.intp)
-    for i, step in enumerate(trans):
-        cand = score[..., None] + step
-        back[i] = cand.argmax(axis=0)
-        state[:, :t] = cand.max(axis=0) + table.scores[i]
-        if state.max() == -np.inf:
-            raise ValueError(f"utterance {i}: no admissible label")
-        score = state.reshape(t + 1, size)
-    final = score.ravel() + end
-    best = int(final.argmax())           # first maximum: lowest label indices
-    total = float(final[best])
-    if total == -np.inf:
-        raise ValueError("no admissible label sequence")
-    seq = []
-    for i in range(n - 1, -1, -1):
-        rest, label = divmod(best, t + 1)
-        seq.append(label)
-        best = int(back[i, rest, label]) * size + rest
-    seq.reverse()
-    return [table.labels[j] for j in seq], total
+    groups: list[list[int]] = []
+    for k in sorted(range(len(lengths)), key=lengths.__getitem__):
+        if groups and (len(groups[-1]) + 1) * per_step * (lengths[k] + t) \
+                <= DECODE_BUDGET:
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+    return groups
+
+
+def _gather(comp: _Compiled, group: list[int], liks: Sequence[np.ndarray],
+            scales: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Start-aligned pattern rows (n, c) of a group and its evidence
+    (n, c, b, t) at each of b ``scales``, and the positions in the group
+    of the conversations ending at each step.  Padded steps use pattern
+    row 0 and carry no evidence."""
+    n = max(len(liks[k]) for k in group)
+    idx = np.zeros((n, len(group)), dtype=np.intp)
+    lik = np.zeros((n, len(group), len(scales), comp.trans.shape[-1]))
+    ending: dict[int, list[int]] = {}
+    for j, k in enumerate(group):
+        idx[:len(liks[k]), j] = comp.steps[k]
+        lik[:len(liks[k]), j] = liks[k][:, None] * scales[:, None]
+        ending.setdefault(len(liks[k]) - 1, []).append(j)
+    return idx, lik, ending
 
 
 @np.errstate(divide="ignore")
-def _posteriors(trans: list[np.ndarray], end: np.ndarray, lik: np.ndarray,
-                online: bool) -> np.ndarray:
-    """Forward-backward over a leading batch axis: lik (b, n, t) -> posteriors."""
-    b, n, t = lik.shape
-    size = end.size // (t + 1)
-    lik = lik.transpose(1, 0, 2)[:, :, None]          # (n, b, 1, t)
-    alpha = np.full((n, b, size, t + 1), -np.inf)
-    prev = np.full((b, t + 1, size), -np.inf)
-    prev[:, -1, -1] = 0.0                # every axis "before the conversation"
-    for i, step in enumerate(trans):
-        alpha[i, ..., :t] = _logsumexp(prev[..., None] + step, axis=1) + lik[i]
-        prev = alpha[i].reshape(b, t + 1, size)
+def _group_posteriors(comp: _Compiled, group: list[int],
+                      liks: Sequence[np.ndarray], scales: np.ndarray,
+                      online: bool) -> np.ndarray:
+    """Forward-backward over one group, a row per conversation and scale.
+
+    Returns the posteriors as (n, c, b, t) for c conversations, b scales
+    and the longest conversation's n utterances; a conversation's steps
+    past its own length are padding.
+    """
+    idx, lik, ending = _gather(comp, group, liks, scales)
+    n, c, b, t = lik.shape
+    size = comp.trans.shape[2]
+    lik = lik[:, :, :, None]             # (n, c, b, 1, t)
+    alpha = np.full((n, c, b, size, t + 1), -np.inf)
+    prev = np.full((c, b, t + 1, size), -np.inf)
+    prev[..., -1, -1] = 0.0              # every axis "before the conversation"
+    for i in range(n):
+        step = comp.trans[idx[i]][:, None]
+        alpha[i, ..., :t] = _logsumexp(prev[..., None] + step, axis=2) + lik[i]
+        prev = alpha[i].reshape(c, b, t + 1, size)
     if not online:
-        beta = np.empty_like(alpha)
-        beta[n - 1] = end.reshape(size, t + 1)
+        # the backward sweep adds into alpha in place, giving the joint;
+        # each conversation's end array enters at its own last step
+        ends = comp.end[comp.ends[group]].reshape(c, 1, size, t + 1)
+        beta = np.broadcast_to(ends, (c, b, size, t + 1))
+        alpha[n - 1] += beta
         for i in range(n - 2, -1, -1):
-            nxt = lik[i + 1] + beta[i + 1, ..., :t]
-            beta[i] = _logsumexp(trans[i + 1] + nxt[:, None], axis=-1).reshape(
-                b, size, t + 1)
-        alpha += beta                    # the joint, for smoothed posteriors
-    rows = _logsumexp(alpha, axis=2)[..., :t]
-    z = _logsumexp(rows, axis=-1)
-    if (z == -np.inf).any():
-        raise ValueError("utterance with no admissible label")
-    return np.exp(rows - z[..., None]).transpose(1, 0, 2)
+            nxt = lik[i + 1] + beta[..., :t]
+            step = comp.trans[idx[i + 1]][:, None]
+            beta = _logsumexp(step + nxt[:, :, None], axis=-1).reshape(
+                c, b, size, t + 1)
+            last = ending.get(i)
+            if last:
+                beta[last] = ends[last]
+            alpha[i] += beta
+    # normalize in blocks of steps, so the temporaries stay small next to
+    # alpha; padded steps get z = 0 rather than a -inf - -inf
+    pad = np.arange(n)[:, None] >= [len(liks[k]) for k in group]
+    block = max(1, DECODE_BUDGET // (32 * c * b * size * (t + 1)))
+    out = np.empty((n, c, b, t))
+    for lo in range(0, n, block):
+        rows = _logsumexp(alpha[lo:lo + block], axis=3)[..., :t]
+        z = _logsumexp(rows, axis=-1)
+        z[pad[lo:lo + block]] = 0.0
+        if (z == -np.inf).any():
+            raise ValueError("utterance with no admissible label")
+        np.exp(rows - z[..., None], out=out[lo:lo + block])
+    return out
+
+
+def _posteriors(comp: _Compiled, liks: Sequence[np.ndarray],
+                scales: np.ndarray, online: bool) -> list[np.ndarray]:
+    """Posteriors of each conversation, (b, n, t) for its evidence ``liks``
+    scaled by each of the b ``scales``."""
+    _, _, size, t = comp.trans.shape
+    out: list[np.ndarray] = [np.empty(0)] * len(liks)
+    for group in _groups([len(lik) for lik in liks],
+                         len(scales) * size * (t + 1), t):
+        posts = _group_posteriors(comp, group, liks, scales, online)
+        for j, k in enumerate(group):
+            out[k] = posts[:len(liks[k]), j].transpose(1, 0, 2)
+    return out
+
+
+def forward_backward_corpus(grammar, tables: Sequence[LikelihoodTable],
+                            online: bool = False) -> list[np.ndarray]:
+    """Per-utterance posterior label probabilities of every table.
+
+    The same as :func:`forward_backward` table by table, bit for bit; the
+    conversations decode together in groups of at most DECODE_BUDGET
+    elements.
+    """
+    if not tables:
+        return []
+    comp = _compile(grammar, tables)
+    return [posts[0] for posts in _posteriors(
+        comp, [table.scores for table in tables], _UNSCALED, online)]
 
 
 def forward_backward(grammar, table: LikelihoodTable,
@@ -310,8 +408,86 @@ def forward_backward(grammar, table: LikelihoodTable,
     ``online=True`` uses only evidence up to each utterance (forward pass,
     no end-of-conversation term): filtered rather than smoothed posteriors.
     """
-    trans, end = _compile(grammar, table)
-    return _posteriors(trans, end, table.scores[None], online)[0]
+    return forward_backward_corpus(grammar, [table], online)[0]
+
+
+def _group_viterbi(comp: _Compiled, group: list[int],
+                   liks: Sequence[np.ndarray]) -> list:
+    """Viterbi over one group: per conversation, its (label indices, log
+    joint score), or the ValueError its own decode raises."""
+    idx, lik, ending = _gather(comp, group, liks, _UNSCALED)
+    n, c, _, t = lik.shape               # lik: (n, c, 1, t)
+    size = comp.trans.shape[2]
+    score = np.full((c, t + 1, size), -np.inf)
+    score[:, -1, -1] = 0.0               # every axis "before the conversation"
+    state = np.full((c, size, t + 1), -np.inf)
+    # back pointers are labels 0..t, so the smallest such integer type
+    back = np.empty((n, c, size, t), dtype=np.min_scalar_type(t))
+    peak = np.empty((n, c))
+    final = np.empty((c, size * (t + 1)))
+    for i in range(n):
+        cand = score[..., None] + comp.trans[idx[i]]
+        back[i] = cand.argmax(axis=1)
+        state[..., :t] = cand.max(axis=1) + lik[i]
+        peak[i] = state.reshape(c, -1).max(axis=1)
+        score = state.reshape(c, t + 1, size)
+        for j in ending.get(i, ()):
+            final[j] = state[j].ravel() + comp.end[comp.ends[group[j]]]
+    out: list = []
+    for j, k in enumerate(group):
+        length = len(liks[k])
+        bad = np.flatnonzero(peak[:length, j] == -np.inf)
+        if bad.size:
+            out.append(ValueError(f"utterance {bad[0]}: no admissible label"))
+            continue
+        best = int(final[j].argmax())    # first maximum: lowest label indices
+        total = float(final[j, best])
+        if total == -np.inf:
+            out.append(ValueError("no admissible label sequence"))
+            continue
+        seq = []
+        for i in range(length - 1, -1, -1):
+            rest, label = divmod(best, t + 1)
+            seq.append(label)
+            best = int(back[i, j, rest, label]) * size + rest
+        seq.reverse()
+        out.append((seq, total))
+    return out
+
+
+def viterbi_corpus(grammar, tables: Sequence[LikelihoodTable]
+                   ) -> list[tuple[list[str], float]]:
+    """Most probable label sequence and its log joint score of every table.
+
+    The same as :func:`viterbi_decode` table by table, ties included; the
+    conversations decode together in groups of at most DECODE_BUDGET
+    elements.  A failing decode raises the error of the first such table
+    in input order.
+    """
+    if not tables:
+        return []
+    comp = _compile(grammar, tables)
+    _, _, size, t = comp.trans.shape
+    liks = [table.scores for table in tables]
+    out: list = [None] * len(tables)
+    for group in _groups([len(table) for table in tables], size * (t + 1), t):
+        for k, result in zip(group, _group_viterbi(comp, group, liks)):
+            out[k] = result
+    for result in out:
+        if isinstance(result, ValueError):
+            raise result
+    return [([table.labels[j] for j in seq], total)
+            for table, (seq, total) in zip(tables, out)]
+
+
+def viterbi_decode(grammar, table: LikelihoodTable) -> tuple[list[str], float]:
+    """Most probable label sequence and its log joint score.
+
+    The joint includes prior transitions, the end-of-conversation term, and
+    the evidence log likelihoods.  Ties go to the lowest label index at
+    each backtrace step.
+    """
+    return viterbi_corpus(grammar, [table])[0]
 
 
 @np.errstate(divide="ignore")
@@ -396,8 +572,8 @@ def tune_alpha_beta(grammar,
     Conversations are split in two seeded halves; each half's best
     (alpha, beta) on the grid is evaluated on the other half, and the pooled
     accuracy over both evaluations is reported.  Grid ties resolve to the
-    smallest alpha, then the smallest beta.  Each conversation is decoded
-    once per alpha, with every beta in one batch.
+    smallest alpha, then the smallest beta.  Each half is decoded once per
+    alpha, its conversations and every beta in one batch.
     """
     if len(word_tables) != len(prosody_tables):
         raise ValueError("word/prosody table lists differ in length")
@@ -409,17 +585,20 @@ def tune_alpha_beta(grammar,
     def correct(half, alphas, betas) -> np.ndarray:
         """Correct posterior picks on ``half`` at each (alpha, beta)."""
         counts = np.zeros((len(alphas), len(betas)), dtype=int)
-        scale = np.array(betas, dtype=float)[:, None, None]
-        for wt, pt in half:
-            trans, end = _compile(grammar, wt)
+        scales = np.array(betas, dtype=float)
+        comp = _compile(grammar, [wt for wt, _ in half])
+        truths = []
+        for wt, _ in half:
             index = {lab: j for j, lab in enumerate(wt.labels)}
-            truth = np.array([index.get(lab, -1)
-                              for lab in references[wt.conversation_id]])
-            for a, alpha in enumerate(alphas):
-                # beta 1 keeps the scores unscaled; the batch applies each beta
-                fused = combine_likelihoods(wt, pt, CombinationWeights(alpha))
-                posts = _posteriors(trans, end, scale * fused.scores, False)
-                counts[a] += (np.argmax(posts, axis=-1) == truth[:len(wt)]).sum(axis=1)
+            truths.append(np.array([index.get(lab, -1) for lab in
+                                    references[wt.conversation_id]])[:len(wt)])
+        for a, alpha in enumerate(alphas):
+            # beta 1 keeps the scores unscaled; the batch applies each beta
+            liks = [combine_likelihoods(wt, pt, CombinationWeights(alpha)).scores
+                    for wt, pt in half]
+            for posts, truth in zip(_posteriors(comp, liks, scales, False),
+                                    truths):
+                counts[a] += (np.argmax(posts, axis=-1) == truth).sum(axis=1)
         return counts
 
     def best_on(half) -> CombinationWeights:

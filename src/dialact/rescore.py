@@ -24,7 +24,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .corpus import Conversation, Hypothesis, NBestList
-from .hmm import forward_backward
+from .hmm import forward_backward_corpus
 from .ngram import CompiledModelSet, log_sum, sequence_log_prob
 from .wordmodels import DaLmSet, ScoreScaling, _scored_evidence
 
@@ -296,13 +296,19 @@ def rescore_corpus(convs: Sequence[Conversation], grammar,
         method: {} for method in methods}
     log_totals = dict.fromkeys(methods, 0.0)
     tokens = 0
-    # every distinct hypothesis and reference, scored once under every
-    # model of the group of conversations it falls in
-    for kept, (conv, table, scores, row_of) in zip(kept_utts, _scored_evidence(
-            engine, subs, labels, "nbest", scaling, references=True)):
-        posts = forward_backward(grammar, table)
+    def decoded():
+        # every distinct hypothesis and reference, scored once under every
+        # model of the group of conversations it falls in, and the group's
+        # conversations decoded together
+        for tables, scores, row_of in _scored_evidence(
+                engine, subs, labels, "nbest", scaling, references=True):
+            for table, posts in zip(tables,
+                                    forward_backward_corpus(grammar, tables)):
+                yield table.conversation_id, posts, scores, row_of
+
+    for kept, (conv_id, posts, scores, row_of) in zip(kept_utts, decoded()):
         for row, utt in zip(posts, kept):
-            key = (conv.conv_id, utt.index)
+            key = (conv_id, utt.index)
             post = posteriors[key] = {lab: float(p) for lab, p in
                                       zip(labels, row)}
             words = references[key] = utt.words

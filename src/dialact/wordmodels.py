@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import Conversation, NBestList, TagSet
-from .hmm import LikelihoodTable, forward_backward
+from .hmm import LikelihoodTable, forward_backward_corpus
 from .ngram import (CompiledModelSet, NGramModel, fit_interp_weight,
                     interpolate, log_sum, sequence_log_prob)
 
@@ -191,12 +191,12 @@ _GROUP_CELLS = 1 << 16
 def _scored_evidence(engine: CompiledModelSet, convs: Sequence[Conversation],
                      labels: tuple[str, ...], mode: str, scaling: ScoreScaling,
                      references: bool = False):
-    """Yield ``(conv, table, scores, row_of)`` for each conversation.
+    """Yield ``(tables, scores, row_of)`` for each group of conversations.
 
     The first ``len(labels)`` scorers of ``engine`` are the class models of
-    ``labels``; ``table`` is the conversation's evidence table from them.
-    ``scores`` holds one row per distinct word sequence of the
-    conversation's group (``row_of`` maps a sequence to its row) and one
+    ``labels``; ``tables`` holds each conversation's evidence table from
+    them, in input order.  ``scores`` holds one row per distinct word
+    sequence of the group (``row_of`` maps a sequence to its row) and one
     column per scorer of ``engine``.  The sequences are those the evidence
     reads, plus every utterance's own words when ``references`` is set.
     """
@@ -205,6 +205,7 @@ def _scored_evidence(engine: CompiledModelSet, convs: Sequence[Conversation],
 
     def flush():
         scores = engine.score(list(row_of))
+        tables = []
         for conv in group:
             index = [[row_of[seq] for seq in _evidence_sequences(utt, mode)]
                      for utt in conv]
@@ -214,10 +215,11 @@ def _scored_evidence(engine: CompiledModelSet, convs: Sequence[Conversation],
                         for utt, i in zip(conv, index)]
             else:
                 rows = scores[[i[0] for i in index], :len(labels)]
-            table = LikelihoodTable(conv.conv_id, labels, conv.speakers,
-                                    np.reshape(rows, (len(conv), len(labels))),
-                                    frozenset({f"words:{mode}"}))
-            yield conv, table, scores, row_of
+            tables.append(LikelihoodTable(
+                conv.conv_id, labels, conv.speakers,
+                np.reshape(rows, (len(conv), len(labels))),
+                frozenset({f"words:{mode}"})))
+        return tables, scores, row_of
 
     for conv in convs:
         seqs = []
@@ -230,13 +232,13 @@ def _scored_evidence(engine: CompiledModelSet, convs: Sequence[Conversation],
                 seqs.append(utt.words)
         if group and (len(row_of) + len(seqs)) * engine.n_scorers \
                 > _GROUP_CELLS:
-            yield from flush()
+            yield flush()
             group, row_of = [], {}
         group.append(conv)
         for seq in seqs:
             row_of.setdefault(seq, len(row_of))
     if group:
-        yield from flush()
+        yield flush()
 
 
 def word_likelihood_tables(da_lms: DaLmSet, convs: Sequence[Conversation],
@@ -252,8 +254,9 @@ def word_likelihood_tables(da_lms: DaLmSet, convs: Sequence[Conversation],
         raise ValueError(f"mode must be one of {MODES}")
     labels = da_lms.labels
     engine = CompiledModelSet([da_lms.models[lab] for lab in labels])
-    return [table for _, table, _, _ in
-            _scored_evidence(engine, convs, labels, mode, scaling)]
+    return [table for tables, _, _ in
+            _scored_evidence(engine, convs, labels, mode, scaling)
+            for table in tables]
 
 
 def classify_from_words(da_lms: DaLmSet, grammar, convs: Sequence[Conversation],
@@ -266,9 +269,6 @@ def classify_from_words(da_lms: DaLmSet, grammar, convs: Sequence[Conversation],
     reduces to per-utterance maximum likelihood.
     """
     tables = word_likelihood_tables(da_lms, convs, mode, scaling)
-    out = []
-    for table in tables:
-        posts = forward_backward(grammar, table, online=online)
-        picks = np.argmax(posts, axis=1)
-        out.append([table.labels[j] for j in picks])
-    return out
+    return [[table.labels[j] for j in np.argmax(posts, axis=1)]
+            for table, posts in zip(tables, forward_backward_corpus(
+                grammar, tables, online=online))]

@@ -1,5 +1,6 @@
 """Corpus data model, file formats, and sampling helpers."""
 
+import dataclasses
 import math
 
 import pytest
@@ -255,10 +256,33 @@ def test_prosody_category_with_a_comma_names_file_and_line(tmp_path):
         parse_prosody(path)
 
 
+def test_prosody_duplicate_row_names_file_and_line(tmp_path):
+    path = tmp_path / "p.tsv"
+    path.write_text("f0\nc1\t0\t1.5\nc1\t1\t2.5\n# note\nc1\t0\t3.5\n")
+    with pytest.raises(CorpusError, match=r"p\.tsv:5: duplicate prosody row "
+                                          r"for \('c1', 0\) \(first at line 2\)"):
+        parse_prosody(path)
+
+
 def test_attach_prosody():
     conv = mk_conv("c1", [("A", "S", "hi")])
     out = attach_prosody([conv], {("c1", 0): FeatureVector({"f0": 2.0})})[0]
     assert out.utterances[0].prosody["f0"] == 2.0
+
+
+def test_attaching_keeps_every_other_field():
+    conv = mk_conv("c1", [("A", "S", "hi there"), ("B", None, "yes")])
+    nbest = NBestList((Hypothesis(("hi",), -1.0),))
+    feats = FeatureVector({"f0": 2.0})
+    both = attach_prosody(attach_nbest([conv], {("c1", 0): nbest}),
+                          {("c1", 0): feats, ("c1", 1): feats})[0]
+    assert both.utterances == (
+        dataclasses.replace(conv.utterances[0], nbest=nbest, prosody=feats),
+        dataclasses.replace(conv.utterances[1], prosody=feats))
+    # the other order attaches the same
+    assert attach_nbest(attach_prosody([conv], {("c1", 0): feats,
+                                                ("c1", 1): feats}),
+                        {("c1", 0): nbest})[0] == both
 
 
 # ---------------------------------------------------------------------------

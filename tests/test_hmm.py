@@ -1,18 +1,24 @@
 """Sequence decoding: Viterbi, forward-backward, fusion, weight tuning."""
 
+import contextlib
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dialact.corpus import Conversation, TagSet, Utterance, jackknife_split
+from dialact.corpus import (Conversation, TagSet, Utterance, default_tagset,
+                            jackknife_split)
 from dialact.discourse import DiscourseGrammar, GrammarVariant, train_discourse
 from dialact import hmm
 from dialact.hmm import (CombinationWeights, LikelihoodTable,
                          brute_force_decode, combine_likelihoods,
-                         dump_likelihoods, forward_backward, load_likelihoods,
-                         tune_alpha_beta, viterbi_decode)
+                         dump_likelihoods, forward_backward,
+                         forward_backward_corpus, load_likelihoods,
+                         tune_alpha_beta, viterbi_corpus, viterbi_decode)
 
 
 class StubBigram:
@@ -428,3 +434,254 @@ def test_speaker_blind_grammars_compile_one_pattern_per_depth():
                                   forward_backward(proxy, table, online))
         # one transition pattern per count of "before the conversation" slots
         assert len(hmm._COMPILED[grammar]._trans) <= order
+
+
+# ---------------------------------------------------------------------------
+# Batched corpus decoding against a per-table oracle
+# ---------------------------------------------------------------------------
+
+def per_table_arrays(grammar, table):
+    """Per-utterance transition arrays and the end array of one table."""
+    prior = hmm._CompiledPrior(grammar)
+    m = prior.m
+    speakers = (None,) * m + (tuple(table.speakers)
+                              if getattr(grammar, "uses_speakers", True)
+                              else ("",) * len(table))
+    return ([prior.transition(grammar, speakers[i:i + m + 1])
+             for i in range(len(table))], prior.end(grammar, speakers[-m:]))
+
+
+def oracle_viterbi(grammar, table):
+    """Per-table Viterbi recursion, one conversation at a time."""
+    trans, end = per_table_arrays(grammar, table)
+    n, t = table.scores.shape
+    size = end.size // (t + 1)
+    score = np.full((t + 1, size), -np.inf)
+    score[-1, -1] = 0.0
+    state = np.full((size, t + 1), -np.inf)
+    back = np.empty((n, size, t), dtype=np.intp)
+    for i, step in enumerate(trans):
+        cand = score[..., None] + step
+        back[i] = cand.argmax(axis=0)
+        state[:, :t] = cand.max(axis=0) + table.scores[i]
+        if state.max() == -np.inf:
+            raise ValueError(f"utterance {i}: no admissible label")
+        score = state.reshape(t + 1, size)
+    final = score.ravel() + end
+    best = int(final.argmax())
+    total = float(final[best])
+    if total == -np.inf:
+        raise ValueError("no admissible label sequence")
+    seq = []
+    for i in range(n - 1, -1, -1):
+        rest, label = divmod(best, t + 1)
+        seq.append(label)
+        best = int(back[i, rest, label]) * size + rest
+    seq.reverse()
+    return [table.labels[j] for j in seq], total
+
+
+@np.errstate(divide="ignore")
+def oracle_posteriors(grammar, table, scales=(1.0,), online=False):
+    """Per-table forward-backward, batched over fusion scales only:
+    posteriors (b, n, t) of ``scale * table.scores`` for each scale."""
+    trans, end = per_table_arrays(grammar, table)
+    lik = np.array(scales, dtype=float)[:, None, None] * table.scores
+    b, n, t = lik.shape
+    size = end.size // (t + 1)
+    lik = lik.transpose(1, 0, 2)[:, :, None]
+    alpha = np.full((n, b, size, t + 1), -np.inf)
+    prev = np.full((b, t + 1, size), -np.inf)
+    prev[:, -1, -1] = 0.0
+    for i, step in enumerate(trans):
+        alpha[i, ..., :t] = hmm._logsumexp(prev[..., None] + step, axis=1) + lik[i]
+        prev = alpha[i].reshape(b, t + 1, size)
+    if not online:
+        beta = np.empty_like(alpha)
+        beta[n - 1] = end.reshape(size, t + 1)
+        for i in range(n - 2, -1, -1):
+            nxt = lik[i + 1] + beta[i + 1, ..., :t]
+            beta[i] = hmm._logsumexp(trans[i + 1] + nxt[:, None],
+                                     axis=-1).reshape(b, size, t + 1)
+        alpha += beta
+    rows = hmm._logsumexp(alpha, axis=2)[..., :t]
+    z = hmm._logsumexp(rows, axis=-1)
+    if (z == -np.inf).any():
+        raise ValueError("utterance with no admissible label")
+    return np.exp(rows - z[..., None]).transpose(1, 0, 2)
+
+
+@contextlib.contextmanager
+def decode_budget(elements):
+    saved = hmm.DECODE_BUDGET
+    hmm.DECODE_BUDGET = elements
+    try:
+        yield
+    finally:
+        hmm.DECODE_BUDGET = saved
+
+
+class Flat:
+    """A prior of any order that scores every event alike, so every label
+    sequence ties and Viterbi falls back on its tie-break."""
+
+    def __init__(self, labels, order):
+        self.labels, self.order = labels, order
+
+    def transition_log_prob(self, history, event):
+        return -1.0
+
+    def end_log_prob(self, history):
+        return 0.0
+
+
+@st.composite
+def corpora(draw):
+    """A grammar (orders 0-3, every variant, speaker-aware or blind, or a
+    flat prior with integer evidence for ties) and 1-5 tables of 1-40
+    utterances."""
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    n_labels = draw(st.integers(1, 4))
+    order = draw(st.integers(0, 3))
+    ties = draw(st.booleans())
+    speakers = draw(st.sampled_from(["A", "AB"]))
+    grammar, _ = rand_instance(rng, n_labels, order, 1,
+                               draw(st.sampled_from(list(GrammarVariant))))
+    if ties:
+        grammar = Flat(grammar.labels, order)
+    elif draw(st.booleans()):
+        grammar = SpeakerBlind(grammar)
+    tables = []
+    for c, n in enumerate(draw(st.lists(st.integers(1, 40), min_size=1,
+                                        max_size=5))):
+        scores = np.array([[rng.choice((-1.0, -2.0)) if ties
+                            else rng.uniform(-6.0, 0.0)
+                            for _ in grammar.labels] for _ in range(n)])
+        if not ties and n_labels > 1:
+            scores[rng.randrange(n), rng.randrange(n_labels)] = -math.inf
+        tables.append(LikelihoodTable(
+            f"c{c}", grammar.labels,
+            tuple(rng.choice(speakers) for _ in range(n)), scores))
+    return grammar, tables
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpora(), st.booleans(), st.sampled_from([1, 300, 5000, None]),
+       st.lists(st.sampled_from([0.1, 0.7, 1.0, 2.0]), min_size=1,
+                max_size=3))
+def test_batched_decoders_equal_per_table_decodes(corpus, online, budget,
+                                                  scales):
+    grammar, tables = corpus
+    with decode_budget(budget or hmm.DECODE_BUDGET):
+        posts = forward_backward_corpus(grammar, tables, online)
+        paths = viterbi_corpus(grammar, tables)
+        scaled = hmm._posteriors(hmm._compile(grammar, tables),
+                                 [table.scores for table in tables],
+                                 np.array(scales), online)
+    assert len(posts) == len(paths) == len(scaled) == len(tables)
+    for table, got, path, by_scale in zip(tables, posts, paths, scaled):
+        assert np.array_equal(got, oracle_posteriors(grammar, table,
+                                                     online=online)[0])
+        assert np.array_equal(got, forward_backward(grammar, table, online))
+        assert np.array_equal(by_scale,
+                              oracle_posteriors(grammar, table, scales, online))
+        assert path == oracle_viterbi(grammar, table)
+        assert path == viterbi_decode(grammar, table)
+
+
+def test_batched_decoders_equal_per_table_on_the_bundled_tag_set():
+    # 42 labels: sums over the label axis take numpy's pairwise path
+    tagset = default_tagset()
+    rng = random.Random(3)
+    convs = [Conversation(f"t{c}", tuple(
+        Utterance(i, rng.choice("AB"), rng.choice(tagset.labels), ("w",))
+        for i in range(20))) for c in range(5)]
+    grammar = train_discourse(convs, tagset, 2, GrammarVariant.JOINT)
+    tables = [LikelihoodTable(
+        f"c{c}", tagset.labels, tuple(rng.choice("AB") for _ in range(n)),
+        np.array([[rng.uniform(-8.0, 0.0) for _ in tagset.labels]
+                  for _ in range(n)])) for c, n in enumerate((13, 1, 7))]
+    for online in (False, True):
+        for table, got in zip(tables, forward_backward_corpus(grammar, tables,
+                                                              online)):
+            assert np.array_equal(got, oracle_posteriors(grammar, table,
+                                                         online=online)[0])
+    assert viterbi_corpus(grammar, tables) == \
+        [oracle_viterbi(grammar, table) for table in tables]
+
+
+def test_flat_prior_ties_go_to_the_lowest_labels():
+    table = LikelihoodTable("c", ("S", "Q", "B"), ("A",) * 3, np.zeros((3, 3)))
+    short = LikelihoodTable("d", ("S", "Q", "B"), ("B",), np.zeros((1, 3)))
+    for order in range(4):
+        got = viterbi_corpus(Flat(table.labels, order), [table, short])
+        assert [labels for labels, _ in got] == [["S"] * 3, ["S"]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 3000), max_size=12), st.integers(1, 2000),
+       st.integers(1, 43), st.integers(1, 1 << 20))
+def test_groups_stay_within_the_budget(lengths, per_step, t, budget):
+    with decode_budget(budget):
+        groups = hmm._groups(lengths, per_step, t)
+    assert sorted(k for group in groups for k in group) == \
+        list(range(len(lengths)))
+    order = [k for group in groups for k in group]
+    assert [lengths[k] for k in order] == sorted(lengths)
+    for group in groups:
+        cost = len(group) * per_step * (max(lengths[k] for k in group) + t)
+        assert cost <= budget or len(group) == 1
+
+
+def test_empty_corpus_decodes_to_nothing():
+    assert forward_backward_corpus(StubBigram(), []) == []
+    assert viterbi_corpus(StubBigram(), []) == []
+
+
+class DeadEnd(StubBigram):
+    """The two-state chain, but no conversation may end on S."""
+
+    def end_log_prob(self, history):
+        return -math.inf if history[-1][0] == "S" else 0.0
+
+
+def test_batched_errors_match_the_first_per_table_error():
+    def table(conv_id, n, dead=(), last=None):
+        scores = np.full((n, 2), -1.0)
+        scores[list(dead)] = -math.inf
+        if last is not None:
+            scores[-1] = [0.0, -math.inf] if last == "S" else [-math.inf, 0.0]
+        return LikelihoodTable(conv_id, ("S", "Q"), ("A",) * n, scores)
+
+    cases = [
+        # the longer conversation comes first in input order but decodes
+        # in a later group than the shorter one
+        [table("ok", 4), table("c1", 9, dead=(6, 7)), table("c2", 3, dead=(1,))],
+        [table("c0", 6, last="S"), table("c1", 2, dead=(0,))],
+        [table("c0", 5, dead=(2,)), table("c1", 7, last="S")],
+    ]
+    grammar = DeadEnd()
+    for tables in cases:
+        for budget in (1, hmm.DECODE_BUDGET):
+            for decode, oracle in ((viterbi_corpus, oracle_viterbi),
+                                   (forward_backward_corpus, oracle_posteriors)):
+                with pytest.raises(ValueError) as expected:
+                    for t in tables:
+                        oracle(grammar, t)
+                with decode_budget(budget), pytest.raises(ValueError) as got:
+                    decode(grammar, tables)
+                assert str(got.value) == str(expected.value)
+
+
+def test_padded_rows_emit_no_warnings():
+    rng = random.Random(23)
+    for order in (0, 1, 2, 3):
+        grammar, _ = rand_instance(rng, 3, order, 1)
+        tables = [rand_instance(rng, 3, order, n)[1] for n in (30, 17, 1, 9)]
+        tables = [LikelihoodTable(f"c{c}", t.labels, t.speakers, t.scores)
+                  for c, t in enumerate(tables)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for online in (False, True):
+                forward_backward_corpus(grammar, tables, online)
+            viterbi_corpus(grammar, tables)
