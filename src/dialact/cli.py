@@ -17,10 +17,11 @@ Model directory layout (written by train, read by everything else):
   prosody.tree           decision tree (only when trained with --prosody)
 
 Labels may contain characters unfit for filenames, so the manifest records
-the label-to-filename mapping and loading never globs.  All randomness sits
-behind --seed.  Reruns with identical inputs and flags produce byte-identical
-outputs; rows are ordered by conversation id, then utterance index.  Exit
-status: 0 on success, 1 on validation or I/O failure, 2 on usage errors.
+the label-to-filename mapping and loading never globs.  The only randomness,
+the jackknife split of ``tag --tune-fusion``, follows ``tag --seed``.  Reruns
+with identical inputs and flags produce byte-identical outputs; rows are
+ordered by conversation id, then utterance index.  Exit status: 0 on
+success, 1 on validation or I/O failure, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -472,11 +473,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Dialogue-act tagging and n-best rescoring.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for all randomized steps (default 0)")
-    common.add_argument("--tagset", help="label inventory file "
+    # each option sits only on the commands that read it: train and eval
+    # take --tagset, the others read the tag set from the model directory
+    tagset = argparse.ArgumentParser(add_help=False)
+    tagset.add_argument("--tagset", help="label inventory file "
                         "(default: bundled 42-label set)")
+
+    grammar = argparse.ArgumentParser(add_help=False)
+    grammar.add_argument("--grammar", choices=("trained", "none"),
+                         default="trained",
+                         help="'none' replaces the discourse prior with a "
+                         "uniform one")
 
     scoring = argparse.ArgumentParser(add_help=False)
     scoring.add_argument("--lm-weight", type=float, default=10.0,
@@ -485,12 +492,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="recognizer insertion penalty mu (default 0)")
     scoring.add_argument("--max-hyps", type=int, default=None,
                          help="truncate n-best lists to this many hypotheses")
-    scoring.add_argument("--grammar", choices=("trained", "none"),
-                         default="trained",
-                         help="'none' replaces the discourse prior with a "
-                         "uniform one")
 
-    p = sub.add_parser("train", parents=[common],
+    p = sub.add_parser("train", parents=[tagset],
                        help="estimate models from a labeled corpus")
     p.add_argument("--corpus", required=True, help="labeled conversation file")
     p.add_argument("--models", required=True, help="output model directory")
@@ -513,7 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="maximum tree depth (default unlimited)")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("tag", parents=[common, scoring],
+    p = sub.add_parser("tag", parents=[scoring, grammar],
                        help="predict a dialogue act per utterance")
     p.add_argument("--models", required=True, help="trained model directory")
     p.add_argument("--corpus", required=True, help="conversation file")
@@ -532,11 +535,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="evidence flattening weight (default 1)")
     p.add_argument("--tune-fusion", action="store_true",
                    help="jackknife-tune alpha and beta on the labels")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the --tune-fusion split (default 0)")
     p.add_argument("--output", default="-",
                    help="predictions file (default stdout)")
     p.set_defaults(func=cmd_tag)
 
-    p = sub.add_parser("rescore", parents=[common, scoring],
+    p = sub.add_parser("rescore", parents=[scoring, grammar],
                        help="rescore n-best lists and report WER")
     p.add_argument("--models", required=True, help="trained model directory")
     p.add_argument("--corpus", required=True,
@@ -547,18 +552,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="output directory")
     p.set_defaults(func=cmd_rescore)
 
-    p = sub.add_parser("perplexity", parents=[common, scoring],
+    p = sub.add_parser("perplexity", parents=[grammar],
                        help="score a corpus under the trained models")
     p.add_argument("--models", required=True, help="trained model directory")
     p.add_argument("--corpus", required=True, help="conversation file")
-    p.add_argument("--nbest", help="n-best file (unused, accepted for "
-                   "symmetry)")
-    p.add_argument("--prosody", help="prosodic feature file (unused)")
     p.add_argument("--words", action="store_true",
                    help="also report word model perplexities")
     p.set_defaults(func=cmd_perplexity)
 
-    p = sub.add_parser("eval", parents=[common],
+    p = sub.add_parser("eval", parents=[tagset],
                        help="compare predictions against reference labels")
     p.add_argument("--reference", required=True,
                    help="labeled conversation file")

@@ -410,7 +410,7 @@ def parse_prosody(path: str | Path) -> tuple[FeatureSchema, dict[tuple[str, int]
     if not lines:
         raise CorpusError(f"{path}: empty prosody file")
     names = tuple(lines[0][1].split("\t"))
-    rows: list[tuple[int, tuple[str, int], list[str]]] = []
+    rows: list[tuple[int, tuple[str, int], list]] = []
     for lineno, line in lines[1:]:
         fields = line.split("\t")
         if len(fields) != 2 + len(names):
@@ -422,19 +422,22 @@ def parse_prosody(path: str | Path) -> tuple[FeatureSchema, dict[tuple[str, int]
             raise CorpusError(f"{path}:{lineno}: bad utterance index") from None
         rows.append((lineno, (fields[0], idx), fields[2:]))
 
+    # One float() pass per column: the first value that is not a number
+    # makes the column categorical; otherwise the floats replace the texts
+    # in place (None where missing), except a non-finite value, whose text
+    # stays for its error message.
     kinds = []
     for col in range(len(names)):
-        kind = "continuous"
-        for _, _, vals in rows:
-            v = vals[col]
-            if v == _MISSING_VALUE:
-                continue
-            try:
-                float(v)
-            except ValueError:
-                kind = "categorical"
-                break
-        kinds.append(kind)
+        try:
+            floats = [None if vals[col] == _MISSING_VALUE else float(vals[col])
+                      for _, _, vals in rows]
+        except ValueError:
+            kinds.append("categorical")
+            continue
+        kinds.append("continuous")
+        for (_, _, vals), x in zip(rows, floats):
+            if x is None or math.isfinite(x):
+                vals[col] = x
     schema = FeatureSchema(names, tuple(kinds))
 
     table: dict[tuple[str, int], FeatureVector] = {}
@@ -446,18 +449,16 @@ def parse_prosody(path: str | Path) -> tuple[FeatureSchema, dict[tuple[str, int]
         first_line[key] = lineno
         parsed: dict[str, float | str | None] = {}
         for name, kind, v in zip(names, kinds, vals):
-            if v == _MISSING_VALUE:
-                parsed[name] = None
-            elif kind == "continuous":
-                parsed[name] = float(v)
-                if not math.isfinite(parsed[name]):
+            if kind == "continuous":
+                if isinstance(v, str):
                     raise CorpusError(f"{path}:{lineno}: feature {name!r}: "
                                       f"non-finite value {v!r}")
+            elif v == _MISSING_VALUE:
+                v = None
             elif "," in v:
                 raise CorpusError(f"{path}:{lineno}: feature {name!r}: "
                                   f"category {v!r} contains ','")
-            else:
-                parsed[name] = v
+            parsed[name] = v
         table[key] = FeatureVector(parsed)
     return schema, table
 

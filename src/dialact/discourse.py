@@ -38,8 +38,8 @@ class DiscourseGrammar:
     """A trained discourse prior plus the tag set it scores.
 
     ``order`` 0 means "no grammar": uniform scores, no inner model.
-    Scoring is memoized; instances are immutable after construction and safe
-    to share across decodes.
+    Speaker normalizers are memoized; instances are immutable after
+    construction and safe to share across decodes.
     """
 
     def __init__(self, tagset: TagSet, variant: GrammarVariant, order: int,
@@ -52,7 +52,6 @@ class DiscourseGrammar:
         self.variant = GrammarVariant(variant)
         self.order = order
         self.model = model
-        self._trans_memo: dict[tuple, float] = {}
         self._norm_memo: dict[tuple, float] = {}
         if self.variant == GrammarVariant.JOINT:
             self._log_uniform = -math.log(2 * len(tagset.labels))
@@ -101,14 +100,9 @@ class DiscourseGrammar:
         if self.order == 0:
             return self._log_uniform
         ctx = self._context(history)
-        key = (ctx, label, speaker)
-        cached = self._trans_memo.get(key)
-        if cached is not None:
-            return cached
         lp = self.model.cond_log_prob(ctx, self._token(label, speaker))
         if self.variant == GrammarVariant.SPEAKER_CONDITIONED:
             lp -= self._speaker_normalizer(ctx, speaker)
-        self._trans_memo[key] = lp
         return lp
 
     def _speaker_normalizer(self, ctx: tuple[str, ...], speaker: str) -> float:

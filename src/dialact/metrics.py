@@ -18,7 +18,7 @@ import numpy as np
 from .corpus import (CorpusError, FeatureSchema, FeatureVector, TagSet,
                      Utterance, downsample_uniform, jackknife_split)
 from .ngram import sequence_log_prob, train_ngram
-from .prosody import TreeConfig, _route, train_tree
+from .prosody import TreeConfig, _scaled_leaves, train_tree
 
 
 @dataclass(eq=False)
@@ -173,22 +173,19 @@ def focused_binary_task(utterances: Sequence[Utterance], tagset: TagSet,
                 [u.words for u in train if u.da_label == lab], order,
                 vocabulary=vocab)
 
-    tree = None
     if need_prosody:
         if schema is None:
             schema = _infer_schema(u.prosody for u in train)
         tree = train_tree(schema, [(u.prosody, u.da_label) for u in train],
                           config, classes=pair)
-        reached, leaf_of = _route(tree, [u.prosody for u in test])
-        posteriors = [reached[j].posterior for j in leaf_of]
+        ratios, leaf_of = _scaled_leaves(tree, [u.prosody for u in test])
 
     def word_score(i: int, lab: str) -> float:
         return sequence_log_prob(word_models[lab], test[i].words)
 
     def prosody_score(i: int, lab: str) -> float:
-        # uniform prior: divide the leaf posterior by the training prior
-        c = tree.classes.index(lab)
-        p = posteriors[i][c] / tree.training_priors[c]
+        # uniform prior: the leaf posterior over the training prior
+        p = ratios[leaf_of[i], pair.index(lab)]
         return math.log(p) if p > 0.0 else -math.inf
 
     scorers = {

@@ -91,18 +91,8 @@ class NGramModel:
         ctx = tuple(context)
         if len(ctx) > self.order - 1:
             ctx = ctx[len(ctx) - self.order + 1:]
-        acc = 0.0
-        while True:
-            row = self.logprob.get(ctx)
-            if row is not None:
-                lp = row.get(token)
-                if lp is not None:
-                    return acc + lp
-            if not ctx:
-                # Token unseen at the unigram level: uniform base distribution.
-                return acc + self.logbow.get((), 0.0) + self._log_uniform
-            acc += self.logbow.get(ctx, 0.0)
-            ctx = ctx[1:]
+        return _backoff(self.logprob, self.logbow, self._log_uniform, ctx,
+                        token)
 
     def backoff_mass(self, context: Sequence[str]) -> float:
         """Linear probability mass the context leaves to unseen continuations."""
@@ -115,8 +105,26 @@ class NGramModel:
     def contexts(self) -> Iterator[tuple[str, ...]]:
         return iter(self.logprob)
 
-    def sequence_log_prob(self, sequence: Sequence[str]) -> float:
-        return sequence_log_prob(self, sequence)
+
+def _backoff(logprob: dict[tuple[str, ...], dict[str, float]],
+             logbow: dict[tuple[str, ...], float], log_uniform: float,
+             ctx: tuple[str, ...], token: str) -> float:
+    """Natural-log P(token | ctx), backing off along context suffixes.
+
+    A context absent from ``logbow`` has backoff weight 1; a token unseen
+    at the unigram level takes the uniform base distribution.
+    """
+    acc = 0.0
+    while True:
+        row = logprob.get(ctx)
+        if row is not None:
+            lp = row.get(token)
+            if lp is not None:
+                return acc + lp
+        if not ctx:
+            return acc + logbow.get((), 0.0) + log_uniform
+        acc += logbow.get(ctx, 0.0)
+        ctx = ctx[1:]
 
 
 def train_ngram(sequences: Sequence[Sequence[str]], order: int,
@@ -165,19 +173,8 @@ def train_ngram(sequences: Sequence[Sequence[str]], order: int,
     logbow: dict[tuple[str, ...], float] = {}
     log_uniform = -math.log(len(vocab))
 
-    def base_log_prob(ctx: tuple[str, ...], w: str) -> float:
-        # Backoff target for a length-j context: the already-estimated j-1
-        # tables (contexts are processed shortest first).
-        acc = 0.0
-        while True:
-            row = logprob.get(ctx)
-            if row is not None and w in row:
-                return acc + row[w]
-            if not ctx:
-                return acc + logbow.get((), 0.0) + log_uniform
-            acc += logbow.get(ctx, 0.0)
-            ctx = ctx[1:]
-
+    # A length-j context backs off to the already-estimated tables of
+    # shorter contexts: contexts are processed shortest first.
     for ctx in sorted(counts, key=lambda c: (len(c), c)):
         c = counts[ctx]
         n = sum(c.values())
@@ -189,8 +186,8 @@ def train_ngram(sequences: Sequence[Sequence[str]], order: int,
         unseen = sorted(vocab - c.keys())
         if unseen:
             row = {w: math.log(cnt / denom) for w, cnt in c.items()}
-            base = {w: base_log_prob(ctx[1:], w) if ctx else log_uniform
-                    for w in unseen}
+            base = {w: _backoff(logprob, logbow, log_uniform, ctx[1:], w)
+                    if ctx else log_uniform for w in unseen}
             z = sum(math.exp(v) for v in base.values())
             logbow[ctx] = math.log(reserved) - math.log(z)
             logprob[ctx] = row
@@ -199,7 +196,8 @@ def train_ngram(sequences: Sequence[Sequence[str]], order: int,
             # reserved mass back by interpolation so the row still sums to 1.
             row = {}
             for w, cnt in c.items():
-                b = base_log_prob(ctx[1:], w) if ctx else log_uniform
+                b = (_backoff(logprob, logbow, log_uniform, ctx[1:], w)
+                     if ctx else log_uniform)
                 row[w] = math.log(cnt / denom + reserved * math.exp(b))
             logprob[ctx] = row
 
@@ -212,14 +210,21 @@ def train_ngram(sequences: Sequence[Sequence[str]], order: int,
 
 def sequence_log_prob(model, sequence: Sequence[str]) -> float:
     """Natural-log probability of a sequence under the model's padding rules."""
+    # left to right, not sum(): from Python 3.12 sum() compensates float
+    # rounding, and CompiledModelSet adds events left to right
+    total = 0.0
+    for lp in _per_event_log_probs(model, sequence):
+        total += lp
+    return total
+
+
+def _per_event_log_probs(model, sequence: Sequence[str]) -> list[float]:
     k = model.order
     seq = list(sequence)
     toks = ([START] * (k - 1) + seq + [END]) if model.padded else seq
     first = k - 1 if model.padded else 0
-    total = 0.0
-    for p in range(first, len(toks)):
-        total += model.cond_log_prob(tuple(toks[max(0, p - k + 1):p]), toks[p])
-    return total
+    return [model.cond_log_prob(tuple(toks[max(0, p - k + 1):p]), toks[p])
+            for p in range(first, len(toks))]
 
 
 def perplexity(model, sequences: Sequence[Sequence[str]]) -> float:
@@ -270,21 +275,9 @@ class InterpolatedModel:
         return _log_add(self._log_w + self.first.cond_log_prob(context, token),
                         self._log_rest + self.second.cond_log_prob(context, token))
 
-    def sequence_log_prob(self, sequence: Sequence[str]) -> float:
-        return sequence_log_prob(self, sequence)
-
 
 def interpolate(first, second, weight: float) -> InterpolatedModel:
     return InterpolatedModel(first, second, weight)
-
-
-def _per_event_log_probs(model, sequence: Sequence[str]) -> list[float]:
-    k = model.order
-    seq = list(sequence)
-    toks = ([START] * (k - 1) + seq + [END]) if model.padded else seq
-    first = k - 1 if model.padded else 0
-    return [model.cond_log_prob(tuple(toks[max(0, p - k + 1):p]), toks[p])
-            for p in range(first, len(toks))]
 
 
 def fit_interp_weight(first, second, heldout: Sequence[Sequence[str]],

@@ -358,6 +358,16 @@ def _route(tree: DecisionTree,
     return reached, leaf_of
 
 
+def _scaled_leaves(tree: DecisionTree, fvs: Sequence[FeatureVector],
+                   priors: Sequence[float] | None = None):
+    """Posterior / prior (1 at prior 0) per leaf reached; each vector's leaf."""
+    reached, leaf_of = _route(tree, fvs)
+    priors = tree.training_priors if priors is None else priors
+    return np.array([[p / pr if pr > 0.0 else 1.0
+                      for p, pr in zip(leaf.posterior, priors)]
+                     for leaf in reached]), leaf_of
+
+
 def tree_posterior(tree: DecisionTree, fv: FeatureVector) -> np.ndarray:
     """Class posterior at the leaf this feature vector reaches."""
     reached, _ = _route(tree, [fv])
@@ -378,13 +388,11 @@ def tree_scaled_likelihood(tree: DecisionTree, fv: FeatureVector,
     for cls in tree.classes:
         if priors.get(cls, 0.0) <= 0.0:
             raise ProsodyError(f"prior for {cls!r} must be positive")
-    post = tree_posterior(tree, fv)
-    raw = {cls: float(p) / priors[cls] for cls, p in zip(tree.classes, post)}
+    ratios, _ = _scaled_leaves(tree, [fv], [priors[c] for c in tree.classes])
+    raw = dict(zip(tree.classes, ratios[0].tolist()))
     by_class = dict(tagset.collapsed)
-    scores: dict[str, float] = {}
-    for lab in tagset.labels:
-        for target in by_class.get(lab, (lab,)):
-            scores[target] = raw[lab]
+    scores = {target: raw[lab] for lab in tagset.labels
+              for target in by_class.get(lab, (lab,))}
     total = sum(scores.values())
     if total <= 0.0:
         raise ProsodyError("all scaled likelihoods are zero")
@@ -402,20 +410,15 @@ def prosody_likelihood_tables(tree: DecisionTree, convs,
     """
     from .hmm import LikelihoodTable
 
-    if priors is None:
-        priors = tree.training_priors
     k = len(tree.classes)
     tables = []
     for conv in convs:
         scores = np.full((len(conv), k), -math.log(k))
         featured = [i for i, utt in enumerate(conv) if utt.prosody is not None]
         if featured:
-            reached, leaf_of = _route(
-                tree, [conv.utterances[i].prosody for i in featured])
             # every utterance reaching a leaf gets that leaf's row
-            raw = np.array([[p / pr if pr > 0.0 else 1.0
-                             for p, pr in zip(leaf.posterior, priors)]
-                            for leaf in reached])
+            raw, leaf_of = _scaled_leaves(
+                tree, [conv.utterances[i].prosody for i in featured], priors)
             totals = raw.sum(axis=1)
             zero = totals[leaf_of] <= 0.0
             if zero.any():

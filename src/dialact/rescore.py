@@ -53,32 +53,23 @@ def wer(reference: Sequence[str], hypothesis: Sequence[str]) -> WordErrors:
     ref = list(reference)
     hyp = list(hypothesis)
     n, m = len(ref), len(hyp)
-    # DP over (total edits, insertions + deletions); the second component
-    # implements the substitution-over-ins+del preference on ties.
-    prev = [(j, j) for j in range(m + 1)]
-    prev_counts = [(0, j, 0) for j in range(m + 1)]  # (sub, ins, del)
-    for i in range(1, n + 1):
-        cur = [(i, i)]
-        cur_counts = [(0, 0, i)]
-        for j in range(1, m + 1):
-            if ref[i - 1] == hyp[j - 1]:
-                cand = [(prev[j - 1], prev_counts[j - 1], (0, 0, 0))]
-            else:
-                cand = [(add2(prev[j - 1], (1, 0)), prev_counts[j - 1], (1, 0, 0))]
-            cand.append((add2(cur[j - 1], (1, 1)), cur_counts[j - 1], (0, 1, 0)))
-            cand.append((add2(prev[j], (1, 1)), prev_counts[j], (0, 0, 1)))
-            best = min(cand, key=lambda c: c[0])
-            cur.append(best[0])
-            cur_counts.append(tuple(a + b for a, b in zip(best[1], best[2])))
+    # One integer per DP cell, edits * k + (insertions + deletions): the
+    # second term, always below k, prefers a substitution over an
+    # insertion-deletion pair when edit totals tie.
+    k = n + m + 1
+    indel = k + 1
+    prev = [j * indel for j in range(m + 1)]
+    for i, r in enumerate(ref, 1):
+        cur = [i * indel]
+        for j, h in enumerate(hyp):
+            cur.append(min(prev[j] + (0 if r == h else k),
+                           cur[j] + indel, prev[j + 1] + indel))
         prev = cur
-        prev_counts = cur_counts
-    s, ins, dels = prev_counts[m]
-    rate = (s + ins + dels) / n if n else math.nan
-    return WordErrors(s, ins, dels, rate)
-
-
-def add2(pair: tuple[int, int], step: tuple[int, int]) -> tuple[int, int]:
-    return (pair[0] + step[0], pair[1] + step[1])
+    edits, indels = divmod(prev[m], k)
+    # every alignment has insertions - deletions = m - n
+    ins = (indels + m - n) // 2
+    dels = indels - ins
+    return WordErrors(edits - indels, ins, dels, edits / n if n else math.nan)
 
 
 def corpus_wer(pairs: Sequence[tuple[Sequence[str], Sequence[str]]]) -> WordErrors:

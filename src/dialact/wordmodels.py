@@ -65,7 +65,6 @@ class DaLmSet:
     fallback: NGramModel               # pooled over all classes
     order: int
     vocab: frozenset[str]
-    from_transcripts: bool = True
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -77,7 +76,7 @@ class DaLmSet:
 
 
 def train_da_lms(convs: Sequence[Conversation], tagset: TagSet,
-                 order: int = 3, from_transcripts: bool = True) -> DaLmSet:
+                 order: int = 3) -> DaLmSet:
     """Train one model per tag-set class over a shared vocabulary."""
     from .ngram import train_ngram
 
@@ -103,8 +102,7 @@ def train_da_lms(convs: Sequence[Conversation], tagset: TagSet,
             warnings.warn(f"no training utterances for {lab!r}; "
                           f"using the pooled fallback model")
             models[lab] = fallback
-    return DaLmSet(tagset, models, fallback, order, frozenset(fallback.vocab),
-                   from_transcripts)
+    return DaLmSet(tagset, models, fallback, order, frozenset(fallback.vocab))
 
 
 def smooth_da_lms(da_lms: DaLmSet, heldout: Sequence[Conversation],
@@ -140,7 +138,7 @@ def smooth_da_lms(da_lms: DaLmSet, heldout: Sequence[Conversation],
         weights[lab] = w
         models[lab] = interpolate(model, da_lms.fallback, w)
     smoothed = DaLmSet(da_lms.tagset, models, da_lms.fallback, da_lms.order,
-                       da_lms.vocab, da_lms.from_transcripts)
+                       da_lms.vocab)
     return smoothed, weights
 
 

@@ -467,6 +467,43 @@ def test_not_a_model_directory(workdir, tmp_path, capsys):
     assert "model directory" in capsys.readouterr().err
 
 
+_REQUIRED = {
+    "train": ["--corpus", "c.tsv", "--models", "m"],
+    "tag": ["--models", "m", "--corpus", "c.tsv"],
+    "rescore": ["--models", "m", "--corpus", "c.tsv", "--nbest", "n.tsv",
+                "--output", "out"],
+    "perplexity": ["--models", "m", "--corpus", "c.tsv"],
+    "eval": ["--reference", "c.tsv", "--predictions", "p.tsv"],
+}
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    *[(cmd, "--seed", "3") for cmd in ("train", "rescore", "perplexity",
+                                       "eval")],
+    *[(cmd, "--tagset", "t.txt") for cmd in ("tag", "rescore", "perplexity")],
+    ("perplexity", "--nbest", "n.tsv"), ("perplexity", "--prosody", "p.tsv"),
+    ("perplexity", "--lm-weight", "2"), ("perplexity", "--word-penalty", "1"),
+    ("perplexity", "--max-hyps", "3"),
+])
+def test_flags_a_command_does_not_read_are_usage_errors(command, flag, value,
+                                                        capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *_REQUIRED[command], flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("train", "--tagset", "t.txt"), ("eval", "--tagset", "t.txt"),
+    ("tag", "--seed", "3"), ("tag", "--max-hyps", "3"),
+    ("rescore", "--lm-weight", "2.5"), ("perplexity", "--grammar", "none"),
+])
+def test_flags_a_command_reads_still_parse(command, flag, value):
+    args = cli._build_parser().parse_args(
+        [command, *_REQUIRED[command], flag, value])
+    assert str(getattr(args, flag[2:].replace("-", "_"))) == value
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         cli.main([])

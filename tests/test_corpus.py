@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dialact import corpus
 from dialact.corpus import (Conversation, CorpusError, FeatureSchema,
                             FeatureVector, Hypothesis, NBestList, TagSet,
                             Utterance, attach_nbest, attach_prosody,
@@ -262,6 +263,47 @@ def test_prosody_duplicate_row_names_file_and_line(tmp_path):
     with pytest.raises(CorpusError, match=r"p\.tsv:5: duplicate prosody row "
                                           r"for \('c1', 0\) \(first at line 2\)"):
         parse_prosody(path)
+
+
+# each row has one fault; the first in line order is the one reported
+_FAULTY_ROWS = {
+    "dup": ("c1\t0\t4.5\tz", r"duplicate prosody row for \('c1', 0\) "
+                                r"\(first at line 2\)"),
+    "nan": ("c1\t8\tnan\tz", r"feature 'f0': non-finite value 'nan'"),
+    "comma": ("c1\t9\t4.5\tp,q", r"feature 'site': category 'p,q' contains ','"),
+}
+
+
+@pytest.mark.parametrize("first,second", [
+    (a, b) for a in _FAULTY_ROWS for b in _FAULTY_ROWS if a != b])
+def test_prosody_reports_the_first_faulty_row(tmp_path, first, second):
+    path = tmp_path / "p.tsv"
+    path.write_text("f0\tsite\nc1\t0\t1.5\tx\nc1\t1\tNA\ty\n"
+                    f"{_FAULTY_ROWS[first][0]}\n# note\n"
+                    f"{_FAULTY_ROWS[second][0]}\n")
+    with pytest.raises(CorpusError,
+                       match=rf"p\.tsv:4: {_FAULTY_ROWS[first][1]}$"):
+        parse_prosody(path)
+
+
+def test_prosody_values_are_converted_once(tmp_path, monkeypatch):
+    path = tmp_path / "p.tsv"
+    path.write_text("f0\tsite\nc1\t0\t1.5\tx\nc1\t1\tNA\t2\n"
+                    "c1\t2\t-3\ty\n")
+    calls = []
+
+    class CountingFloat(float):
+        def __new__(cls, text):
+            calls.append(text)
+            return float.__new__(cls, text)
+
+    monkeypatch.setattr(corpus, "float", CountingFloat, raising=False)
+    schema, table = parse_prosody(path)
+    assert schema.kinds == ("continuous", "categorical")
+    # every f0 value once; site stops at its first non-number
+    assert calls == ["1.5", "-3", "x"]
+    assert [table[("c1", i)].values["f0"] for i in range(3)] == [1.5, None, -3.0]
+    assert table[("c1", 1)].values["site"] == "2"
 
 
 def test_attach_prosody():

@@ -364,6 +364,35 @@ def test_scaled_likelihood_validates_inputs():
                                TagSet(("S", "Q")))
 
 
+def test_scaled_likelihood_equals_the_table_row_renormalized():
+    # no collapsed classes: one vector's scores are its exponentiated
+    # evidence-table row, renormalized
+    rng = random.Random(17)
+    schema = FeatureSchema(("f", "site"), ("continuous", "categorical"))
+    classes = ("S", "Q", "B")
+
+    def sample():
+        return fv(f=None if rng.random() < 0.1 else rng.gauss(0.0, 1.0),
+                  site=rng.choice(["x", "y", "z", None]))
+
+    samples = [(sample(), rng.choice(classes)) for _ in range(120)]
+    tree = train_tree(schema, samples, TreeConfig(min_leaf=4),
+                      classes=classes)
+    assert tree.n_leaves() > 2 and min(tree.training_priors) > 0.0
+    probes = [sample() for _ in range(40)]
+    conv = Conversation("p", tuple(Utterance(i, "AB"[i % 2], None, ("w",),
+                                             prosody=probe)
+                                   for i, probe in enumerate(probes)))
+    table = prosody_likelihood_tables(tree, [conv])[0]
+    priors = dict(zip(classes, tree.training_priors))
+    for probe, row in zip(probes, table.scores):
+        scores = tree_scaled_likelihood(tree, probe, priors, TagSet(classes))
+        assert list(scores) == list(classes)
+        want = np.exp(row) / np.exp(row).sum()
+        assert np.allclose([scores[c] for c in classes], want,
+                           rtol=1e-12, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # Decoder evidence tables
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dialact.corpus import (Conversation, Hypothesis, NBestList, TagSet,
                             Utterance)
@@ -87,6 +89,57 @@ def test_wer_never_beats_length_difference_bound():
         back = wer(hyp, ref)
         assert back.total == e.total
         assert (back.insertions, back.deletions) == (e.deletions, e.insertions)
+
+
+# The tuple DP that the one-integer-per-cell wer replaced, kept verbatim as
+# the oracle: per cell (total edits, insertions + deletions) plus the
+# (sub, ins, del) counts of the best candidate.
+
+def oracle_wer(reference, hypothesis):
+    ref = list(reference)
+    hyp = list(hypothesis)
+    n, m = len(ref), len(hyp)
+    # DP over (total edits, insertions + deletions); the second component
+    # implements the substitution-over-ins+del preference on ties.
+    prev = [(j, j) for j in range(m + 1)]
+    prev_counts = [(0, j, 0) for j in range(m + 1)]  # (sub, ins, del)
+    for i in range(1, n + 1):
+        cur = [(i, i)]
+        cur_counts = [(0, 0, i)]
+        for j in range(1, m + 1):
+            if ref[i - 1] == hyp[j - 1]:
+                cand = [(prev[j - 1], prev_counts[j - 1], (0, 0, 0))]
+            else:
+                cand = [(add2(prev[j - 1], (1, 0)), prev_counts[j - 1], (1, 0, 0))]
+            cand.append((add2(cur[j - 1], (1, 1)), cur_counts[j - 1], (0, 1, 0)))
+            cand.append((add2(prev[j], (1, 1)), prev_counts[j], (0, 0, 1)))
+            best = min(cand, key=lambda c: c[0])
+            cur.append(best[0])
+            cur_counts.append(tuple(a + b for a, b in zip(best[1], best[2])))
+        prev = cur
+        prev_counts = cur_counts
+    s, ins, dels = prev_counts[m]
+    rate = (s + ins + dels) / n if n else math.nan
+    return WordErrors(s, ins, dels, rate)
+
+
+def add2(pair, step):
+    return (pair[0] + step[0], pair[1] + step[1])
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda size: st.tuples(
+    *[st.lists(st.sampled_from("abcdef"[:size]), max_size=12)] * 2)))
+@example(([], []))
+@example(([], list("ab")))
+@example((list("ab"), []))
+def test_wer_matches_the_tuple_dp_oracle(pair):
+    ref, hyp = pair
+    got, want = wer(ref, hyp), oracle_wer(ref, hyp)
+    assert got[:3] == want[:3]
+    assert all(isinstance(c, int) for c in got[:3])
+    assert got.rate == want.rate or (math.isnan(got.rate)
+                                     and math.isnan(want.rate))
 
 
 def test_corpus_wer_pools_error_counts():
