@@ -37,15 +37,15 @@ from typing import Mapping
 import numpy as np
 
 from .corpus import (Conversation, CorpusError, TagSet, attach_nbest,
-                     attach_prosody, default_tagset, load_tagset,
-                     parse_conversations, parse_nbest, parse_prosody,
-                     save_tagset, symmetrize_speakers)
+                     attach_prosody, content_lines, default_tagset, located,
+                     load_tagset, parse_conversations, parse_nbest,
+                     parse_prosody, save_tagset, symmetrize_speakers)
 from .discourse import (DiscourseGrammar, GrammarVariant, discourse_perplexity,
                         load_discourse, save_discourse, train_discourse)
 from .hmm import (CombinationWeights, combine_likelihoods,
                   forward_backward_corpus, tune_alpha_beta, viterbi_corpus)
 from .metrics import tagging_accuracy
-from .ngram import END, UNK, interpolate, perplexity, read_arpa, write_arpa
+from .ngram import interpolate, perplexity, read_arpa, write_arpa
 from .prosody import (DecisionTree, TreeConfig, load_tree,
                       prosody_likelihood_tables, serialize_tree, train_tree)
 from .rescore import METHODS, per_da_wer_report, rescore_corpus
@@ -129,19 +129,17 @@ def load_models(directory: str | Path) -> TrainedModels:
         raise CorpusError(f"{manifest}: not found (is this a model directory?)")
     # kind -> key -> (value, manifest line)
     by_kind: dict[str, dict[str, tuple[str, int]]] = {}
-    for lineno, raw in enumerate(manifest.read_text(encoding="utf-8")
-                                 .splitlines(), 1):
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        fields = raw.split("\t")
-        if len(fields) != 3:
-            raise CorpusError(f"{manifest}:{lineno}: expected 3 fields")
-        kind, key, value = fields
+    lineno = 1
+    for lineno, (kind, key, value) in content_lines(manifest, 3):
         if kind == "da_lm_smoothed":
             raise CorpusError(f"{manifest}:{lineno}: old dense smoothed model "
                               f"row; re-run `dialact train`")
         if kind not in _MANIFEST_KINDS:
             raise CorpusError(f"{manifest}:{lineno}: unknown kind {kind!r}")
+        if key != "-" and kind not in ("da_lm", "smoothing_weight"):
+            raise CorpusError(f"{manifest}:{lineno}: a {kind} row takes key '-'")
+        if kind != "smoothing_weight" and not (root / value).is_file():
+            raise CorpusError(f"{manifest}:{lineno}: no file {value!r}")
         rows = by_kind.setdefault(kind, {})
         if key in rows:
             raise CorpusError(f"{manifest}:{lineno}: second {kind} row for "
@@ -149,7 +147,7 @@ def load_models(directory: str | Path) -> TrainedModels:
         rows[key] = (value, lineno)
     for kind in ("tagset", "discourse", "fallback"):
         if kind not in by_kind:
-            raise CorpusError(f"{manifest}: missing {kind} entry")
+            raise CorpusError(f"{manifest}:{lineno}: missing {kind} entry")
 
     tagset = load_tagset(root / by_kind["tagset"]["-"][0])
     grammar = load_discourse(root / by_kind["discourse"]["-"][0], tagset)
@@ -164,33 +162,31 @@ def load_models(directory: str | Path) -> TrainedModels:
     fallback = model_at(by_kind["fallback"]["-"][0])
     table = by_kind.get("da_lm", {})
     weights = by_kind.get("smoothing_weight", {})
-    for lab, (_, lineno) in weights.items():
+    for lab, (_, line) in weights.items():
         if lab not in tagset.labels:
-            raise CorpusError(f"{manifest}:{lineno}: smoothing weight for "
+            raise CorpusError(f"{manifest}:{line}: smoothing weight for "
                               f"{lab!r}, which is not in the tag set")
     models, smoothed = {}, {}
     for lab in tagset.labels:
         if lab not in table:
-            raise CorpusError(f"{manifest}: no da_lm entry for {lab!r}")
+            raise CorpusError(f"{manifest}:{by_kind['tagset']['-'][1]}: no "
+                              f"da_lm entry for {lab!r} of this tag set")
         if lab not in weights:
             raise CorpusError(f"{manifest}:{table[lab][1]}: no "
                               f"smoothing_weight row for {lab!r}")
         model = models[lab] = model_at(table[lab][0])
-        text, lineno = weights[lab]
+        text, line = weights[lab]
         try:    # non-numbers, NaN and weights outside [0, 1] all raise
             mix = interpolate(model, fallback, float(text))
         except ValueError as exc:
-            raise CorpusError(f"{manifest}:{lineno}: cannot smooth {lab!r} "
+            raise CorpusError(f"{manifest}:{line}: cannot smooth {lab!r} "
                               f"with weight {text!r}: {exc}") from None
         smoothed[lab] = model if model is fallback else mix
-    vocab = frozenset(fallback.vocab) - {END, UNK}
     tree = None
     if "prosody" in by_kind:
         tree = load_tree(root / by_kind["prosody"]["-"][0])
-    return TrainedModels(
-        tagset, grammar,
-        DaLmSet(tagset, models, fallback, fallback.order, vocab),
-        DaLmSet(tagset, smoothed, fallback, fallback.order, vocab), tree)
+    return TrainedModels(tagset, grammar, DaLmSet(tagset, models, fallback),
+                         DaLmSet(tagset, smoothed, fallback), tree)
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +392,10 @@ def cmd_rescore(args) -> int:
             print(f"{method}: WER {_g(100 * r.wer.rate)}%  perplexity {ppl}")
 
     if "baseline" in methods and "mixture_of_lms" in methods and result.labels:
-        keys = set(result.labels)
         rows = per_da_wer_report(
-            {k: result.references[k] for k in keys}, result.labels,
-            {k: result.methods["baseline"].chosen[k] for k in keys},
-            {k: result.methods["mixture_of_lms"].chosen[k] for k in keys})
+            {k: result.references[k] for k in result.labels}, result.labels,
+            result.methods["baseline"].errors,
+            result.methods["mixture_of_lms"].errors)
         with open(out / "per_da.tsv", "w", encoding="utf-8") as fh:
             fh.write("label\tword_share\tbaseline_wer\tmixture_wer\tdelta\n")
             for row in rows:
@@ -433,15 +428,17 @@ def cmd_eval(args) -> int:
     tagset = _load_tagset(args)
     convs = parse_conversations(args.reference, tagset)
     preds: dict[tuple[str, int], str] = {}
-    for lineno, raw in enumerate(Path(args.predictions)
-                                 .read_text(encoding="utf-8").splitlines(), 1):
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        fields = raw.split("\t")
-        if len(fields) < 3:
-            raise CorpusError(f"{args.predictions}:{lineno}: expected at "
-                              f"least 3 fields")
-        preds[(fields[0], int(fields[1]))] = fields[2]
+    lineno = 1
+    with located(lambda _: f"{args.predictions}:{lineno}: bad utterance "
+                           f"index {fields[1]!r}"):
+        for lineno, fields in content_lines(args.predictions):
+            if len(fields) < 3:
+                raise CorpusError(f"{args.predictions}:{lineno}: expected at "
+                                  f"least 3 fields")
+            if fields[2] not in tagset:
+                raise CorpusError(f"{args.predictions}:{lineno}: label "
+                                  f"{fields[2]!r} not in tag set")
+            preds[(fields[0], int(fields[1]))] = fields[2]
 
     pred_flat, ref_flat = [], []
     for conv in convs:
@@ -450,8 +447,8 @@ def cmd_eval(args) -> int:
                 continue
             key = (conv.conv_id, utt.index)
             if key not in preds:
-                raise CorpusError(f"{args.predictions}: no prediction for "
-                                  f"{key[0]}:{key[1]}")
+                raise CorpusError(f"{args.predictions}:{lineno}: no "
+                                  f"prediction for {key[0]}:{key[1]}")
             pred_flat.append(tagset.collapse(preds[key]))
             ref_flat.append(tagset.collapse(utt.da_label))
     if not ref_flat:
@@ -466,6 +463,13 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -490,7 +494,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="recognizer LM weight lambda (default 10)")
     scoring.add_argument("--word-penalty", type=float, default=0.0,
                          help="recognizer insertion penalty mu (default 0)")
-    scoring.add_argument("--max-hyps", type=int, default=None,
+    scoring.add_argument("--max-hyps", type=_positive_int, default=None,
                          help="truncate n-best lists to this many hypotheses")
 
     p = sub.add_parser("train", parents=[tagset],

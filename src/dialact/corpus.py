@@ -1,6 +1,9 @@
 """Conversation corpus types, file formats, and corpus transforms.
 
-Three tab-separated file formats are understood:
+Every text input (the three formats below and the model directory's files)
+is read through :func:`content_lines`: UTF-8, blank lines and lines whose
+first non-blank character is '#' skipped, tab-separated fields, and every
+error naming ``file:line``.
 
   conversations   conv_id <TAB> index <TAB> speaker <TAB> da_label <TAB> words
                   Words are space-separated; an unlabeled utterance carries "-".
@@ -9,19 +12,19 @@ Three tab-separated file formats are understood:
   prosody         a header row of feature names, then
                   conv_id <TAB> index <TAB> v1 <TAB> v2 ...  ("NA" = missing)
 
-Lines starting with '#' and blank lines are ignored everywhere.  Utterance
-indices are 0-based and contiguous within a conversation, and the line order
-of a conversation is its modeling order.
+Utterance indices are 0-based and contiguous within a conversation, and the
+line order of a conversation is its modeling order.
 """
 
 from __future__ import annotations
 
+import contextlib
 import importlib.resources
 import math
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 SPEAKERS = ("A", "B")
 
@@ -31,6 +34,53 @@ _MISSING_VALUE = "NA"
 
 class CorpusError(ValueError):
     """Malformed corpus input (bad field counts, labels, indices...)."""
+
+
+# ---------------------------------------------------------------------------
+# Line syntax shared by every text input
+# ---------------------------------------------------------------------------
+
+def _read_text(path) -> str:
+    """The file decoded as UTF-8; ``path`` may also be a package resource."""
+    data = (path if hasattr(path, "read_bytes") else Path(path)).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:   # the bytes before the bad one decode
+        lineno = len((data[:exc.start] + b".").decode("utf-8").splitlines())
+        raise CorpusError(f"{path}:{lineno}: not UTF-8 ({exc.reason})") from None
+
+
+def content_lines(path: str | Path, nfields: int | None = None,
+                  sep: str | None = "\t") -> Iterator[tuple[int, list[str]]]:
+    """Yield (1-based line number, fields) for each content line of a file.
+
+    Blank lines and lines whose first non-blank character is '#' are
+    skipped.  Fields are split on ``sep`` (None: on any whitespace); with
+    ``nfields``, a line holding another number of fields is an error.
+    """
+    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
+        head = line.lstrip()
+        if not head or head[0] == "#":
+            continue
+        fields = line.split(sep)
+        if nfields is not None and len(fields) != nfields:
+            raise CorpusError(f"{path}:{lineno}: expected {nfields} "
+                              f"tab-separated fields, got {len(fields)}")
+        yield lineno, fields
+
+
+@contextlib.contextmanager
+def located(message: Callable[[ValueError], str]):
+    """Turn a ValueError raised in the block, such as a failed int() or
+    float() of a field, into ``CorpusError(message(exc))``; a CorpusError
+    passes through.  ``message`` runs at raise time, so it can name the
+    line a reading loop has reached."""
+    try:
+        yield
+    except CorpusError:
+        raise
+    except ValueError as exc:
+        raise CorpusError(message(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -99,41 +149,36 @@ class TagSet:
         return tuple(out)
 
 
-def _parse_tagset(text: str, source: object) -> TagSet:
+def load_tagset(path: str | Path) -> TagSet:
+    """One label per line; ``collapse <class> <member>`` folds a corpus
+    label into a modeled class.  Fields are separated by any whitespace."""
     labels: list[str] = []
     folds: list[tuple[int, str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        fields = raw.split()
-        if not fields or fields[0].startswith("#"):
-            continue
+    for lineno, fields in content_lines(path, sep=None):
         if fields[0] == "collapse":
             if len(fields) != 3:
-                raise CorpusError(f"{source}:{lineno}: expected "
+                raise CorpusError(f"{path}:{lineno}: expected "
                                   f"'collapse <class> <member>'")
             folds.append((lineno, fields[1], fields[2]))
         elif len(fields) != 1:
-            raise CorpusError(f"{source}:{lineno}: a label line holds one label")
+            raise CorpusError(f"{path}:{lineno}: a label line holds one label")
         elif fields[0] in labels:
-            raise CorpusError(f"{source}:{lineno}: duplicate label {fields[0]!r}")
+            raise CorpusError(f"{path}:{lineno}: duplicate label {fields[0]!r}")
         else:
             labels.append(fields[0])
+    if not labels:
+        raise CorpusError(f"{path}:1: tag set needs at least one label")
     collapsed: dict[str, list[str]] = {}
     for lineno, cls, member in folds:
         if cls not in labels:
-            raise CorpusError(f"{source}:{lineno}: collapsed class {cls!r} "
+            raise CorpusError(f"{path}:{lineno}: collapsed class {cls!r} "
                               f"is not a label")
         if member in labels or any(member in ms for ms in collapsed.values()):
-            raise CorpusError(f"{source}:{lineno}: collapsed member {member!r} "
+            raise CorpusError(f"{path}:{lineno}: collapsed member {member!r} "
                               f"is ambiguous")
         collapsed.setdefault(cls, []).append(member)
     return TagSet(tuple(labels), tuple((cls, tuple(ms))
                                        for cls, ms in collapsed.items()))
-
-
-def load_tagset(path: str | Path) -> TagSet:
-    """One label per line; ``collapse <class> <member>`` folds a corpus
-    label into a modeled class."""
-    return _parse_tagset(Path(path).read_text(encoding="utf-8"), path)
 
 
 def save_tagset(tagset: TagSet, path: str | Path) -> None:
@@ -145,8 +190,8 @@ def save_tagset(tagset: TagSet, path: str | Path) -> None:
 
 def default_tagset() -> TagSet:
     """The bundled 42-label SWBD-DAMSL inventory."""
-    ref = importlib.resources.files("dialact.data") / "swbd_damsl_42.txt"
-    return _parse_tagset(ref.read_text(encoding="utf-8"), ref)
+    return load_tagset(importlib.resources.files("dialact.data")
+                       / "swbd_damsl_42.txt")
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +249,6 @@ class FeatureSchema:
         for kind in self.kinds:
             if kind not in ("continuous", "categorical"):
                 raise CorpusError(f"unknown feature kind {kind!r}")
-
-    def kind_of(self, name: str) -> str:
-        try:
-            return self.kinds[self.names.index(name)]
-        except ValueError:
-            raise CorpusError(f"feature {name!r} not in schema") from None
 
 
 @dataclass(frozen=True)
@@ -270,58 +309,31 @@ class Conversation:
 # Conversation file I/O
 # ---------------------------------------------------------------------------
 
-def _content_lines(path: str | Path) -> list[tuple[int, str]]:
-    out = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        out.append((lineno, line))
-    return out
-
-
 def parse_conversations(path: str | Path, tagset: TagSet | None = None) -> list[Conversation]:
     """Read a conversation file; labels are validated against ``tagset``."""
-    convs: list[Conversation] = []
-    done: set[str] = set()
-    cur_id: str | None = None
-    cur_utts: list[Utterance] = []
-
-    def flush() -> None:
-        nonlocal cur_id, cur_utts
-        if cur_id is not None:
-            convs.append(Conversation(cur_id, tuple(cur_utts)))
-            done.add(cur_id)
-        cur_id, cur_utts = None, []
-
-    for lineno, line in _content_lines(path):
-        fields = line.split("\t")
-        if len(fields) != 5:
-            raise CorpusError(f"{path}:{lineno}: expected 5 tab-separated fields, "
-                              f"got {len(fields)}")
-        conv_id, idx_s, speaker, label, words_s = fields
-        if conv_id != cur_id:
-            if conv_id in done:
-                raise CorpusError(f"{path}:{lineno}: conversation {conv_id!r} "
-                                  f"reappears after another conversation")
-            flush()
-            cur_id = conv_id
-        try:
+    by_id: dict[str, list[Utterance]] = {}
+    cur_id = None
+    with located(lambda _: f"{path}:{lineno}: bad utterance index {idx_s!r}"):
+        for lineno, (conv_id, idx_s, speaker, label, words_s) \
+                in content_lines(path, 5):
+            if conv_id != cur_id:
+                if conv_id in by_id:
+                    raise CorpusError(f"{path}:{lineno}: conversation "
+                                      f"{conv_id!r} reappears after another "
+                                      f"conversation")
+                cur_id, utts = conv_id, by_id.setdefault(conv_id, [])
             idx = int(idx_s)
-        except ValueError:
-            raise CorpusError(f"{path}:{lineno}: bad utterance index {idx_s!r}") from None
-        if idx != len(cur_utts):
-            raise CorpusError(f"{path}:{lineno}: utterance index {idx}, "
-                              f"expected {len(cur_utts)}")
-        if speaker not in SPEAKERS:
-            raise CorpusError(f"{path}:{lineno}: bad speaker {speaker!r}")
-        da = None if label == _MISSING_LABEL else label
-        if da is not None and tagset is not None and da not in tagset:
-            raise CorpusError(f"{path}:{lineno}: label {da!r} not in tag set")
-        words = tuple(words_s.split()) if words_s else ()
-        cur_utts.append(Utterance(idx, speaker, da, words))
-    flush()
-    return convs
+            if idx != len(utts):
+                raise CorpusError(f"{path}:{lineno}: utterance index {idx}, "
+                                  f"expected {len(utts)}")
+            if speaker not in SPEAKERS:
+                raise CorpusError(f"{path}:{lineno}: bad speaker {speaker!r}")
+            da = None if label == _MISSING_LABEL else label
+            if da is not None and tagset is not None and da not in tagset:
+                raise CorpusError(f"{path}:{lineno}: label {da!r} not in tag set")
+            utts.append(Utterance(idx, speaker, da, tuple(words_s.split())))
+    return [Conversation(conv_id, tuple(utts))
+            for conv_id, utts in by_id.items()]
 
 
 def serialize_conversations(convs: Sequence[Conversation], path: str | Path) -> None:
@@ -342,32 +354,28 @@ def parse_nbest(path: str | Path,
     """Read an n-best file into a (conv_id, index) -> NBestList map.
 
     Hypotheses are sorted by rank; ranks must be 1..m without gaps.
-    ``max_hyps`` truncates each list after sorting.
+    ``max_hyps`` (at least 1) truncates each list after sorting.
     """
-    raw: dict[tuple[str, int], list[tuple[int, Hypothesis]]] = {}
-    for lineno, line in _content_lines(path):
-        fields = line.split("\t")
-        if len(fields) != 5:
-            raise CorpusError(f"{path}:{lineno}: expected 5 tab-separated fields, "
-                              f"got {len(fields)}")
-        conv_id, idx_s, rank_s, score_s, words_s = fields
-        try:
-            idx, rank, score = int(idx_s), int(rank_s), float(score_s)
-        except ValueError:
-            raise CorpusError(f"{path}:{lineno}: bad index/rank/score") from None
-        words = tuple(words_s.split()) if words_s else ()
-        raw.setdefault((conv_id, idx), []).append((rank, Hypothesis(words, score)))
+    if max_hyps is not None and max_hyps < 1:
+        raise ValueError(f"max_hyps must be >= 1, got {max_hyps}")
+    # (conv_id, index) -> [(rank, line, hypothesis)]
+    raw: dict[tuple[str, int], list[tuple[int, int, Hypothesis]]] = {}
+    with located(lambda _: f"{path}:{lineno}: bad index/rank/score"):
+        for lineno, (conv_id, idx_s, rank_s, score_s, words_s) \
+                in content_lines(path, 5):
+            raw.setdefault((conv_id, int(idx_s)), []).append(
+                (int(rank_s), lineno,
+                 Hypothesis(tuple(words_s.split()), float(score_s))))
 
     table: dict[tuple[str, int], NBestList] = {}
     for key, entries in raw.items():
         entries.sort(key=lambda e: e[0])
-        ranks = [r for r, _ in entries]
-        if ranks != list(range(1, len(ranks) + 1)):
-            raise CorpusError(f"{path}: utterance {key}: ranks {ranks} are not 1..m")
-        hyps = tuple(h for _, h in entries)
-        if max_hyps is not None:
-            hyps = hyps[:max_hyps]
-        table[key] = NBestList(hyps)
+        for pos, (rank, lineno, _) in enumerate(entries, 1):
+            if rank != pos:
+                raise CorpusError(
+                    f"{path}:{lineno}: utterance {key}: ranks "
+                    f"{[e[0] for e in entries]} are not 1..m")
+        table[key] = NBestList(tuple(h for _, _, h in entries[:max_hyps]))
     return table
 
 
@@ -406,21 +414,18 @@ def parse_prosody(path: str | Path) -> tuple[FeatureSchema, dict[tuple[str, int]
     and categorical values may not contain "," (the tree file's category
     separator).
     """
-    lines = _content_lines(path)
-    if not lines:
-        raise CorpusError(f"{path}: empty prosody file")
-    names = tuple(lines[0][1].split("\t"))
+    lines = content_lines(path)
+    header_line, names = next(lines, (1, None))
+    if names is None:
+        raise CorpusError(f"{path}:1: empty prosody file")
+    names = tuple(names)
     rows: list[tuple[int, tuple[str, int], list]] = []
-    for lineno, line in lines[1:]:
-        fields = line.split("\t")
-        if len(fields) != 2 + len(names):
-            raise CorpusError(f"{path}:{lineno}: expected {2 + len(names)} fields, "
-                              f"got {len(fields)}")
-        try:
-            idx = int(fields[1])
-        except ValueError:
-            raise CorpusError(f"{path}:{lineno}: bad utterance index") from None
-        rows.append((lineno, (fields[0], idx), fields[2:]))
+    with located(lambda _: f"{path}:{lineno}: bad utterance index"):
+        for lineno, fields in lines:
+            if len(fields) != 2 + len(names):
+                raise CorpusError(f"{path}:{lineno}: expected "
+                                  f"{2 + len(names)} fields, got {len(fields)}")
+            rows.append((lineno, (fields[0], int(fields[1])), fields[2:]))
 
     # One float() pass per column: the first value that is not a number
     # makes the column categorical; otherwise the floats replace the texts
@@ -438,15 +443,17 @@ def parse_prosody(path: str | Path) -> tuple[FeatureSchema, dict[tuple[str, int]
         for (_, _, vals), x in zip(rows, floats):
             if x is None or math.isfinite(x):
                 vals[col] = x
-    schema = FeatureSchema(names, tuple(kinds))
+    try:
+        schema = FeatureSchema(names, tuple(kinds))
+    except CorpusError as exc:      # only the header's names can be at fault
+        raise CorpusError(f"{path}:{header_line}: {exc}") from None
 
     table: dict[tuple[str, int], FeatureVector] = {}
-    first_line: dict[tuple[str, int], int] = {}
     for lineno, key, vals in rows:
         if key in table:
+            first = next(line for line, k, _ in rows if k == key)
             raise CorpusError(f"{path}:{lineno}: duplicate prosody row for "
-                              f"{key} (first at line {first_line[key]})")
-        first_line[key] = lineno
+                              f"{key} (first at line {first})")
         parsed: dict[str, float | str | None] = {}
         for name, kind, v in zip(names, kinds, vals):
             if kind == "continuous":

@@ -22,7 +22,7 @@ import math
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Conversation, CorpusError, TagSet, load_tagset
+from .corpus import Conversation, CorpusError, TagSet, _read_text
 from .ngram import END, START, NGramModel, log_sum, read_arpa, train_ngram, write_arpa
 
 PAIR_SEP = "·"  # middle dot, joins label and speaker in pair tokens
@@ -194,14 +194,17 @@ def save_discourse(grammar: DiscourseGrammar, path: str | Path) -> None:
 
 
 def load_discourse(path: str | Path, tagset: TagSet) -> DiscourseGrammar:
-    first = Path(path).read_text(encoding="utf-8").splitlines()[0]
-    marker = "discourse grammar "
-    if marker not in first:
-        raise ValueError(f"{path}: missing discourse grammar header")
-    fields = dict(kv.split("=") for kv in first.split(marker, 1)[1].split())
-    variant = GrammarVariant(fields["variant"])
-    order = int(fields["order"])
+    """Read a grammar written by :func:`save_discourse`."""
+    header = _read_text(path).partition("\n")[0]
+    fields = dict(kv.partition("=")[::2] for kv in
+                  header.partition("discourse grammar ")[2].split())
+    try:
+        variant, order = GrammarVariant(fields["variant"]), int(fields["order"])
+    except (KeyError, ValueError):
+        raise CorpusError(f"{path}:1: expected a '# discourse grammar "
+                          f"variant=<view> order=<n>' header") from None
     model = read_arpa(path)
     if model.order != order:
-        raise ValueError(f"{path}: header order {order} != model order {model.order}")
+        raise CorpusError(f"{path}:1: header order {order} != model order "
+                          f"{model.order}")
     return DiscourseGrammar(tagset, variant, order, model)

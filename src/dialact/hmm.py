@@ -61,7 +61,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Conversation, jackknife_split
+from .corpus import (Conversation, CorpusError, content_lines, jackknife_split,
+                     located)
 
 
 @dataclass
@@ -114,22 +115,20 @@ def dump_likelihoods(tables: Sequence[LikelihoodTable], path: str | Path) -> Non
 def load_likelihoods(path: str | Path, convs: Sequence[Conversation],
                      labels: Sequence[str]) -> list[LikelihoodTable]:
     """Rebuild tables from a TSV dump; ``convs`` supplies the speakers."""
-    data: dict[str, dict[tuple[int, str], float]] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        conv_id, idx_s, lab, val = raw.split("\t")
-        data.setdefault(conv_id, {})[(int(idx_s), lab)] = float(val)
+    data: dict[tuple[str, int, str], float] = {}
+    lineno = 1
+    with located(lambda _: f"{path}:{lineno}: bad index or log-likelihood"):
+        for lineno, (conv_id, idx_s, lab, val) in content_lines(path, 4):
+            data[(conv_id, int(idx_s), lab)] = float(val)
     labels = tuple(labels)
-    out = []
-    for conv in convs:
-        entries = data.get(conv.conv_id)
-        if entries is None:
-            raise ValueError(f"no likelihood rows for conversation {conv.conv_id}")
-        scores = np.array([[entries[(i, lab)] for lab in labels]
-                           for i in range(len(conv))])
-        out.append(LikelihoodTable(conv.conv_id, labels, conv.speakers, scores))
-    return out
+    try:
+        return [LikelihoodTable(conv.conv_id, labels, conv.speakers, np.array(
+                    [[data[(conv.conv_id, i, lab)] for lab in labels]
+                     for i in range(len(conv))]))
+                for conv in convs]
+    except KeyError as exc:
+        raise CorpusError(f"{path}:{lineno}: no likelihood row for "
+                          f"{exc.args[0]}") from None
 
 
 # ---------------------------------------------------------------------------

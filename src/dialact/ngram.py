@@ -26,6 +26,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .corpus import CorpusError, content_lines, located
+
 START = "<start>"
 END = "<end>"
 UNK = "<unk>"
@@ -613,69 +615,57 @@ def write_arpa(model, path: str | Path, comments: Sequence[str] = ()) -> None:
 
 
 def read_arpa(path: str | Path) -> NGramModel:
-    """Read an ARPA-format model written by :func:`write_arpa` (or elsewhere)."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    i = 0
-    while i < len(lines) and lines[i].strip() != "\\data\\":
-        i += 1
-    if i == len(lines):
-        raise ValueError(f"{path}: no \\data\\ section")
-    i += 1
-    declared: dict[int, int] = {}
-    while i < len(lines):
-        line = lines[i].strip()
-        if not line:
-            i += 1
-            continue
-        if line.startswith("ngram "):
-            n_s, count_s = line[len("ngram "):].split("=")
-            declared[int(n_s)] = int(count_s)
-            i += 1
-            continue
-        break
-    if not declared:
-        raise ValueError(f"{path}: no ngram counts declared")
-    order = max(declared)
+    """Read an ARPA-format model written by :func:`write_arpa` (or elsewhere).
 
+    Lines before ``\\data\\`` are ignored.  An n-gram line is
+    ``log10 prob <TAB> space-separated gram [<TAB> log10 backoff]``.
+    """
+    declared: dict[int, tuple[int, int]] = {}   # order -> (count, line)
+    found: dict[int, int] = {}
     logprob: dict[tuple[str, ...], dict[str, float]] = {}
     logbow: dict[tuple[str, ...], float] = {}
-    found: dict[int, int] = {n: 0 for n in declared}
-    current_n: int | None = None
-    for lineno in range(i, len(lines)):
-        line = lines[lineno].strip()
-        if not line or line.startswith("#"):
-            continue
-        if line == "\\end\\":
-            current_n = None
-            continue
-        if line.startswith("\\") and line.endswith("-grams:"):
-            current_n = int(line[1:-len("-grams:")])
-            if current_n not in declared:
-                raise ValueError(f"{path}:{lineno + 1}: undeclared section {line}")
-            continue
-        if current_n is None:
-            raise ValueError(f"{path}:{lineno + 1}: entry outside any section")
-        fields = line.split("\t")
-        if len(fields) not in (2, 3):
-            raise ValueError(f"{path}:{lineno + 1}: bad n-gram line")
-        gram = tuple(fields[1].split(" "))
-        if len(gram) != current_n:
-            raise ValueError(f"{path}:{lineno + 1}: {len(gram)}-gram in "
-                             f"{current_n}-gram section")
-        lp10 = float(fields[0])
-        found[current_n] += 1
-        if lp10 > _LOG10_NONE + 1.0:
-            logprob.setdefault(gram[:-1], {})[gram[-1]] = lp10 * _LN10
-        if len(fields) == 3:
-            logbow[gram] = float(fields[2]) * _LN10
-
-    for n, cnt in declared.items():
-        if found.get(n, 0) != cnt:
-            raise ValueError(f"{path}: \\{n}-grams: section has {found.get(n, 0)} "
-                             f"entries, header declared {cnt}")
-
+    # None before \data\, 0 among its counts or after \end\, else the
+    # order of the section being read
+    n: int | None = None
+    lineno = 1
+    with located(lambda exc: f"{path}:{lineno}: {exc}"):
+        for lineno, fields in content_lines(path):
+            head = fields[0].strip()
+            if n is None:
+                if head == "\\data\\":
+                    n = 0
+            elif head.startswith("\\") and head.endswith("-grams:"):
+                n = int(head[1:-len("-grams:")])
+                if n not in declared:
+                    raise ValueError(f"undeclared section {head}")
+                found.setdefault(n, 0)
+            elif head == "\\end\\":
+                n = 0
+            elif n == 0 and head.startswith("ngram "):
+                n_s, count_s = head[len("ngram "):].split("=")
+                declared[int(n_s)] = (int(count_s), lineno)
+            elif n == 0:
+                raise ValueError("entry outside any section")
+            elif len(fields) not in (2, 3):
+                raise ValueError("bad n-gram line")
+            else:
+                gram = tuple(fields[1].split())
+                if len(gram) != n:
+                    raise ValueError(f"{len(gram)}-gram in {n}-gram section")
+                lp10 = float(fields[0])
+                found[n] += 1
+                if lp10 > _LOG10_NONE + 1.0:
+                    logprob.setdefault(gram[:-1], {})[gram[-1]] = lp10 * _LN10
+                if len(fields) == 3:
+                    logbow[gram] = float(fields[2]) * _LN10
+    for k, (count, line) in declared.items():
+        if found.get(k, 0) != count:
+            raise CorpusError(f"{path}:{line}: \\{k}-grams: section has "
+                              f"{found.get(k, 0)} entries, header declared "
+                              f"{count}")
     vocab = frozenset(logprob.get((), {}).keys())
     if not vocab:
-        raise ValueError(f"{path}: no unigram probabilities")
-    return NGramModel(order, vocab, logprob, logbow, padded=END in vocab)
-
+        raise CorpusError(f"{path}:{lineno}: no \\data\\ section with "
+                          f"unigram probabilities")
+    return NGramModel(max(declared), vocab, logprob, logbow,
+                      padded=END in vocab)

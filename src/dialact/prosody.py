@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import FeatureSchema, FeatureVector, TagSet
+from .corpus import FeatureSchema, FeatureVector, TagSet, content_lines
 
 
 class ProsodyError(ValueError):
@@ -477,59 +477,53 @@ def serialize_tree(tree: DecisionTree, path: str | Path) -> None:
 
 
 def load_tree(path: str | Path) -> DecisionTree:
-    lines = [l for l in Path(path).read_text(encoding="utf-8").splitlines()
-             if l.strip()]
-    if not lines or lines[0].strip() != "tree v1":
-        raise ProsodyError(f"{path}: not a tree file")
-    header: dict[str, list[str]] = {}
-    body_start = 1
-    for line in lines[1:]:
-        fields = line.split("\t")
-        if fields[0] in ("classes", "features", "priors"):
-            header[fields[0]] = fields[1:]
-            body_start += 1
-        else:
-            break
-    for key in ("classes", "features", "priors"):
-        if key not in header:
-            raise ProsodyError(f"{path}: missing {key} header")
-    classes = tuple(header["classes"])
-    names, kinds = zip(*(f.rsplit(":", 1) for f in header["features"]))
-    schema = FeatureSchema(tuple(names), tuple(kinds))
-    priors = tuple(float(p) for p in header["priors"])
-
-    body = lines[body_start:]
-    pos = 0
+    """Read a tree written by :func:`serialize_tree`."""
+    lines = list(content_lines(path))
+    pos = 0     # index into ``lines`` of the line being read
 
     def parse(depth: int) -> Node:
         nonlocal pos
-        if pos >= len(body):
-            raise ProsodyError(f"{path}: truncated tree body")
-        line = body[pos]
-        indent = (len(line) - len(line.lstrip(" "))) // 2
-        if indent != depth:
-            raise ProsodyError(f"{path}: bad indentation at line {pos}")
+        if pos == len(lines):
+            raise ProsodyError("truncated tree body")
+        line = "\t".join(lines[pos][1])
+        if (len(line) - len(line.lstrip(" "))) // 2 != depth:
+            raise ProsodyError("bad indentation")
         fields = line.strip().split("\t")
-        pos += 1
-        if fields[0] == "leaf":
+        if fields[0] == "leaf" and len(fields) == 1 + len(classes):
+            pos += 1
             return Node(posterior=tuple(float(p) for p in fields[1:]))
-        if fields[0] != "node" or len(fields) != 5:
-            raise ProsodyError(f"{path}: bad node line {line!r}")
+        if (fields[0] != "node" or len(fields) != 5 or fields[2] not in
+                ("<=", "in") or fields[4] not in ("missing=left",
+                                                  "missing=right")):
+            raise ProsodyError(f"bad tree line {line!r}")
         _, feature, op, arg, miss = fields
-        missing_left = miss == "missing=left"
-        if op == "<=":
-            node = Node(feature=feature, threshold=float(arg),
-                        missing_left=missing_left)
-        elif op == "in":
-            node = Node(feature=feature, categories=frozenset(arg.split(",")),
-                        missing_left=missing_left)
-        else:
-            raise ProsodyError(f"{path}: unknown test {op!r}")
+        node = Node(feature=feature, missing_left=miss == "missing=left",
+                    threshold=float(arg) if op == "<=" else None,
+                    categories=frozenset(arg.split(",")) if op == "in" else None)
+        pos += 1
         node.left = parse(depth + 1)
         node.right = parse(depth + 1)
         return node
 
-    root = parse(0)
-    if pos != len(body):
-        raise ProsodyError(f"{path}: trailing tree lines")
+    try:
+        for pos, key in enumerate(("tree v1", "classes", "features", "priors")):
+            if pos == len(lines) or lines[pos][1][0].strip() != key:
+                raise ProsodyError("not a tree file" if pos == 0
+                                   else f"missing {key} header")
+        classes = tuple(lines[1][1][1:])
+        pos = 2
+        pairs = [f.rsplit(":", 1) for f in lines[2][1][1:]]
+        if any(len(p) != 2 for p in pairs):
+            raise ProsodyError("a feature field is not <name>:<kind>")
+        schema = FeatureSchema(tuple(p[0] for p in pairs),
+                               tuple(p[1] for p in pairs))
+        pos = 3
+        priors = tuple(float(p) for p in lines[3][1][1:])
+        pos = 4
+        root = parse(0)
+        if pos != len(lines):
+            raise ProsodyError("trailing tree lines")
+    except ValueError as exc:   # a ProsodyError, a bad number or schema
+        line = lines[min(pos, len(lines) - 1)][0] if lines else 1
+        raise ProsodyError(f"{path}:{line}: {exc}") from None
     return DecisionTree(classes, schema, root, priors)

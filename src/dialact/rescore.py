@@ -72,26 +72,26 @@ def wer(reference: Sequence[str], hypothesis: Sequence[str]) -> WordErrors:
     return WordErrors(edits - indels, ins, dels, edits / n if n else math.nan)
 
 
+def _pooled_wer(errors: Sequence[WordErrors], ref_words: int) -> WordErrors:
+    """Add up alignment counts over ``ref_words`` reference words."""
+    s, i, d = (sum(e[k] for e in errors) for k in range(3))
+    return WordErrors(s, i, d, (s + i + d) / ref_words if ref_words else math.nan)
+
+
 def corpus_wer(pairs: Sequence[tuple[Sequence[str], Sequence[str]]]) -> WordErrors:
     """Aggregate WER over (reference, hypothesis) pairs."""
-    s = i = d = ref_words = 0
-    for ref, hyp in pairs:
-        e = wer(ref, hyp)
-        s += e.substitutions
-        i += e.insertions
-        d += e.deletions
-        ref_words += len(ref)
-    rate = (s + i + d) / ref_words if ref_words else math.nan
-    return WordErrors(s, i, d, rate)
+    return _pooled_wer([wer(ref, hyp) for ref, hyp in pairs],
+                      sum(len(ref) for ref, _ in pairs))
 
 
 def per_da_wer_report(references: Mapping[tuple[str, int], Sequence[str]],
                       labels: Mapping[tuple[str, int], str],
-                      baseline: Mapping[tuple[str, int], Sequence[str]],
-                      method: Mapping[tuple[str, int], Sequence[str]]
+                      baseline: Mapping[tuple[str, int], WordErrors],
+                      method: Mapping[tuple[str, int], WordErrors]
                       ) -> list[dict]:
     """Per-label WER comparison, sorted by reduction (best improvement first).
 
+    ``baseline`` and ``method`` map utterances to their alignment counts.
     Each row: label, share of reference words (percent, rows sum to 100),
     baseline and method error rates, and their difference.
     """
@@ -104,9 +104,9 @@ def per_da_wer_report(references: Mapping[tuple[str, int], Sequence[str]],
         raise ValueError("no reference words")
     rows = []
     for label, keys in by_label.items():
-        base = corpus_wer([(references[k], baseline[k]) for k in keys])
-        meth = corpus_wer([(references[k], method[k]) for k in keys])
         words = sum(len(references[k]) for k in keys)
+        base = _pooled_wer([baseline[k] for k in keys], words)
+        meth = _pooled_wer([method[k] for k in keys], words)
         rows.append({
             "label": label,
             "word_share": 100.0 * words / total_words,
@@ -218,6 +218,7 @@ METHODS = ("baseline", "one_best", "oracle", "mixture_of_lms",
 @dataclass
 class MethodResult:
     chosen: dict[tuple[str, int], tuple[str, ...]]
+    errors: dict[tuple[str, int], WordErrors]   # each choice's alignment
     wer: WordErrors
     perplexity: float | None
 
@@ -338,10 +339,12 @@ def rescore_corpus(convs: Sequence[Conversation], grammar,
                 chosen[method][key] = \
                     nbest.hypotheses[best_hypothesis(nbest, by_hyp)].words
             tokens += len(words) + 1
-    results = {method: MethodResult(
-        chosen=chosen[method],
-        wer=corpus_wer([(references[k], c) for k, c in chosen[method].items()]),
-        perplexity=(math.exp(-log_totals[method] / tokens)
-                    if method != "mixture_of_posteriors" and tokens else None))
-        for method in methods}
+    ref_words = sum(len(words) for words in references.values())
+    results = {}
+    for method in methods:
+        errors = {k: wer(references[k], c) for k, c in chosen[method].items()}
+        ppl = (math.exp(-log_totals[method] / tokens)
+               if method != "mixture_of_posteriors" and tokens else None)
+        results[method] = MethodResult(chosen[method], errors, _pooled_wer(
+            list(errors.values()), ref_words), ppl)
     return RescoreResult(results, posteriors, skipped, references, true_labels)

@@ -63,8 +63,6 @@ class DaLmSet:
     tagset: TagSet
     models: dict[str, object]          # class label -> scorer
     fallback: NGramModel               # pooled over all classes
-    order: int
-    vocab: frozenset[str]
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -102,7 +100,7 @@ def train_da_lms(convs: Sequence[Conversation], tagset: TagSet,
             warnings.warn(f"no training utterances for {lab!r}; "
                           f"using the pooled fallback model")
             models[lab] = fallback
-    return DaLmSet(tagset, models, fallback, order, frozenset(fallback.vocab))
+    return DaLmSet(tagset, models, fallback)
 
 
 def smooth_da_lms(da_lms: DaLmSet, heldout: Sequence[Conversation],
@@ -137,9 +135,7 @@ def smooth_da_lms(da_lms: DaLmSet, heldout: Sequence[Conversation],
             w = default_weight
         weights[lab] = w
         models[lab] = interpolate(model, da_lms.fallback, w)
-    smoothed = DaLmSet(da_lms.tagset, models, da_lms.fallback, da_lms.order,
-                       da_lms.vocab)
-    return smoothed, weights
+    return DaLmSet(da_lms.tagset, models, da_lms.fallback), weights
 
 
 # ---------------------------------------------------------------------------

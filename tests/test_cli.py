@@ -132,7 +132,7 @@ def test_smoothed_set_round_trips_through_the_model_directory(workdir,
     for lab in LABELS:
         assert loaded.models[lab].weight == weights[lab]
     rng = random.Random(11)
-    vocab = sorted(da_lms.vocab) + ["unseen-word"]
+    vocab = sorted(da_lms.fallback.vocab) + ["unseen-word"]
     for _ in range(200):
         words = [rng.choice(vocab) for _ in range(rng.randrange(0, 8))]
         for lab in LABELS:
@@ -366,6 +366,19 @@ def test_rescore_max_hyps_one_keeps_rank_one(workdir, tmp_path):
     # single-hypothesis lists leave nothing to choose: methods coincide
     assert (out / "hyps_baseline.tsv").read_bytes() == \
         (out / "hyps_oracle.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_max_hyps_below_one_is_a_usage_error(workdir, tmp_path, capsys,
+                                             value):
+    # -1 used to drop the last hypothesis of every list, 0 to fail unlocated
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["rescore", "--models", str(workdir / "models"),
+                  "--corpus", str(workdir / "corpus.tsv"),
+                  "--nbest", str(workdir / "nbest.tsv"),
+                  "--max-hyps", value, "--output", str(tmp_path / "r")])
+    assert exc.value.code == 2
+    assert "--max-hyps: must be at least 1" in capsys.readouterr().err
 
 
 def test_rescore_rejects_unknown_method(workdir, tmp_path, capsys):

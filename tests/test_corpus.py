@@ -202,6 +202,14 @@ def test_nbest_truncation(tmp_path):
     assert cut[("c1", 0)].first.words == ("w1",)
 
 
+@pytest.mark.parametrize("max_hyps", [0, -1])
+def test_nbest_truncation_below_one_rejected(tmp_path, max_hyps):
+    path = tmp_path / "n.tsv"
+    path.write_text("c1\t0\t1\t-1.0\ta\nc1\t0\t2\t-2.0\tb\n")
+    with pytest.raises(ValueError, match="max_hyps must be >= 1"):
+        parse_nbest(path, max_hyps=max_hyps)
+
+
 def test_empty_nbest_rejected():
     with pytest.raises(CorpusError):
         NBestList(())

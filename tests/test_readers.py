@@ -1,0 +1,279 @@
+"""Every reader either parses its input or raises a located error.
+
+Each text reader goes through ``corpus.content_lines``.  Fuzzed copies of
+valid files (lines and fields deleted, duplicated or truncated, bytes that
+are not UTF-8 inserted) must parse or raise ``CorpusError`` or
+``ProsodyError`` with a message that starts with ``<path>:<line>: ``;
+nothing else may escape.  The explicit cases below are faults that once
+escaped as ``KeyError`` tracebacks or errors without a location.
+"""
+
+import re
+import shutil
+from datetime import timedelta
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dialact import cli
+from dialact.corpus import (CorpusError, load_tagset, parse_conversations,
+                            parse_nbest, parse_prosody)
+from dialact.discourse import load_discourse
+from dialact.hmm import dump_likelihoods, load_likelihoods
+from dialact.ngram import read_arpa
+from dialact.prosody import ProsodyError, load_tree
+from dialact.wordmodels import train_da_lms, word_likelihood_tables
+
+LABELS = ("Statement", "Question", "Backchannel")
+WORDS = {"Statement": "i think we did so", "Question": "do you know what",
+         "Backchannel": "uh-huh right yeah"}
+
+
+def _write_inputs(root):
+    corpus, nbest, prosody = [], [], ["f0\tcontour"]
+    for c in range(4):
+        for i in range(5):
+            lab = LABELS[(c + i) % 3]
+            words = WORDS[lab].split()[:2 + (c + i) % 3]
+            corpus.append(f"c{c}\t{i}\t{'AB'[i % 2]}\t{lab}\t{' '.join(words)}")
+            for rank in (1, 2):
+                nbest.append(f"c{c}\t{i}\t{rank}\t{-10.0 - rank}\t"
+                             f"{' '.join(words[:rank])}")
+            f0 = "NA" if i == 3 else repr(100.0 + 10 * LABELS.index(lab) + c)
+            prosody.append(f"c{c}\t{i}\t{f0}\t{['fall', 'rise'][i % 2]}")
+    for name, rows in (("corpus.tsv", corpus), ("nbest.tsv", nbest),
+                       ("prosody.tsv", prosody)):
+        (root / name).write_text("".join(r + "\n" for r in rows))
+    (root / "tagset.txt").write_text(
+        "# three acts, one folded label\nStatement\nQuestion\nBackchannel\n"
+        "collapse\tBackchannel\tAcknowledge\n")
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("readers")
+    _write_inputs(root)
+    models = root / "models"
+    assert cli.main(["train", "--corpus", str(root / "corpus.tsv"),
+                     "--models", str(models),
+                     "--tagset", str(root / "tagset.txt"),
+                     "--order", "2", "--word-order", "2",
+                     "--prosody", str(root / "prosody.tsv"),
+                     "--min-leaf", "2"]) == 0
+    assert cli.main(["tag", "--models", str(models),
+                     "--corpus", str(root / "corpus.tsv"),
+                     "--output", str(root / "pred.tsv")]) == 0
+    tagset = load_tagset(root / "tagset.txt")
+    convs = parse_conversations(root / "corpus.tsv", tagset)
+    tables = word_likelihood_tables(train_da_lms(convs, tagset, order=2),
+                                    convs, "true_words")
+    dump_likelihoods(tables, root / "lik.tsv")
+    return root
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing
+# ---------------------------------------------------------------------------
+
+_BAD_BYTES = (b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xf8\x88\x80")
+
+# (kind, line, field, cut) with indices taken modulo the sizes they index
+edits = st.lists(st.tuples(
+    st.sampled_from(["drop_line", "dup_line", "cut_line", "drop_field",
+                     "dup_field", "cut_field", "bad_bytes"]),
+    st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6)),
+    min_size=1, max_size=3)
+
+
+def _mutate(data: bytes, ops, sep: bytes = b"\t", lines_of=None) -> bytes:
+    """Apply ``ops`` to ``data``; ``lines_of`` limits them to a line range."""
+    lines = data.split(b"\n")
+    first, last = lines_of or (0, len(lines))
+    for kind, a, b, c in ops:
+        i = first + a % max(min(last, len(lines)) - first, 1)
+        if i >= len(lines):
+            continue
+        fields = lines[i].split(sep)
+        k = b % len(fields)
+        if kind == "drop_line":
+            del lines[i]
+        elif kind == "dup_line":
+            lines.insert(i, lines[i])
+        elif kind == "cut_line":
+            lines[i] = lines[i][:c % (len(lines[i]) + 1)]
+        elif kind == "bad_bytes":
+            at = c % (len(lines[i]) + 1)
+            lines[i] = lines[i][:at] + _BAD_BYTES[b % len(_BAD_BYTES)] \
+                + lines[i][at:]
+        else:
+            if kind == "drop_field":
+                del fields[k]
+            elif kind == "dup_field":
+                fields.insert(k, fields[k])
+            else:
+                fields[k] = fields[k][:c % (len(fields[k]) + 1)]
+            lines[i] = sep.join(fields)
+    return b"\n".join(lines)
+
+
+def _parses_or_locates(read, path, directory=None):
+    """``read(path)`` returns, or names ``path`` (or a file under
+    ``directory``) and a line."""
+    at = (rf"{re.escape(str(directory))}/\S+" if directory
+          else re.escape(str(path)))
+    try:
+        read(path)
+    except (CorpusError, ProsodyError) as exc:
+        assert re.match(rf"{at}:\d+: ", str(exc)), str(exc)
+
+
+_FUZZ = settings(max_examples=60, deadline=timedelta(seconds=10))
+
+
+def _fuzz_file(files, tmp_path_factory, name, read, ops, **where):
+    path = tmp_path_factory.mktemp("fuzz") / name.replace("/", "_")
+    path.write_bytes(_mutate((files / name).read_bytes(), ops, **where))
+    _parses_or_locates(read, path)
+
+
+@pytest.mark.parametrize("name, read", [
+    ("corpus.tsv", parse_conversations),
+    ("nbest.tsv", parse_nbest),
+    ("prosody.tsv", parse_prosody),
+    ("tagset.txt", load_tagset),
+    ("models/da_lms/_fallback.arpa", read_arpa),
+    ("models/prosody.tree", load_tree),
+], ids=["corpus", "nbest", "prosody", "tagset", "arpa", "tree"])
+@_FUZZ
+@given(ops=edits)
+def test_fuzzed_file_parses_or_names_its_line(files, tmp_path_factory,
+                                               name, read, ops):
+    _fuzz_file(files, tmp_path_factory, name, read, ops)
+
+
+@_FUZZ
+@given(ops=edits)
+def test_fuzzed_discourse_header_parses_or_names_its_line(
+        files, tmp_path_factory, ops):
+    tagset = load_tagset(files / "models/tagset.txt")
+    _fuzz_file(files, tmp_path_factory, "models/discourse.arpa",
+               lambda p: load_discourse(p, tagset), ops, sep=b" ",
+               lines_of=(0, 1))
+
+
+@_FUZZ
+@given(ops=edits)
+def test_fuzzed_likelihood_dump_parses_or_names_its_line(
+        files, tmp_path_factory, ops):
+    tagset = load_tagset(files / "tagset.txt")
+    convs = parse_conversations(files / "corpus.tsv", tagset)
+    _fuzz_file(files, tmp_path_factory, "lik.tsv",
+               lambda p: load_likelihoods(p, convs, tagset.labels), ops)
+
+
+@_FUZZ
+@given(ops=edits)
+def test_fuzzed_predictions_parse_or_name_their_line(
+        files, tmp_path_factory, ops):
+    path = tmp_path_factory.mktemp("fuzz") / "pred.tsv"
+    path.write_bytes(_mutate((files / "pred.tsv").read_bytes(), ops))
+    args = cli._build_parser().parse_args(
+        ["eval", "--reference", str(files / "corpus.tsv"),
+         "--predictions", str(path), "--tagset", str(files / "tagset.txt")])
+    _parses_or_locates(lambda _: cli.cmd_eval(args), path)
+
+
+@_FUZZ
+@given(ops=edits)
+def test_fuzzed_manifest_loads_or_names_a_line(files, tmp_path_factory,
+                                               ops):
+    models = tmp_path_factory.mktemp("fuzz") / "models"
+    shutil.copytree(files / "models", models)
+    manifest = models / "manifest.tsv"
+    manifest.write_bytes(_mutate(manifest.read_bytes(), ops))
+    _parses_or_locates(cli.load_models, models, directory=models)
+
+
+# ---------------------------------------------------------------------------
+# Faults that escaped before every reader shared the line syntax
+# ---------------------------------------------------------------------------
+
+def _edit(path, old, new, count=1):
+    text = path.read_bytes()
+    assert old in text
+    path.write_bytes(text.replace(old, new, count))
+
+
+def _first_line_with(path, needle: bytes) -> int:
+    return next(i for i, line in enumerate(path.read_bytes().split(b"\n"), 1)
+                if needle in line)
+
+
+def _model_fault(rel, old, new):
+    def apply(models, root):
+        _edit(models / rel, old, new)
+        return models / rel, ["tag", "--models", str(models),
+                              "--corpus", str(root / "corpus.tsv")]
+    return apply
+
+
+def _corpus_fault(models, root):
+    bad = root / "bad_corpus.tsv"
+    shutil.copy(root / "corpus.tsv", bad)
+    _edit(bad, b"\t1\t", b"\t1\xff\t")
+    return bad, ["tag", "--models", str(models), "--corpus", str(bad)]
+
+
+def _tagset_fault(models, root):
+    bad = root / "bad_tagset.txt"
+    bad.write_bytes(b"Statement\nQuesti\xffon\nBackchannel\n")
+    return bad, ["eval", "--reference", str(root / "corpus.tsv"),
+                 "--predictions", str(root / "pred.tsv"), "--tagset", str(bad)]
+
+
+def _eval_index_fault(models, root):
+    bad = root / "bad_pred.tsv"
+    shutil.copy(root / "pred.tsv", bad)
+    _edit(bad, b"c1\t2\t", b"c1\ttwo\t")
+    return bad, ["eval", "--reference", str(root / "corpus.tsv"),
+                 "--predictions", str(bad), "--tagset",
+                 str(root / "tagset.txt")]
+
+
+@pytest.mark.parametrize("fault, needle", [
+    (_model_fault("discourse.arpa", b" order=2", b""), b"discourse grammar"),
+    (_model_fault("discourse.arpa", b"variant=conditional", b"variant=both"),
+     b"discourse grammar"),
+    (_model_fault("da_lms/_fallback.arpa", b"\n-", b"\nx-"), b"x-"),
+    (_model_fault("discourse.arpa", b"\t-0.", b"\t-0.x"), b"-0.x"),
+    (_model_fault("prosody.tree", b"priors\t0.", b"priors\t0.x"), b"0.x"),
+    (_model_fault("prosody.tree", b":continuous", b""), b"features"),
+    (_corpus_fault, b"\xff"),
+    (_tagset_fault, b"\xff"),
+    (_eval_index_fault, b"two"),
+], ids=["discourse-no-order", "discourse-bad-variant", "arpa-bad-prob",
+        "arpa-bad-backoff", "tree-bad-float", "tree-feature-without-kind",
+        "corpus-not-utf8", "tagset-not-utf8", "eval-bad-index"])
+def test_faults_exit_one_naming_the_file_and_line(files, tmp_path, capsys,
+                                                  fault, needle):
+    root = tmp_path / "inputs"
+    shutil.copytree(files, root)
+    bad, argv = fault(root / "models", root)
+    lineno = _first_line_with(bad, needle)
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}:{lineno}: " in err
+    assert "Traceback" not in err
+
+
+def test_missing_likelihood_row_names_the_file(files, tmp_path):
+    tagset = load_tagset(files / "tagset.txt")
+    convs = parse_conversations(files / "corpus.tsv", tagset)
+    path = tmp_path / "lik.tsv"
+    path.write_text("".join(line + "\n" for line in
+                            (files / "lik.tsv").read_text().splitlines()[1:]))
+    with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}:\d+: "
+                                          r"no likelihood row for "
+                                          r"\('c0', 0, 'Statement'\)"):
+        load_likelihoods(path, convs, tagset.labels)

@@ -156,7 +156,9 @@ def test_per_da_report_shares_and_sorting():
     labels = {("c", 0): "S", ("c", 1): "Q", ("c", 2): "S"}
     base = {("c", 0): ("a", "x"), ("c", 1): ("c", "d"), ("c", 2): ("e", "x")}
     meth = {("c", 0): ("a", "b"), ("c", 1): ("c", "x"), ("c", 2): ("e", "x")}
-    rows = per_da_wer_report(refs, labels, base, meth)
+    rows = per_da_wer_report(refs, labels,
+                             {k: wer(refs[k], h) for k, h in base.items()},
+                             {k: wer(refs[k], h) for k, h in meth.items()})
     assert [r["label"] for r in rows] == ["S", "Q"]  # improvement first
     assert math.isclose(sum(r["word_share"] for r in rows), 100.0)
     s_row = rows[0]
