@@ -34,12 +34,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-import numpy as np
-
-from .corpus import (Conversation, CorpusError, TagSet, attach_nbest,
-                     attach_prosody, content_lines, default_tagset, located,
-                     load_tagset, parse_conversations, parse_nbest,
-                     parse_prosody, save_tagset, symmetrize_speakers)
+from .corpus import (Conversation, CorpusError, FeatureSchema, TagSet,
+                     content_lines, default_tagset, located, load_tagset,
+                     parse_conversations, parse_nbest, parse_prosody,
+                     save_tagset, symmetrize_speakers)
 from .discourse import (DiscourseGrammar, GrammarVariant, discourse_perplexity,
                         load_discourse, save_discourse, train_discourse)
 from .hmm import (CombinationWeights, combine_likelihoods,
@@ -197,16 +195,19 @@ def _load_tagset(args) -> TagSet:
     return load_tagset(args.tagset) if args.tagset else default_tagset()
 
 
-def _load_convs(args, tagset: TagSet) -> list[Conversation]:
-    convs = parse_conversations(args.corpus, tagset)
-    if not convs:
-        raise CorpusError(f"{args.corpus}: no conversations")
+def _load_convs(args, tagset: TagSet
+                ) -> tuple[list[Conversation], FeatureSchema | None]:
+    """The corpus with the n-best lists and prosody of ``args`` attached,
+    and the prosody file's schema."""
+    nbest, schema, prosody = {}, None, {}
     if getattr(args, "nbest", None):
-        convs = attach_nbest(convs, parse_nbest(args.nbest, args.max_hyps))
+        nbest = parse_nbest(args.nbest, args.max_hyps)
     if getattr(args, "prosody", None):
-        _, table = parse_prosody(args.prosody)
-        convs = attach_prosody(convs, table)
-    return convs
+        schema, prosody = parse_prosody(args.prosody)
+    convs = parse_conversations(args.corpus, tagset, nbest, prosody)
+    if not convs:
+        raise CorpusError(f"{args.corpus}:1: no conversations")
+    return convs, schema
 
 
 def _grammar_for(args, models: TrainedModels) -> DiscourseGrammar:
@@ -238,9 +239,7 @@ def _g(x: float) -> str:
 
 def cmd_train(args) -> int:
     tagset = _load_tagset(args)
-    convs = parse_conversations(args.corpus, tagset)
-    if not convs:
-        raise CorpusError(f"{args.corpus}: no conversations")
+    convs, schema = _load_convs(args, tagset)
     for conv in convs:
         for utt in conv:
             if utt.da_label is None:
@@ -264,11 +263,8 @@ def cmd_train(args) -> int:
 
     tree = None
     if args.prosody:
-        schema, table = parse_prosody(args.prosody)
-        with_feats = attach_prosody(convs, table)
         samples = [(u.prosody, tagset.collapse(u.da_label))
-                   for conv in with_feats for u in conv
-                   if u.prosody is not None]
+                   for conv in convs for u in conv if u.prosody is not None]
         if not samples:
             raise CorpusError(f"{args.prosody}: no features match the corpus")
         tree = train_tree(schema, samples,
@@ -288,7 +284,7 @@ def cmd_train(args) -> int:
 def cmd_tag(args) -> int:
     models = load_models(args.models)
     tagset = models.tagset
-    convs = _load_convs(args, tagset)
+    convs, _ = _load_convs(args, tagset)
     if args.mode != "true_words" and not args.nbest:
         raise CorpusError(f"mode {args.mode!r} needs an --nbest file")
     if args.online and args.decoder != "posterior":
@@ -326,33 +322,28 @@ def cmd_tag(args) -> int:
         tables = [combine_likelihoods(w, p, weights)
                   for w, p in zip(word_tables, prosody_tables)]
 
+    # conversation id -> (label, posterior text) per utterance
+    predicted: dict[str, list[tuple[str, str]]] = {}
     if args.decoder == "viterbi":
-        paths = [labels for labels, _ in viterbi_corpus(grammar, tables)]
-        posts_of: list[np.ndarray | None] = [None] * len(tables)
+        for table, (path, _) in zip(tables, viterbi_corpus(grammar, tables)):
+            predicted[table.conversation_id] = [(lab, "-") for lab in path]
     else:
-        posts_of = forward_backward_corpus(grammar, tables, online=args.online)
-        paths = [[table.labels[j] for j in np.argmax(posts, axis=1)]
-                 for table, posts in zip(tables, posts_of)]
-    predicted = {table.conversation_id: path
-                 for table, path in zip(tables, paths)}
-    posteriors = {table.conversation_id: posts
-                  for table, posts in zip(tables, posts_of)}
+        for table, posts in zip(tables, forward_backward_corpus(
+                grammar, tables, online=args.online)):
+            predicted[table.conversation_id] = [
+                (table.labels[j], repr(p)) for j, p in
+                zip(posts.argmax(axis=1).tolist(), posts.max(axis=1).tolist())]
 
-    order = sorted(convs, key=lambda c: c.conv_id)
     with _out_stream(args.output) as fh:
-        for conv in order:
-            posts = posteriors[conv.conv_id]
-            for utt in conv:
-                lab = predicted[conv.conv_id][utt.index]
-                idx = models.da_lms.labels.index(lab)
-                post = "-" if posts is None else repr(float(posts[utt.index, idx]))
-                fh.write(f"{conv.conv_id}\t{utt.index}\t{lab}\t{post}\n")
+        for conv_id in sorted(predicted):
+            fh.writelines(f"{conv_id}\t{i}\t{lab}\t{post}\n" for i, (lab, post)
+                          in enumerate(predicted[conv_id]))
 
     pred_flat, ref_flat = [], []
     for conv in convs:
         for utt in conv:
             if utt.da_label is not None:
-                pred_flat.append(predicted[conv.conv_id][utt.index])
+                pred_flat.append(predicted[conv.conv_id][utt.index][0])
                 ref_flat.append(tagset.collapse(utt.da_label))
     if ref_flat:
         report = tagging_accuracy(pred_flat, ref_flat, labels=tagset.labels)
@@ -363,7 +354,7 @@ def cmd_tag(args) -> int:
 
 def cmd_rescore(args) -> int:
     models = load_models(args.models)
-    convs = _load_convs(args, models.tagset)
+    convs, _ = _load_convs(args, models.tagset)
     methods = args.methods.split(",")
     result = rescore_corpus(convs, _grammar_for(args, models), models.da_lms,
                             models.smoothed, methods, _scaling(args))
@@ -407,7 +398,7 @@ def cmd_rescore(args) -> int:
 
 def cmd_perplexity(args) -> int:
     models = load_models(args.models)
-    convs = _load_convs(args, models.tagset)
+    convs, _ = _load_convs(args, models.tagset)
     grammar = _grammar_for(args, models)
     print(f"discourse_perplexity\t{_g(discourse_perplexity(grammar, convs))}")
     if args.words:
@@ -452,7 +443,7 @@ def cmd_eval(args) -> int:
             pred_flat.append(tagset.collapse(preds[key]))
             ref_flat.append(tagset.collapse(utt.da_label))
     if not ref_flat:
-        raise CorpusError(f"{args.reference}: no labeled utterances")
+        raise CorpusError(f"{args.reference}:1: no labeled utterances")
     report = tagging_accuracy(pred_flat, ref_flat, labels=tagset.labels)
     sys.stdout.write(report.format())
     if args.tsv:
@@ -464,11 +455,16 @@ def cmd_eval(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an int of at least ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, "
+                                             f"got {value}")
+        return value
+    parse.__name__ = "int"      # argparse names it in "invalid int value"
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -494,7 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="recognizer LM weight lambda (default 10)")
     scoring.add_argument("--word-penalty", type=float, default=0.0,
                          help="recognizer insertion penalty mu (default 0)")
-    scoring.add_argument("--max-hyps", type=_positive_int, default=None,
+    scoring.add_argument("--max-hyps", type=_int_at_least(1), default=None,
                          help="truncate n-best lists to this many hypotheses")
 
     p = sub.add_parser("train", parents=[tagset],
@@ -514,9 +510,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symmetrize", action="store_true",
                    help="train the grammar on speaker-swapped copies too")
     p.add_argument("--prosody", help="prosodic feature file; trains a tree")
-    p.add_argument("--min-leaf", type=int, default=10,
+    p.add_argument("--min-leaf", type=_int_at_least(1), default=10,
                    help="minimum tree leaf size (default 10)")
-    p.add_argument("--max-depth", type=int, default=None,
+    p.add_argument("--max-depth", type=_int_at_least(0), default=None,
                    help="maximum tree depth (default unlimited)")
     p.set_defaults(func=cmd_train)
 

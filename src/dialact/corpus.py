@@ -309,8 +309,13 @@ class Conversation:
 # Conversation file I/O
 # ---------------------------------------------------------------------------
 
-def parse_conversations(path: str | Path, tagset: TagSet | None = None) -> list[Conversation]:
-    """Read a conversation file; labels are validated against ``tagset``."""
+def parse_conversations(path: str | Path, tagset: TagSet | None = None,
+                        nbest: Mapping | None = None,
+                        prosody: Mapping | None = None) -> list[Conversation]:
+    """Read a conversation file; labels are validated against ``tagset``.
+    Each utterance gets the entries of ``nbest`` and ``prosody`` (tables
+    from :func:`parse_nbest` and :func:`parse_prosody`) for its key."""
+    nbest, prosody = nbest or {}, prosody or {}
     by_id: dict[str, list[Utterance]] = {}
     cur_id = None
     with located(lambda _: f"{path}:{lineno}: bad utterance index {idx_s!r}"):
@@ -331,7 +336,9 @@ def parse_conversations(path: str | Path, tagset: TagSet | None = None) -> list[
             da = None if label == _MISSING_LABEL else label
             if da is not None and tagset is not None and da not in tagset:
                 raise CorpusError(f"{path}:{lineno}: label {da!r} not in tag set")
-            utts.append(Utterance(idx, speaker, da, tuple(words_s.split())))
+            utts.append(Utterance(idx, speaker, da, tuple(words_s.split()),
+                                  nbest.get((conv_id, idx)),
+                                  prosody.get((conv_id, idx))))
     return [Conversation(conv_id, tuple(utts))
             for conv_id, utts in by_id.items()]
 
@@ -390,15 +397,17 @@ def serialize_nbest(table: Mapping[tuple[str, int], NBestList], path: str | Path
 def attach_nbest(convs: Sequence[Conversation],
                  table: Mapping[tuple[str, int], NBestList]) -> list[Conversation]:
     """Return copies of ``convs`` with n-best lists attached where available."""
-    out = []
-    for conv in convs:
-        utts = tuple(
-            Utterance(u.index, u.speaker, u.da_label, u.words,
-                      table[(conv.conv_id, u.index)], u.prosody)
-            if (conv.conv_id, u.index) in table else u
-            for u in conv)
-        out.append(Conversation(conv.conv_id, utts))
-    return out
+    return _attached(convs, table, "nbest")
+
+
+def _attached(convs: Sequence[Conversation], table: Mapping,
+              field: str) -> list[Conversation]:
+    """Copies of ``convs`` whose utterances take ``field`` from ``table``
+    where it holds their (conv_id, index)."""
+    return [Conversation(conv.conv_id, tuple(
+        replace(u, **{field: table[(conv.conv_id, u.index)]})
+        if (conv.conv_id, u.index) in table else u for u in conv))
+        for conv in convs]
 
 
 # ---------------------------------------------------------------------------
@@ -490,15 +499,9 @@ def serialize_prosody(schema: FeatureSchema,
 
 def attach_prosody(convs: Sequence[Conversation],
                    table: Mapping[tuple[str, int], FeatureVector]) -> list[Conversation]:
-    out = []
-    for conv in convs:
-        utts = tuple(
-            Utterance(u.index, u.speaker, u.da_label, u.words, u.nbest,
-                      table[(conv.conv_id, u.index)])
-            if (conv.conv_id, u.index) in table else u
-            for u in conv)
-        out.append(Conversation(conv.conv_id, utts))
-    return out
+    """Return copies of ``convs`` with feature vectors attached where
+    available."""
+    return _attached(convs, table, "prosody")
 
 
 # ---------------------------------------------------------------------------

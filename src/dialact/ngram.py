@@ -19,6 +19,7 @@ uses log10, as usual.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from pathlib import Path
@@ -319,10 +320,11 @@ def fit_interp_weight(first, second, heldout: Sequence[Sequence[str]],
 # Compiled scoring: every sequence under every model, over integer ids
 # ---------------------------------------------------------------------------
 
-# Scores are computed for blocks of at most this many (scorer, sequence,
-# event) cells, which keeps each temporary near 128 KB at any corpus size.
-# Blocks eight times larger were no faster and raised the peak RSS of
-# tagging 10,000 utterances by 10 MB.
+# The backoff walk runs on blocks of at most this many (model, window)
+# cells, and sequence totals add up in blocks of this many (sequence,
+# scorer) cells, which keeps each temporary near 128 KB at any corpus
+# size.  Blocks eight times larger were no faster at scoring the 10,000
+# utterances of a 4-act, trigram tagging run.
 _BLOCK_CELLS = 1 << 14
 
 
@@ -340,12 +342,13 @@ class CompiledModelSet:
     backoff-weight arrays.  A key thus packs (model, ctx..., w) and stays
     within int64 at any order.
 
-    :meth:`score` runs the backoff walk of every event under every model
-    with ``np.searchsorted``.  Backoff weights accumulate in the order
-    :meth:`NGramModel.cond_log_prob` adds them and events add up left to
-    right, so a model's column equals :func:`sequence_log_prob` bit for
-    bit.  An interpolation's event is ``np.logaddexp(log w + first,
-    log(1 - w) + second)``, computed once per component event.
+    :meth:`score` runs the backoff walk of each distinct event window
+    under every model with ``np.searchsorted``.  Backoff weights
+    accumulate in the order :meth:`NGramModel.cond_log_prob` adds them and
+    events add up left to right, so a model's column equals
+    :func:`sequence_log_prob` bit for bit.  An interpolation's event is
+    ``np.logaddexp(log w + first, log(1 - w) + second)``, computed once
+    per component event.
     """
 
     def __init__(self, scorers: Sequence) -> None:
@@ -373,8 +376,8 @@ class CompiledModelSet:
         mixed = list(mixes.values())
         self._mix = (np.array([row[id(s.first)] for s in mixed], dtype=int),
                      np.array([row[id(s.second)] for s in mixed], dtype=int),
-                     np.array([s._log_w for s in mixed])[:, None, None],
-                     np.array([s._log_rest for s in mixed])[:, None, None])
+                     np.array([s._log_w for s in mixed])[:, None],
+                     np.array([s._log_rest for s in mixed])[:, None])
         self._compile(list(bases.values()))
 
     def _compile(self, models: list[NGramModel]) -> None:
@@ -452,22 +455,79 @@ class CompiledModelSet:
 
     def score(self, sequences: Sequence[Sequence[str]]) -> np.ndarray:
         """Natural-log probability of every sequence (rows) under every
-        scorer (columns, in the order given), block by block."""
+        scorer (columns, in the order given).
+
+        An event's window is its token's id and the k-1 ids before it, k
+        the largest order.  Each distinct window is scored once, by
+        :meth:`_event_log_probs`, and each sequence adds up its events'
+        scores left to right.
+        """
+        ids, base = self._ids, self._base
+        none = base - 1
+        k1 = int(self._order.max()) - 1
         seqs = [tuple(s) for s in sequences]
-        # shortest first, so a block's sequences pad to similar lengths
-        by_length = sorted(range(len(seqs)), key=lambda i: len(seqs[i]))
-        out = np.empty((len(seqs), len(self._columns)))
-        lo = 0
-        while lo < len(seqs):
-            hi = lo + 1
-            while hi < len(seqs) and (hi + 1 - lo) * self._n_rows * (
-                    len(seqs[by_length[hi]]) + 1) <= _BLOCK_CELLS:
-                hi += 1
-            block = by_length[lo:hi]
-            out[block] = self._score_block([seqs[i] for i in block]
-                                           )[self._columns].T
-            lo = hi
+        tail = (END,) if self._padded else ()
+        n_events = np.fromiter(map(len, seqs), dtype=np.int64,
+                               count=len(seqs)) + len(tail)
+        first = np.cumsum(n_events) - n_events
+        # one token stream: k1 left pads before each sequence's events, so
+        # event e of sequence s sits at position e + (s + 1) * k1.  An
+        # unpadded model's pads are the unknown id, which no stored context
+        # contains, so its walk backs off past them adding nothing.
+        pos = np.arange(int(n_events.sum())) + np.repeat(
+            np.arange(1, len(seqs) + 1) * k1, n_events)
+        stream = np.full(len(pos) + len(seqs) * k1,
+                         ids[START] if self._padded else none, dtype=np.int64)
+        ends = first + n_events - 1 if tail else []
+        stream[np.delete(pos, ends)] = [
+            ids.get(t, none) for t in itertools.chain.from_iterable(seqs)]
+        stream[pos[ends]] = ids.get(END, none)
+        if self._closed.any():
+            unknown = ~self._in_vocab[self._closed].all(axis=0)[stream[pos]]
+            if unknown.any():
+                e = int(unknown.argmax())
+                s = int(np.searchsorted(first, e, side="right")) - 1
+                raise ValueError(f"token {(seqs[s] + tail)[e - first[s]]!r} "
+                                 f"not in closed vocabulary")
+        # pack each window into one int64 key; should the next id not fit,
+        # the keys so far are first replaced by their ranks
+        key, span = np.zeros(len(pos), dtype=np.int64), 1
+        for j in range(-k1, 1):
+            if span * base >= 1 << 63:
+                _, key = np.unique(key, return_inverse=True)
+                span = len(pos)
+            key = key * base + stream[pos + j]
+            span *= base
+        keys, window = np.unique(key, return_inverse=True)
+        at = np.empty(len(keys), dtype=np.int64)
+        at[window] = pos            # a stream position of each window
+        table = self._event_log_probs(
+            stream[at[:, None] + np.arange(-k1, 1)])
+
+        # shortest first in blocks, so the sequences still adding at event
+        # e are a block's suffix
+        out = np.empty((len(seqs), self.n_scorers))
+        by_length = np.argsort(n_events, kind="stable")
+        step = max(1, _BLOCK_CELLS // self.n_scorers)
+        for lo in range(0, len(seqs), step):
+            block = by_length[lo:lo + step]
+            counts, starts = n_events[block], first[block]
+            totals = np.zeros((len(block), self.n_scorers))
+            for e in range(int(counts[-1])):    # left to right
+                live = int(np.searchsorted(counts, e, side="right"))
+                totals[live:] += table[window[starts[live:] + e]]
+            out[block] = totals
         return out
+
+    def _event_log_probs(self, windows: np.ndarray) -> np.ndarray:
+        """Log probability of each window's last id after the ids before it
+        (rows) under every scorer (columns), in blocks of windows."""
+        table = np.empty((len(windows), self.n_scorers))
+        step = max(1, _BLOCK_CELLS // self._n_rows)
+        for lo in range(0, len(windows), step):
+            table[lo:lo + step] = self._walk(windows[lo:lo + step]
+                                             )[self._columns].T
+        return table
 
     def _find(self, n: int, parent: np.ndarray, token: np.ndarray,
               where: np.ndarray) -> np.ndarray:
@@ -482,52 +542,26 @@ class CompiledModelSet:
         rows[where] = np.where(keys[found] == query, found, len(keys) - 1)
         return rows
 
-    def _score_block(self, seqs: list[tuple[str, ...]]) -> np.ndarray:
-        """(rows, sequences) log probabilities of one block."""
-        ids, base = self._ids, self._base
-        none = base - 1
-        k1 = int(self._order.max()) - 1
-        lens = np.array([len(s) for s in seqs])
-        n_events = int(lens.max()) + self._padded
-        # token matrix: k1 left pads, the sequence, <end> when padded; every
-        # event's context is a slice ending just before its column.  An
-        # unpadded model's pads are the unknown id, which no stored context
-        # contains, so its walk backs off past them adding nothing.
-        tok = np.full((len(seqs), k1 + n_events), none, dtype=np.int64)
-        tok[:, :k1] = ids[START] if self._padded else none
-        tok[:, k1:][np.arange(n_events) < lens[:, None]] = [
-            ids.get(t, none) for seq in seqs for t in seq]
-        if self._padded:
-            tok[np.arange(len(seqs)), k1 + lens] = ids.get(END, none)
-        valid = np.arange(n_events) < (lens + self._padded)[:, None]
-
-        raw = tok[:, k1:]
-        known = self._in_vocab[:, raw]
-        unknown = ~known & valid & self._closed[:, None, None]
-        if unknown.any():
-            _, s, e = np.argwhere(unknown)[0]
-            token = seqs[s][e] if e < len(seqs[s]) else END
-            raise ValueError(f"token {token!r} not in closed vocabulary")
-        word = np.where(known, raw, self._unk)
-
-        depth = self._order[:, None, None] - 1      # context length walked
-        offset = np.arange(len(self._order))[:, None, None] * base
+    def _walk(self, tok: np.ndarray) -> np.ndarray:
+        """(rows, windows) log probabilities of a block of id windows."""
+        k1 = tok.shape[1] - 1
+        word = np.where(self._in_vocab[:, tok[:, k1]], tok[:, k1], self._unk)
+        depth = self._order[:, None] - 1        # context length walked
+        offset = np.arange(len(self._order))[:, None] * self._base
         acc = np.zeros(word.shape)
         events = np.zeros(word.shape)
-        todo = np.broadcast_to(valid, word.shape)
+        todo = np.ones(word.shape, dtype=bool)
         for n in range(k1, -1, -1):
             here = todo & (depth >= n)
             if not here.any():
                 continue
             if n == 0:
                 lp = self._lp[1][offset + word]
-                bow = self._bow[0][:, None, None]
+                bow = self._bow[0][:, None]
             else:
-                node = offset + tok[:, k1 - n:k1 - n + n_events]
+                node = offset + tok[:, k1 - n]
                 for i in range(2, n + 1):
-                    col = k1 - n + i - 1
-                    node = self._find(i, node, tok[:, col:col + n_events],
-                                      here)
+                    node = self._find(i, node, tok[:, k1 - n + i - 1], here)
                 lp = self._lp[n + 1][self._find(n + 1, node, word, here)]
                 bow = self._bow[n][node]
             hit = here & ~np.isnan(lp)
@@ -535,20 +569,16 @@ class CompiledModelSet:
             if n == 0:
                 # unseen at the unigram level: uniform base distribution
                 events = np.where(here & ~hit, acc + bow
-                                  + self._log_uniform[:, None, None], events)
+                                  + self._log_uniform[:, None], events)
             else:
                 acc = np.where(here & ~hit, acc + bow, acc)
             todo = todo & ~hit
 
         rows_a, rows_b, log_w, log_rest = self._mix
         if len(rows_a):
-            mixed = np.logaddexp(log_w + events[rows_a],
-                                 log_rest + events[rows_b])
-            events = np.concatenate([events, np.where(valid, mixed, 0.0)])
-        totals = np.zeros(events.shape[:2])
-        for e in range(n_events):       # left to right, as sequence_log_prob
-            totals += events[:, :, e]
-        return totals
+            events = np.concatenate([events, np.logaddexp(
+                log_w + events[rows_a], log_rest + events[rows_b])])
+        return events
 
 
 # ---------------------------------------------------------------------------

@@ -497,6 +497,12 @@ def load_tree(path: str | Path) -> DecisionTree:
                                                   "missing=right")):
             raise ProsodyError(f"bad tree line {line!r}")
         _, feature, op, arg, miss = fields
+        if feature not in kind_of:
+            raise ProsodyError(f"feature {feature!r} is not in the features "
+                               f"header")
+        if (op == "<=") != (kind_of[feature] == "continuous"):
+            raise ProsodyError(f"{op!r} test on {kind_of[feature]} feature "
+                               f"{feature!r}")
         node = Node(feature=feature, missing_left=miss == "missing=left",
                     threshold=float(arg) if op == "<=" else None,
                     categories=frozenset(arg.split(",")) if op == "in" else None)
@@ -517,6 +523,7 @@ def load_tree(path: str | Path) -> DecisionTree:
             raise ProsodyError("a feature field is not <name>:<kind>")
         schema = FeatureSchema(tuple(p[0] for p in pairs),
                                tuple(p[1] for p in pairs))
+        kind_of = dict(zip(schema.names, schema.kinds))
         pos = 3
         priors = tuple(float(p) for p in lines[3][1][1:])
         pos = 4

@@ -1,5 +1,6 @@
 """Command-line frontend: train, tag, rescore, perplexity, eval."""
 
+import argparse
 import random
 import shutil
 import warnings
@@ -8,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from dialact import cli
-from dialact.corpus import CorpusError, load_tagset, parse_conversations
+from dialact.corpus import (CorpusError, attach_nbest, attach_prosody,
+                            load_tagset, parse_conversations, parse_nbest,
+                            parse_prosody)
 from dialact.ngram import sequence_log_prob
 from dialact.wordmodels import smooth_da_lms, train_da_lms
 
@@ -93,6 +96,66 @@ def test_train_rejects_unlabeled_utterances(tmp_path, capsys):
                    "--models", str(tmp_path / "m")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,low", [
+    ("--min-leaf", "0", 1), ("--min-leaf", "-3", 1), ("--max-depth", "-1", 0)])
+def test_tree_limits_out_of_range_are_usage_errors(workdir, tmp_path, capsys,
+                                                   flag, value, low):
+    # these used to fail with exit 1 after the grammar and word models
+    # had been estimated
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train", "--corpus", str(workdir / "corpus.tsv"),
+                  "--models", str(tmp_path / "m"),
+                  "--tagset", str(workdir / "tagset.txt"),
+                  "--prosody", str(workdir / "prosody.tsv"), flag, value])
+    assert exc.value.code == 2
+    assert f"{flag}: must be at least {low}" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+def test_empty_inputs_name_line_one(workdir, tmp_path, capsys):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("# no conversations here\n")
+    unlabeled = tmp_path / "unlabeled.tsv"
+    unlabeled.write_text("c0\t0\tA\t-\thello there\n")
+    for argv, message in [
+            (["train", "--corpus", str(empty), "--models", str(tmp_path / "m")],
+             f"{empty}:1: no conversations"),
+            (["tag", "--models", str(workdir / "models"), "--corpus",
+              str(empty)], f"{empty}:1: no conversations"),
+            (["eval", "--reference", str(unlabeled), "--predictions",
+              str(empty)], f"{unlabeled}:1: no labeled utterances")]:
+        assert cli.main(argv) == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
+
+
+def test_one_pass_load_equals_parsing_then_attaching(workdir, tmp_path):
+    # n-best and prosody rows missing for some utterances, and rows for
+    # utterances and conversations the corpus does not have
+    nbest, prosody = tmp_path / "nbest.tsv", tmp_path / "prosody.tsv"
+    nbest.write_text("".join(
+        line + "\n" for line in (workdir / "nbest.tsv").read_text()
+        .splitlines() if not line.startswith(("c0\t1\t", "c3\t")))
+        + "c0\t99\t1\t-3.0\tyeah\nc9\t0\t1\t-3.0\tright\n")
+    prosody.write_text("".join(
+        line + "\n" for line in (workdir / "prosody.tsv").read_text()
+        .splitlines() if not line.startswith(("c0\t2\t", "c5\t")))
+        + "c1\t99\t0.5\nc9\t0\t0.5\n")
+    tagset = load_tagset(workdir / "tagset.txt")
+    corpus = workdir / "corpus.tsv"
+    schema, table = parse_prosody(prosody)
+    for max_hyps in (None, 1):
+        args = argparse.Namespace(corpus=str(corpus), nbest=str(nbest),
+                                  prosody=str(prosody), max_hyps=max_hyps)
+        want = attach_prosody(attach_nbest(parse_conversations(corpus, tagset),
+                                           parse_nbest(nbest, max_hyps)),
+                              table)
+        assert cli._load_convs(args, tagset) == (want, schema)
+    # train reads no n-best file
+    args = argparse.Namespace(corpus=str(corpus), prosody=str(prosody))
+    assert cli._load_convs(args, tagset) == (
+        attach_prosody(parse_conversations(corpus, tagset), table), schema)
 
 
 def test_zero_count_class_shares_the_fallback_after_reload(workdir, tmp_path):

@@ -367,13 +367,18 @@ def test_compiled_scores_equal_the_scalar_walk(order_a, order_b, pad, weight,
     # out-of-vocabulary tokens (scored as <unk>) only where there is an <unk>
     tokens = vocab + ([START, UNK, END, "zebra"] if pad else [])
     seqs = [[rng.choice(tokens) for _ in range(rng.randint(0, 7))]
-            for _ in range(12)] + [[]]
+            for _ in range(12)]
+    # repeated sequences, and windows shared by different sequences
+    seqs += [[], seqs[0], seqs[3][:2], seqs[5][1:] + seqs[0][:3], [], seqs[0]]
     assert_compiled_equals_scalar(scorers, seqs)
     if not pad:
-        with pytest.raises(ValueError, match="closed vocabulary"):
-            sequence_log_prob(a, ["a", "zebra"])
-        with pytest.raises(ValueError, match="closed vocabulary"):
-            CompiledModelSet(scorers).score([["a"], ["a", "zebra"]])
+        bad = ["a", "zebra", "b", "yak"]
+        with pytest.raises(ValueError, match="closed vocabulary") as scalar:
+            sequence_log_prob(a, bad)
+        with pytest.raises(ValueError, match="closed vocabulary") as compiled:
+            CompiledModelSet(scorers).score([["a"], bad, ["yak"]])
+        assert str(compiled.value) == str(scalar.value)
+        assert "'zebra'" in str(compiled.value)
 
 
 def test_compiled_scores_of_arpa_models(tmp_path):
@@ -405,6 +410,24 @@ def test_compiled_scores_in_blocks_equal_one_at_a_time():
     engine = CompiledModelSet([m])
     whole = engine.score(seqs)
     assert (whole[:, 0] == [engine.score([s])[0, 0] for s in seqs]).all()
+
+
+def test_compiled_windows_too_wide_for_one_int64_key():
+    # 2,048 ids (2,044 words, <start>, <end>, <unk>, one for unknowns)
+    # over order-6 windows: packed whole, windows whose first ids differ
+    # by 512 would wrap to one key (512 * 2048^5 = 2^64), so the keys are
+    # ranked before the last id joins them
+    vocab = ["w%04d" % i for i in range(2044)]
+    seen = ["w0010", "w0001", "w0002", "w0003", "w0004", "w0005"]
+    m = train_ngram([seen, ["w0011", *seen[1:5], "w0006"]], 6,
+                    vocabulary=vocab)
+    assert CompiledModelSet([m])._base == 2048
+    # "w0522" is 512 ids after "w0010", and only the order-6 context
+    # tells the two apart at the last word
+    unseen = ["w0522", *seen[1:]]
+    assert m.cond_log_prob(seen[:5], "w0005") \
+        != m.cond_log_prob(unseen[:5], "w0005")
+    assert_compiled_equals_scalar([m], [seen, unseen, [], unseen[::-1]])
 
 
 def test_compiled_set_rejects_what_it_cannot_score():

@@ -225,6 +225,18 @@ def _corpus_fault(models, root):
     return bad, ["tag", "--models", str(models), "--corpus", str(bad)]
 
 
+def _tag_input_fault(name, old, new):
+    """A fault in one of the three files a ``tag --mode nbest --prosody``
+    command reads."""
+    def apply(models, root):
+        _edit(root / name, old, new)
+        return root / name, ["tag", "--models", str(models), "--corpus",
+                             str(root / "corpus.tsv"), "--nbest",
+                             str(root / "nbest.tsv"), "--mode", "nbest",
+                             "--prosody", str(root / "prosody.tsv")]
+    return apply
+
+
 def _tagset_fault(models, root):
     bad = root / "bad_tagset.txt"
     bad.write_bytes(b"Statement\nQuesti\xffon\nBackchannel\n")
@@ -249,12 +261,32 @@ def _eval_index_fault(models, root):
     (_model_fault("discourse.arpa", b"\t-0.", b"\t-0.x"), b"-0.x"),
     (_model_fault("prosody.tree", b"priors\t0.", b"priors\t0.x"), b"0.x"),
     (_model_fault("prosody.tree", b":continuous", b""), b"features"),
+    (_model_fault("prosody.tree", b"node\tf0\t<=\t116.5",
+                  b"node\tnosuch\t<=\t116.5"), b"nosuch"),
+    (_model_fault("prosody.tree", b"node\tcontour\tin\tfall",
+                  b"node\tcontour\t<=\t1.5"), b"contour\t<="),
+    (_model_fault("prosody.tree", b"node\tf0\t<=\t106.5",
+                  b"node\tf0\tin\t106.5"), b"f0\tin"),
     (_corpus_fault, b"\xff"),
     (_tagset_fault, b"\xff"),
     (_eval_index_fault, b"two"),
+    (_tag_input_fault("corpus.tsv", b"c1\t2\t", b"c1\tx2\t"), b"x2"),
+    (_tag_input_fault("corpus.tsv", b"c2\t1\tB", b"c2\t1\tC"), b"\tC\t"),
+    (_tag_input_fault("nbest.tsv", b"\t-12.0\t", b"\t-12.0x\t"),
+     b"-12.0x"),
+    (_tag_input_fault("nbest.tsv", b"c2\t3\t2\t", b"c2\t3\t3\t"),
+     b"c2\t3\t3\t"),
+    (_tag_input_fault("prosody.tsv", b"c1\t0\t111.0\t", b"c1\t0\tnan\t"),
+     b"\tnan\t"),
+    (_tag_input_fault("prosody.tsv", b"\trise", b"\tri,se"), b"ri,se"),
+    (_tag_input_fault("prosody.tsv", b"\trise", b"\tri\xffse"), b"\xff"),
 ], ids=["discourse-no-order", "discourse-bad-variant", "arpa-bad-prob",
         "arpa-bad-backoff", "tree-bad-float", "tree-feature-without-kind",
-        "corpus-not-utf8", "tagset-not-utf8", "eval-bad-index"])
+        "tree-feature-not-in-header", "tree-threshold-on-categorical",
+        "tree-categories-on-continuous", "corpus-not-utf8", "tagset-not-utf8",
+        "eval-bad-index", "tag-corpus-bad-index", "tag-corpus-bad-speaker",
+        "tag-nbest-bad-score", "tag-nbest-rank-gap", "tag-prosody-nan",
+        "tag-prosody-comma", "tag-prosody-not-utf8"])
 def test_faults_exit_one_naming_the_file_and_line(files, tmp_path, capsys,
                                                   fault, needle):
     root = tmp_path / "inputs"
