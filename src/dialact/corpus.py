@@ -370,9 +370,13 @@ def parse_nbest(path: str | Path,
     with located(lambda _: f"{path}:{lineno}: bad index/rank/score"):
         for lineno, (conv_id, idx_s, rank_s, score_s, words_s) \
                 in content_lines(path, 5):
+            score = float(score_s)
+            if not math.isfinite(score):
+                raise CorpusError(f"{path}:{lineno}: non-finite acoustic "
+                                  f"score {score_s!r}")
             raw.setdefault((conv_id, int(idx_s)), []).append(
                 (int(rank_s), lineno,
-                 Hypothesis(tuple(words_s.split()), float(score_s))))
+                 Hypothesis(tuple(words_s.split()), score)))
 
     table: dict[tuple[str, int], NBestList] = {}
     for key, entries in raw.items():

@@ -175,9 +175,10 @@ def discourse_perplexity(grammar: DiscourseGrammar,
             total += len(events) * grammar._log_uniform
             count += len(events)
             continue
+        k = grammar.order - 1       # only the last k events condition the next
         for i, ev in enumerate(events):
-            total += grammar.transition_log_prob(events[:i], ev)
-        total += grammar.end_log_prob(events)
+            total += grammar.transition_log_prob(events[max(0, i - k):i], ev)
+        total += grammar.end_log_prob(events[max(0, len(events) - k):])
         count += len(events) + 1
     if count == 0:
         raise ValueError("no events to evaluate")

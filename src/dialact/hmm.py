@@ -572,7 +572,8 @@ def tune_alpha_beta(grammar,
     (alpha, beta) on the grid is evaluated on the other half, and the pooled
     accuracy over both evaluations is reported.  Grid ties resolve to the
     smallest alpha, then the smallest beta.  Each half is decoded once per
-    alpha, its conversations and every beta in one batch.
+    alpha, its conversations and every beta in one batch; the other half's
+    hits at a point are read from that half's grid.
     """
     if len(word_tables) != len(prosody_tables):
         raise ValueError("word/prosody table lists differ in length")
@@ -581,7 +582,7 @@ def tune_alpha_beta(grammar,
     grid = [[CombinationWeights(a, b) for b in betas] for a in alphas]
     half1, half2 = jackknife_split(list(zip(word_tables, prosody_tables)), seed)
 
-    def correct(half, alphas, betas) -> np.ndarray:
+    def correct(half) -> np.ndarray:
         """Correct posterior picks on ``half`` at each (alpha, beta)."""
         counts = np.zeros((len(alphas), len(betas)), dtype=int)
         scales = np.array(betas, dtype=float)
@@ -600,21 +601,14 @@ def tune_alpha_beta(grammar,
                 counts[a] += (np.argmax(posts, axis=-1) == truth).sum(axis=1)
         return counts
 
-    def best_on(half) -> CombinationWeights:
-        counts = correct(half, alphas, betas)
-        a, b = np.unravel_index(np.argmax(counts), counts.shape)  # first maximum
-        return grid[a][b]
-
-    def hits_on(half, w: CombinationWeights) -> tuple[int, int]:
-        return (int(correct(half, (w.alpha,), (w.beta,))[0, 0]),
-                sum(len(wt) for wt, _ in half))
-
-    w1 = best_on(half1)
-    w2 = best_on(half2)
-    c2, t2 = hits_on(half2, w1)
-    c1, t1 = hits_on(half1, w2)
+    counts1, counts2 = correct(half1), correct(half2)
+    # first maximum: ties go to the smallest alpha, then the smallest beta
+    a1, b1 = np.unravel_index(np.argmax(counts1), counts1.shape)
+    a2, b2 = np.unravel_index(np.argmax(counts2), counts2.shape)
+    c2, t2 = int(counts2[a1, b1]), sum(len(wt) for wt, _ in half2)
+    c1, t1 = int(counts1[a2, b2]), sum(len(wt) for wt, _ in half1)
     return JackknifeResult(
-        weights=(w1, w2),
+        weights=(grid[a1][b1], grid[a2][b2]),
         accuracy=(c1 + c2) / (t1 + t2),
         half_accuracies=(c2 / t2, c1 / t1),
     )

@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import (CorpusError, FeatureSchema, FeatureVector, TagSet,
                      Utterance, downsample_uniform, jackknife_split)
-from .ngram import sequence_log_prob, train_ngram
+from .ngram import CompiledModelSet, train_ngram
 from .prosody import TreeConfig, _scaled_leaves, train_tree
 
 
@@ -163,15 +163,16 @@ def focused_binary_task(utterances: Sequence[Utterance], tagset: TagSet,
         train.extend(half_a)
         test.extend(half_b)
 
-    word_models = {}
+    # (test utterance, class) log scores of each classifier, columns in
+    # ``pair`` order
+    scores: dict[str, np.ndarray] = {}
     if need_words:
         vocab = sorted({w for u in train for w in u.words})
         if not vocab:
             raise CorpusError("no training words for the word classifier")
-        for lab in pair:
-            word_models[lab] = train_ngram(
-                [u.words for u in train if u.da_label == lab], order,
-                vocabulary=vocab)
+        scores["words"] = CompiledModelSet([train_ngram(
+            [u.words for u in train if u.da_label == lab], order,
+            vocabulary=vocab) for lab in pair]).score([u.words for u in test])
 
     if need_prosody:
         if schema is None:
@@ -179,30 +180,18 @@ def focused_binary_task(utterances: Sequence[Utterance], tagset: TagSet,
         tree = train_tree(schema, [(u.prosody, u.da_label) for u in train],
                           config, classes=pair)
         ratios, leaf_of = _scaled_leaves(tree, [u.prosody for u in test])
-
-    def word_score(i: int, lab: str) -> float:
-        return sequence_log_prob(word_models[lab], test[i].words)
-
-    def prosody_score(i: int, lab: str) -> float:
         # uniform prior: the leaf posterior over the training prior
-        p = ratios[leaf_of[i], pair.index(lab)]
-        return math.log(p) if p > 0.0 else -math.inf
+        scores["prosody"] = np.array([[math.log(p) if p > 0.0 else -math.inf
+                                       for p in row]
+                                      for row in ratios.tolist()])[leaf_of]
+    if "combined" in classifiers:
+        scores["combined"] = scores["words"] + scores["prosody"]
 
-    scorers = {
-        "words": word_score,
-        "prosody": prosody_score,
-        "combined": lambda i, lab: word_score(i, lab) + prosody_score(i, lab),
-    }
-
+    truth = np.array([u.da_label == pair[1] for u in test])
     out: dict[str, float] = {}
     for name in classifiers:
-        correct = 0
-        for i, utt in enumerate(test):
-            best = pair[0]
-            if scorers[name](i, pair[1]) > scorers[name](i, best):
-                best = pair[1]
-            correct += best == utt.da_label
-        out[name] = correct / len(test)
+        picks = scores[name][:, 1] > scores[name][:, 0]   # pair[0] wins ties
+        out[name] = int((picks == truth).sum()) / len(test)
     counts = [sum(u.da_label == lab for u in test) for lab in pair]
     out["chance"] = max(counts) / len(test)
     return out

@@ -58,7 +58,17 @@ def log_sum(values: Iterable[float]) -> float:
     m = max(vals)
     if m == -math.inf:
         return -math.inf
-    return m + math.log(sum(math.exp(v - m) for v in vals))
+    return m + math.log(left_sum(math.exp(v - m) for v in vals))
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """Sum added left to right.  From Python 3.12 the builtin sum()
+    compensates float rounding, so its result would depend on the Python
+    version; CompiledModelSet adds events left to right as well."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 class NGramModel:
@@ -103,7 +113,7 @@ class NGramModel:
         row = self.logprob.get(ctx)
         if row is None:
             return 1.0
-        return max(0.0, 1.0 - sum(math.exp(v) for v in row.values()))
+        return max(0.0, 1.0 - left_sum(map(math.exp, row.values())))
 
     def contexts(self) -> Iterator[tuple[str, ...]]:
         return iter(self.logprob)
@@ -191,7 +201,7 @@ def train_ngram(sequences: Sequence[Sequence[str]], order: int,
             row = {w: math.log(cnt / denom) for w, cnt in c.items()}
             base = {w: _backoff(logprob, logbow, log_uniform, ctx[1:], w)
                     if ctx else log_uniform for w in unseen}
-            z = sum(math.exp(v) for v in base.values())
+            z = left_sum(map(math.exp, base.values()))
             logbow[ctx] = math.log(reserved) - math.log(z)
             logprob[ctx] = row
         else:
@@ -213,12 +223,7 @@ def train_ngram(sequences: Sequence[Sequence[str]], order: int,
 
 def sequence_log_prob(model, sequence: Sequence[str]) -> float:
     """Natural-log probability of a sequence under the model's padding rules."""
-    # left to right, not sum(): from Python 3.12 sum() compensates float
-    # rounding, and CompiledModelSet adds events left to right
-    total = 0.0
-    for lp in _per_event_log_probs(model, sequence):
-        total += lp
-    return total
+    return left_sum(_per_event_log_probs(model, sequence))
 
 
 def _per_event_log_probs(model, sequence: Sequence[str]) -> list[float]:

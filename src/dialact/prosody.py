@@ -31,6 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import FeatureSchema, FeatureVector, TagSet, content_lines
+from .ngram import left_sum
 
 
 class ProsodyError(ValueError):
@@ -393,7 +394,7 @@ def tree_scaled_likelihood(tree: DecisionTree, fv: FeatureVector,
     by_class = dict(tagset.collapsed)
     scores = {target: raw[lab] for lab in tagset.labels
               for target in by_class.get(lab, (lab,))}
-    total = sum(scores.values())
+    total = left_sum(scores.values())
     if total <= 0.0:
         raise ProsodyError("all scaled likelihoods are zero")
     return {lab: v / total for lab, v in scores.items()}

@@ -188,9 +188,7 @@ def _mixture_posterior(hyp_scores: np.ndarray, post: Sequence[float],
             z = log_sum(row.tolist())
             out += p * np.exp(row - z)
     else:
-        mixed = np.array([log_sum(math.log(p) + row[h]
-                                  for p, row in score_rows)
-                          for h in range(len(out))])
+        mixed = _mixed_log_probs(hyp_scores, post)
         out = np.exp(mixed - log_sum(mixed))
     return out
 

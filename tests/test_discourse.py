@@ -182,6 +182,39 @@ def test_higher_order_fits_training_data_better():
     assert ppl[2] <= ppl[1] <= ppl[0]
 
 
+class HistoryRecorder(DiscourseGrammar):
+    """A grammar that records the length of every history it is given."""
+
+    def __init__(self, grammar):
+        super().__init__(grammar.tagset, grammar.variant, grammar.order,
+                         grammar.model)
+        self.lengths = []
+
+    def transition_log_prob(self, history, event):
+        self.lengths.append(len(history))
+        return super().transition_log_prob(history, event)
+
+    def end_log_prob(self, history):
+        self.lengths.append(len(history))
+        return super().end_log_prob(history)
+
+
+def test_perplexity_passes_only_the_conditioning_history():
+    # a long conversation must cost linear time: each event sees at most
+    # the order-1 events the grammar conditions on, with the same result
+    rng = random.Random(16)
+    convs = [mk_conv("long", [(rng.choice("SQB"), "AB"[i % 2])
+                              for i in range(200)])]
+    for variant in GrammarVariant:
+        for order in (1, 2, 3):
+            grammar = train_discourse(sample_convs(), TS3, order, variant)
+            recorder = HistoryRecorder(grammar)
+            want = discourse_perplexity(grammar, convs)
+            assert discourse_perplexity(recorder, convs) == want
+            assert max(recorder.lengths) == order - 1
+            assert len(recorder.lengths) == 201
+
+
 # ---------------------------------------------------------------------------
 # The no-grammar baseline
 # ---------------------------------------------------------------------------

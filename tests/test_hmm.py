@@ -351,6 +351,19 @@ def test_tuning_tie_breaks_toward_smallest_weights():
     assert result.better == CombinationWeights(0.0, 0.1)
 
 
+def test_tuning_decodes_each_half_once_per_alpha(monkeypatch):
+    # the cross-half hits come from the grids already decoded, so no half
+    # is decoded again at the other half's best point
+    grammar, wts, pts, refs = tuning_corpus(flat_words=True)
+    calls = []
+    decode = hmm._posteriors
+    monkeypatch.setattr(hmm, "_posteriors",
+                        lambda *args: calls.append(1) or decode(*args))
+    alphas = (0.0, 0.5, 1.0)
+    tune_alpha_beta(grammar, wts, pts, refs, alphas, (0.5, 1.0), seed=0)
+    assert len(calls) == 2 * len(alphas)
+
+
 def test_tuning_input_validation():
     grammar, wts, pts, refs = tuning_corpus(flat_words=False)
     with pytest.raises(ValueError):

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from dialact.corpus import (CorpusError, FeatureSchema, FeatureVector, TagSet,
-                            Utterance)
+                            Utterance, downsample_uniform, jackknife_split)
 from dialact.metrics import (CLASSIFIERS, EvalReport, focused_binary_task,
                              tagging_accuracy)
+from dialact.ngram import sequence_log_prob, train_ngram
+from dialact.prosody import TreeConfig, train_tree, tree_posterior
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +195,63 @@ def test_schema_inference_marks_string_features_categorical():
     out = focused_binary_task(utts, TS, ("S", "Q"), seed=0,
                               classifiers=("prosody",))
     assert set(out) == {"prosody", "chance"}
+
+
+def reference_binary_task(utts, pair, classifiers, seed, order, min_leaf):
+    """The two-class task one test utterance at a time: the same balanced
+    split and training, each class scored by sequence_log_prob and the log
+    of its leaf posterior over its training prior, and pair[0] winning
+    ties."""
+    sample = downsample_uniform([u for u in utts if u.da_label in pair],
+                                pair, seed)
+    train, test = [], []
+    for lab in pair:
+        half_a, half_b = jackknife_split(
+            [u for u in sample if u.da_label == lab], seed)
+        train += half_a
+        test += half_b
+    vocab = sorted({w for u in train for w in u.words})
+    lms = [train_ngram([u.words for u in train if u.da_label == lab], order,
+                       vocabulary=vocab) for lab in pair]
+    tree = train_tree(SCHEMA, [(u.prosody, u.da_label) for u in train],
+                      TreeConfig(min_leaf=min_leaf), classes=pair)
+
+    def prosody(u, j):
+        ratio = tree_posterior(tree, u.prosody)[j] / tree.training_priors[j]
+        return math.log(ratio) if ratio > 0.0 else -math.inf
+
+    score = {"words": lambda u, j: sequence_log_prob(lms[j], u.words),
+             "prosody": prosody,
+             "combined": lambda u, j: (sequence_log_prob(lms[j], u.words)
+                                       + prosody(u, j))}
+    out = {}
+    for name in classifiers:
+        hits = 0
+        for u in test:
+            best = 1 if score[name](u, 1) > score[name](u, 0) else 0
+            hits += pair[best] == u.da_label
+        out[name] = hits / len(test)
+    out["chance"] = 0.5
+    return out
+
+
+def test_binary_task_matches_per_utterance_definition():
+    rng = random.Random(21)
+    for case in range(40):
+        utts = build_utterances(rng.randrange(4, 30), rng.random() < 0.5,
+                                rng.random() < 0.5, seed=case)
+        if case % 4 == 0:   # identical class word models: word scores tie
+            utts = [Utterance(u.index, u.speaker, u.da_label, ("w",),
+                              prosody=u.prosody) for u in utts]
+        pair = rng.choice([("S", "Q"), ("Q", "S")])
+        classifiers = rng.choice([CLASSIFIERS, ("combined",),
+                                  ("prosody", "words")])
+        seed, order, min_leaf = (rng.randrange(100), rng.randrange(1, 4),
+                                 rng.randrange(1, 8))
+        got = focused_binary_task(utts, TS, pair, classifiers, seed, order,
+                                  TreeConfig(min_leaf=min_leaf), SCHEMA)
+        assert got == reference_binary_task(utts, pair, classifiers, seed,
+                                            order, min_leaf)
 
 
 def test_classifier_list_is_frozen():

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dialact.ngram import (_BLOCK_CELLS, END, START, UNK, CompiledModelSet,
-                           InterpolatedModel, fit_interp_weight, interpolate,
-                           perplexity, read_arpa, sequence_log_prob,
-                           train_ngram, write_arpa)
+                           InterpolatedModel, NGramModel, fit_interp_weight,
+                           interpolate, left_sum, log_sum, perplexity,
+                           read_arpa, sequence_log_prob, train_ngram,
+                           write_arpa)
 
 
 def p(model, ctx, tok):
@@ -44,6 +45,27 @@ def test_backoff_mass_always_reserved_when_padded():
     m = train_ngram(seqs, 2, vocabulary=["a", "b"])
     for ctx in m.contexts():
         assert m.backoff_mass(ctx) > 0.0
+
+
+def test_float_sums_add_left_to_right():
+    # each small term is under half an ulp of the running total, so adding
+    # left to right drops it, while a compensated sum (math.fsum, or the
+    # builtin sum() from Python 3.12) keeps their total
+    probs = [0.5, 0.25] + [1e-17] * 20
+    assert left_sum(probs) == 0.75
+    assert math.fsum(probs) != 0.75
+    logs = [math.log(p) for p in probs]
+    assert log_sum(logs) == math.log(0.5) + math.log(left_sum(
+        math.exp(v - math.log(0.5)) for v in logs))
+    assert log_sum(logs) != math.log(0.5) + math.log(math.fsum(
+        math.exp(v - math.log(0.5)) for v in logs))
+    tokens = [f"w{i}" for i in range(len(logs))]
+    model = NGramModel(2, frozenset(tokens), {("a",): dict(zip(tokens, logs))},
+                       {}, padded=False)
+    assert model.backoff_mass(("a",)) == 1.0 - left_sum(
+        math.exp(v) for v in logs)
+    assert model.backoff_mass(("a",)) != 1.0 - math.fsum(
+        math.exp(v) for v in logs)
 
 
 def test_context_truncation():

@@ -237,6 +237,17 @@ def _tag_input_fault(name, old, new):
     return apply
 
 
+def _rescore_nbest_fault(old, new):
+    """A fault in the n-best file a ``rescore`` command reads."""
+    def apply(models, root):
+        _edit(root / "nbest.tsv", old, new)
+        return root / "nbest.tsv", ["rescore", "--models", str(models),
+                                    "--corpus", str(root / "corpus.tsv"),
+                                    "--nbest", str(root / "nbest.tsv"),
+                                    "--output", str(root / "out")]
+    return apply
+
+
 def _tagset_fault(models, root):
     bad = root / "bad_tagset.txt"
     bad.write_bytes(b"Statement\nQuesti\xffon\nBackchannel\n")
@@ -276,6 +287,10 @@ def _eval_index_fault(models, root):
      b"-12.0x"),
     (_tag_input_fault("nbest.tsv", b"c2\t3\t2\t", b"c2\t3\t3\t"),
      b"c2\t3\t3\t"),
+    (_tag_input_fault("nbest.tsv", b"\t-12.0\t", b"\tnan\t"), b"\tnan\t"),
+    (_tag_input_fault("nbest.tsv", b"\t-12.0\t", b"\t-inf\t"),
+     b"\t-inf\t"),
+    (_rescore_nbest_fault(b"\t-11.0\t", b"\t-inf\t"), b"\t-inf\t"),
     (_tag_input_fault("prosody.tsv", b"c1\t0\t111.0\t", b"c1\t0\tnan\t"),
      b"\tnan\t"),
     (_tag_input_fault("prosody.tsv", b"\trise", b"\tri,se"), b"ri,se"),
@@ -285,7 +300,9 @@ def _eval_index_fault(models, root):
         "tree-feature-not-in-header", "tree-threshold-on-categorical",
         "tree-categories-on-continuous", "corpus-not-utf8", "tagset-not-utf8",
         "eval-bad-index", "tag-corpus-bad-index", "tag-corpus-bad-speaker",
-        "tag-nbest-bad-score", "tag-nbest-rank-gap", "tag-prosody-nan",
+        "tag-nbest-bad-score", "tag-nbest-rank-gap", "tag-nbest-nan-score",
+        "tag-nbest-minus-inf-score", "rescore-nbest-minus-inf-score",
+        "tag-prosody-nan",
         "tag-prosody-comma", "tag-prosody-not-utf8"])
 def test_faults_exit_one_naming_the_file_and_line(files, tmp_path, capsys,
                                                   fault, needle):
