@@ -38,8 +38,10 @@ class DiscourseGrammar:
     """A trained discourse prior plus the tag set it scores.
 
     ``order`` 0 means "no grammar": uniform scores, no inner model.
-    Speaker normalizers are memoized; instances are immutable after
-    construction and safe to share across decodes.
+    Each context's scores over the model's vocabulary are memoized, as are
+    speaker normalizers; one engine call scores a context together with
+    every context that differs from it in the last token only.  Instances
+    are immutable after construction and safe to share across decodes.
     """
 
     def __init__(self, tagset: TagSet, variant: GrammarVariant, order: int,
@@ -53,6 +55,9 @@ class DiscourseGrammar:
         self.order = order
         self.model = model
         self._norm_memo: dict[tuple, float] = {}
+        self._rows: dict = {}   # context -> log probs of the sorted vocabulary
+        self._vocab = {t: i for i, t in enumerate(sorted(model.vocab if model
+                                                         else ()))}
         if self.variant == GrammarVariant.JOINT:
             self._log_uniform = -math.log(2 * len(tagset.labels))
         else:
@@ -100,27 +105,36 @@ class DiscourseGrammar:
         if self.order == 0:
             return self._log_uniform
         ctx = self._context(history)
-        lp = self.model.cond_log_prob(ctx, self._token(label, speaker))
+        lp = self._log_prob(ctx, self._token(label, speaker))
         if self.variant == GrammarVariant.SPEAKER_CONDITIONED:
             lp -= self._speaker_normalizer(ctx, speaker)
         return lp
 
+    def _log_prob(self, ctx: tuple[str, ...], token: str) -> float:
+        """The model's log P(token | ctx), read from the context's row."""
+        if ctx not in self._rows:
+            family = [ctx, *(ctx[:-1] + (t,) for t in self._vocab if ctx)]
+            self._rows.update(zip(family, self.model.log_probs(
+                family, list(self._vocab))))
+        i = self._vocab.get(token)
+        # outside the vocabulary: <unk>'s score, or a closed-vocabulary error
+        return float(self._rows[ctx][i]) if i is not None else \
+            self.model.cond_log_prob(ctx, token)
+
     def _speaker_normalizer(self, ctx: tuple[str, ...], speaker: str) -> float:
         key = (ctx, speaker)
-        cached = self._norm_memo.get(key)
-        if cached is None:
-            cached = log_sum(
-                self.model.cond_log_prob(ctx, self._token(lab, speaker))
+        if key not in self._norm_memo:
+            self._norm_memo[key] = log_sum(
+                self._log_prob(ctx, self._token(lab, speaker))
                 for lab in self.tagset.labels)
-            self._norm_memo[key] = cached
-        return cached
+        return self._norm_memo[key]
 
     def end_log_prob(self, history: Sequence[tuple[str, str]]) -> float:
         """log P(<end> | history); the end event is speakerless, so it is
         never divided by a speaker normalizer."""
         if self.order == 0:
             return 0.0
-        return self.model.cond_log_prob(self._context(history), END)
+        return self._log_prob(self._context(history), END)
 
 
 def _event_sequence(conv: Conversation, tagset: TagSet) -> list[tuple[str, str]]:

@@ -13,6 +13,11 @@ map to ``<unk>`` at query time, which collects probability only through
 backoff.  ``pad=False`` turns both the padding and the reserved tokens off
 (useful for hand-checkable distributions over a closed token set).
 
+A model is stored once, as sorted arrays (Heafield 2011, "KenLM: faster
+and smaller language model queries"): estimation fills them one order at
+a time, ARPA files are read into and written from them, and
+:class:`CompiledModelSet` scores from them.
+
 All internal arithmetic is in natural logs; the ARPA-style file format
 uses log10, as usual.
 """
@@ -21,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -38,26 +42,19 @@ UNK = "<unk>"
 _LOG10_NONE = -99.0
 _LN10 = math.log(10.0)
 
-
-def _log_add(x: float, y: float) -> float:
-    """log(e^x + e^y) without leaving log space."""
-    if x == -math.inf:
-        return y
-    if y == -math.inf:
-        return x
-    if x < y:
-        x, y = y, x
-    return x + math.log1p(math.exp(y - x))
+# A context's unseen mass is 1 minus its seen words' lower-order mass
+# (Stolcke 2002, "SRILM -- an extensible language modeling toolkit"); below
+# this value that difference has lost too many digits, and the unseen
+# words' probabilities are added up instead.
+_Z_FLOOR = 1e-9
 
 
 def log_sum(values: Iterable[float]) -> float:
     """Stable log of a sum of exponentials over an iterable of logs."""
-    vals = [v for v in values]
-    if not vals:
-        return -math.inf
-    m = max(vals)
+    vals = list(values)
+    m = max(vals, default=-math.inf)
     if m == -math.inf:
-        return -math.inf
+        return m
     return m + math.log(left_sum(math.exp(v - m) for v in vals))
 
 
@@ -72,74 +69,83 @@ def left_sum(values: Iterable[float]) -> float:
 
 
 class NGramModel:
-    """A trained (or file-loaded) backoff model.
+    """A trained (or file-loaded) backoff model, stored as arrays.
 
-    ``logprob`` maps a context tuple (length 0..order-1) to a dict of
-    continuation log probabilities; ``logbow`` holds per-context log backoff
-    weights.  A context absent from ``logbow`` has backoff weight 1.
+    Token ids follow the sorted ``tokens``; id ``len(tokens)`` stands for
+    any other.  Per level n, ``lp`` and ``bow`` hold log probs (NaN: an
+    n-gram stored only as a context) and backoff weights (0.0: none).
+    Level 0 is the empty context, level 1 is dense over ids, and a higher
+    level's n-grams are its sorted int64 ``keys``, ``parent * B + token``
+    (``parent`` the row of the n-gram's prefix one level down, B the id
+    count).  Every prefix of a stored n-gram is stored.
     """
 
     def __init__(self, order: int, vocab: frozenset[str],
-                 logprob: dict[tuple[str, ...], dict[str, float]],
-                 logbow: dict[tuple[str, ...], float],
+                 tokens: tuple[str, ...], keys: list, lp: list, bow: list,
                  padded: bool = True) -> None:
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if not vocab:
-            raise ValueError("empty vocabulary")
-        self.order = order
-        self.vocab = vocab
-        self.logprob = logprob
-        self.logbow = logbow
-        self.padded = padded
+        self.order, self.vocab, self.padded, self.tokens = \
+            order, vocab, padded, tokens
+        self._ids = {t: i for i, t in enumerate(tokens)}
+        self._base = len(tokens) + 1
+        self._keys, self._lp, self._bow = keys, lp, bow
         self._log_uniform = -math.log(len(vocab))
+        self._engine: CompiledModelSet | None = None
+
+    def log_probs(self, contexts: Sequence[Sequence[str]],
+                  tokens: Sequence[str]) -> np.ndarray:
+        """Natural-log P(token | context) of each of ``tokens`` (columns)
+        after each of ``contexts`` (rows), backing off along context
+        suffixes, in one engine call."""
+        for token in tokens:
+            if token not in self.vocab and UNK not in self.vocab:
+                raise ValueError(f"token {token!r} not in closed vocabulary")
+        k1, none = self.order - 1, self._base - 1
+        ctx = np.array([[self._ids.get(t, none) for t in ([None] * k1 + list(
+            context))[len(context):]] for context in contexts],
+            dtype=np.int64).reshape(len(contexts), k1)
+        tok = np.array([self._ids.get(t, none) for t in tokens], dtype=np.int64)
+        return _own_engine(self)._event_log_probs(np.column_stack([
+            np.repeat(ctx, len(tok), axis=0), np.tile(tok, len(ctx))]))[
+            :, 0].reshape(len(ctx), len(tok))
 
     def cond_log_prob(self, context: Sequence[str], token: str) -> float:
         """Natural-log P(token | context), backing off along context suffixes."""
-        if token not in self.vocab:
-            if UNK in self.vocab:
-                token = UNK
-            else:
-                raise ValueError(f"token {token!r} not in closed vocabulary")
-        ctx = tuple(context)
-        if len(ctx) > self.order - 1:
-            ctx = ctx[len(ctx) - self.order + 1:]
-        return _backoff(self.logprob, self.logbow, self._log_uniform, ctx,
-                        token)
+        return float(self.log_probs([context], [token])[0, 0])
 
     def backoff_mass(self, context: Sequence[str]) -> float:
         """Linear probability mass the context leaves to unseen continuations."""
-        ctx = tuple(context)
-        row = self.logprob.get(ctx)
-        if row is None:
+        n = len(context) + 1
+        if n > self.order:
             return 1.0
-        return max(0.0, 1.0 - left_sum(map(math.exp, row.values())))
+        rows = np.flatnonzero(~np.isnan(self._lp[n]))
+        ids = [self._ids.get(t, -1) for t in context]
+        lp = self._lp[n][rows[(self._grams(n, rows)[:, :-1] == ids).all(1)]]
+        return max(0.0, 1.0 - left_sum(map(math.exp, lp.tolist())))
+
+    @property
+    def logprob(self) -> tuple[tuple[str, ...], ...]:
+        """The contexts with at least one continuation probability, shortest
+        first and in sorted order (read-only)."""
+        found = [] if np.isnan(self._lp[1]).all() else [()]
+        for n in range(2, self.order + 1):
+            rows = np.unique(self._keys[n][~np.isnan(self._lp[n])] // self._base)
+            found += [tuple(self.tokens[i] for i in gram)
+                      for gram in self._grams(n - 1, rows).tolist()]
+        return tuple(found)
 
     def contexts(self) -> Iterator[tuple[str, ...]]:
         return iter(self.logprob)
 
-
-def _backoff(logprob: dict[tuple[str, ...], dict[str, float]],
-             logbow: dict[tuple[str, ...], float], log_uniform: float,
-             ctx: tuple[str, ...], token: str) -> float:
-    """Natural-log P(token | ctx), backing off along context suffixes.
-
-    A context absent from ``logbow`` has backoff weight 1; a token unseen
-    at the unigram level takes the uniform base distribution.
-    """
-    acc = 0.0
-    while True:
-        row = logprob.get(ctx)
-        if row is not None:
-            lp = row.get(token)
-            if lp is not None:
-                return acc + lp
-        if not ctx:
-            return acc + logbow.get((), 0.0) + log_uniform
-        acc += logbow.get(ctx, 0.0)
-        ctx = ctx[1:]
+    def _grams(self, n: int, rows: np.ndarray) -> np.ndarray:
+        """Token ids (one row each) of the level-n n-grams at ``rows``."""
+        cols = []
+        for level in range(n, 1, -1):
+            rows, token = np.divmod(self._keys[level][rows], self._base)
+            cols.append(token)
+        return np.column_stack([rows, *cols[::-1]])
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def train_ngram(sequences: Sequence[Sequence[str]], order: int,
                 vocabulary: Iterable[str] | None = None,
                 pad: bool = True) -> NGramModel:
@@ -149,6 +155,10 @@ def train_ngram(sequences: Sequence[Sequence[str]], order: int,
     error.  With the default ``pad=True`` the predictable vocabulary also
     contains ``<end>`` and ``<unk>`` and every sequence is padded with
     order-1 ``<start>`` tokens plus one ``<end>``.
+
+    Orders are estimated shortest first, each from packed n-gram keys
+    counted with ``np.unique``; the lower-order probabilities an order
+    needs come from the engine's walk over the orders already estimated.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -156,98 +166,102 @@ def train_ngram(sequences: Sequence[Sequence[str]], order: int,
     if not seqs:
         raise ValueError("no training sequences")
     seen_tokens = {t for s in seqs for t in s}
-    if vocabulary is None:
-        vocab = set(seen_tokens)
-    else:
-        vocab = set(vocabulary)
-        extra = seen_tokens - vocab
-        if extra:
-            raise ValueError(f"training tokens outside vocabulary: {sorted(extra)[:5]}")
+    vocab = set(seen_tokens if vocabulary is None else vocabulary)
+    if seen_tokens - vocab:
+        raise ValueError(f"training tokens outside vocabulary: "
+                         f"{sorted(seen_tokens - vocab)[:5]}")
     if pad:
-        vocab |= {END, UNK}
-        vocab.discard(START)
+        vocab = (vocab | {END, UNK}) - {START}
     if not vocab:
         raise ValueError("empty vocabulary")
-
-    counts: dict[tuple[str, ...], Counter] = {}
-    for seq in seqs:
-        toks = ([START] * (order - 1) + seq + [END]) if pad else seq
-        first = order - 1 if pad else 0
-        for p in range(first, len(toks)):
-            w = toks[p]
-            lo = max(0, p - order + 1)
-            for j in range(lo, p + 1):
-                ctx = tuple(toks[j:p])
-                counts.setdefault(ctx, Counter())[w] += 1
-    if not counts:
+    vocab = frozenset(vocab)
+    tokens = tuple(sorted(vocab | {START} if pad else vocab))
+    ids = {t: i for i, t in enumerate(tokens)}
+    base, n_vocab = len(tokens) + 1, len(vocab)
+    head, tail = ([START] * (order - 1), [END]) if pad else ([], [])
+    stream = np.array([ids[t] for s in seqs for t in head + s + tail],
+                      dtype=np.int64)
+    # each token's position within its (padded) sequence
+    index = np.concatenate([np.arange(len(head) + len(s) + len(tail))
+                            for s in seqs])
+    if not (index >= len(head)).any():
         raise ValueError("no training events (all sequences empty and pad=False)")
 
-    logprob: dict[tuple[str, ...], dict[str, float]] = {}
-    logbow: dict[tuple[str, ...], float] = {}
-    log_uniform = -math.log(len(vocab))
-
-    # A length-j context backs off to the already-estimated tables of
-    # shorter contexts: contexts are processed shortest first.
-    for ctx in sorted(counts, key=lambda c: (len(c), c)):
-        c = counts[ctx]
-        n = sum(c.values())
-        t = len(c)
-        denom = n + t
-        reserved = t / denom
-        # sorted: summation order must not depend on set iteration order,
-        # or reruns would differ in the last float ulp
-        unseen = sorted(vocab - c.keys())
-        if unseen:
-            row = {w: math.log(cnt / denom) for w, cnt in c.items()}
-            base = {w: _backoff(logprob, logbow, log_uniform, ctx[1:], w)
-                    if ctx else log_uniform for w in unseen}
-            z = left_sum(map(math.exp, base.values()))
-            logbow[ctx] = math.log(reserved) - math.log(z)
-            logprob[ctx] = row
+    # level n's rows: every n-gram ending at some position, either an event
+    # (ending past the pads) or the context of one; ``row`` holds the row
+    # of the n-gram ending at each position
+    keys, lp, bow, row = [None, None], [None], [np.zeros(1)], stream
+    for n in range(1, order + 1):
+        if n > 1:
+            at = np.flatnonzero(index >= n - 1)
+            level, inverse = np.unique(row[at - 1] * base + stream[at],
+                                       return_inverse=True)
+            keys.append(level)
+            row = np.full(len(stream), -1)
+            row[at] = inverse
+        size = len(keys[n]) if n > 1 else base
+        events = np.flatnonzero(index >= max(len(head), n - 1))
+        counts = np.bincount(row[events], minlength=size)
+        seen = np.flatnonzero(counts)
+        # seen rows are sorted by key, so each context's rows are adjacent
+        context, starts, types = np.unique(
+            keys[n][seen] // base if n > 1 else np.zeros(len(seen), int),
+            return_index=True, return_counts=True)
+        group = np.repeat(np.arange(len(context)), types)
+        denom = np.add.reduceat(counts[seen], starts) + types
+        reserved, unseen = types / denom, n_vocab - types
+        if n == 1:
+            lower, z = np.full(len(seen), -math.log(n_vocab)), unseen / n_vocab
         else:
-            # Every vocabulary token seen after this context; fold the
-            # reserved mass back by interpolation so the row still sums to 1.
-            row = {}
-            for w, cnt in c.items():
-                b = (_backoff(logprob, logbow, log_uniform, ctx[1:], w)
-                     if ctx else log_uniform)
-                row[w] = math.log(cnt / denom + reserved * math.exp(b))
-            logprob[ctx] = row
-
-    return NGramModel(order, frozenset(vocab), logprob, logbow, padded=pad)
+            # each seen n-gram's suffix, walked under orders 1..n-1
+            lower_orders = NGramModel(n - 1, vocab, tokens, keys, lp, bow, pad)
+            engine = CompiledModelSet([lower_orders])
+            windows = lower_orders._grams(n, seen)[:, 1:]
+            lower = engine._event_log_probs(windows)[:, 0]
+            z = 1.0 - np.add.reduceat(np.exp(lower), starts)
+            for g in np.flatnonzero((unseen > 0) & (z < _Z_FLOOR)).tolist():
+                # the sorted explicit sum over the unseen words
+                probe = np.tile(windows[starts[g]], (unseen[g], 1))
+                probe[:, -1] = np.setdiff1d([ids[t] for t in vocab],
+                                            keys[n][seen[group == g]] % base)
+                z[g] = left_sum(map(math.exp, engine._event_log_probs(
+                    probe)[:, 0].tolist()))
+        c = counts[seen] / denom[group]
+        lp.append(np.full(size, math.nan))
+        # a context that saw every vocabulary token folds its reserved mass
+        # back by interpolation, so its row still sums to 1
+        lp[n][seen] = np.log(np.where(unseen[group] == 0, c + reserved[group]
+                                      * np.exp(lower), c))
+        bow.append(np.zeros(size))
+        bow[n - 1][context] = np.where(unseen > 0,
+                                       np.log(reserved) - np.log(z), 0.0)
+    return NGramModel(order, vocab, tokens, keys, lp, bow, padded=pad)
 
 
 # ---------------------------------------------------------------------------
 # Scoring and perplexity (works for NGramModel and InterpolatedModel alike)
 # ---------------------------------------------------------------------------
 
+def _own_engine(scorer) -> "CompiledModelSet":
+    """The scorer's compiled view on its own, built on first use."""
+    if scorer._engine is None:
+        scorer._engine = CompiledModelSet([scorer])
+    return scorer._engine
+
+
 def sequence_log_prob(model, sequence: Sequence[str]) -> float:
     """Natural-log probability of a sequence under the model's padding rules."""
-    return left_sum(_per_event_log_probs(model, sequence))
-
-
-def _per_event_log_probs(model, sequence: Sequence[str]) -> list[float]:
-    k = model.order
-    seq = list(sequence)
-    toks = ([START] * (k - 1) + seq + [END]) if model.padded else seq
-    first = k - 1 if model.padded else 0
-    return [model.cond_log_prob(tuple(toks[max(0, p - k + 1):p]), toks[p])
-            for p in range(first, len(toks))]
+    return float(_own_engine(model).score([sequence])[0, 0])
 
 
 def perplexity(model, sequences: Sequence[Sequence[str]]) -> float:
-    """exp of the per-token negative mean log probability.
-
-    The token count includes the ``<end>`` event of each sequence for padded
-    models.
-    """
-    total = 0.0
-    count = 0
-    for seq in sequences:
-        total += sequence_log_prob(model, seq)
-        count += len(seq) + (1 if model.padded else 0)
+    """exp of the per-token negative mean log probability; the token count
+    includes the ``<end>`` event of each sequence for padded models."""
+    seqs = [tuple(s) for s in sequences]
+    count = sum(len(s) + (1 if model.padded else 0) for s in seqs)
     if count == 0:
         raise ValueError("no tokens to evaluate")
+    total = left_sum(_own_engine(model).score(seqs)[:, 0].tolist())
     return math.exp(-total / count)
 
 
@@ -269,19 +283,14 @@ class InterpolatedModel:
             raise ValueError("interpolated models must share a vocabulary")
         if first.padded != second.padded:
             raise ValueError("interpolated models must share padding")
-        self.first = first
-        self.second = second
-        self.weight = weight
+        self.first, self.second, self.weight = first, second, weight
         self.order = max(first.order, second.order)
         self.vocab = frozenset(first.vocab)
         self.padded = first.padded
-        # a zero weight silences its component exactly through _log_add
+        # a zero weight silences its component exactly through logaddexp
         self._log_w = math.log(weight) if weight > 0.0 else -math.inf
         self._log_rest = math.log(1.0 - weight) if weight < 1.0 else -math.inf
-
-    def cond_log_prob(self, context: Sequence[str], token: str) -> float:
-        return _log_add(self._log_w + self.first.cond_log_prob(context, token),
-                        self._log_rest + self.second.cond_log_prob(context, token))
+        self._engine: CompiledModelSet | None = None
 
 
 def interpolate(first, second, weight: float) -> InterpolatedModel:
@@ -290,32 +299,22 @@ def interpolate(first, second, weight: float) -> InterpolatedModel:
 
 def fit_interp_weight(first, second, heldout: Sequence[Sequence[str]],
                       tol: float = 1e-4, max_iter: int = 100) -> float:
-    """EM for the single interpolation weight, started at 0.5.
-
-    Maximizes held-out log likelihood of the two-component mixture; stops
-    when the weight moves less than ``tol``.
-    """
-    if first.padded != second.padded:
-        raise ValueError("models must share padding")
-    pairs: list[tuple[float, float]] = []
-    for seq in heldout:
-        pairs.extend(zip(_per_event_log_probs(first, seq),
-                         _per_event_log_probs(second, seq)))
+    """EM for the single interpolation weight, started at 0.5: maximizes
+    held-out log likelihood of the two-component mixture, and stops when
+    the weight moves less than ``tol``."""
+    table, window, _, _ = CompiledModelSet([first, second])._event_table(
+        [tuple(s) for s in heldout])
+    pairs = table[window].tolist()
     if not pairs:
         raise ValueError("no held-out events")
     w = 0.5
     for _ in range(max_iter):
-        total = 0.0
-        for la, lb in pairs:
-            # responsibility of the first component, computed stably
-            if la >= lb:
-                total += w / (w + (1.0 - w) * math.exp(lb - la))
-            else:
-                ra = w * math.exp(la - lb)
-                total += ra / (ra + (1.0 - w))
-        new = total / len(pairs)
-        moved = abs(new - w)
-        w = new
+        # responsibilities of the first component, computed stably
+        new = left_sum(w / (w + (1.0 - w) * math.exp(lb - la)) if la >= lb
+                       else w * math.exp(la - lb)
+                       / (w * math.exp(la - lb) + (1.0 - w))
+                       for la, lb in pairs) / len(pairs)
+        moved, w = abs(new - w), new
         if moved < tol:
             break
     return w
@@ -338,38 +337,30 @@ class CompiledModelSet:
 
     ``scorers`` are NGramModels and interpolations of two NGramModels, all
     padded alike; their orders may differ, as a model directory's ARPA
-    files each declare their own.  The distinct NGramModels behind them
-    are compiled once into integer-id tables: one token id map (with
-    ``<start>``; the last id stands for every token no model knows), a
-    dense (model, token) unigram level, and per higher order n sorted int64
-    keys ``parent * B + token``, where ``parent`` is the row of the
-    n-gram's (n-1)-token prefix one level down, with parallel log-prob and
-    backoff-weight arrays.  A key thus packs (model, ctx..., w) and stays
-    within int64 at any order.
+    files each declare their own.  The set views the distinct NGramModels
+    behind them end to end over the union of their tokens (the last id
+    stands for every token no model knows): each level's rows are those
+    of the models in turn, so every key's parent row moves by the rows of
+    the models before, and a model's ids map increasingly into the union,
+    so each level stays sorted.
 
     :meth:`score` runs the backoff walk of each distinct event window
     under every model with ``np.searchsorted``.  Backoff weights
-    accumulate in the order :meth:`NGramModel.cond_log_prob` adds them and
-    events add up left to right, so a model's column equals
-    :func:`sequence_log_prob` bit for bit.  An interpolation's event is
-    ``np.logaddexp(log w + first, log(1 - w) + second)``, computed once
-    per component event.
+    accumulate from the longest context down and events add up left to
+    right, so the set equals the scalar Katz walk of each model bit for
+    bit.  An interpolation's event is ``np.logaddexp(log w + first,
+    log(1 - w) + second)``, computed once per component event.
     """
 
     def __init__(self, scorers: Sequence) -> None:
-        bases: dict[int, NGramModel] = {}
-        mixes: dict[int, InterpolatedModel] = {}
-        for scorer in scorers:
-            parts = [scorer]
-            if isinstance(scorer, InterpolatedModel):
-                mixes[id(scorer)] = scorer
-                parts = [scorer.first, scorer.second]
-            for part in parts:
-                if not isinstance(part, NGramModel):
-                    raise TypeError(f"cannot compile a {type(part).__name__}"
-                                    f" (only NGramModels and interpolations"
-                                    f" of two NGramModels)")
-                bases[id(part)] = part
+        mixes = {id(s): s for s in scorers if isinstance(s, InterpolatedModel)}
+        bases = {id(m): m for s in scorers
+                 for m in ([s.first, s.second] if id(s) in mixes else [s])}
+        for part in bases.values():
+            if not isinstance(part, NGramModel):
+                raise TypeError(f"cannot compile a {type(part).__name__}"
+                                f" (only NGramModels and interpolations"
+                                f" of two NGramModels)")
         if not bases:
             raise ValueError("no models to compile")
         if len({m.padded for m in bases.values()}) > 1:
@@ -383,18 +374,11 @@ class CompiledModelSet:
                      np.array([row[id(s.second)] for s in mixed], dtype=int),
                      np.array([s._log_w for s in mixed])[:, None],
                      np.array([s._log_rest for s in mixed])[:, None])
-        self._compile(list(bases.values()))
+        self._view(list(bases.values()))
 
-    def _compile(self, models: list[NGramModel]) -> None:
-        tokens = {START}
-        for m in models:
-            tokens |= m.vocab
-            for ctx, row in m.logprob.items():
-                tokens.update(ctx)
-                tokens.update(row)
-            for ctx in m.logbow:
-                tokens.update(ctx)
-        self._ids = ids = {t: i for i, t in enumerate(sorted(tokens))}
+    def _view(self, models: list[NGramModel]) -> None:
+        tokens = sorted(set().union(*(m.tokens for m in models)))
+        self._ids = ids = {t: i for i, t in enumerate(tokens)}
         self._base = base = len(ids) + 1
         none = base - 1
         n_models = len(models)
@@ -404,73 +388,69 @@ class CompiledModelSet:
         self._closed = np.array([UNK not in m.vocab for m in models])
         self._unk = ids.get(UNK, none)
         self._log_uniform = np.array([m._log_uniform for m in models])
-        bow0 = np.zeros(n_models)
-        lp1 = np.full(n_models * base, np.nan)
-        bow1 = np.zeros(n_models * base)
-        upper: dict[int, dict[tuple[int, ...], list[float]]] = {}
-
-        def put(m: int, gram: tuple[str, ...], slot: int, value: float) -> None:
-            gid = tuple(ids[t] for t in gram)
-            if len(gid) == 1:
-                (lp1, bow1)[slot][m * base + gid[0]] = value
-            else:
-                upper.setdefault(len(gid), {}).setdefault(
-                    (m, *gid), [math.nan, 0.0])[slot] = value
-
-        for m, model in enumerate(models):
-            self._in_vocab[m, [ids[t] for t in model.vocab]] = True
-            for ctx, row in model.logprob.items():
-                for w, lp in row.items():
-                    put(m, ctx + (w,), 0, lp)
-            for ctx, bow in model.logbow.items():
-                if ctx:
-                    put(m, ctx, 1, bow)
-                else:
-                    bow0[m] = bow
-        top = max([int(self._order.max()), *upper])
-        for n in range(top, 2, -1):     # every prefix of an n-gram is a row
-            for gram in upper.get(n, {}):
-                upper.setdefault(n - 1, {}).setdefault(gram[:-1],
-                                                       [math.nan, 0.0])
         # per level: sorted keys, then log probs and backoff weights, each
         # ending in a sentinel row (key beyond any query, NaN, 0.0) that
-        # stands for "no such n-gram"
-        self._keys: list = [None, None]
-        self._lp: list = [None, lp1]
-        self._bow: list = [bow0, bow1]
+        # stands for "no such n-gram"; level 1 is dense over (model, token)
+        self._keys, self._lp, self._bow = [None, None], [
+            None, np.full(n_models * base, math.nan)], [
+            np.concatenate([m._bow[0] for m in models]), np.zeros(n_models * base)]
         # per level: which rows are the prefix of some row one level up
         self._has_children: list = [None,
                                     np.zeros(n_models * base, dtype=bool)]
-        rows: dict[tuple[int, ...], int] = {}
-        for n in range(2, top + 1):
-            entries = upper.get(n, {})
-            grams = list(entries)
-            parents = [g[0] * base + g[1] if n == 2 else rows[g[:-1]]
-                       for g in grams]
-            keys = (np.array(parents, dtype=np.int64) * base
-                    + np.array([g[-1] for g in grams], dtype=np.int64))
-            order = np.argsort(keys)
-            vals = np.array([entries[g] for g in grams]).reshape(-1, 2)[order]
-            rows = {grams[i]: r for r, i in enumerate(order.tolist())}
+        # each model's ids (and its "no such token" id) in the union's
+        maps = [np.array([ids[t] for t in m.tokens] + [none]) for m in models]
+        for m, (model, to) in enumerate(zip(models, maps)):
+            self._in_vocab[m, [ids[t] for t in model.vocab]] = True
+            self._lp[1][m * base + to] = model._lp[1]
+            self._bow[1][m * base + to] = model._bow[1]
+        offsets = [m * base for m in range(n_models)]
+        for n in range(2, int(self._order.max()) + 1):
+            parts = []
+            for model, to, offset in zip(models, maps, offsets):
+                if n <= model.order:
+                    parent, token = np.divmod(model._keys[n], model._base)
+                    parts.append((((to[parent] if n == 2 else parent)
+                                   + offset) * base + to[token],
+                                  model._lp[n], model._bow[n]))
+            offsets = np.cumsum([0] + [len(m._keys[n]) if n <= m.order else 0
+                                       for m in models])
+            keys, lps, bows = map(np.concatenate, zip(*parts))
             self._has_children[-1][keys // base] = True
             self._has_children.append(np.zeros(len(keys) + 1, dtype=bool))
-            self._keys.append(np.append(keys[order], np.iinfo(np.int64).max))
-            self._lp.append(np.append(vals[:, 0], math.nan))
-            self._bow.append(np.append(vals[:, 1], 0.0))
+            self._keys.append(np.append(keys, np.iinfo(np.int64).max))
+            self._lp.append(np.append(lps, math.nan))
+            self._bow.append(np.append(bows, 0.0))
 
     def score(self, sequences: Sequence[Sequence[str]]) -> np.ndarray:
         """Natural-log probability of every sequence (rows) under every
-        scorer (columns, in the order given).
+        scorer (columns, in the order given): each sequence adds up its
+        events' scores from :meth:`_event_table` left to right."""
+        seqs = [tuple(s) for s in sequences]
+        table, window, n_events, first = self._event_table(seqs)
+        # shortest first in blocks, so the sequences still adding at event
+        # e are a block's suffix
+        out = np.empty((len(seqs), self.n_scorers))
+        by_length = np.argsort(n_events, kind="stable")
+        step = max(1, _BLOCK_CELLS // self.n_scorers)
+        for lo in range(0, len(seqs), step):
+            block = by_length[lo:lo + step]
+            counts, starts = n_events[block], first[block]
+            totals = np.zeros((len(block), self.n_scorers))
+            for e in range(int(counts[-1])):    # left to right
+                live = int(np.searchsorted(counts, e, side="right"))
+                totals[live:] += table[window[starts[live:] + e]]
+            out[block] = totals
+        return out
 
-        An event's window is its token's id and the k-1 ids before it, k
-        the largest order.  Each distinct window is scored once, by
-        :meth:`_event_log_probs`, and each sequence adds up its events'
-        scores left to right.
-        """
+    def _event_table(self, seqs: list[tuple[str, ...]]):
+        """``(table, window, n_events, first)``: the log probabilities of
+        each distinct event window (its token's id and the k-1 ids before
+        it, k the largest order) under every scorer, by
+        :meth:`_event_log_probs`; the window of each event in input order;
+        each sequence's event count and first event."""
         ids, base = self._ids, self._base
         none = base - 1
         k1 = int(self._order.max()) - 1
-        seqs = [tuple(s) for s in sequences]
         tail = (END,) if self._padded else ()
         n_events = np.fromiter(map(len, seqs), dtype=np.int64,
                                count=len(seqs)) + len(tail)
@@ -482,7 +462,8 @@ class CompiledModelSet:
         pos = np.arange(int(n_events.sum())) + np.repeat(
             np.arange(1, len(seqs) + 1) * k1, n_events)
         stream = np.full(len(pos) + len(seqs) * k1,
-                         ids[START] if self._padded else none, dtype=np.int64)
+                         ids.get(START, none) if self._padded else none,
+                         dtype=np.int64)
         ends = first + n_events - 1 if tail else []
         stream[np.delete(pos, ends)] = [
             ids.get(t, none) for t in itertools.chain.from_iterable(seqs)]
@@ -508,21 +489,7 @@ class CompiledModelSet:
         at[window] = pos            # a stream position of each window
         table = self._event_log_probs(
             stream[at[:, None] + np.arange(-k1, 1)])
-
-        # shortest first in blocks, so the sequences still adding at event
-        # e are a block's suffix
-        out = np.empty((len(seqs), self.n_scorers))
-        by_length = np.argsort(n_events, kind="stable")
-        step = max(1, _BLOCK_CELLS // self.n_scorers)
-        for lo in range(0, len(seqs), step):
-            block = by_length[lo:lo + step]
-            counts, starts = n_events[block], first[block]
-            totals = np.zeros((len(block), self.n_scorers))
-            for e in range(int(counts[-1])):    # left to right
-                live = int(np.searchsorted(counts, e, side="right"))
-                totals[live:] += table[window[starts[live:] + e]]
-            out[block] = totals
-        return out
+        return table, window, n_events, first
 
     def _event_log_probs(self, windows: np.ndarray) -> np.ndarray:
         """Log probability of each window's last id after the ids before it
@@ -601,51 +568,31 @@ def write_arpa(model, path: str | Path, comments: Sequence[str] = ()) -> None:
     if not isinstance(model, NGramModel):
         raise TypeError("write_arpa needs a concrete NGramModel; store an "
                         "interpolation as its components and weight")
-    order = model.order
-
-    # gram -> [log prob or None, log bow or None]
-    sections: dict[int, dict[tuple[str, ...], list[float | None]]] = {
-        n: {} for n in range(1, order + 1)}
-    # Unigram section is dense over the vocabulary, so the uniform backoff
-    # base never needs encoding.
-    for w in sorted(model.vocab):
-        sections[1][(w,)] = [model.cond_log_prob((), w), None]
-    for ctx, row in model.logprob.items():
-        if not ctx:
-            continue
-        n = len(ctx) + 1
-        if n <= order:
-            for w, lp in row.items():
-                sections[n].setdefault(ctx + (w,), [None, None])[0] = lp
-    # A context's backoff weight rides on the line of the context itself;
-    # create a probability-less (-99) line when the context is not an event.
-    for ctx in model.logprob:
-        n = len(ctx)
-        if n == 0 or n > order:
-            continue
-        bow = model.logbow.get(ctx)
-        if bow is None or bow == 0.0:
-            continue
-        sections[n].setdefault(ctx, [None, None])[1] = bow
-
-    def fmt(val: float) -> str:
-        return f"{val / _LN10:.12g}"
+    sections = []
+    for n in range(1, model.order + 1):
+        lp, bow = model._lp[n], model._bow[n]
+        if n == 1:
+            vocab = [t in model.vocab for t in model.tokens] + [False]
+            lp = np.where(vocab, np.where(np.isnan(lp), model._bow[0]
+                                          + model._log_uniform, lp), math.nan)
+        # a context's backoff weight rides on the line of the context itself
+        rows = np.flatnonzero(~np.isnan(lp) | (bow != 0.0))
+        sections.append([
+            (f"{_LOG10_NONE:g}" if math.isnan(lp10) else f"{lp10:.12g}")
+            + "\t" + " ".join(model.tokens[i] for i in gram)
+            + (f"\t{bow10:.12g}\n" if bow10 else "\n")
+            for gram, lp10, bow10 in zip(model._grams(n, rows).tolist(),
+                                         (lp[rows] / _LN10).tolist(),
+                                         (bow[rows] / _LN10).tolist())])
 
     with open(path, "w", encoding="utf-8") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
-        fh.write("\n\\data\\\n")
-        for n in range(1, order + 1):
-            fh.write(f"ngram {n}={len(sections[n])}\n")
-        for n in range(1, order + 1):
+        fh.write("\n\\data\\\n" + "".join(
+            f"ngram {n}={len(lines)}\n" for n, lines in enumerate(sections, 1)))
+        for n, lines in enumerate(sections, 1):
             fh.write(f"\n\\{n}-grams:\n")
-            for gram in sorted(sections[n]):
-                lp, bow = sections[n][gram]
-                line = (f"{_LOG10_NONE:g}" if lp is None else fmt(lp))
-                line += f"\t{' '.join(gram)}"
-                if bow is not None:
-                    line += f"\t{fmt(bow)}"
-                fh.write(line + "\n")
+            fh.writelines(lines)
         fh.write("\n\\end\\\n")
 
 
@@ -653,12 +600,13 @@ def read_arpa(path: str | Path) -> NGramModel:
     """Read an ARPA-format model written by :func:`write_arpa` (or elsewhere).
 
     Lines before ``\\data\\`` are ignored.  An n-gram line is
-    ``log10 prob <TAB> space-separated gram [<TAB> log10 backoff]``.
+    ``log10 prob <TAB> space-separated gram [<TAB> log10 backoff]``, and an
+    n-gram appears at most once per section.
     """
     declared: dict[int, tuple[int, int]] = {}   # order -> (count, line)
-    found: dict[int, int] = {}
-    logprob: dict[tuple[str, ...], dict[str, float]] = {}
-    logbow: dict[tuple[str, ...], float] = {}
+    # per section: log10 prob, log10 backoff weight and gram of each line
+    entries: dict[int, list[tuple[float, float, list[str]]]] = {}
+    first_at: dict[tuple[str, ...], int] = {}   # gram -> its line
     # None before \data\, 0 among its counts or after \end\, else the
     # order of the section being read
     n: int | None = None
@@ -673,7 +621,7 @@ def read_arpa(path: str | Path) -> NGramModel:
                 n = int(head[1:-len("-grams:")])
                 if n not in declared:
                     raise ValueError(f"undeclared section {head}")
-                found.setdefault(n, 0)
+                entries.setdefault(n, [])
             elif head == "\\end\\":
                 n = 0
             elif n == 0 and head.startswith("ngram "):
@@ -684,23 +632,56 @@ def read_arpa(path: str | Path) -> NGramModel:
             elif len(fields) not in (2, 3):
                 raise ValueError("bad n-gram line")
             else:
-                gram = tuple(fields[1].split())
+                gram = fields[1].split()
                 if len(gram) != n:
                     raise ValueError(f"{len(gram)}-gram in {n}-gram section")
-                lp10 = float(fields[0])
-                found[n] += 1
-                if lp10 > _LOG10_NONE + 1.0:
-                    logprob.setdefault(gram[:-1], {})[gram[-1]] = lp10 * _LN10
-                if len(fields) == 3:
-                    logbow[gram] = float(fields[2]) * _LN10
+                first = first_at.setdefault(tuple(gram), lineno)
+                if first != lineno:
+                    raise ValueError(f"duplicate n-gram {' '.join(gram)!r} "
+                                     f"(first at line {first})")
+                entries[n].append((float(fields[0]), float(fields[2])
+                                   if len(fields) == 3 else 0.0, gram))
     for k, (count, line) in declared.items():
-        if found.get(k, 0) != count:
+        if len(entries.get(k, ())) != count:
             raise CorpusError(f"{path}:{line}: \\{k}-grams: section has "
-                              f"{found.get(k, 0)} entries, header declared "
-                              f"{count}")
-    vocab = frozenset(logprob.get((), {}).keys())
+                              f"{len(entries.get(k, ()))} entries, header "
+                              f"declared {count}")
+    tokens = tuple(sorted({t for rows in entries.values()
+                           for row in rows for t in row[2]}))
+    ids = {t: i for i, t in enumerate(tokens)}
+    base, order = len(tokens) + 1, max([1, *declared])
+    # per level, top down: each n-gram's token ids, log prob and backoff
+    # weight, then every prefix of an n-gram one level up, which becomes a
+    # row without a probability or a backoff weight if no line gives one
+    grams = {order + 1: np.zeros((0, order + 1), dtype=np.int64)}
+    lp, bow = [None] * (order + 1), [np.zeros(1)] + [None] * order
+    for k in range(order, 0, -1):
+        rows = entries.get(k, [])
+        prefixes = grams[k + 1][:, :-1]
+        grams[k] = np.concatenate([np.array(
+            [[ids[t] for t in row[2]] for row in rows],
+            dtype=np.int64).reshape(-1, k), prefixes])
+        lp10 = np.array([row[0] for row in rows] + [_LOG10_NONE] * len(prefixes))
+        lp[k] = np.where(lp10 > _LOG10_NONE + 1.0, lp10 * _LN10, math.nan)
+        bow[k] = np.append([row[1] for row in rows], np.zeros(len(prefixes))
+                           ) * _LN10
+    keys: list = [None, None]
+    for k in range(1, order + 1):
+        row = grams[k][:, 0]
+        for j in range(2, k):
+            row = keys[j].searchsorted(row * base + grams[k][:, j - 1])
+        # the first of a key's rows: the line that gave it, if any
+        level, pick = np.unique(row * base + grams[k][:, -1] if k > 1
+                                else row, return_index=True)
+        if k == 1:
+            dense = np.full(base, math.nan), np.zeros(base)
+            dense[0][level], dense[1][level] = lp[1][pick], bow[1][pick]
+            lp[1], bow[1] = dense
+        else:
+            keys.append(level)
+            lp[k], bow[k] = lp[k][pick], bow[k][pick]
+    vocab = frozenset(tokens[i] for i in np.flatnonzero(~np.isnan(lp[1])))
     if not vocab:
         raise CorpusError(f"{path}:{lineno}: no \\data\\ section with "
                           f"unigram probabilities")
-    return NGramModel(max(declared), vocab, logprob, logbow,
-                      padded=END in vocab)
+    return NGramModel(order, vocab, tokens, keys, lp, bow, padded=END in vocab)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .corpus import Conversation, Hypothesis, NBestList
 from .hmm import forward_backward_corpus
-from .ngram import CompiledModelSet, log_sum, sequence_log_prob
+from .ngram import CompiledModelSet, log_sum
 from .wordmodels import DaLmSet, ScoreScaling, _scored_evidence
 
 
@@ -122,14 +122,14 @@ def per_da_wer_report(references: Mapping[tuple[str, int], Sequence[str]],
 # Per-utterance rescoring primitives
 # ---------------------------------------------------------------------------
 
-# The per-utterance primitives score with the scalar sequence_log_prob;
-# rescore_corpus gets the same numbers for a whole conversation at once
-# from a CompiledModelSet and shares the mixture formulas below.
+# The per-utterance primitives score one n-best list in one compiled-engine
+# call; rescore_corpus gets the same numbers for a whole group of
+# conversations at once and shares the mixture formulas below.
 
 def hypothesis_scores(nbest: NBestList, model,
                       scaling: ScoreScaling = ScoreScaling()) -> np.ndarray:
     """Score every hypothesis under one fixed LM."""
-    lm = np.array([[sequence_log_prob(model, h.words)] for h in nbest])
+    lm = CompiledModelSet([model]).score([h.words for h in nbest])
     return scaling.hyp_scores(nbest, lm)[:, 0]
 
 
@@ -161,8 +161,8 @@ def mixture_posterior_scores(nbest: NBestList, da_lms: DaLmSet,
 
 
 def _label_scores(nbest: NBestList, da_lms: DaLmSet) -> np.ndarray:
-    return np.array([[sequence_log_prob(da_lms.models[lab], h.words)
-                      for lab in da_lms.labels] for h in nbest])
+    return CompiledModelSet([da_lms.models[lab] for lab in da_lms.labels]
+                            ).score([h.words for h in nbest])
 
 
 # The mixtures, from scores already computed: one row per hypothesis and

@@ -155,8 +155,8 @@ def nbest_da_log_likelihood(da_lms: DaLmSet, nbest: NBestList, label: str,
     Marginalizes log [sum_hyps exp(a/lambda + log P(W|label) - mu|W|/lambda)]
     over the n-best list, in log space.
     """
-    model = da_lms.model_for(label)
-    lm = np.array([[sequence_log_prob(model, h.words)] for h in nbest])
+    lm = CompiledModelSet([da_lms.model_for(label)]).score(
+        [h.words for h in nbest])
     return _nbest_evidence(nbest, lm, scaling)[0]
 
 
@@ -177,8 +177,9 @@ def _evidence_sequences(utt, mode: str) -> tuple[tuple[str, ...], ...]:
 
 
 # Conversations are scored in groups holding at most this many (sequence,
-# scorer) scores (a conversation larger than that is a group of its own),
-# so the scores alive at once stay near 512 KB at any corpus size.
+# scorer) scores and (event window, scorer) scores together (a conversation
+# larger than that is a group of its own), so the scores alive at once stay
+# near 512 KB at any corpus size.
 _GROUP_CELLS = 1 << 16
 
 
@@ -196,6 +197,7 @@ def _scored_evidence(engine: CompiledModelSet, convs: Sequence[Conversation],
     """
     group: list[Conversation] = []
     row_of: dict[tuple[str, ...], int] = {}
+    cells = 0
 
     def flush():
         scores = engine.score(list(row_of))
@@ -224,10 +226,12 @@ def _scored_evidence(engine: CompiledModelSet, convs: Sequence[Conversation],
             seqs += _evidence_sequences(utt, mode)
             if references:
                 seqs.append(utt.words)
-        if group and (len(row_of) + len(seqs)) * engine.n_scorers \
-                > _GROUP_CELLS:
+        # a sequence adds a row of scores and at most len + 1 windows
+        cost = engine.n_scorers * sum(len(seq) + 2 for seq in seqs)
+        if group and cells + cost > _GROUP_CELLS:
             yield flush()
-            group, row_of = [], {}
+            group, row_of, cells = [], {}, 0
+        cells += cost
         group.append(conv)
         for seq in seqs:
             row_of.setdefault(seq, len(row_of))

@@ -272,3 +272,36 @@ def test_load_rejects_plain_arpa(tmp_path):
     write_arpa(train_ngram([["a"]], 1), path)
     with pytest.raises(ValueError):
         load_discourse(path, TS3)
+
+
+def test_first_decode_scores_each_context_row_in_one_engine_call(monkeypatch):
+    # an order-3 DA-only grammar over the 42 bundled acts: filling one
+    # speaker pattern's transitions once took 43^2 x 42 = 77,658 scalar
+    # backoff walks
+    import numpy as np
+
+    from dialact.corpus import default_tagset
+    from dialact.hmm import LikelihoodTable, forward_backward
+    from dialact.ngram import CompiledModelSet
+
+    tagset = default_tagset()
+    labels = tagset.labels
+    rng = random.Random(42)
+    convs = [mk_conv(f"c{i}", [(rng.choice(labels), "AB"[j % 2])
+                               for j in range(30)]) for i in range(20)]
+    g = train_discourse(convs, tagset, 3, GrammarVariant.DA_ONLY)
+    calls = []
+    walk = CompiledModelSet._event_log_probs
+
+    def counting(self, windows):
+        calls.append(len(windows))
+        return walk(self, windows)
+
+    monkeypatch.setattr(CompiledModelSet, "_event_log_probs", counting)
+    table = LikelihoodTable("t", labels, tuple("AB"[j % 2] for j in range(30)),
+                            np.log(np.full((30, len(labels)), 0.5)))
+    forward_backward(g, table)
+    # each call scores the whole rows of a family of contexts that differ
+    # in the last token only: one per first token of the 43^2 contexts
+    assert len(calls) <= len(labels) + 1
+    assert (len(labels) + 1) ** 2 <= len(g._rows) <= len(calls) * sum(calls)

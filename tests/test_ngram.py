@@ -1,12 +1,20 @@
-"""Backoff n-gram estimation, scoring, interpolation, and ARPA files."""
+"""Backoff n-gram estimation, scoring, interpolation, and ARPA files.
 
+The array-backed models are checked against a reference kept here: the
+dict-of-dicts Witten-Bell estimator and the scalar Katz backoff walk.
+"""
+
+import functools
 import math
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dialact import ngram
 from dialact.ngram import (_BLOCK_CELLS, END, START, UNK, CompiledModelSet,
                            InterpolatedModel, NGramModel, fit_interp_weight,
                            interpolate, left_sum, log_sum, perplexity,
@@ -16,6 +24,114 @@ from dialact.ngram import (_BLOCK_CELLS, END, START, UNK, CompiledModelSet,
 
 def p(model, ctx, tok):
     return math.exp(model.cond_log_prob(tuple(ctx), tok))
+
+
+# ---------------------------------------------------------------------------
+# The reference: dict-of-dicts models and the scalar backoff walk
+# ---------------------------------------------------------------------------
+
+def reference_backoff(logprob, logbow, log_uniform, ctx, token):
+    """Natural-log P(token | ctx), backing off along context suffixes.
+
+    A context absent from ``logbow`` has backoff weight 1; a token unseen
+    at the unigram level takes the uniform base distribution.
+    """
+    acc = 0.0
+    while True:
+        row = logprob.get(ctx)
+        if row is not None:
+            lp = row.get(token)
+            if lp is not None:
+                return acc + lp
+        if not ctx:
+            return acc + logbow.get((), 0.0) + log_uniform
+        acc += logbow.get(ctx, 0.0)
+        ctx = ctx[1:]
+
+
+def reference_train(sequences, order, vocabulary=None, pad=True):
+    """``(logprob, logbow)`` of the Witten-Bell model, one context at a
+    time: ``logprob`` maps a context tuple to its continuations' log
+    probabilities, ``logbow`` a context to its log backoff weight."""
+    seqs = [list(s) for s in sequences]
+    vocab = set(vocabulary) if vocabulary is not None else \
+        {t for s in seqs for t in s}
+    if pad:
+        vocab = (vocab | {END, UNK}) - {START}
+    counts = {}
+    for seq in seqs:
+        toks = ([START] * (order - 1) + seq + [END]) if pad else seq
+        first = order - 1 if pad else 0
+        for p in range(first, len(toks)):
+            for j in range(max(0, p - order + 1), p + 1):
+                counts.setdefault(tuple(toks[j:p]), Counter())[toks[p]] += 1
+    logprob, logbow = {}, {}
+    log_uniform = -math.log(len(vocab))
+    for ctx in sorted(counts, key=lambda c: (len(c), c)):
+        c = counts[ctx]
+        denom = sum(c.values()) + len(c)
+        reserved = len(c) / denom
+        unseen = sorted(vocab - c.keys())
+        lower = {w: reference_backoff(logprob, logbow, log_uniform, ctx[1:], w)
+                 if ctx else log_uniform for w in [*c, *unseen]}
+        if unseen:
+            logprob[ctx] = {w: math.log(cnt / denom) for w, cnt in c.items()}
+            z = left_sum(math.exp(lower[w]) for w in unseen)
+            logbow[ctx] = math.log(reserved) - math.log(z)
+        else:
+            logprob[ctx] = {w: math.log(cnt / denom + reserved
+                                        * math.exp(lower[w]))
+                            for w, cnt in c.items()}
+    return logprob, logbow
+
+
+@functools.lru_cache(maxsize=64)
+def as_dicts(model):
+    """``(logprob, logbow)`` of an array-backed model (read only: cached)."""
+    logprob, logbow = {}, {}
+    if model._bow[0][0] != 0.0:
+        logbow[()] = model._bow[0][0]
+    for n in range(1, model.order + 1):
+        rows = np.arange(len(model.tokens) if n == 1 else len(model._keys[n]))
+        for gram, lp, bow in zip(model._grams(n, rows).tolist(),
+                                 model._lp[n].tolist(), model._bow[n].tolist()):
+            gram = tuple(model.tokens[i] for i in gram)
+            if not math.isnan(lp):
+                logprob.setdefault(gram[:-1], {})[gram[-1]] = lp
+            if bow != 0.0:
+                logbow[gram] = bow
+    return logprob, logbow
+
+
+def reference_cond_log_prob(model, context, token):
+    if token not in model.vocab:
+        if UNK not in model.vocab:
+            raise ValueError(f"token {token!r} not in closed vocabulary")
+        token = UNK
+    ctx = tuple(context)[max(0, len(context) - model.order + 1):]
+    logprob, logbow = as_dicts(model)
+    return reference_backoff(logprob, logbow, model._log_uniform, ctx, token)
+
+
+def reference_sequence_log_prob(scorer, sequence):
+    """Left-to-right sum of per-event reference log probabilities; an
+    interpolation adds its components' probabilities in log space."""
+    k = scorer.order
+    toks = ([START] * (k - 1) + list(sequence) + [END]) if scorer.padded \
+        else list(sequence)
+    first = k - 1 if scorer.padded else 0
+
+    def event(model, ctx, tok):
+        if isinstance(model, InterpolatedModel):
+            a = model._log_w + event(model.first, ctx, tok)
+            b = model._log_rest + event(model.second, ctx, tok)
+            if a == -math.inf or b == -math.inf:
+                return max(a, b)
+            return max(a, b) + math.log1p(math.exp(min(a, b) - max(a, b)))
+        return reference_cond_log_prob(model, ctx, tok)
+
+    return left_sum(event(scorer, tuple(toks[max(0, p - k + 1):p]), toks[p])
+                    for p in range(first, len(toks)))
 
 
 # ---------------------------------------------------------------------------
@@ -59,9 +175,15 @@ def test_float_sums_add_left_to_right():
         math.exp(v - math.log(0.5)) for v in logs))
     assert log_sum(logs) != math.log(0.5) + math.log(math.fsum(
         math.exp(v - math.log(0.5)) for v in logs))
-    tokens = [f"w{i}" for i in range(len(logs))]
-    model = NGramModel(2, frozenset(tokens), {("a",): dict(zip(tokens, logs))},
-                       {}, padded=False)
+    # a bigram row after "a" holding those probabilities in token order
+    # ("w0" < "w1" < "w10" < ...): tokens w0..w21 and "a", ids in that order
+    tokens = tuple(sorted(["a"] + [f"w{i}" for i in range(len(logs))]))
+    base = len(tokens) + 1
+    keys = np.arange(1, len(tokens)) + base * tokens.index("a")
+    model = NGramModel(2, frozenset(tokens), tokens, [None, None, keys],
+                       [None, np.full(base, math.nan), np.array(logs)],
+                       [np.zeros(1), np.zeros(base), np.zeros(len(logs))],
+                       padded=False)
     assert model.backoff_mass(("a",)) == 1.0 - left_sum(
         math.exp(v) for v in logs)
     assert model.backoff_mass(("a",)) != 1.0 - math.fsum(
@@ -83,7 +205,9 @@ def test_unknown_token_maps_to_unk():
 
 def test_unk_mass_only_through_backoff():
     m = train_ngram([["a", "b"], ["b", "a"]], 3, vocabulary=["a", "b"])
-    for row in m.logprob.values():
+    logprob, _ = as_dicts(m)
+    assert len(logprob) == len(m.logprob)
+    for row in logprob.values():
         assert UNK not in row
 
 
@@ -95,6 +219,80 @@ def test_out_of_vocabulary_training_token_rejected():
 def test_empty_training_rejected():
     with pytest.raises(ValueError):
         train_ngram([], 2)
+
+
+# ---------------------------------------------------------------------------
+# The array estimator against the dict estimator
+# ---------------------------------------------------------------------------
+
+def assert_same_model(got, want, tol):
+    """Two (logprob, logbow) pairs store the same n-grams, with values
+    within ``tol``."""
+    (got_lp, got_bow), (want_lp, want_bow) = got, want
+    assert got_lp.keys() == want_lp.keys()
+    for ctx, row in want_lp.items():
+        assert got_lp[ctx].keys() == row.keys(), ctx
+        for w, lp in row.items():
+            assert abs(got_lp[ctx][w] - lp) <= tol, (ctx, w)
+    for ctx in got_bow.keys() | want_bow.keys():
+        assert abs(got_bow.get(ctx, 0.0) - want_bow.get(ctx, 0.0)) <= tol, ctx
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.booleans(), st.booleans(),
+       st.integers(0, 10 ** 6))
+def test_array_estimator_matches_the_dict_estimator(order, pad, closed, seed):
+    rng = random.Random(seed)
+    words = [f"w{i}" for i in range(rng.randint(1, 7))]
+    # a closed vocabulary may hold words training never saw
+    seen = words[:rng.randint(1, len(words))]
+    seqs = [[rng.choice(seen) for _ in range(rng.randint(0, 12))]
+            for _ in range(rng.randint(1, 9))]
+    seqs[0].append(seen[0])
+    vocab = words if closed else None
+    assert_same_model(as_dicts(train_ngram(seqs, order, vocab, pad)),
+                      reference_train(seqs, order, vocab, pad), 1e-12)
+
+
+@pytest.mark.parametrize("seqs, order", [
+    ([["a"], ["b"]], 3),                # no bigram or trigram events
+    ([["a", "b"]], 4),                  # no 3- or 4-gram events
+])
+def test_orders_without_events_match_the_dict_estimator(seqs, order):
+    for vocab in (None, ["a", "b", "c"]):
+        assert_same_model(as_dicts(train_ngram(seqs, order, vocab, False)),
+                          reference_train(seqs, order, vocab, False), 1e-12)
+
+
+def test_unseen_mass_guard_adds_the_unseen_words(monkeypatch):
+    # context "a" saw every vocabulary word but the rare "r", so its unseen
+    # mass is P(r), about 1e-3.  With N training events no trained context
+    # has unseen mass below about 1 / N, so reaching the 1e-9 floor would
+    # take 1e9 events; the floor is raised above this one context instead.
+    seqs = [["a", "a"], ["a", "b"], ["a", "c"]] * 300 + [["r"]]
+    calls = []
+    walk = CompiledModelSet._event_log_probs
+
+    def counting(self, windows):
+        calls.append(len(windows))
+        return walk(self, windows)
+
+    monkeypatch.setattr(CompiledModelSet, "_event_log_probs", counting)
+    plain = train_ngram(seqs, 2, pad=False)
+    assert len(calls) == 1          # the seen bigrams' unigram probabilities
+    assert plain.logprob == ((), ("a",))
+    assert 1e-9 < p(plain, [], "r") < 1e-2
+    monkeypatch.setattr(ngram, "_Z_FLOOR", 1e-2)
+    calls.clear()
+    guarded = train_ngram(seqs, 2, pad=False)
+    assert calls == [3, 1]          # ... and the walk of "a"'s one unseen word
+    assert sum(p(guarded, ["a"], w) for w in "abcr") == \
+        pytest.approx(1.0, abs=1e-12)
+    # the reserved mass T / (N + T) goes to "r" whole
+    assert guarded.cond_log_prob(["a"], "r") == \
+        pytest.approx(math.log(3 / 903), abs=1e-12)
+    assert_same_model(as_dicts(guarded), reference_train(seqs, 2, pad=False),
+                      1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +404,19 @@ def two_models():
     return a, b
 
 
+def p1(model, tok):
+    """P(tok) of an unpadded unigram model or mixture: its one-token
+    sequence's probability."""
+    return math.exp(sequence_log_prob(model, [tok]))
+
+
 def test_interpolate_identities():
     a, b = two_models()
-    for ctx, tok in [((), "a"), ((), "b"), ((), "c")]:
-        assert interpolate(a, b, 1.0).cond_log_prob(ctx, tok) == \
-            a.cond_log_prob(ctx, tok)
-        assert interpolate(a, b, 0.0).cond_log_prob(ctx, tok) == \
-            b.cond_log_prob(ctx, tok)
+    for tok in "abc":
+        assert sequence_log_prob(interpolate(a, b, 1.0), [tok]) == \
+            a.cond_log_prob((), tok)
+        assert sequence_log_prob(interpolate(a, b, 0.0), [tok]) == \
+            b.cond_log_prob((), tok)
 
 
 def test_interpolate_arithmetic_mean():
@@ -220,13 +424,13 @@ def test_interpolate_arithmetic_mean():
     # P_a(b) = 1/5 = 0.2, P_b(b) = 2/5 = 0.4 -> mean 0.3
     assert p(a, [], "b") == pytest.approx(0.2, abs=1e-12)
     assert p(b, [], "b") == pytest.approx(0.4, abs=1e-12)
-    assert p(interpolate(a, b, 0.5), [], "b") == pytest.approx(0.3, abs=1e-12)
+    assert p1(interpolate(a, b, 0.5), "b") == pytest.approx(0.3, abs=1e-12)
 
 
 def test_interpolate_normalization_and_weight_validation():
     a, b = two_models()
     m = interpolate(a, b, 0.3)
-    assert sum(p(m, [], t) for t in "abc") == pytest.approx(1.0, abs=1e-12)
+    assert sum(p1(m, t) for t in "abc") == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         interpolate(a, b, 1.5)
 
@@ -297,6 +501,43 @@ def test_arpa_round_trip_exact_queries(tmp_path):
             pytest.approx(m.cond_log_prob(ctx, tok), abs=1e-9)
 
 
+def test_arpa_round_trip_reproduces_the_arrays(tmp_path):
+    rng = random.Random(12)
+    vocab = [f"w{i}" for i in range(9)]
+    seqs = [[rng.choice(vocab[:7]) for _ in range(rng.randint(0, 9))]
+            for _ in range(30)]
+    m = train_ngram(seqs, 3, vocabulary=vocab)
+    write_arpa(m, tmp_path / "a.arpa")
+    back = read_arpa(tmp_path / "a.arpa")
+    assert (back.order, back.vocab, back.tokens, back.padded) == \
+        (m.order, m.vocab, m.tokens, m.padded)
+    # the unigram level is written dense over the vocabulary, so an unseen
+    # word's probability takes in the empty context's backoff weight
+    unigrams = m.log_probs([()], m.tokens)[0]
+    in_vocab = [t in m.vocab for t in m.tokens]
+    assert back._bow[0][0] == 0.0
+    assert np.allclose(back._lp[1][:-1][in_vocab], unigrams[in_vocab],
+                       rtol=0, atol=1e-10)
+    assert np.isnan(back._lp[1][:-1][np.logical_not(in_vocab)]).all()
+    assert np.allclose(back._bow[1], m._bow[1], rtol=0, atol=1e-10)
+    for n in range(2, m.order + 1):
+        assert np.array_equal(back._keys[n], m._keys[n])
+        assert np.allclose(back._lp[n], m._lp[n], rtol=0, atol=1e-10,
+                           equal_nan=True)
+        assert np.allclose(back._bow[n], m._bow[n], rtol=0, atol=1e-10)
+    # a model read from a file comes back exactly
+    write_arpa(back, tmp_path / "b.arpa")
+    again = read_arpa(tmp_path / "b.arpa")
+    assert (tmp_path / "b.arpa").read_bytes() == \
+        (tmp_path / "a.arpa").read_bytes()
+    for n in range(m.order + 1):
+        if n > 1:
+            assert np.array_equal(again._keys[n], back._keys[n])
+        if n > 0:
+            assert np.array_equal(again._lp[n], back._lp[n], equal_nan=True)
+        assert np.array_equal(again._bow[n], back._bow[n])
+
+
 def test_arpa_section_counts_match_headers(tmp_path):
     m = train_ngram([["a", "b", "a", "c"], ["c", "b"]], 3,
                     vocabulary=["a", "b", "c"])
@@ -344,7 +585,7 @@ def test_training_and_arpa_output_deterministic(tmp_path):
     seqs = [["a", "b", "c"], ["c", "b"], ["b"]]
     m1 = train_ngram(seqs, 2, vocabulary=["a", "b", "c"])
     m2 = train_ngram(seqs, 2, vocabulary=["a", "b", "c"])
-    assert m1.logprob == m2.logprob and m1.logbow == m2.logbow
+    assert as_dicts(m1) == as_dicts(m2)
     p1, p2 = tmp_path / "a.arpa", tmp_path / "b.arpa"
     write_arpa(m1, p1)
     write_arpa(m2, p2)
@@ -367,7 +608,9 @@ def assert_compiled_equals_scalar(scorers, seqs):
     assert got.shape == (len(seqs), len(scorers))
     for s, seq in enumerate(seqs):
         for c, scorer in enumerate(scorers):
-            assert got[s, c] == sequence_log_prob(scorer, seq), (seq, c)
+            want = reference_sequence_log_prob(scorer, seq)
+            assert got[s, c] == want, (seq, c)
+            assert sequence_log_prob(scorer, seq) == want, (seq, c)
 
 
 @settings(max_examples=80, deadline=None)
@@ -396,11 +639,58 @@ def test_compiled_scores_equal_the_scalar_walk(order_a, order_b, pad, weight,
     if not pad:
         bad = ["a", "zebra", "b", "yak"]
         with pytest.raises(ValueError, match="closed vocabulary") as scalar:
-            sequence_log_prob(a, bad)
+            reference_sequence_log_prob(a, bad)
         with pytest.raises(ValueError, match="closed vocabulary") as compiled:
             CompiledModelSet(scorers).score([["a"], bad, ["yak"]])
         assert str(compiled.value) == str(scalar.value)
         assert "'zebra'" in str(compiled.value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.booleans(), st.integers(0, 10 ** 6))
+def test_cond_log_prob_equals_the_reference_walk(order, pad, seed):
+    rng = random.Random(seed)
+    vocab = ["a", "b", "c", "d"]
+    seqs = [[rng.choice(vocab[:3]) for _ in range(rng.randint(1, 8))]
+            for _ in range(rng.randint(1, 6))]
+    m = train_ngram(seqs, order, vocabulary=vocab, pad=pad)
+    tokens = vocab + ([START, END, UNK, "zebra"] if pad else [])
+    for _ in range(60):
+        ctx = [rng.choice(tokens) for _ in range(rng.randint(0, order + 1))]
+        tok = rng.choice(tokens if pad else vocab)
+        assert m.cond_log_prob(ctx, tok) == \
+            reference_cond_log_prob(m, ctx, tok), (ctx, tok)
+    ctx = [rng.choice(tokens) for _ in range(order)]
+    assert m.log_probs([ctx], tokens)[0].tolist() == \
+        [reference_cond_log_prob(m, ctx, t) for t in tokens]
+
+
+def test_discourse_rows_equal_the_reference_walk():
+    from dialact.corpus import Conversation, TagSet, Utterance
+    from dialact.discourse import GrammarVariant, train_discourse
+
+    rng = random.Random(21)
+    labels = ("S", "Q", "B")
+    convs = [Conversation(f"c{i}", tuple(
+        Utterance(j, rng.choice("AB"), rng.choice(labels), ("w",))
+        for j in range(rng.randint(2, 9)))) for i in range(8)]
+    for variant in GrammarVariant:
+        g = train_discourse(convs, TagSet(labels), 3, variant)
+        for _ in range(60):
+            hist = [(rng.choice(labels), rng.choice("AB"))
+                    for _ in range(rng.randint(0, 3))]
+            spk = rng.choice("ABC")     # C: a speaker no pair token has
+            ctx = g._context(hist)
+            want = {lab: reference_cond_log_prob(g.model, ctx,
+                                                 g._token(lab, spk))
+                    for lab in labels}
+            if variant is GrammarVariant.SPEAKER_CONDITIONED:
+                norm = log_sum(want[lab] for lab in labels)
+                want = {lab: lp - norm for lab, lp in want.items()}
+            for lab in labels:
+                assert g.transition_log_prob(hist, (lab, spk)) == want[lab]
+            assert g.end_log_prob(hist) == \
+                reference_cond_log_prob(g.model, ctx, END)
 
 
 def test_compiled_scores_of_arpa_models(tmp_path):

@@ -326,3 +326,24 @@ def test_missing_likelihood_row_names_the_file(files, tmp_path):
                                           r"no likelihood row for "
                                           r"\('c0', 0, 'Statement'\)"):
         load_likelihoods(path, convs, tagset.labels)
+
+
+@pytest.mark.parametrize("sections, gram", [
+    # the later line used to overwrite the earlier one: P(a) = 10^-0.2
+    ([["-0.5\ta", "-0.3\tb", "-0.2\ta"]], "a"),
+    ([["-0.5\ta", "-0.3\tb", "-0.2\tc"],
+      ["-0.1\ta b", "-0.2\tb a\t-0.1", "-0.3\tb c"],
+      ["-0.1\tb a b", "-0.2\ta b a", "-0.4\tb a b"]], "b a b"),
+])
+def test_repeated_arpa_ngram_names_its_second_line(tmp_path, sections, gram):
+    path = tmp_path / "dup.arpa"
+    path.write_text("\n".join(
+        ["\\data\\"] + [f"ngram {n}={len(rows)}"
+                          for n, rows in enumerate(sections, 1)]
+        + [f"\n\\{n}-grams:\n" + "\n".join(rows)
+           for n, rows in enumerate(sections, 1)] + ["\n\\end\\\n"]))
+    first, second = [i for i, line in enumerate(
+        path.read_text().splitlines(), 1) if line.split("\t")[1:2] == [gram]]
+    with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}:{second}: "
+                       rf"duplicate n-gram '{gram}' \(first at line {first}\)"):
+        read_arpa(path)

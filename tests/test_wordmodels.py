@@ -276,6 +276,36 @@ def test_tables_are_scored_in_bounded_groups_of_conversations(monkeypatch):
         assert np.array_equal(a.scores, b.scores)
 
 
+def test_group_budget_counts_the_event_window_table(monkeypatch):
+    lms = train_da_lms(mk_corpus(), TS2, order=3)
+    rng = random.Random(4)
+    words = [w for s in STATEMENTS + QUESTIONS for w in s]
+    # each conversation alone: at most 24 sequences of at most 5 words,
+    # 24 * (5 + 2) * 2 = 336 cells of scores and windows
+    convs = [with_nbest(f"c{k}", [("AB"[i % 2], "S", (), [
+        (tuple(rng.choice(words) for _ in range(rng.randint(1, 5))), -1.0)
+        for _ in range(4)]) for i in range(rng.randint(1, 6))])
+        for k in range(30)]
+    cells = []
+    event_table = CompiledModelSet._event_table
+
+    def recording(self, seqs):
+        out = event_table(self, seqs)
+        # the window table and the scores it fills, alive together
+        cells.append(out[0].size + len(seqs) * self.n_scorers)
+        return out
+
+    monkeypatch.setattr(CompiledModelSet, "_event_table", recording)
+    whole = word_likelihood_tables(lms, convs, "nbest")
+    assert max(cells) > 400
+    cells.clear()
+    monkeypatch.setattr(wordmodels, "_GROUP_CELLS", 400)
+    grouped = word_likelihood_tables(lms, convs, "nbest")
+    assert len(cells) > 5 and max(cells) <= 400
+    for a, b in zip(whole, grouped):
+        assert np.array_equal(a.scores, b.scores)
+
+
 def test_modes_requiring_nbest_reject_bare_utterances():
     lms = train_da_lms(mk_corpus(), TS2, order=2)
     conv = with_nbest("c", [("A", "S", ("i", "agree"), None)])
