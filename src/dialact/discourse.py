@@ -22,6 +22,8 @@ import math
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .corpus import Conversation, CorpusError, TagSet, _read_text
 from .ngram import END, START, NGramModel, log_sum, read_arpa, train_ngram, write_arpa
 
@@ -40,8 +42,10 @@ class DiscourseGrammar:
     ``order`` 0 means "no grammar": uniform scores, no inner model.
     Each context's scores over the model's vocabulary are memoized, as are
     speaker normalizers; one engine call scores a context together with
-    every context that differs from it in the last token only.  Instances
-    are immutable after construction and safe to share across decodes.
+    every context that differs from it in the last token only, and
+    :meth:`transition_row` gathers a history's scores of every label from
+    that row.  Instances are immutable after construction and safe to
+    share across decodes.
     """
 
     def __init__(self, tagset: TagSet, variant: GrammarVariant, order: int,
@@ -56,6 +60,7 @@ class DiscourseGrammar:
         self.model = model
         self._norm_memo: dict[tuple, float] = {}
         self._rows: dict = {}   # context -> log probs of the sorted vocabulary
+        self._columns: dict = {}  # speaker -> vocabulary ids of the labels
         self._vocab = {t: i for i, t in enumerate(sorted(model.vocab if model
                                                          else ()))}
         if self.variant == GrammarVariant.JOINT:
@@ -110,23 +115,54 @@ class DiscourseGrammar:
             lp -= self._speaker_normalizer(ctx, speaker)
         return lp
 
-    def _log_prob(self, ctx: tuple[str, ...], token: str) -> float:
-        """The model's log P(token | ctx), read from the context's row."""
-        if ctx not in self._rows:
+    def transition_row(self, history: Sequence[tuple[str, str]],
+                       speaker: str) -> np.ndarray:
+        """log P((label, speaker) | history) of every label of the tag set,
+        in order: :meth:`transition_log_prob` label by label, bit for bit."""
+        if self.order == 0:
+            return np.full(len(self.labels), self._log_uniform)
+        ctx = self._context(history)
+        row = self._token_row(ctx, speaker)
+        if self.variant == GrammarVariant.SPEAKER_CONDITIONED:
+            row = row - self._speaker_normalizer(ctx, speaker)
+        return row
+
+    def _row(self, ctx: tuple[str, ...]) -> np.ndarray:
+        """The model's log probs of the sorted vocabulary after ``ctx``."""
+        row = self._rows.get(ctx)
+        if row is None:
             family = [ctx, *(ctx[:-1] + (t,) for t in self._vocab if ctx)]
             self._rows.update(zip(family, self.model.log_probs(
                 family, list(self._vocab))))
+            row = self._rows[ctx]
+        return row
+
+    def _log_prob(self, ctx: tuple[str, ...], token: str) -> float:
+        """The model's log P(token | ctx), read from the context's row."""
         i = self._vocab.get(token)
         # outside the vocabulary: <unk>'s score, or a closed-vocabulary error
-        return float(self._rows[ctx][i]) if i is not None else \
+        return float(self._row(ctx)[i]) if i is not None else \
             self.model.cond_log_prob(ctx, token)
+
+    def _token_row(self, ctx: tuple[str, ...], speaker: str) -> np.ndarray:
+        """The model's log P(token | ctx) of each label's token for
+        ``speaker``, in tag set order."""
+        if speaker not in self._columns:
+            ids = [self._vocab.get(self._token(lab, speaker))
+                   for lab in self.labels]
+            self._columns[speaker] = None if None in ids else \
+                np.array(ids, dtype=np.intp)
+        cols = self._columns[speaker]
+        if cols is None:
+            return np.array([self._log_prob(ctx, self._token(lab, speaker))
+                             for lab in self.labels])
+        return self._row(ctx)[cols]
 
     def _speaker_normalizer(self, ctx: tuple[str, ...], speaker: str) -> float:
         key = (ctx, speaker)
         if key not in self._norm_memo:
             self._norm_memo[key] = log_sum(
-                self._log_prob(ctx, self._token(lab, speaker))
-                for lab in self.tagset.labels)
+                self._token_row(ctx, speaker).tolist())
         return self._norm_memo[key]
 
     def end_log_prob(self, history: Sequence[tuple[str, str]]) -> float:

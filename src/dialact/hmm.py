@@ -5,7 +5,9 @@ clamped, so a state history is a label tuple and the speakers come from the
 conversation.  Any object with ``labels``, ``order``,
 ``transition_log_prob(history, event)`` and ``end_log_prob(history)`` works
 as the prior (see :class:`dialact.discourse.DiscourseGrammar`), where
-``history``/``event`` hold (label, speaker) pairs.  Grammars are treated as
+``history``/``event`` hold (label, speaker) pairs.  A prior that also has
+``transition_row(history, speaker)``, the log probs of every label in one
+array, is compiled a whole row at a time.  Grammars are treated as
 immutable: each one is compiled once and the result reused.
 
 Compiling turns the prior into dense arrays over history states.  A state
@@ -18,17 +20,32 @@ placeholder speaker, so m + 1 patterns, if ``uses_speakers`` is False).
 One forward-backward and one Viterbi recursion then run over these arrays
 for every grammar order.
 
+Viterbi is max-plus.  Forward-backward runs each step as matrix products
+in log space, the scaled recursion of Rabiner (1989, "A tutorial on hidden
+Markov models") with log-space shifts: a step from log scores a through
+transitions T stores P + M + log(exp(a - P) @ exp(T - M)), P each row's
+max and M each transition column's max (the row max over the next label
+for the backward step), with exp(T - M) computed when the corpus is
+compiled.  A product below 1e-280 from finite shifts may have lost terms
+to underflow or digits to subnormals; such cells are recomputed with the
+exact logsumexp.  Blocks of 32 steps gather their tables together and
+check this guard once, rerunning from a block's first flagged step.  This
+moves posteriors by float rounding (at most 8.1e-12 on the bench's long
+conversations) against the exact logsumexp recursion kept in the tests;
+labels, Viterbi paths and reruns are unchanged, with one BLAS thread or
+many.
+
 Decoding is batched over a corpus.  The distinct pattern arrays of the
 corpus are stacked once, and each conversation indexes them at every
 utterance.  Conversations are sorted by length and decoded together,
 start-aligned, in groups whose alpha array (utterances x rows x states)
-plus one step's gathered transitions (rows x states x t) stay within
-``DECODE_BUDGET`` = 2^19 elements (4 MB of float64); a conversation over
-it on its own decodes alone.  A row is a conversation, or in fusion tuning
-a conversation at one scale beta.  Padded steps carry no evidence, each
-conversation's end array enters the backward sweep at its own last step,
-and the backward sweep adds each step's beta into alpha in place, so no
-beta array over the whole group is kept.  Results are bit-identical to decoding each conversation alone.
+and step buffers stay within ``DECODE_BUDGET`` = 2^19 elements (4 MB of
+float64); a conversation over it on its own decodes alone.  A row is a
+conversation, or in fusion tuning a conversation at one scale beta.
+Padded steps rule out every label, each conversation's end array enters the
+backward sweep at its own last step, and the backward sweep adds each
+block's betas into alpha in place, so no beta array over the whole group
+is kept.  Results are bit-identical to decoding each conversation alone.
 
 Evidence enters through :class:`LikelihoodTable`: per-utterance natural-log
 likelihoods, one column per label.  Decoders:
@@ -174,12 +191,21 @@ def combine_likelihoods(word: LikelihoodTable,
 # keeps finite shifts exact and turns that row into -max + log(0) = -inf.
 _FLOOR = -np.finfo(float).max
 
-# Conversations decode together in groups whose alpha array and one step's
-# gathered transitions hold at most this many elements (4 MB of float64);
-# a conversation over the budget on its own decodes alone.
+# Conversations decode together in groups whose arrays hold at most this
+# many elements (4 MB of float64); a conversation over the budget on its own
+# decodes alone.
 DECODE_BUDGET = 1 << 19
 
 _UNSCALED = np.ones(1)
+
+# Forward-backward steps whose transition tables are gathered, and whose
+# underflow guard is checked, together.
+_BLOCK = 32
+
+# A shifted product below this, from finite shifts, is recomputed exactly.
+# Each term the product drops is below 2^-1074, so above it the dropped
+# terms move the log by less than 1e-40.
+_LOG_TINY = float(np.log(1e-280))
 
 
 def _logsumexp(arr: np.ndarray, axis: int) -> np.ndarray:
@@ -229,8 +255,7 @@ class _CompiledPrior:
             t = len(self.labels)
             arr = np.full(((t + 1) ** self.m, t), -np.inf)
             for flat, events in self._histories(pattern[:-1]):
-                arr[flat] = [grammar.transition_log_prob(events, (lab, pattern[-1]))
-                             for lab in self.labels]
+                arr[flat] = _transition_row(grammar, events, pattern[-1])
             arr = self._trans[pattern] = arr.reshape(t + 1, -1, t)
         return arr
 
@@ -244,6 +269,17 @@ class _CompiledPrior:
         return arr
 
 
+def _transition_row(grammar, history: tuple, speaker) -> Sequence[float]:
+    """log P((label, speaker) | history) of each of the grammar's labels:
+    its ``transition_row`` where it has one, else one
+    ``transition_log_prob`` call per label."""
+    row = getattr(grammar, "transition_row", None)
+    if row is not None:
+        return row(history, speaker)
+    return [grammar.transition_log_prob(history, (lab, speaker))
+            for lab in grammar.labels]
+
+
 # Grammars are immutable by contract, so each one is compiled once.
 _COMPILED: "weakref.WeakKeyDictionary[object, _CompiledPrior]" = \
     weakref.WeakKeyDictionary()
@@ -252,12 +288,23 @@ _COMPILED: "weakref.WeakKeyDictionary[object, _CompiledPrior]" = \
 class _Compiled(NamedTuple):
     """A corpus against one grammar: the transition and end arrays of its
     speaker patterns, stacked, and per table its row of ``trans`` at each
-    utterance and its row of ``end``."""
+    utterance and its row of ``end``.
+
+    For the forward-backward products, ``fwd`` holds exp(T - M) laid out
+    (rest of the state, oldest label, next label), M the max over the
+    oldest label (``fwd_max``), and ``bwd`` holds exp(T - N) laid out
+    (rest, next label, oldest label), N the max over the next label
+    (``bwd_max``).  The maxima are -inf where the whole column or row is.
+    """
 
     trans: np.ndarray
     end: np.ndarray
     steps: list[np.ndarray]
     ends: np.ndarray
+    fwd: np.ndarray
+    fwd_max: np.ndarray
+    bwd: np.ndarray
+    bwd_max: np.ndarray
 
 
 def _compile(grammar, tables: Sequence[LikelihoodTable]) -> _Compiled:
@@ -277,25 +324,30 @@ def _compile(grammar, tables: Sequence[LikelihoodTable]) -> _Compiled:
     step_row = {p: k for k, p in
                 enumerate(dict.fromkeys(itertools.chain(*steps)))}
     end_row = {p: k for k, p in enumerate(dict.fromkeys(ends))}
+    trans = np.stack([prior.transition(grammar, p) for p in step_row])
+    cols, rows = trans.max(axis=1), trans.max(axis=3)
     return _Compiled(
-        np.stack([prior.transition(grammar, p) for p in step_row]),
-        np.stack([prior.end(grammar, p) for p in end_row]),
+        trans, np.stack([prior.end(grammar, p) for p in end_row]),
         [np.array([step_row[p] for p in s], dtype=np.intp) for s in steps],
-        np.array([end_row[p] for p in ends], dtype=np.intp))
+        np.array([end_row[p] for p in ends], dtype=np.intp),
+        np.exp(trans - np.maximum(cols, _FLOOR)[:, None]).transpose(
+            0, 2, 1, 3).copy(), cols,
+        np.exp(trans - np.maximum(rows, _FLOOR)[..., None]).transpose(
+            0, 2, 3, 1).copy(), rows)
 
 
-def _groups(lengths: Sequence[int], per_step: int, t: int) -> list[list[int]]:
+def _groups(lengths: Sequence[int], per_step: int,
+            extra: int) -> list[list[int]]:
     """Positions of ``lengths`` in decode groups, shortest first.
 
-    A conversation holds ``per_step`` alpha elements per utterance and
-    gathers ``per_step * t`` transition elements at each step, so a group
-    of c conversations, the longest n utterances, counts
-    c * per_step * (n + t) elements.  No group passes DECODE_BUDGET, except
-    a conversation over it alone.
+    A conversation holds ``per_step`` elements per utterance, plus buffers
+    worth ``extra`` utterances, so a group of c conversations, the longest
+    n utterances, counts c * per_step * (n + extra) elements.  No group
+    passes DECODE_BUDGET, except a conversation over it alone.
     """
     groups: list[list[int]] = []
     for k in sorted(range(len(lengths)), key=lengths.__getitem__):
-        if groups and (len(groups[-1]) + 1) * per_step * (lengths[k] + t) \
+        if groups and (len(groups[-1]) + 1) * per_step * (lengths[k] + extra) \
                 <= DECODE_BUDGET:
             groups[-1].append(k)
         else:
@@ -308,16 +360,140 @@ def _gather(comp: _Compiled, group: list[int], liks: Sequence[np.ndarray],
     """Start-aligned pattern rows (n, c) of a group and its evidence
     (n, c, b, t) at each of b ``scales``, and the positions in the group
     of the conversations ending at each step.  Padded steps use pattern
-    row 0 and carry no evidence."""
+    row 0 and rule out every label, so no product of theirs trips the
+    underflow guard."""
     n = max(len(liks[k]) for k in group)
     idx = np.zeros((n, len(group)), dtype=np.intp)
-    lik = np.zeros((n, len(group), len(scales), comp.trans.shape[-1]))
+    lik = np.full((n, len(group), len(scales), comp.trans.shape[-1]), -np.inf)
     ending: dict[int, list[int]] = {}
     for j, k in enumerate(group):
         idx[:len(liks[k]), j] = comp.steps[k]
         lik[:len(liks[k]), j] = liks[k][:, None] * scales[:, None]
         ending.setdefault(len(liks[k]) - 1, []).append(j)
     return idx, lik, ending
+
+
+def _underflow(prods: np.ndarray, evid: np.ndarray, shifts: np.ndarray):
+    """The first step of a block, and its cells, whose log product fell
+    below the guard although its evidence and shift are finite; the arrays
+    broadcast to one layout, steps first.  None if there is no such cell."""
+    bad = prods < _LOG_TINY
+    bad &= evid > -np.inf
+    bad &= shifts > _FLOOR
+    steps = np.flatnonzero(bad.any(axis=tuple(range(1, bad.ndim))))
+    return (int(steps[0]), bad[steps[0]]) if steps.size else None
+
+
+def _forward(comp: _Compiled, idx: np.ndarray, lik: np.ndarray,
+             alpha: np.ndarray) -> None:
+    """Fill ``alpha`` (n, c, b, states) with the forward log scores.
+
+    Step i multiplies, for each conversation and rest of the state, the
+    (b, t+1) rows exp(alpha[i-1] - P) over the oldest label by the
+    compiled exp(T - M), and stores P + M + log(product) + evidence.
+    """
+    n, c, b, size, t = alpha.shape[:4] + (alpha.shape[4] - 1,)
+    blk = min(_BLOCK, n)
+    start = np.full((c, b, t + 1, size), -np.inf)
+    start[..., -1, -1] = 0.0             # every axis "before the conversation"
+    hist = alpha.reshape(n, c, b, t + 1, size)      # (oldest label, rest)
+    rows = np.empty((c, size, b, t + 1))
+    rows_in = rows.transpose(0, 2, 3, 1)
+    prods = np.empty((blk, c, size, b, t))
+    shifts = np.empty((blk, c, b, size, 1))
+    for lo in range(0, n, blk):
+        hi = min(lo + blk, n)
+        tables = comp.fwd[idx[lo:hi]]
+        evid = comp.fwd_max[idx[lo:hi]][:, :, None] + lik[lo:hi, :, :, None]
+        first = lo
+        while first < hi:
+            for i in range(first, hi):
+                k = i - lo
+                prev = hist[i - 1] if i else start
+                shift = np.maximum.reduce(prev, axis=2, keepdims=True,
+                                          out=shifts[k].reshape(c, b, 1, size))
+                np.maximum(shift, _FLOOR, out=shift)
+                np.subtract(prev, shift, out=rows_in)
+                np.exp(rows, out=rows)
+                np.matmul(rows, tables[k], out=prods[k])
+                np.log(prods[k], out=prods[k])
+                out = alpha[i, ..., :t]
+                np.add(prods[k].transpose(0, 2, 1, 3), evid[k], out=out)
+                out += shifts[k]
+            found = _underflow(prods[first - lo:hi - lo],
+                               evid[first - lo:].transpose(0, 1, 3, 2, 4),
+                               shifts[first - lo:hi - lo].transpose(
+                                   0, 1, 3, 2, 4))
+            if found is None:
+                break
+            i = first + found[0]
+            cc, rr, bb, jj = np.nonzero(found[1])
+            prev = hist[i - 1] if i else start
+            alpha[i, cc, bb, rr, jj] = _logsumexp(
+                prev[cc, bb, :, rr] + comp.trans[idx[i, cc], :, rr, jj],
+                axis=1) + lik[i, cc, bb, jj]
+            first = i + 1
+
+
+def _backward(comp: _Compiled, idx: np.ndarray, lik: np.ndarray,
+              ends: np.ndarray, ending: dict, alpha: np.ndarray) -> None:
+    """Add the backward log scores into ``alpha``, giving the joint.
+
+    Step i multiplies, for each conversation and rest of the state, the
+    (b, t) rows exp(evidence + beta[i+1] - P) over the next label by the
+    compiled exp(T - N); each conversation's end array (``ends``, one row
+    per conversation) enters at its own last step.
+    """
+    n, c, b, size, t = alpha.shape[:4] + (alpha.shape[4] - 1,)
+    blk = min(_BLOCK, n)
+    beta = np.broadcast_to(ends, (c, b, size, t + 1))
+    alpha[n - 1] += beta
+    nxt = np.empty((c, b, size, t))
+    rows = np.empty((c, size, b, t))
+    rows_in = rows.transpose(0, 2, 1, 3)
+    prods = np.empty((blk, c, size, b, t + 1))
+    shifts = np.empty((blk, c, b, size, 1))
+    betas = np.empty((blk, c, b, size, t + 1))
+    hist = betas.reshape(blk, c, b, t + 1, size)    # (oldest label, rest)
+    # a block runs steps hi - 1 down to lo, the k-th of them at k
+    for hi in range(n - 1, 0, -blk):
+        lo = max(hi - blk, 0)
+        tables = comp.bwd[idx[hi:lo:-1]]
+        evid = comp.bwd_max[idx[hi:lo:-1]][:, :, None]
+        first = 0
+        while first < hi - lo:
+            for k in range(first, hi - lo):
+                np.add(lik[hi - k][:, :, None],
+                       (betas[k - 1] if k else beta)[..., :t], out=nxt)
+                shift = np.maximum.reduce(nxt, axis=-1, keepdims=True,
+                                          out=shifts[k])
+                np.maximum(shift, _FLOOR, out=shift)
+                np.subtract(nxt, shift, out=rows_in)
+                np.exp(rows, out=rows)
+                np.matmul(rows, tables[k], out=prods[k])
+                np.log(prods[k], out=prods[k])
+                np.add(prods[k].transpose(0, 2, 3, 1), evid[k], out=hist[k])
+                hist[k] += shift.reshape(c, b, 1, size)
+                last = ending.get(hi - 1 - k)
+                if last:
+                    betas[k][last] = ends[last]
+            found = _underflow(prods[first:hi - lo],
+                               evid[first:].transpose(0, 1, 4, 2, 3),
+                               shifts[first:hi - lo].transpose(0, 1, 3, 2, 4))
+            if found is None:
+                break
+            k = first + found[0]
+            cc, rr, bb, oo = np.nonzero(found[1])
+            np.add(lik[hi - k][:, :, None],
+                   (betas[k - 1] if k else beta)[..., :t], out=nxt)
+            hist[k, cc, bb, oo, rr] = _logsumexp(
+                comp.trans[idx[hi - k, cc], oo, rr] + nxt[cc, bb, rr], axis=1)
+            last = ending.get(hi - 1 - k)
+            if last:
+                betas[k][last] = ends[last]
+            first = k + 1
+        alpha[lo:hi] += betas[hi - lo - 1::-1]
+        beta = betas[hi - lo - 1].copy()
 
 
 @np.errstate(divide="ignore")
@@ -333,29 +509,12 @@ def _group_posteriors(comp: _Compiled, group: list[int],
     idx, lik, ending = _gather(comp, group, liks, scales)
     n, c, b, t = lik.shape
     size = comp.trans.shape[2]
-    lik = lik[:, :, :, None]             # (n, c, b, 1, t)
     alpha = np.full((n, c, b, size, t + 1), -np.inf)
-    prev = np.full((c, b, t + 1, size), -np.inf)
-    prev[..., -1, -1] = 0.0              # every axis "before the conversation"
-    for i in range(n):
-        step = comp.trans[idx[i]][:, None]
-        alpha[i, ..., :t] = _logsumexp(prev[..., None] + step, axis=2) + lik[i]
-        prev = alpha[i].reshape(c, b, t + 1, size)
+    _forward(comp, idx, lik, alpha)
     if not online:
-        # the backward sweep adds into alpha in place, giving the joint;
-        # each conversation's end array enters at its own last step
-        ends = comp.end[comp.ends[group]].reshape(c, 1, size, t + 1)
-        beta = np.broadcast_to(ends, (c, b, size, t + 1))
-        alpha[n - 1] += beta
-        for i in range(n - 2, -1, -1):
-            nxt = lik[i + 1] + beta[..., :t]
-            step = comp.trans[idx[i + 1]][:, None]
-            beta = _logsumexp(step + nxt[:, :, None], axis=-1).reshape(
-                c, b, size, t + 1)
-            last = ending.get(i)
-            if last:
-                beta[last] = ends[last]
-            alpha[i] += beta
+        _backward(comp, idx, lik,
+                  comp.end[comp.ends[group]].reshape(c, 1, size, t + 1),
+                  ending, alpha)
     # normalize in blocks of steps, so the temporaries stay small next to
     # alpha; padded steps get z = 0 rather than a -inf - -inf
     pad = np.arange(n)[:, None] >= [len(liks[k]) for k in group]
@@ -376,9 +535,13 @@ def _posteriors(comp: _Compiled, liks: Sequence[np.ndarray],
     """Posteriors of each conversation, (b, n, t) for its evidence ``liks``
     scaled by each of the b ``scales``."""
     _, _, size, t = comp.trans.shape
+    # beyond alpha, a conversation holds four steps' worth of buffers and,
+    # per step of a block, its gathered tables (t / b steps' worth) and at
+    # most four steps' worth of evidence, products, betas and guard masks
+    extra = 4 + _BLOCK * (-(-t // len(scales)) + 4)
     out: list[np.ndarray] = [np.empty(0)] * len(liks)
     for group in _groups([len(lik) for lik in liks],
-                         len(scales) * size * (t + 1), t):
+                         len(scales) * size * (t + 1), extra):
         posts = _group_posteriors(comp, group, liks, scales, online)
         for j, k in enumerate(group):
             out[k] = posts[:len(liks[k]), j].transpose(1, 0, 2)
@@ -469,6 +632,7 @@ def viterbi_corpus(grammar, tables: Sequence[LikelihoodTable]
     _, _, size, t = comp.trans.shape
     liks = [table.scores for table in tables]
     out: list = [None] * len(tables)
+    # one step's candidates, score + transitions, are t steps' worth
     for group in _groups([len(table) for table in tables], size * (t + 1), t):
         for k, result in zip(group, _group_viterbi(comp, group, liks)):
             out[k] = result

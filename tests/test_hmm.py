@@ -1,6 +1,7 @@
 """Sequence decoding: Viterbi, forward-backward, fusion, weight tuning."""
 
 import contextlib
+import itertools
 import math
 import random
 import warnings
@@ -449,6 +450,34 @@ def test_speaker_blind_grammars_compile_one_pattern_per_depth():
         assert len(hmm._COMPILED[grammar]._trans) <= order
 
 
+def test_prior_compiles_by_whole_rows(monkeypatch):
+    # DiscourseGrammar compiles through transition_row, with no per-label
+    # call, into the arrays the per-label adapter builds, bit for bit
+    rng = random.Random(12)
+    tagset = TagSet(("S", "Q", "B"))
+    convs = [Conversation(f"c{i}", tuple(
+        Utterance(j, rng.choice("AB"), rng.choice(tagset.labels), ("w",))
+        for j in range(rng.randint(2, 9)))) for i in range(8)]
+    grammars = [DiscourseGrammar.uniform(tagset, variant) if order == 0
+                else train_discourse(convs, tagset, order, variant)
+                for order in range(4) for variant in GrammarVariant]
+    proxies = [SpeakerBlind(grammar) for grammar in grammars]
+
+    def per_label(self, history, event):
+        raise AssertionError("compiled one label at a time")
+
+    monkeypatch.setattr(DiscourseGrammar, "transition_log_prob", per_label)
+    for grammar, proxy in zip(grammars, proxies):
+        m = max(grammar.order - 1, 1)
+        for lead in range(m + 1):
+            # C: a speaker no pair token has
+            for speakers in itertools.product("ABC", repeat=m + 1 - lead):
+                pattern = (None,) * lead + speakers
+                assert np.array_equal(
+                    hmm._CompiledPrior(grammar).transition(grammar, pattern),
+                    hmm._CompiledPrior(proxy).transition(proxy, pattern))
+
+
 # ---------------------------------------------------------------------------
 # Batched corpus decoding against a per-table oracle
 # ---------------------------------------------------------------------------
@@ -593,11 +622,16 @@ def test_batched_decoders_equal_per_table_decodes(corpus, online, budget,
                                  np.array(scales), online)
     assert len(posts) == len(paths) == len(scaled) == len(tables)
     for table, got, path, by_scale in zip(tables, posts, paths, scaled):
-        assert np.array_equal(got, oracle_posteriors(grammar, table,
-                                                     online=online)[0])
+        # batched against per-table decodes, at any budget: bit for bit
         assert np.array_equal(got, forward_backward(grammar, table, online))
-        assert np.array_equal(by_scale,
-                              oracle_posteriors(grammar, table, scales, online))
+        assert np.array_equal(by_scale, hmm._posteriors(
+            hmm._compile(grammar, [table]), [table.scores], np.array(scales),
+            online)[0])
+        # the shifted products against the exact per-table recursion
+        assert np.abs(got - oracle_posteriors(
+            grammar, table, online=online)[0]).max() <= 1e-12
+        assert np.abs(by_scale - oracle_posteriors(
+            grammar, table, scales, online)).max() <= 1e-12
         assert path == oracle_viterbi(grammar, table)
         assert path == viterbi_decode(grammar, table)
 
@@ -617,10 +651,62 @@ def test_batched_decoders_equal_per_table_on_the_bundled_tag_set():
     for online in (False, True):
         for table, got in zip(tables, forward_backward_corpus(grammar, tables,
                                                               online)):
-            assert np.array_equal(got, oracle_posteriors(grammar, table,
-                                                         online=online)[0])
+            assert np.array_equal(got,
+                                  forward_backward(grammar, table, online))
+            assert np.abs(got - oracle_posteriors(
+                grammar, table, online=online)[0]).max() <= 1e-12
     assert viterbi_corpus(grammar, tables) == \
         [oracle_viterbi(grammar, table) for table in tables]
+
+
+def ladder(rng):
+    """A log score 0, 368 or 736 nats down, less up to 12 nats: a sum of two
+    steps down lands in or past the float64 subnormal range (745 nats)."""
+    return -368.0 * rng.randrange(3) - rng.uniform(0.0, 12.0)
+
+
+class Ladder:
+    """A prior of order 2 or 3 with ladder scores, drawn on first use."""
+
+    def __init__(self, labels, order, rng):
+        self.labels, self.order, self.rng = labels, order, rng
+        self.scores = {}
+
+    def _score(self, key):
+        if key not in self.scores:
+            self.scores[key] = ladder(self.rng)
+        return self.scores[key]
+
+    def transition_log_prob(self, history, event):
+        return self._score((tuple(history)[2 - self.order:], event))
+
+    def end_log_prob(self, history):
+        return self._score(tuple(history)[1 - self.order:])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 16), st.integers(2, 3), st.integers(2, 4),
+       st.booleans(), st.lists(st.integers(1, 12), min_size=1, max_size=3))
+def test_shifted_products_match_the_oracle_past_underflow(seed, order,
+                                                          n_labels, online,
+                                                          lengths):
+    # transitions and evidence spread over 1,100 nats, so shifted products
+    # underflow to 0 or lose digits as subnormals, and the guard must
+    # recompute those cells
+    rng = random.Random(seed)
+    labels = ("S", "Q", "B", "X")[:n_labels]
+    grammar = Ladder(labels, order, rng)
+    tables = [LikelihoodTable(f"c{c}", labels, tuple(rng.choice("AB")
+                                                     for _ in range(n)),
+                              np.array([[ladder(rng) for _ in labels]
+                                        for _ in range(n)]))
+              for c, n in enumerate(lengths)]
+    scales = np.array([1.0, 2.0])
+    got = hmm._posteriors(hmm._compile(grammar, tables),
+                          [table.scores for table in tables], scales, online)
+    for table, posts in zip(tables, got):
+        assert np.abs(posts - oracle_posteriors(grammar, table, scales,
+                                                online)).max() <= 1e-10
 
 
 def test_flat_prior_ties_go_to_the_lowest_labels():
