@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -467,6 +468,22 @@ def _int_at_least(low: int):
     return parse
 
 
+def _finite_float(low: float = -math.inf, strict: bool = False):
+    """An argparse type: a finite float of at least ``low``, or above it
+    if ``strict``."""
+    def parse(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+        if value < low or (strict and value == low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'above' if strict else 'at least'} {low:g}, "
+                f"got {text}")
+        return value
+    parse.__name__ = "float"    # argparse names it in "invalid float value"
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dialact",
@@ -486,9 +503,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          "uniform one")
 
     scoring = argparse.ArgumentParser(add_help=False)
-    scoring.add_argument("--lm-weight", type=float, default=10.0,
+    scoring.add_argument("--lm-weight", type=_finite_float(0.0, strict=True),
+                         default=10.0,
                          help="recognizer LM weight lambda (default 10)")
-    scoring.add_argument("--word-penalty", type=float, default=0.0,
+    scoring.add_argument("--word-penalty", type=_finite_float(), default=0.0,
                          help="recognizer insertion penalty mu (default 0)")
     scoring.add_argument("--max-hyps", type=_int_at_least(1), default=None,
                          help="truncate n-best lists to this many hypotheses")
@@ -529,9 +547,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="posterior (per-utterance argmax) or viterbi")
     p.add_argument("--online", action="store_true",
                    help="filtered posteriors: no look-ahead")
-    p.add_argument("--alpha", type=float, default=1.0,
+    p.add_argument("--alpha", type=_finite_float(0.0), default=1.0,
                    help="prosody stream weight (default 1)")
-    p.add_argument("--beta", type=float, default=1.0,
+    p.add_argument("--beta", type=_finite_float(0.0, strict=True),
+                   default=1.0,
                    help="evidence flattening weight (default 1)")
     p.add_argument("--tune-fusion", action="store_true",
                    help="jackknife-tune alpha and beta on the labels")

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Conversation, CorpusError, TagSet, _read_text
-from .ngram import END, START, NGramModel, log_sum, read_arpa, train_ngram, write_arpa
+from .ngram import END, START, NGramModel, _logsumexp, read_arpa, train_ngram, write_arpa
 
 PAIR_SEP = "·"  # middle dot, joins label and speaker in pair tokens
 
@@ -161,8 +161,8 @@ class DiscourseGrammar:
     def _speaker_normalizer(self, ctx: tuple[str, ...], speaker: str) -> float:
         key = (ctx, speaker)
         if key not in self._norm_memo:
-            self._norm_memo[key] = log_sum(
-                self._token_row(ctx, speaker).tolist())
+            self._norm_memo[key] = float(_logsumexp(
+                self._token_row(ctx, speaker), axis=0))
         return self._norm_memo[key]
 
     def end_log_prob(self, history: Sequence[tuple[str, str]]) -> float:

@@ -28,7 +28,7 @@ max and M each transition column's max (the row max over the next label
 for the backward step), with exp(T - M) computed when the corpus is
 compiled.  A product below 1e-280 from finite shifts may have lost terms
 to underflow or digits to subnormals; such cells are recomputed with the
-exact logsumexp.  Blocks of 32 steps gather their tables together and
+exact logsumexp, ``ngram._logsumexp``, the toolkit's one such routine.  Blocks of 32 steps gather their tables together and
 check this guard once, rerunning from a block's first flagged step.  This
 moves posteriors by float rounding (at most 8.1e-12 on the bench's long
 conversations) against the exact logsumexp recursion kept in the tests;
@@ -80,6 +80,7 @@ import numpy as np
 
 from .corpus import (Conversation, CorpusError, content_lines, jackknife_split,
                      located)
+from .ngram import _FLOOR, _logsumexp
 
 
 @dataclass
@@ -160,6 +161,8 @@ class CombinationWeights:
     beta: float = 1.0
 
     def __post_init__(self) -> None:
+        if not np.isfinite([self.alpha, self.beta]).all():
+            raise ValueError("alpha and beta must be finite")
         if self.alpha < 0.0:
             raise ValueError("alpha must be >= 0")
         if self.beta <= 0.0:
@@ -187,10 +190,6 @@ def combine_likelihoods(word: LikelihoodTable,
 # Decoders
 # ---------------------------------------------------------------------------
 
-# Shifting an all -inf row by the most negative float instead of its max
-# keeps finite shifts exact and turns that row into -max + log(0) = -inf.
-_FLOOR = -np.finfo(float).max
-
 # Conversations decode together in groups whose arrays hold at most this
 # many elements (4 MB of float64); a conversation over the budget on its own
 # decodes alone.
@@ -206,13 +205,6 @@ _BLOCK = 32
 # Each term the product drops is below 2^-1074, so above it the dropped
 # terms move the log by less than 1e-40.
 _LOG_TINY = float(np.log(1e-280))
-
-
-def _logsumexp(arr: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(arr))) along ``axis``; callers silence log(0) warnings."""
-    shift = np.maximum(arr.max(axis=axis, keepdims=True), _FLOOR)
-    diff = arr - shift
-    return shift.squeeze(axis) + np.log(np.exp(diff, out=diff).sum(axis=axis))
 
 
 def _check_inputs(grammar, table: LikelihoodTable) -> None:
@@ -290,24 +282,26 @@ class _Compiled(NamedTuple):
     speaker patterns, stacked, and per table its row of ``trans`` at each
     utterance and its row of ``end``.
 
-    For the forward-backward products, ``fwd`` holds exp(T - M) laid out
-    (rest of the state, oldest label, next label), M the max over the
-    oldest label (``fwd_max``), and ``bwd`` holds exp(T - N) laid out
-    (rest, next label, oldest label), N the max over the next label
-    (``bwd_max``).  The maxima are -inf where the whole column or row is.
+    For the forward-backward products, which Viterbi does not build,
+    ``fwd`` holds exp(T - M) laid out (rest of the state, oldest label,
+    next label), M the max over the oldest label (``fwd_max``), and
+    ``bwd`` holds exp(T - N) laid out (rest, next label, oldest label), N
+    the max over the next label (``bwd_max``).  The maxima are -inf where
+    the whole column or row is.
     """
 
     trans: np.ndarray
     end: np.ndarray
     steps: list[np.ndarray]
     ends: np.ndarray
-    fwd: np.ndarray
-    fwd_max: np.ndarray
-    bwd: np.ndarray
-    bwd_max: np.ndarray
+    fwd: np.ndarray | None = None
+    fwd_max: np.ndarray | None = None
+    bwd: np.ndarray | None = None
+    bwd_max: np.ndarray | None = None
 
 
-def _compile(grammar, tables: Sequence[LikelihoodTable]) -> _Compiled:
+def _compile(grammar, tables: Sequence[LikelihoodTable],
+             products: bool) -> _Compiled:
     for table in tables:
         _check_inputs(grammar, table)
     prior = _COMPILED.get(grammar)
@@ -325,15 +319,18 @@ def _compile(grammar, tables: Sequence[LikelihoodTable]) -> _Compiled:
                 enumerate(dict.fromkeys(itertools.chain(*steps)))}
     end_row = {p: k for k, p in enumerate(dict.fromkeys(ends))}
     trans = np.stack([prior.transition(grammar, p) for p in step_row])
-    cols, rows = trans.max(axis=1), trans.max(axis=3)
-    return _Compiled(
+    comp = _Compiled(
         trans, np.stack([prior.end(grammar, p) for p in end_row]),
         [np.array([step_row[p] for p in s], dtype=np.intp) for s in steps],
-        np.array([end_row[p] for p in ends], dtype=np.intp),
-        np.exp(trans - np.maximum(cols, _FLOOR)[:, None]).transpose(
-            0, 2, 1, 3).copy(), cols,
-        np.exp(trans - np.maximum(rows, _FLOOR)[..., None]).transpose(
-            0, 2, 3, 1).copy(), rows)
+        np.array([end_row[p] for p in ends], dtype=np.intp))
+    if not products:
+        return comp
+    cols, rows = trans.max(axis=1), trans.max(axis=3)
+    return comp._replace(
+        fwd=np.exp(trans - np.maximum(cols, _FLOOR)[:, None]).transpose(
+            0, 2, 1, 3).copy(), fwd_max=cols,
+        bwd=np.exp(trans - np.maximum(rows, _FLOOR)[..., None]).transpose(
+            0, 2, 3, 1).copy(), bwd_max=rows)
 
 
 def _groups(lengths: Sequence[int], per_step: int,
@@ -558,7 +555,7 @@ def forward_backward_corpus(grammar, tables: Sequence[LikelihoodTable],
     """
     if not tables:
         return []
-    comp = _compile(grammar, tables)
+    comp = _compile(grammar, tables, products=True)
     return [posts[0] for posts in _posteriors(
         comp, [table.scores for table in tables], _UNSCALED, online)]
 
@@ -628,7 +625,7 @@ def viterbi_corpus(grammar, tables: Sequence[LikelihoodTable]
     """
     if not tables:
         return []
-    comp = _compile(grammar, tables)
+    comp = _compile(grammar, tables, products=False)
     _, _, size, t = comp.trans.shape
     liks = [table.scores for table in tables]
     out: list = [None] * len(tables)
@@ -653,7 +650,6 @@ def viterbi_decode(grammar, table: LikelihoodTable) -> tuple[list[str], float]:
     return viterbi_corpus(grammar, [table])[0]
 
 
-@np.errstate(divide="ignore")
 def brute_force_decode(grammar, table: LikelihoodTable,
                        limit: int = 1_000_000) -> tuple[list[str], float, np.ndarray]:
     """Exhaustive decode: enumerate all label sequences.
@@ -750,7 +746,7 @@ def tune_alpha_beta(grammar,
         """Correct posterior picks on ``half`` at each (alpha, beta)."""
         counts = np.zeros((len(alphas), len(betas)), dtype=int)
         scales = np.array(betas, dtype=float)
-        comp = _compile(grammar, [wt for wt, _ in half])
+        comp = _compile(grammar, [wt for wt, _ in half], products=True)
         truths = []
         for wt, _ in half:
             index = {lab: j for j, lab in enumerate(wt.labels)}

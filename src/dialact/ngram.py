@@ -49,13 +49,19 @@ _LN10 = math.log(10.0)
 _Z_FLOOR = 1e-9
 
 
-def log_sum(values: Iterable[float]) -> float:
-    """Stable log of a sum of exponentials over an iterable of logs."""
-    vals = list(values)
-    m = max(vals, default=-math.inf)
-    if m == -math.inf:
-        return m
-    return m + math.log(left_sum(math.exp(v - m) for v in vals))
+# Shifting an all -inf row by the most negative float instead of its max
+# keeps finite shifts exact and turns that row into -max + log(0) = -inf.
+_FLOOR = -np.finfo(float).max
+
+
+@np.errstate(divide="ignore")
+def _logsumexp(arr: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(arr))) along ``axis``: -inf where every entry is -inf
+    or the axis is empty.  The toolkit's one log-sum-exp."""
+    shift = np.maximum(arr.max(axis=axis, keepdims=True, initial=-np.inf),
+                       _FLOOR)
+    diff = arr - shift
+    return shift.squeeze(axis) + np.log(np.exp(diff, out=diff).sum(axis=axis))
 
 
 def left_sum(values: Iterable[float]) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .corpus import Conversation, Hypothesis, NBestList
 from .hmm import forward_backward_corpus
-from .ngram import CompiledModelSet, log_sum
+from .ngram import CompiledModelSet, _logsumexp
 from .wordmodels import DaLmSet, ScoreScaling, _scored_evidence
 
 
@@ -171,26 +171,23 @@ def _label_scores(nbest: NBestList, da_lms: DaLmSet) -> np.ndarray:
 
 def _mixed_log_probs(lm: np.ndarray, post: Sequence[float]) -> np.ndarray:
     """log sum_U P(W | U) P(U | E) of every row of LM log probabilities,
-    over the labels with posterior mass."""
-    terms = [(j, math.log(p)) for j, p in enumerate(post) if p > 0.0]
-    return np.array([log_sum([log_p + row[j] for j, log_p in terms])
-                     for row in lm.tolist()])
+    over the labels with posterior mass (-inf if none has any)."""
+    keep = [j for j, p in enumerate(post) if p > 0.0]
+    return _logsumexp(lm[:, keep] + [math.log(post[j]) for j in keep], axis=1)
 
 
 def _mixture_posterior(hyp_scores: np.ndarray, post: Sequence[float],
                        per_da_normalizer: bool = True) -> np.ndarray:
-    score_rows = [(p, hyp_scores[:, j]) for j, p in enumerate(post) if p > 0.0]
-    if not score_rows:
+    keep = [j for j, p in enumerate(post) if p > 0.0]
+    if not keep:
         raise ValueError("posterior puts no mass on any label")
-    out = np.zeros(len(hyp_scores))
     if per_da_normalizer:
-        for p, row in score_rows:
-            z = log_sum(row.tolist())
-            out += p * np.exp(row - z)
-    else:
-        mixed = _mixed_log_probs(hyp_scores, post)
-        out = np.exp(mixed - log_sum(mixed))
-    return out
+        # each label's scores normalized over the list, then mixed
+        scores = hyp_scores[:, keep]
+        return (np.exp(scores - _logsumexp(scores, axis=0))
+                * [post[j] for j in keep]).sum(axis=1)
+    mixed = _mixed_log_probs(hyp_scores, post)
+    return np.exp(mixed - _logsumexp(mixed, axis=0))
 
 
 def best_hypothesis(nbest: NBestList, scores: Sequence[float]) -> int:

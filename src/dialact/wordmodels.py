@@ -23,8 +23,8 @@ import numpy as np
 
 from .corpus import Conversation, NBestList, TagSet
 from .hmm import LikelihoodTable, forward_backward_corpus
-from .ngram import (CompiledModelSet, NGramModel, fit_interp_weight,
-                    interpolate, log_sum, sequence_log_prob)
+from .ngram import (CompiledModelSet, NGramModel, _logsumexp,
+                    fit_interp_weight, interpolate, sequence_log_prob)
 
 MODES = ("true_words", "nbest", "one_best")
 
@@ -42,6 +42,8 @@ class ScoreScaling:
     word_penalty: float = 0.0
 
     def __post_init__(self) -> None:
+        if not np.isfinite([self.lm_weight, self.word_penalty]).all():
+            raise ValueError("lm_weight and word_penalty must be finite")
         if self.lm_weight <= 0.0:
             raise ValueError("lm_weight must be > 0")
 
@@ -157,14 +159,7 @@ def nbest_da_log_likelihood(da_lms: DaLmSet, nbest: NBestList, label: str,
     """
     lm = CompiledModelSet([da_lms.model_for(label)]).score(
         [h.words for h in nbest])
-    return _nbest_evidence(nbest, lm, scaling)[0]
-
-
-def _nbest_evidence(nbest: NBestList, lm: np.ndarray,
-                    scaling: ScoreScaling) -> list[float]:
-    """:func:`nbest_da_log_likelihood` of every column of ``lm``, which
-    holds one LM log probability per hypothesis (row) and label (column)."""
-    return [log_sum(col) for col in scaling.hyp_scores(nbest, lm).T.tolist()]
+    return float(_logsumexp(scaling.hyp_scores(nbest, lm), axis=0)[0])
 
 
 def _evidence_sequences(utt, mode: str) -> tuple[tuple[str, ...], ...]:
@@ -206,9 +201,10 @@ def _scored_evidence(engine: CompiledModelSet, convs: Sequence[Conversation],
             index = [[row_of[seq] for seq in _evidence_sequences(utt, mode)]
                      for utt in conv]
             if mode == "nbest":
-                rows = [_nbest_evidence(utt.nbest, scores[i, :len(labels)],
-                                        scaling)
-                        for utt, i in zip(conv, index)]
+                # nbest_da_log_likelihood of every label at once
+                rows = [_logsumexp(scaling.hyp_scores(
+                    utt.nbest, scores[i, :len(labels)]), axis=0)
+                    for utt, i in zip(conv, index)]
             else:
                 rows = scores[[i[0] for i in index], :len(labels)]
             tables.append(LikelihoodTable(

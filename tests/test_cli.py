@@ -580,6 +580,28 @@ def test_flags_a_command_reads_still_parse(command, flag, value):
     assert str(getattr(args, flag[2:].replace("-", "_"))) == value
 
 
+@pytest.mark.parametrize("command,flag,value,message", [
+    ("tag", "--lm-weight", "nan", "must be finite"),
+    ("tag", "--lm-weight", "0", "must be above 0"),
+    ("rescore", "--lm-weight", "-2", "must be above 0"),
+    ("tag", "--word-penalty", "nan", "must be finite"),
+    ("rescore", "--word-penalty", "inf", "must be finite"),
+    ("tag", "--alpha", "nan", "must be finite"),
+    ("tag", "--alpha", "-1", "must be at least 0"),
+    ("tag", "--beta", "inf", "must be finite"),
+    ("tag", "--beta", "0", "must be above 0"),
+    ("tag", "--beta", "x", "invalid float value"),
+])
+def test_float_flags_out_of_range_are_usage_errors(command, flag, value,
+                                                   message, capsys):
+    # these used to exit 1 only after every model had been loaded and
+    # scored, some with a misleading message; the paths here do not exist
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *_REQUIRED[command], f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"{flag}: {message}" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         cli.main([])

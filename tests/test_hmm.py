@@ -246,6 +246,10 @@ def test_weight_validation():
         CombinationWeights(-0.1)
     with pytest.raises(ValueError):
         CombinationWeights(1.0, 0.0)
+    for alpha, beta in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf),
+                        (1.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            CombinationWeights(alpha, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +621,7 @@ def test_batched_decoders_equal_per_table_decodes(corpus, online, budget,
     with decode_budget(budget or hmm.DECODE_BUDGET):
         posts = forward_backward_corpus(grammar, tables, online)
         paths = viterbi_corpus(grammar, tables)
-        scaled = hmm._posteriors(hmm._compile(grammar, tables),
+        scaled = hmm._posteriors(hmm._compile(grammar, tables, products=True),
                                  [table.scores for table in tables],
                                  np.array(scales), online)
     assert len(posts) == len(paths) == len(scaled) == len(tables)
@@ -625,8 +629,8 @@ def test_batched_decoders_equal_per_table_decodes(corpus, online, budget,
         # batched against per-table decodes, at any budget: bit for bit
         assert np.array_equal(got, forward_backward(grammar, table, online))
         assert np.array_equal(by_scale, hmm._posteriors(
-            hmm._compile(grammar, [table]), [table.scores], np.array(scales),
-            online)[0])
+            hmm._compile(grammar, [table], products=True), [table.scores],
+            np.array(scales), online)[0])
         # the shifted products against the exact per-table recursion
         assert np.abs(got - oracle_posteriors(
             grammar, table, online=online)[0]).max() <= 1e-12
@@ -657,6 +661,29 @@ def test_batched_decoders_equal_per_table_on_the_bundled_tag_set():
                 grammar, table, online=online)[0]).max() <= 1e-12
     assert viterbi_corpus(grammar, tables) == \
         [oracle_viterbi(grammar, table) for table in tables]
+
+
+def test_viterbi_compiles_no_product_tables(monkeypatch):
+    # Viterbi is max-plus over the transitions; only forward-backward
+    # reads exp(T - M) and exp(T - N)
+    rng = random.Random(17)
+    grammar, _ = rand_instance(rng, 4, 3, 1, GrammarVariant.JOINT)
+    tables = [rand_instance(rng, 4, 0, n)[1] for n in (6, 2, 9)]
+    built, compile_ = [], hmm._compile
+    monkeypatch.setattr(hmm, "_compile", lambda *args, **kwargs:
+                        built.append(compile_(*args, **kwargs)) or built[-1])
+    paths = viterbi_corpus(grammar, tables)
+    forward_backward_corpus(grammar, tables)
+    viterbi, full = built
+    assert (viterbi.fwd, viterbi.fwd_max, viterbi.bwd, viterbi.bwd_max) == \
+        (None,) * 4
+    assert full.fwd.size == full.bwd.size == full.trans.size
+    assert np.array_equal(viterbi.trans, full.trans)
+    # the same paths as Viterbi over the forward-backward compile
+    group = list(range(len(tables)))
+    assert paths == [([table.labels[j] for j in seq], total)
+                     for table, (seq, total) in zip(tables, hmm._group_viterbi(
+                         full, group, [table.scores for table in tables]))]
 
 
 def ladder(rng):
@@ -702,7 +729,7 @@ def test_shifted_products_match_the_oracle_past_underflow(seed, order,
                                         for _ in range(n)]))
               for c, n in enumerate(lengths)]
     scales = np.array([1.0, 2.0])
-    got = hmm._posteriors(hmm._compile(grammar, tables),
+    got = hmm._posteriors(hmm._compile(grammar, tables, products=True),
                           [table.scores for table in tables], scales, online)
     for table, posts in zip(tables, got):
         assert np.abs(posts - oracle_posteriors(grammar, table, scales,

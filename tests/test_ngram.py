@@ -1,12 +1,14 @@
 """Backoff n-gram estimation, scoring, interpolation, and ARPA files.
 
 The array-backed models are checked against a reference kept here: the
-dict-of-dicts Witten-Bell estimator and the scalar Katz backoff walk.
+dict-of-dicts Witten-Bell estimator and the scalar Katz backoff walk.  The
+toolkit's one log-sum-exp is checked against a scalar one kept here too.
 """
 
 import functools
 import math
 import random
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from dialact import ngram
 from dialact.ngram import (_BLOCK_CELLS, END, START, UNK, CompiledModelSet,
                            InterpolatedModel, NGramModel, fit_interp_weight,
-                           interpolate, left_sum, log_sum, perplexity,
+                           _logsumexp, interpolate, left_sum, perplexity,
                            read_arpa, sequence_log_prob, train_ngram,
                            write_arpa)
 
@@ -47,6 +49,16 @@ def reference_backoff(logprob, logbow, log_uniform, ctx, token):
             return acc + logbow.get((), 0.0) + log_uniform
         acc += logbow.get(ctx, 0.0)
         ctx = ctx[1:]
+
+
+def reference_log_sum(values):
+    """Stable log of a sum of exponentials over an iterable of logs, one
+    Python float at a time."""
+    vals = list(values)
+    m = max(vals, default=-math.inf)
+    if m == -math.inf:
+        return m
+    return m + math.log(left_sum(math.exp(v - m) for v in vals))
 
 
 def reference_train(sequences, order, vocabulary=None, pad=True):
@@ -171,10 +183,6 @@ def test_float_sums_add_left_to_right():
     assert left_sum(probs) == 0.75
     assert math.fsum(probs) != 0.75
     logs = [math.log(p) for p in probs]
-    assert log_sum(logs) == math.log(0.5) + math.log(left_sum(
-        math.exp(v - math.log(0.5)) for v in logs))
-    assert log_sum(logs) != math.log(0.5) + math.log(math.fsum(
-        math.exp(v - math.log(0.5)) for v in logs))
     # a bigram row after "a" holding those probabilities in token order
     # ("w0" < "w1" < "w10" < ...): tokens w0..w21 and "a", ids in that order
     tokens = tuple(sorted(["a"] + [f"w{i}" for i in range(len(logs))]))
@@ -188,6 +196,33 @@ def test_float_sums_add_left_to_right():
         math.exp(v) for v in logs)
     assert model.backoff_mass(("a",)) != 1.0 - math.fsum(
         math.exp(v) for v in logs)
+
+
+_LOGS = st.one_of(st.floats(-1000.0, 1000.0), st.just(-math.inf))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda width: st.lists(
+    st.lists(_LOGS, min_size=width, max_size=width), min_size=1,
+    max_size=6)))
+def test_logsumexp_matches_the_scalar_reference(rows):
+    arr = np.array(rows).reshape(len(rows), -1)
+    for axis, lines in ((1, rows), (0, [list(col) for col in zip(*rows)])):
+        got = _logsumexp(arr, axis=axis)
+        assert got.shape == (len(lines),)
+        for value, line in zip(got.tolist(), lines):
+            assert math.isclose(value, reference_log_sum(line),
+                                rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_logsumexp_of_nothing_is_minus_inf_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _logsumexp(np.full((3, 4), -np.inf), axis=1).tolist() == \
+            [-math.inf] * 3
+        assert _logsumexp(np.empty((2, 0)), axis=1).tolist() == \
+            [-math.inf] * 2
+        assert _logsumexp(np.empty(0), axis=0) == -math.inf
 
 
 def test_context_truncation():
@@ -322,7 +357,8 @@ def test_rows_sum_to_one(seed):
     contexts.add((vocab[0], vocab[-1]) * m.order)
     contexts.add((UNK,))
     for ctx in contexts:
-        total = sum(math.exp(m.cond_log_prob(ctx, w)) for w in vocab)
+        # the context's row of every word in one engine call
+        total = sum(math.exp(lp) for lp in m.log_probs([ctx], vocab)[0])
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -471,13 +507,12 @@ def test_fit_weight_matches_grid_search():
     held = [[rng.choice(["x", "y", "y", "z"]) for _ in range(25)]
             for _ in range(4)]
     w = fit_interp_weight(a, b, held)
-
-    def held_ll(weight):
-        m = interpolate(a, b, weight) if 0 < weight < 1 else \
-            (a if weight == 1 else b)
-        return sum(sequence_log_prob(m, s) for s in held)
-
-    grid_best = max((i * 0.001 for i in range(1001)), key=held_ll)
+    grid = [i * 0.001 for i in range(1001)]
+    # every interpolation of the grid scored in one compiled set
+    held_ll = CompiledModelSet([
+        interpolate(a, b, weight) if 0 < weight < 1 else
+        (a if weight == 1 else b) for weight in grid]).score(held).sum(axis=0)
+    grid_best = grid[int(np.argmax(held_ll))]     # first maximum, as max()
     assert abs(w - grid_best) < 0.01
 
 
@@ -685,7 +720,10 @@ def test_discourse_rows_equal_the_reference_walk():
                                                  g._token(lab, spk))
                     for lab in labels}
             if variant is GrammarVariant.SPEAKER_CONDITIONED:
-                norm = log_sum(want[lab] for lab in labels)
+                # the toolkit's one log-sum-exp, itself checked against
+                # reference_log_sum
+                norm = float(_logsumexp(np.array(
+                    [want[lab] for lab in labels]), axis=0))
                 want = {lab: lp - norm for lab, lp in want.items()}
             for lab in labels:
                 assert g.transition_log_prob(hist, (lab, spk)) == want[lab]

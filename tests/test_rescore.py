@@ -15,7 +15,7 @@ from dialact.corpus import (Conversation, Hypothesis, NBestList, TagSet,
                             Utterance)
 from dialact.discourse import DiscourseGrammar, GrammarVariant, train_discourse
 from dialact.hmm import forward_backward
-from dialact.ngram import CompiledModelSet, log_sum, sequence_log_prob
+from dialact.ngram import CompiledModelSet, _logsumexp, sequence_log_prob
 from dialact.rescore import (METHODS, WordErrors, best_hypothesis, corpus_wer,
                              hypothesis_scores, mixture_lm_scores,
                              mixture_posterior_scores, per_da_wer_report,
@@ -231,6 +231,16 @@ def test_normalizer_switch_preserves_mixture_lm_ranking():
         mix = mixture_lm_scores(nbest, lms, post)
         assert list(np.argsort(-shared, kind="stable")) == \
             list(np.argsort(-mix, kind="stable"))
+
+
+def test_massless_posterior_gives_minus_inf_mixture_scores():
+    # a sum over no labels: the empty axis gives -inf, with no warning
+    lms = train_lms()
+    nbest = nb(("do you know", -30.0), ("i think so", -28.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores = mixture_lm_scores(nbest, lms, {"S": 0.0, "Q": 0.0})
+    assert scores.tolist() == [-math.inf, -math.inf]
 
 
 def test_mixture_posterior_rejects_massless_posterior():
@@ -455,10 +465,10 @@ def rescore_by_primitives(convs, grammar, lms, rescoring, scaling):
                 log_total += sequence_log_prob(model, words)
             elif method == "mixture_of_lms":
                 scores = mixture_lm_scores(nbest, rescoring, post, scaling)
-                log_total += log_sum([
+                log_total += float(_logsumexp(np.array([
                     math.log(post[lab])
                     + sequence_log_prob(rescoring.models[lab], words)
-                    for lab in rescoring.labels if post[lab] > 0.0])
+                    for lab in rescoring.labels if post[lab] > 0.0]), axis=0))
             else:
                 scores = mixture_posterior_scores(nbest, rescoring, post,
                                                   scaling)

@@ -138,6 +138,14 @@ def test_smoothing_skips_fallback_shared_classes():
 # N-best scoring identities
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("lm_weight,word_penalty", [
+    (math.nan, 0.0), (math.inf, 0.0), (10.0, math.nan), (10.0, math.inf),
+    (10.0, -math.inf)])
+def test_scaling_rejects_non_finite_values(lm_weight, word_penalty):
+    with pytest.raises(ValueError, match="finite"):
+        ScoreScaling(lm_weight, word_penalty)
+
+
 def test_single_hypothesis_sum_is_the_score():
     lms = train_da_lms(mk_corpus(), TS2, order=2)
     scaling = ScoreScaling(lm_weight=8.0, word_penalty=0.5)
