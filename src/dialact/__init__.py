@@ -6,18 +6,17 @@ per-act word models rescore recognizer n-best lists.
 """
 
 from .corpus import (Conversation, CorpusError, FeatureSchema, FeatureVector,
-                     Hypothesis, NBestList, TagSet, Utterance, attach_nbest,
-                     attach_prosody, default_tagset, downsample_uniform,
-                     jackknife_split, load_tagset, parse_conversations,
-                     parse_nbest, parse_prosody, save_tagset,
-                     serialize_conversations, serialize_nbest,
+                     Hypothesis, NBestList, TagSet, Utterance, default_tagset,
+                     downsample_uniform, jackknife_split, load_tagset,
+                     parse_conversations, parse_nbest, parse_prosody,
+                     save_tagset, serialize_conversations, serialize_nbest,
                      serialize_prosody, symmetrize_speakers)
 from .discourse import (DiscourseGrammar, GrammarVariant, discourse_perplexity,
                         load_discourse, save_discourse, train_discourse)
 from .hmm import (CombinationWeights, JackknifeResult, LikelihoodTable,
-                  brute_force_decode, combine_likelihoods, dump_likelihoods,
-                  forward_backward, forward_backward_corpus, load_likelihoods,
-                  tune_alpha_beta, viterbi_corpus, viterbi_decode)
+                  brute_force_decode, combine_likelihoods, forward_backward,
+                  forward_backward_corpus, tune_alpha_beta, viterbi_corpus,
+                  viterbi_decode)
 from .metrics import EvalReport, focused_binary_task, tagging_accuracy
 from .ngram import (InterpolatedModel, NGramModel, fit_interp_weight,
                     interpolate, perplexity, read_arpa, sequence_log_prob,
@@ -26,12 +25,10 @@ from .prosody import (DecisionTree, ProsodyError, TreeConfig, load_tree,
                       prosody_likelihood_tables, serialize_tree,
                       train_tree, tree_posterior, tree_scaled_likelihood)
 from .rescore import (RescoreResult, WordErrors, best_hypothesis, corpus_wer,
-                      hypothesis_scores, mixture_lm_scores,
-                      mixture_posterior_scores, per_da_wer_report,
-                      rescore_corpus, wer)
+                      mixture_lm_scores, mixture_posterior_scores,
+                      per_da_wer_report, rescore_corpus, wer)
 from .wordmodels import (DaLmSet, ScoreScaling, classify_from_words,
-                         nbest_da_log_likelihood, smooth_da_lms, train_da_lms,
-                         true_word_log_likelihood, word_likelihood_tables)
+                         smooth_da_lms, train_da_lms, word_likelihood_tables)
 
 __all__ = [
     "CombinationWeights", "Conversation", "CorpusError", "DaLmSet",
@@ -39,22 +36,20 @@ __all__ = [
     "FeatureVector", "GrammarVariant", "Hypothesis", "InterpolatedModel",
     "JackknifeResult", "LikelihoodTable", "NBestList", "NGramModel",
     "ProsodyError", "RescoreResult", "ScoreScaling", "TagSet", "TreeConfig",
-    "Utterance", "WordErrors", "attach_nbest", "attach_prosody",
-    "best_hypothesis", "brute_force_decode", "classify_from_words",
-    "combine_likelihoods", "corpus_wer", "default_tagset",
-    "discourse_perplexity", "downsample_uniform", "dump_likelihoods",
+    "Utterance", "WordErrors", "best_hypothesis", "brute_force_decode",
+    "classify_from_words", "combine_likelihoods", "corpus_wer",
+    "default_tagset", "discourse_perplexity", "downsample_uniform",
     "fit_interp_weight", "focused_binary_task", "forward_backward",
-    "forward_backward_corpus", "hypothesis_scores", "interpolate", "jackknife_split", "load_discourse",
-    "load_likelihoods", "load_tagset", "load_tree", "mixture_lm_scores",
-    "mixture_posterior_scores", "nbest_da_log_likelihood",
-    "parse_conversations", "parse_nbest", "parse_prosody", "per_da_wer_report",
-    "perplexity", "prosody_likelihood_tables", "read_arpa", "rescore_corpus",
+    "forward_backward_corpus", "interpolate", "jackknife_split",
+    "load_discourse", "load_tagset", "load_tree", "mixture_lm_scores",
+    "mixture_posterior_scores", "parse_conversations", "parse_nbest",
+    "parse_prosody", "per_da_wer_report", "perplexity",
+    "prosody_likelihood_tables", "read_arpa", "rescore_corpus",
     "save_discourse", "save_tagset", "sequence_log_prob",
     "serialize_conversations", "serialize_nbest", "serialize_prosody",
     "serialize_tree", "smooth_da_lms", "symmetrize_speakers",
     "tagging_accuracy", "train_da_lms", "train_discourse", "train_ngram",
     "train_tree", "tree_posterior", "tree_scaled_likelihood",
-    "true_word_log_likelihood", "tune_alpha_beta", "viterbi_corpus",
-    "viterbi_decode", "wer",
+    "tune_alpha_beta", "viterbi_corpus", "viterbi_decode", "wer",
     "word_likelihood_tables", "write_arpa",
 ]

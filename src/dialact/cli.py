@@ -48,8 +48,8 @@ from .ngram import interpolate, perplexity, read_arpa, write_arpa
 from .prosody import (DecisionTree, TreeConfig, load_tree,
                       prosody_likelihood_tables, serialize_tree, train_tree)
 from .rescore import METHODS, per_da_wer_report, rescore_corpus
-from .wordmodels import (DaLmSet, MODES, ScoreScaling, smooth_da_lms,
-                         train_da_lms, word_likelihood_tables)
+from .wordmodels import (DEFAULT_SMOOTHING, DaLmSet, MODES, ScoreScaling,
+                         smooth_da_lms, train_da_lms, word_likelihood_tables)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +256,8 @@ def cmd_train(args) -> int:
         heldout = parse_conversations(args.heldout, tagset)
         _, weights = smooth_da_lms(da_lms, heldout)
     else:
-        print("note: no --heldout corpus; smoothing weights default to 0.5",
-              file=sys.stderr)
+        print(f"note: no --heldout corpus; smoothing weights default to "
+              f"{DEFAULT_SMOOTHING}", file=sys.stderr)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             _, weights = smooth_da_lms(da_lms, [])
@@ -515,13 +515,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="estimate models from a labeled corpus")
     p.add_argument("--corpus", required=True, help="labeled conversation file")
     p.add_argument("--models", required=True, help="output model directory")
-    p.add_argument("--order", type=int, default=2,
+    p.add_argument("--order", type=_int_at_least(1), default=2,
                    help="discourse grammar n-gram order (default 2)")
     p.add_argument("--variant",
                    choices=tuple(v.value for v in GrammarVariant),
                    default=GrammarVariant.SPEAKER_CONDITIONED.value,
                    help="discourse grammar view (default conditional)")
-    p.add_argument("--word-order", type=int, default=3,
+    p.add_argument("--word-order", type=_int_at_least(1), default=3,
                    help="per-DA word model order (default 3)")
     p.add_argument("--heldout",
                    help="held-out conversations for smoothing weights")

@@ -22,7 +22,7 @@ import contextlib
 import importlib.resources
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -128,9 +128,6 @@ class TagSet:
             return True
         return any(label in members for _, members in self.collapsed)
 
-    def index(self, label: str) -> int:
-        return self.labels.index(self.collapse(label))
-
     def collapse(self, label: str) -> str:
         """Map a corpus label to its model class (identity if not collapsed)."""
         if label in self.labels:
@@ -139,14 +136,6 @@ class TagSet:
             if label in members:
                 return cls
         raise CorpusError(f"label {label!r} not in tag set")
-
-    def expanded_labels(self) -> tuple[str, ...]:
-        """Labels with each collapsed class replaced by its members."""
-        out: list[str] = []
-        by_class = dict(self.collapsed)
-        for lab in self.labels:
-            out.extend(by_class.get(lab, (lab,)))
-        return tuple(out)
 
 
 def load_tagset(path: str | Path) -> TagSet:
@@ -398,22 +387,6 @@ def serialize_nbest(table: Mapping[tuple[str, int], NBestList], path: str | Path
                          f"{' '.join(hyp.words)}\n")
 
 
-def attach_nbest(convs: Sequence[Conversation],
-                 table: Mapping[tuple[str, int], NBestList]) -> list[Conversation]:
-    """Return copies of ``convs`` with n-best lists attached where available."""
-    return _attached(convs, table, "nbest")
-
-
-def _attached(convs: Sequence[Conversation], table: Mapping,
-              field: str) -> list[Conversation]:
-    """Copies of ``convs`` whose utterances take ``field`` from ``table``
-    where it holds their (conv_id, index)."""
-    return [Conversation(conv.conv_id, tuple(
-        replace(u, **{field: table[(conv.conv_id, u.index)]})
-        if (conv.conv_id, u.index) in table else u for u in conv))
-        for conv in convs]
-
-
 # ---------------------------------------------------------------------------
 # Prosody file I/O
 # ---------------------------------------------------------------------------
@@ -499,13 +472,6 @@ def serialize_prosody(schema: FeatureSchema,
                 else:
                     cells.append(str(v))
             fh.write(f"{conv_id}\t{idx}\t" + "\t".join(cells) + "\n")
-
-
-def attach_prosody(convs: Sequence[Conversation],
-                   table: Mapping[tuple[str, int], FeatureVector]) -> list[Conversation]:
-    """Return copies of ``convs`` with feature vectors attached where
-    available."""
-    return _attached(convs, table, "prosody")
 
 
 # ---------------------------------------------------------------------------

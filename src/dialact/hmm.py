@@ -73,13 +73,11 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import (Conversation, CorpusError, content_lines, jackknife_split,
-                     located)
+from .corpus import jackknife_split
 from .ngram import _FLOOR, _logsumexp
 
 
@@ -108,45 +106,6 @@ class LikelihoodTable:
 
     def __len__(self) -> int:
         return len(self.speakers)
-
-    @classmethod
-    def from_rows(cls, conversation_id: str, labels: Sequence[str],
-                  speakers: Sequence[str],
-                  rows: Sequence[Mapping[str, float]],
-                  sources: frozenset[str] = frozenset()) -> "LikelihoodTable":
-        scores = np.array([[row[lab] for lab in labels] for row in rows],
-                          dtype=float).reshape(len(rows), len(labels))
-        return cls(conversation_id, tuple(labels), tuple(speakers), scores, sources)
-
-
-def dump_likelihoods(tables: Sequence[LikelihoodTable], path: str | Path) -> None:
-    """TSV export (conv, index, label, loglik), for cross-implementation checks."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for table in tables:
-            for i in range(len(table)):
-                for j, lab in enumerate(table.labels):
-                    # repr of a Python float round-trips exactly
-                    fh.write(f"{table.conversation_id}\t{i}\t{lab}\t"
-                             f"{float(table.scores[i, j])!r}\n")
-
-
-def load_likelihoods(path: str | Path, convs: Sequence[Conversation],
-                     labels: Sequence[str]) -> list[LikelihoodTable]:
-    """Rebuild tables from a TSV dump; ``convs`` supplies the speakers."""
-    data: dict[tuple[str, int, str], float] = {}
-    lineno = 1
-    with located(lambda _: f"{path}:{lineno}: bad index or log-likelihood"):
-        for lineno, (conv_id, idx_s, lab, val) in content_lines(path, 4):
-            data[(conv_id, int(idx_s), lab)] = float(val)
-    labels = tuple(labels)
-    try:
-        return [LikelihoodTable(conv.conv_id, labels, conv.speakers, np.array(
-                    [[data[(conv.conv_id, i, lab)] for lab in labels]
-                     for i in range(len(conv))]))
-                for conv in convs]
-    except KeyError as exc:
-        raise CorpusError(f"{path}:{lineno}: no likelihood row for "
-                          f"{exc.args[0]}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +153,9 @@ def combine_likelihoods(word: LikelihoodTable,
 # many elements (4 MB of float64); a conversation over the budget on its own
 # decodes alone.
 DECODE_BUDGET = 1 << 19
+
+# The most cells a corpus's transitions may take, products included (512 MB).
+_COMPILE_CELLS = 1 << 26
 
 _UNSCALED = np.ones(1)
 
@@ -318,6 +280,11 @@ def _compile(grammar, tables: Sequence[LikelihoodTable],
     step_row = {p: k for k, p in
                 enumerate(dict.fromkeys(itertools.chain(*steps)))}
     end_row = {p: k for k, p in enumerate(dict.fromkeys(ends))}
+    t = len(prior.labels)
+    cells = len(step_row) * (t + 1) ** m * t * (3 if products else 1)
+    if cells > _COMPILE_CELLS:
+        raise ValueError(f"an order-{grammar.order} grammar over {t} labels "
+                         f"needs {cells} cells; the limit is {_COMPILE_CELLS}")
     trans = np.stack([prior.transition(grammar, p) for p in step_row])
     comp = _Compiled(
         trans, np.stack([prior.end(grammar, p) for p in end_row]),

@@ -11,12 +11,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import (CorpusError, FeatureSchema, FeatureVector, TagSet,
-                     Utterance, downsample_uniform, jackknife_split)
+from .corpus import (CorpusError, FeatureSchema, TagSet, Utterance,
+                     downsample_uniform, jackknife_split)
 from .ngram import CompiledModelSet, train_ngram
 from .prosody import TreeConfig, _scaled_leaves, train_tree
 

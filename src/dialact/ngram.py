@@ -48,6 +48,7 @@ _LN10 = math.log(10.0)
 # words' probabilities are added up instead.
 _Z_FLOOR = 1e-9
 
+_EM_TOL, _EM_MAX_ITER = 1e-4, 100       # fit_interp_weight's stopping rule
 
 # Shifting an all -inf row by the most negative float instead of its max
 # keeps finite shifts exact and turns that row into -max + log(0) = -inf.
@@ -303,25 +304,25 @@ def interpolate(first, second, weight: float) -> InterpolatedModel:
     return InterpolatedModel(first, second, weight)
 
 
-def fit_interp_weight(first, second, heldout: Sequence[Sequence[str]],
-                      tol: float = 1e-4, max_iter: int = 100) -> float:
+def fit_interp_weight(first, second,
+                      heldout: Sequence[Sequence[str]]) -> float:
     """EM for the single interpolation weight, started at 0.5: maximizes
     held-out log likelihood of the two-component mixture, and stops when
-    the weight moves less than ``tol``."""
+    the weight moves less than ``_EM_TOL`` or after ``_EM_MAX_ITER`` steps."""
     table, window, _, _ = CompiledModelSet([first, second])._event_table(
         [tuple(s) for s in heldout])
     pairs = table[window].tolist()
     if not pairs:
         raise ValueError("no held-out events")
     w = 0.5
-    for _ in range(max_iter):
+    for _ in range(_EM_MAX_ITER):
         # responsibilities of the first component, computed stably
         new = left_sum(w / (w + (1.0 - w) * math.exp(lb - la)) if la >= lb
                        else w * math.exp(la - lb)
                        / (w * math.exp(la - lb) + (1.0 - w))
                        for la, lb in pairs) / len(pairs)
         moved, w = abs(new - w), new
-        if moved < tol:
+        if moved < _EM_TOL:
             break
     return w
 

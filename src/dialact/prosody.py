@@ -31,6 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import FeatureSchema, FeatureVector, TagSet, content_lines
+from .hmm import LikelihoodTable
 from .ngram import left_sum
 
 
@@ -409,8 +410,6 @@ def prosody_likelihood_tables(tree: DecisionTree, convs,
     hence posterior 0 everywhere) scores flat: the tree carries no evidence
     about it.  Utterances without features get a flat row too.
     """
-    from .hmm import LikelihoodTable
-
     k = len(tree.classes)
     tables = []
     for conv in convs:

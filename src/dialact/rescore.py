@@ -23,7 +23,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Conversation, Hypothesis, NBestList
+from .corpus import Conversation, NBestList
 from .hmm import forward_backward_corpus
 from .ngram import CompiledModelSet, _logsumexp
 from .wordmodels import DaLmSet, ScoreScaling, _scored_evidence
@@ -122,16 +122,9 @@ def per_da_wer_report(references: Mapping[tuple[str, int], Sequence[str]],
 # Per-utterance rescoring primitives
 # ---------------------------------------------------------------------------
 
-# The per-utterance primitives score one n-best list in one compiled-engine
+# The two mixtures of one n-best list, each scored in one compiled-engine
 # call; rescore_corpus gets the same numbers for a whole group of
 # conversations at once and shares the mixture formulas below.
-
-def hypothesis_scores(nbest: NBestList, model,
-                      scaling: ScoreScaling = ScoreScaling()) -> np.ndarray:
-    """Score every hypothesis under one fixed LM."""
-    lm = CompiledModelSet([model]).score([h.words for h in nbest])
-    return scaling.hyp_scores(nbest, lm)[:, 0]
-
 
 def mixture_lm_scores(nbest: NBestList, da_lms: DaLmSet,
                       posterior: Mapping[str, float],

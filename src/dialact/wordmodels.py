@@ -17,16 +17,17 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import Conversation, NBestList, TagSet
 from .hmm import LikelihoodTable, forward_backward_corpus
 from .ngram import (CompiledModelSet, NGramModel, _logsumexp,
-                    fit_interp_weight, interpolate, sequence_log_prob)
+                    fit_interp_weight, interpolate, train_ngram)
 
 MODES = ("true_words", "nbest", "one_best")
+DEFAULT_SMOOTHING = 0.5     # the weight of a class with no held-out data
 
 
 @dataclass(frozen=True)
@@ -70,16 +71,10 @@ class DaLmSet:
     def labels(self) -> tuple[str, ...]:
         return self.tagset.labels
 
-    def model_for(self, label: str):
-        """Scorer for a corpus label (collapsed classes share one model)."""
-        return self.models[self.tagset.collapse(label)]
-
 
 def train_da_lms(convs: Sequence[Conversation], tagset: TagSet,
                  order: int = 3) -> DaLmSet:
     """Train one model per tag-set class over a shared vocabulary."""
-    from .ngram import train_ngram
-
     by_class: dict[str, list[list[str]]] = {lab: [] for lab in tagset.labels}
     pooled: list[list[str]] = []
     for conv in convs:
@@ -105,14 +100,14 @@ def train_da_lms(convs: Sequence[Conversation], tagset: TagSet,
     return DaLmSet(tagset, models, fallback)
 
 
-def smooth_da_lms(da_lms: DaLmSet, heldout: Sequence[Conversation],
-                  default_weight: float = 0.5) -> tuple[DaLmSet, dict[str, float]]:
+def smooth_da_lms(da_lms: DaLmSet, heldout: Sequence[Conversation]
+                  ) -> tuple[DaLmSet, dict[str, float]]:
     """Interpolate each class model with the pooled fallback.
 
     Per-class weights are EM-fit on that class's held-out utterances; a class
-    with no held-out data keeps ``default_weight`` (with a warning).  Returns
-    the smoothed set and the weights.  The unsmoothed set remains the right
-    choice for classification; the smoothed one is for rescoring.
+    with no held-out data gets DEFAULT_SMOOTHING, with a warning.
+    Returns the smoothed set and the weights.  The unsmoothed set remains
+    the right choice for classification; the smoothed one is for rescoring.
     """
     heldout_by_class: dict[str, list[list[str]]] = {lab: [] for lab in da_lms.labels}
     for conv in heldout:
@@ -132,9 +127,9 @@ def smooth_da_lms(da_lms: DaLmSet, heldout: Sequence[Conversation],
         if data:
             w = fit_interp_weight(model, da_lms.fallback, data)
         else:
+            w = DEFAULT_SMOOTHING
             warnings.warn(f"no held-out utterances for {lab!r}; "
-                          f"interpolation weight defaults to {default_weight}")
-            w = default_weight
+                          f"interpolation weight defaults to {w}")
         weights[lab] = w
         models[lab] = interpolate(model, da_lms.fallback, w)
     return DaLmSet(da_lms.tagset, models, da_lms.fallback), weights
@@ -143,24 +138,6 @@ def smooth_da_lms(da_lms: DaLmSet, heldout: Sequence[Conversation],
 # ---------------------------------------------------------------------------
 # Evidence scoring
 # ---------------------------------------------------------------------------
-
-def true_word_log_likelihood(da_lms: DaLmSet, words: Sequence[str],
-                             label: str) -> float:
-    """log P(words | label) under the class model."""
-    return sequence_log_prob(da_lms.model_for(label), words)
-
-
-def nbest_da_log_likelihood(da_lms: DaLmSet, nbest: NBestList, label: str,
-                            scaling: ScoreScaling = ScoreScaling()) -> float:
-    """log of the acoustic-weighted hypothesis sum for one class.
-
-    Marginalizes log [sum_hyps exp(a/lambda + log P(W|label) - mu|W|/lambda)]
-    over the n-best list, in log space.
-    """
-    lm = CompiledModelSet([da_lms.model_for(label)]).score(
-        [h.words for h in nbest])
-    return float(_logsumexp(scaling.hyp_scores(nbest, lm), axis=0)[0])
-
 
 def _evidence_sequences(utt, mode: str) -> tuple[tuple[str, ...], ...]:
     """The word sequences one utterance's evidence is scored from."""
@@ -201,7 +178,7 @@ def _scored_evidence(engine: CompiledModelSet, convs: Sequence[Conversation],
             index = [[row_of[seq] for seq in _evidence_sequences(utt, mode)]
                      for utt in conv]
             if mode == "nbest":
-                # nbest_da_log_likelihood of every label at once
+                # the acoustic-weighted hypothesis sum of every label
                 rows = [_logsumexp(scaling.hyp_scores(
                     utt.nbest, scores[i, :len(labels)]), axis=0)
                     for utt, i in zip(conv, index)]

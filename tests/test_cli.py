@@ -1,6 +1,7 @@
 """Command-line frontend: train, tag, rescore, perplexity, eval."""
 
 import argparse
+import dataclasses
 import random
 import shutil
 import warnings
@@ -9,9 +10,8 @@ from pathlib import Path
 import pytest
 
 from dialact import cli
-from dialact.corpus import (CorpusError, attach_nbest, attach_prosody,
-                            load_tagset, parse_conversations, parse_nbest,
-                            parse_prosody)
+from dialact.corpus import (Conversation, CorpusError, load_tagset,
+                            parse_conversations, parse_nbest, parse_prosody)
 from dialact.ngram import sequence_log_prob
 from dialact.wordmodels import smooth_da_lms, train_da_lms
 
@@ -114,6 +114,45 @@ def test_tree_limits_out_of_range_are_usage_errors(workdir, tmp_path, capsys,
     assert not (tmp_path / "m").exists()
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--order", "0"), ("--order", "-1"), ("--word-order", "0")])
+def test_train_orders_below_one_are_usage_errors(tmp_path, capsys, flag,
+                                                 value):
+    # these used to exit 1 after the corpus had been read; the corpus named
+    # here does not exist, so the usage error comes before any file is read
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train", "--corpus", str(tmp_path / "missing.tsv"),
+                  "--models", str(tmp_path / "m"), flag, value])
+    assert exc.value.code == 2
+    assert f"{flag}: must be at least 1, got {value}" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+def test_tagging_under_a_prior_too_large_to_compile_fails_cleanly(
+        tmp_path, capsys):
+    # an order-6 grammar over the 42 bundled acts trains from a sparse
+    # corpus, but its dense transitions would take terabytes
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("c0\t0\tA\tStatement\ti think we did\n"
+                      "c0\t1\tB\tYes-No-Question\tdo you know that\n"
+                      "c0\t2\tA\tStatement\tso we did it\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")      # 40 acts have no utterances
+        assert cli.main(["train", "--corpus", str(corpus),
+                         "--models", str(tmp_path / "m"),
+                         "--order", "6"]) == 0
+    capsys.readouterr()
+    for decoder in ("viterbi", "posterior"):
+        assert cli.main(["tag", "--models", str(tmp_path / "m"),
+                         "--corpus", str(corpus), "--decoder", decoder,
+                         "--output", str(tmp_path / "p.tsv")]) == 1
+        err = capsys.readouterr().err
+        assert "error: an order-6 grammar over 42 labels needs " in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "p.tsv").exists()
+
+
 def test_empty_inputs_name_line_one(workdir, tmp_path, capsys):
     empty = tmp_path / "empty.tsv"
     empty.write_text("# no conversations here\n")
@@ -145,17 +184,21 @@ def test_one_pass_load_equals_parsing_then_attaching(workdir, tmp_path):
     tagset = load_tagset(workdir / "tagset.txt")
     corpus = workdir / "corpus.tsv"
     schema, table = parse_prosody(prosody)
+
+    def attached(nbest_table):
+        return [Conversation(conv.conv_id, tuple(dataclasses.replace(
+            u, nbest=nbest_table.get((conv.conv_id, u.index)),
+            prosody=table.get((conv.conv_id, u.index))) for u in conv))
+            for conv in parse_conversations(corpus, tagset)]
+
     for max_hyps in (None, 1):
         args = argparse.Namespace(corpus=str(corpus), nbest=str(nbest),
                                   prosody=str(prosody), max_hyps=max_hyps)
-        want = attach_prosody(attach_nbest(parse_conversations(corpus, tagset),
-                                           parse_nbest(nbest, max_hyps)),
-                              table)
+        want = attached(parse_nbest(nbest, max_hyps))
         assert cli._load_convs(args, tagset) == (want, schema)
     # train reads no n-best file
     args = argparse.Namespace(corpus=str(corpus), prosody=str(prosody))
-    assert cli._load_convs(args, tagset) == (
-        attach_prosody(parse_conversations(corpus, tagset), table), schema)
+    assert cli._load_convs(args, tagset) == (attached({}), schema)
 
 
 def test_zero_count_class_shares_the_fallback_after_reload(workdir, tmp_path):

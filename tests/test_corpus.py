@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from dialact import corpus
 from dialact.corpus import (Conversation, CorpusError, FeatureSchema,
                             FeatureVector, Hypothesis, NBestList, TagSet,
-                            Utterance, attach_nbest, attach_prosody,
-                            default_tagset, downsample_uniform,
+                            Utterance, default_tagset, downsample_uniform,
                             jackknife_split, load_tagset,
                             parse_conversations, parse_nbest, parse_prosody,
                             save_tagset, serialize_conversations,
@@ -43,7 +42,6 @@ def test_tagset_collapsed_classes():
     assert ts.collapse("Um") == "Other"
     assert ts.collapse("S") == "S"
     assert "Oh" in ts
-    assert set(ts.expanded_labels()) == {"S", "Oh", "Um"}
 
 
 def test_tagset_rejects_duplicates_and_whitespace():
@@ -215,13 +213,13 @@ def test_empty_nbest_rejected():
         NBestList(())
 
 
-def test_attach_nbest_leaves_missing_utterances_alone():
+def test_attach_nbest_leaves_missing_utterances_alone(tmp_path):
     conv = mk_conv("c1", [("A", "S", "hi"), ("B", "S", "yo")])
     nb = {("c1", 0): NBestList((Hypothesis(("hi",), -1.0),))}
-    out = attach_nbest([conv], nb)[0]
-    assert out.utterances[0].nbest is not None
+    serialize_conversations([conv], tmp_path / "c.tsv")
+    out = parse_conversations(tmp_path / "c.tsv", nbest=nb)[0]
+    assert out.utterances[0].nbest == nb[("c1", 0)]
     assert out.utterances[1].nbest is None
-    assert conv.utterances[0].nbest is None  # original untouched
 
 
 # ---------------------------------------------------------------------------
@@ -314,25 +312,26 @@ def test_prosody_values_are_converted_once(tmp_path, monkeypatch):
     assert table[("c1", 1)].values["site"] == "2"
 
 
-def test_attach_prosody():
-    conv = mk_conv("c1", [("A", "S", "hi")])
-    out = attach_prosody([conv], {("c1", 0): FeatureVector({"f0": 2.0})})[0]
+def test_attach_prosody(tmp_path):
+    conv = mk_conv("c1", [("A", "S", "hi"), ("B", "S", "yo")])
+    serialize_conversations([conv], tmp_path / "c.tsv")
+    out = parse_conversations(tmp_path / "c.tsv", prosody={
+        ("c1", 0): FeatureVector({"f0": 2.0})})[0]
     assert out.utterances[0].prosody["f0"] == 2.0
+    assert out.utterances[1].prosody is None
 
 
-def test_attaching_keeps_every_other_field():
+def test_attaching_keeps_every_other_field(tmp_path):
     conv = mk_conv("c1", [("A", "S", "hi there"), ("B", None, "yes")])
     nbest = NBestList((Hypothesis(("hi",), -1.0),))
     feats = FeatureVector({"f0": 2.0})
-    both = attach_prosody(attach_nbest([conv], {("c1", 0): nbest}),
-                          {("c1", 0): feats, ("c1", 1): feats})[0]
+    serialize_conversations([conv], tmp_path / "c.tsv")
+    both = parse_conversations(tmp_path / "c.tsv", nbest={("c1", 0): nbest},
+                               prosody={("c1", 0): feats,
+                                        ("c1", 1): feats})[0]
     assert both.utterances == (
         dataclasses.replace(conv.utterances[0], nbest=nbest, prosody=feats),
         dataclasses.replace(conv.utterances[1], prosody=feats))
-    # the other order attaches the same
-    assert attach_nbest(attach_prosody([conv], {("c1", 0): feats,
-                                                ("c1", 1): feats}),
-                        {("c1", 0): nbest})[0] == both
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,7 @@ from dialact.discourse import DiscourseGrammar, GrammarVariant, train_discourse
 from dialact import hmm
 from dialact.hmm import (CombinationWeights, LikelihoodTable,
                          brute_force_decode, combine_likelihoods,
-                         dump_likelihoods, forward_backward,
-                         forward_backward_corpus, load_likelihoods,
+                         forward_backward, forward_backward_corpus,
                          tune_alpha_beta, viterbi_corpus, viterbi_decode)
 
 
@@ -51,10 +50,10 @@ class StubBigram:
 
 
 def two_state_table():
-    return LikelihoodTable.from_rows(
+    return LikelihoodTable(
         "c", ("S", "Q"), ("A", "B"),
-        [{"S": math.log(0.1), "Q": math.log(0.3)},
-         {"S": math.log(0.4), "Q": math.log(0.1)}])
+        [[math.log(0.1), math.log(0.3)],
+         [math.log(0.4), math.log(0.1)]])
 
 
 def rand_instance(rng, n_labels, order, n_utts, variant=None):
@@ -283,31 +282,6 @@ def test_empty_conversation_rejected():
         viterbi_decode(StubBigram(), table)
     with pytest.raises(ValueError, match="empty"):
         forward_backward(StubBigram(), table)
-
-
-def test_dump_load_round_trip(tmp_path):
-    rng = random.Random(29)
-    _, t1 = rand_instance(rng, 3, 2, 4)
-    _, t2 = rand_instance(rng, 3, 2, 2)
-    t2 = LikelihoodTable("r2", t2.labels, t2.speakers, t2.scores)
-    path = tmp_path / "lik.tsv"
-    dump_likelihoods([t1, t2], path)
-    convs = [Conversation(t.conversation_id, tuple(
-        Utterance(i, spk, None, ("w",)) for i, spk in enumerate(t.speakers)))
-        for t in (t1, t2)]
-    back = load_likelihoods(path, convs, t1.labels)
-    for orig, got in zip((t1, t2), back):
-        assert got.conversation_id == orig.conversation_id
-        assert got.labels == orig.labels and got.speakers == orig.speakers
-        assert np.array_equal(got.scores, orig.scores)  # repr: exact floats
-
-
-def test_load_likelihoods_missing_conversation(tmp_path):
-    path = tmp_path / "lik.tsv"
-    dump_likelihoods([two_state_table()], path)
-    stranger = Conversation("nope", (Utterance(0, "A", None, ("w",)),))
-    with pytest.raises(ValueError, match="nope"):
-        load_likelihoods(path, [stranger], ("S", "Q"))
 
 
 # ---------------------------------------------------------------------------
@@ -734,6 +708,29 @@ def test_shifted_products_match_the_oracle_past_underflow(seed, order,
     for table, posts in zip(tables, got):
         assert np.abs(posts - oracle_posteriors(grammar, table, scales,
                                                 online)).max() <= 1e-10
+
+
+def test_priors_too_large_to_compile_are_refused_before_allocating(
+        monkeypatch):
+    # an order-8 prior over the 42 bundled acts has 43^7 states per speaker
+    # pattern, and these three utterances have three patterns
+    def no_arrays(*args):
+        raise AssertionError("a transition array was built")
+
+    monkeypatch.setattr(hmm._CompiledPrior, "transition", no_arrays)
+    labels = default_tagset().labels
+    table = LikelihoodTable("c", labels, ("A", "B", "A"),
+                            np.zeros((3, len(labels))))
+    cells = 3 * 43 ** 7 * 42
+    for decode, tables in ((viterbi_corpus, 1), (forward_backward_corpus, 3)):
+        with pytest.raises(ValueError, match=rf"order-8 grammar over 42 "
+                                             rf"labels needs {cells * tables} "
+                                             rf"cells"):
+            decode(Flat(labels, 8), [table])
+    # the limit admits an order-4 speaker-blind prior over the 42 acts on a
+    # long conversation (four patterns, with the products) and refuses an
+    # order-4 speaker-aware one (30 patterns, even for Viterbi)
+    assert 4 * 43 ** 3 * 42 * 3 <= hmm._COMPILE_CELLS < 30 * 43 ** 3 * 42
 
 
 def test_flat_prior_ties_go_to_the_lowest_labels():

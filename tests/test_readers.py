@@ -20,10 +20,8 @@ from dialact import cli
 from dialact.corpus import (CorpusError, load_tagset, parse_conversations,
                             parse_nbest, parse_prosody)
 from dialact.discourse import load_discourse
-from dialact.hmm import dump_likelihoods, load_likelihoods
 from dialact.ngram import read_arpa
 from dialact.prosody import ProsodyError, load_tree
-from dialact.wordmodels import train_da_lms, word_likelihood_tables
 
 LABELS = ("Statement", "Question", "Backchannel")
 WORDS = {"Statement": "i think we did so", "Question": "do you know what",
@@ -64,11 +62,6 @@ def files(tmp_path_factory):
     assert cli.main(["tag", "--models", str(models),
                      "--corpus", str(root / "corpus.tsv"),
                      "--output", str(root / "pred.tsv")]) == 0
-    tagset = load_tagset(root / "tagset.txt")
-    convs = parse_conversations(root / "corpus.tsv", tagset)
-    tables = word_likelihood_tables(train_da_lms(convs, tagset, order=2),
-                                    convs, "true_words")
-    dump_likelihoods(tables, root / "lik.tsv")
     return root
 
 
@@ -160,16 +153,6 @@ def test_fuzzed_discourse_header_parses_or_names_its_line(
     _fuzz_file(files, tmp_path_factory, "models/discourse.arpa",
                lambda p: load_discourse(p, tagset), ops, sep=b" ",
                lines_of=(0, 1))
-
-
-@_FUZZ
-@given(ops=edits)
-def test_fuzzed_likelihood_dump_parses_or_names_its_line(
-        files, tmp_path_factory, ops):
-    tagset = load_tagset(files / "tagset.txt")
-    convs = parse_conversations(files / "corpus.tsv", tagset)
-    _fuzz_file(files, tmp_path_factory, "lik.tsv",
-               lambda p: load_likelihoods(p, convs, tagset.labels), ops)
 
 
 @_FUZZ
@@ -314,18 +297,6 @@ def test_faults_exit_one_naming_the_file_and_line(files, tmp_path, capsys,
     err = capsys.readouterr().err
     assert f"{bad}:{lineno}: " in err
     assert "Traceback" not in err
-
-
-def test_missing_likelihood_row_names_the_file(files, tmp_path):
-    tagset = load_tagset(files / "tagset.txt")
-    convs = parse_conversations(files / "corpus.tsv", tagset)
-    path = tmp_path / "lik.tsv"
-    path.write_text("".join(line + "\n" for line in
-                            (files / "lik.tsv").read_text().splitlines()[1:]))
-    with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}:\d+: "
-                                          r"no likelihood row for "
-                                          r"\('c0', 0, 'Statement'\)"):
-        load_likelihoods(path, convs, tagset.labels)
 
 
 @pytest.mark.parametrize("sections, gram", [

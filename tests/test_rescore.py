@@ -17,9 +17,8 @@ from dialact.discourse import DiscourseGrammar, GrammarVariant, train_discourse
 from dialact.hmm import forward_backward
 from dialact.ngram import CompiledModelSet, _logsumexp, sequence_log_prob
 from dialact.rescore import (METHODS, WordErrors, best_hypothesis, corpus_wer,
-                             hypothesis_scores, mixture_lm_scores,
-                             mixture_posterior_scores, per_da_wer_report,
-                             rescore_corpus, wer)
+                             mixture_lm_scores, mixture_posterior_scores,
+                             per_da_wer_report, rescore_corpus, wer)
 from dialact.wordmodels import (ScoreScaling, smooth_da_lms, train_da_lms,
                                 word_likelihood_tables)
 
@@ -177,7 +176,8 @@ def test_hypothesis_scores_formula():
     lms = train_lms()
     scaling = ScoreScaling(lm_weight=5.0, word_penalty=2.0)
     nbest = nb(("do you", -20.0), ("i think", -25.0))
-    scores = hypothesis_scores(nbest, lms.fallback, scaling)
+    scores = scaling.hyp_scores(nbest, CompiledModelSet([lms.fallback]).score(
+        [h.words for h in nbest]))[:, 0]
     for i, hyp in enumerate(nbest):
         expect = (hyp.acoustic_score - 2.0 * len(hyp.words)) / 5.0 + \
             sequence_log_prob(lms.fallback, hyp.words)
@@ -200,7 +200,8 @@ def test_certain_posterior_collapses_mixture_to_one_model():
     lms = train_lms()
     nbest = nb(("do you know", -30.0), ("i think so", -28.0))
     mixed = mixture_lm_scores(nbest, lms, {"S": 0.0, "Q": 1.0})
-    single = hypothesis_scores(nbest, lms.models["Q"])
+    single = ScoreScaling().hyp_scores(nbest, CompiledModelSet(
+        [lms.models["Q"]]).score([h.words for h in nbest]))[:, 0]
     assert np.allclose(mixed, single, atol=1e-12)
 
 
@@ -461,7 +462,8 @@ def rescore_by_primitives(convs, grammar, lms, rescoring, scaling):
                      "one_best": rescoring.models[top],
                      "oracle": rescoring.models[utt.da_label]}.get(method)
             if model is not None:
-                scores = hypothesis_scores(nbest, model, scaling)
+                scores = scaling.hyp_scores(nbest, CompiledModelSet(
+                    [model]).score([h.words for h in nbest]))[:, 0]
                 log_total += sequence_log_prob(model, words)
             elif method == "mixture_of_lms":
                 scores = mixture_lm_scores(nbest, rescoring, post, scaling)

@@ -11,12 +11,10 @@ from dialact.corpus import (Conversation, Hypothesis, NBestList, TagSet,
 from dialact.discourse import (DiscourseGrammar, GrammarVariant,
                                train_discourse)
 from dialact import wordmodels
-from dialact.ngram import (CompiledModelSet, InterpolatedModel,
+from dialact.ngram import (CompiledModelSet, InterpolatedModel, _logsumexp,
                            sequence_log_prob)
-from dialact.wordmodels import (MODES, DaLmSet, ScoreScaling,
-                                classify_from_words, nbest_da_log_likelihood,
+from dialact.wordmodels import (MODES, ScoreScaling, classify_from_words,
                                 smooth_da_lms, train_da_lms,
-                                true_word_log_likelihood,
                                 word_likelihood_tables)
 
 TS2 = TagSet(("S", "Q"))
@@ -50,6 +48,22 @@ def with_nbest(conv_id, rows):
     return Conversation(conv_id, tuple(utts))
 
 
+def true_words_evidence(lms, words):
+    """Every label's true-words evidence for one utterance, by label."""
+    conv = Conversation("u", (Utterance(0, "A", None, tuple(words)),))
+    table = word_likelihood_tables(lms, [conv], "true_words")[0]
+    return dict(zip(table.labels, table.scores[0].tolist()))
+
+
+def nbest_evidence(lms, hyps, label, scaling=ScoreScaling()):
+    """One label's n-best evidence for one utterance with hypotheses
+    ``hyps``."""
+    conv = Conversation("u", (Utterance(0, "A", None, (),
+                                        nbest=NBestList(tuple(hyps))),))
+    table = word_likelihood_tables(lms, [conv], "nbest", scaling)[0]
+    return float(table.scores[0, table.labels.index(label)])
+
+
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
@@ -57,18 +71,18 @@ def with_nbest(conv_id, rows):
 def test_class_models_separate_their_classes():
     lms = train_da_lms(mk_corpus(), TS2, order=2)
     for words in [("do", "you", "know"), ("what", "was", "that")]:
-        assert true_word_log_likelihood(lms, words, "Q") > \
-            true_word_log_likelihood(lms, words, "S")
+        evidence = true_words_evidence(lms, words)
+        assert evidence["Q"] > evidence["S"]
     for words in [("i", "think", "so"), ("we", "did", "it")]:
-        assert true_word_log_likelihood(lms, words, "S") > \
-            true_word_log_likelihood(lms, words, "Q")
+        evidence = true_words_evidence(lms, words)
+        assert evidence["S"] > evidence["Q"]
 
 
 def test_shared_vocabulary_across_classes():
     lms = train_da_lms(mk_corpus(), TS2, order=2)
     assert lms.models["S"].vocab == lms.models["Q"].vocab == lms.fallback.vocab
     # cross-class words score finitely under every model via backoff
-    assert true_word_log_likelihood(lms, ("what", "agree"), "S") > -math.inf
+    assert true_words_evidence(lms, ("what", "agree"))["S"] > -math.inf
 
 
 def test_empty_class_shares_the_fallback():
@@ -76,7 +90,7 @@ def test_empty_class_shares_the_fallback():
     with pytest.warns(UserWarning, match="'Z'"):
         lms = train_da_lms(mk_corpus(), ts3, order=2)
     assert lms.models["Z"] is lms.fallback
-    assert true_word_log_likelihood(lms, ("i", "agree"), "Z") == \
+    assert true_words_evidence(lms, ("i", "agree"))["Z"] == \
         sequence_log_prob(lms.fallback, ("i", "agree"))
 
 
@@ -91,7 +105,9 @@ def test_collapsed_labels_share_one_model():
     utts = tuple(Utterance(i, "A", lab, words) for i, (lab, words) in enumerate(
         [("S", ("i", "agree")), ("Yes-No-Question", ("do", "you"))]))
     lms = train_da_lms([Conversation("c", utts)], ts, order=2)
-    assert lms.model_for("Yes-No-Question") is lms.models["Q"]
+    assert set(lms.models) == {"S", "Q"}
+    evidence = true_words_evidence(lms, ("do", "you"))
+    assert evidence["Q"] > evidence["S"]
 
 
 # ---------------------------------------------------------------------------
@@ -150,19 +166,19 @@ def test_single_hypothesis_sum_is_the_score():
     lms = train_da_lms(mk_corpus(), TS2, order=2)
     scaling = ScoreScaling(lm_weight=8.0, word_penalty=0.5)
     words = ("do", "you", "know")
-    nb = NBestList((Hypothesis(words, -42.0),))
+    nb = [Hypothesis(words, -42.0)]
     expect = (-42.0 - 0.5 * 3) / 8.0 + sequence_log_prob(lms.models["Q"], words)
-    got = nbest_da_log_likelihood(lms, nb, "Q", scaling)
+    got = nbest_evidence(lms, nb, "Q", scaling)
     assert math.isclose(got, expect, rel_tol=0, abs_tol=1e-12)
 
 
 def test_duplicate_hypothesis_adds_ln2():
     lms = train_da_lms(mk_corpus(), TS2, order=2)
     words = ("can", "you")
-    one = NBestList((Hypothesis(words, -10.0),))
-    two = NBestList((Hypothesis(words, -10.0), Hypothesis(words, -10.0)))
-    assert math.isclose(nbest_da_log_likelihood(lms, two, "Q"),
-                        nbest_da_log_likelihood(lms, one, "Q") + math.log(2),
+    one = [Hypothesis(words, -10.0)]
+    two = [Hypothesis(words, -10.0), Hypothesis(words, -10.0)]
+    assert math.isclose(nbest_evidence(lms, two, "Q"),
+                        nbest_evidence(lms, one, "Q") + math.log(2),
                         abs_tol=1e-12)
 
 
@@ -172,12 +188,11 @@ def test_hypothesis_order_does_not_change_the_sum():
     hyps = [Hypothesis(tuple(rng.choice(["do", "you", "know", "what"])
                              for _ in range(rng.randrange(1, 4))),
                        rng.uniform(-60.0, -20.0)) for _ in range(6)]
-    base = nbest_da_log_likelihood(lms, NBestList(tuple(hyps)), "Q")
+    base = nbest_evidence(lms, hyps, "Q")
     for _ in range(5):
         rng.shuffle(hyps)
-        assert math.isclose(
-            nbest_da_log_likelihood(lms, NBestList(tuple(hyps)), "Q"),
-            base, abs_tol=1e-12)
+        assert math.isclose(nbest_evidence(lms, hyps, "Q"), base,
+                            abs_tol=1e-12)
 
 
 def test_log_sum_matches_linear_resummation():
@@ -188,7 +203,7 @@ def test_log_sum_matches_linear_resummation():
     linear = sum(math.exp(scaling.hyp_score(
         h.acoustic_score, sequence_log_prob(lms.models["Q"], h.words),
         len(h.words))) for h in hyps)
-    got = nbest_da_log_likelihood(lms, NBestList(tuple(hyps)), "Q", scaling)
+    got = nbest_evidence(lms, hyps, "Q", scaling)
     assert math.isclose(got, math.log(linear), rel_tol=1e-9)
 
 
@@ -244,14 +259,16 @@ def test_tables_equal_the_per_utterance_definitions_exactly():
             for table, conv in zip(tables, convs):
                 for i, utt in enumerate(conv):
                     for j, lab in enumerate(table.labels):
+                        model = da_lms.models[lab]
                         if mode == "nbest":
-                            want = nbest_da_log_likelihood(
-                                da_lms, utt.nbest, lab, scaling)
+                            lm = np.array([[sequence_log_prob(model, h.words)]
+                                           for h in utt.nbest])
+                            want = _logsumexp(scaling.hyp_scores(
+                                utt.nbest, lm), axis=0)[0]
                         else:
                             words = (utt.words if mode == "true_words"
                                      else utt.nbest.first.words)
-                            want = true_word_log_likelihood(da_lms, words,
-                                                            lab)
+                            want = sequence_log_prob(model, words)
                         assert table.scores[i, j] == want, (mode, i, lab)
 
 
