@@ -286,17 +286,11 @@ def cmd_tag(args) -> int:
     models = load_models(args.models)
     tagset = models.tagset
     convs, _ = _load_convs(args, tagset)
-    if args.mode != "true_words" and not args.nbest:
-        raise CorpusError(f"mode {args.mode!r} needs an --nbest file")
-    if args.online and args.decoder != "posterior":
-        raise CorpusError("--online applies to the posterior decoder only")
-    if args.tune_fusion and not args.prosody:
-        raise CorpusError("--tune-fusion needs a --prosody file")
-
     grammar = _grammar_for(args, models)
     word_tables = word_likelihood_tables(models.da_lms, convs, args.mode,
                                          _scaling(args))
-    tables = word_tables
+    prosody_tables = [None] * len(word_tables)
+    weights = CombinationWeights(args.alpha, args.beta)
     if args.prosody:
         if models.tree is None:
             raise CorpusError("model directory has no prosody tree")
@@ -318,10 +312,8 @@ def cmd_tag(args) -> int:
             print(f"fusion pooled accuracy {_g(100 * result.accuracy)}%",
                   file=sys.stderr)
             weights = result.better
-        else:
-            weights = CombinationWeights(args.alpha, args.beta)
-        tables = [combine_likelihoods(w, p, weights)
-                  for w, p in zip(word_tables, prosody_tables)]
+    tables = [combine_likelihoods(w, p, weights)
+              for w, p in zip(word_tables, prosody_tables)]
 
     # conversation id -> (label, posterior text) per utterance
     predicted: dict[str, list[tuple[str, str]]] = {}
@@ -356,7 +348,7 @@ def cmd_tag(args) -> int:
 def cmd_rescore(args) -> int:
     models = load_models(args.models)
     convs, _ = _load_convs(args, models.tagset)
-    methods = args.methods.split(",")
+    methods = args.methods
     result = rescore_corpus(convs, _grammar_for(args, models), models.da_lms,
                             models.smoothed, methods, _scaling(args))
     if not result.references:
@@ -419,7 +411,7 @@ def cmd_perplexity(args) -> int:
 def cmd_eval(args) -> int:
     tagset = _load_tagset(args)
     convs = parse_conversations(args.reference, tagset)
-    preds: dict[tuple[str, int], str] = {}
+    preds: dict[tuple[str, int], tuple[str, int]] = {}  # key -> label, line
     lineno = 1
     with located(lambda _: f"{args.predictions}:{lineno}: bad utterance "
                            f"index {fields[1]!r}"):
@@ -430,7 +422,12 @@ def cmd_eval(args) -> int:
             if fields[2] not in tagset:
                 raise CorpusError(f"{args.predictions}:{lineno}: label "
                                   f"{fields[2]!r} not in tag set")
-            preds[(fields[0], int(fields[1]))] = fields[2]
+            key = (fields[0], int(fields[1]))
+            if key in preds:
+                raise CorpusError(f"{args.predictions}:{lineno}: second "
+                                  f"prediction row for {key[0]}:{key[1]} "
+                                  f"(the first is on line {preds[key][1]})")
+            preds[key] = (fields[2], lineno)
 
     pred_flat, ref_flat = [], []
     for conv in convs:
@@ -441,7 +438,7 @@ def cmd_eval(args) -> int:
             if key not in preds:
                 raise CorpusError(f"{args.predictions}:{lineno}: no "
                                   f"prediction for {key[0]}:{key[1]}")
-            pred_flat.append(tagset.collapse(preds[key]))
+            pred_flat.append(tagset.collapse(preds[key][0]))
             ref_flat.append(tagset.collapse(utt.da_label))
     if not ref_flat:
         raise CorpusError(f"{args.reference}:1: no labeled utterances")
@@ -482,6 +479,28 @@ def _finite_float(low: float = -math.inf, strict: bool = False):
         return value
     parse.__name__ = "float"    # argparse names it in "invalid float value"
     return parse
+
+
+def _methods(text: str) -> list[str]:
+    """An argparse type: a comma list of rescoring methods, each kept once
+    in first-seen order."""
+    methods = text.split(",")
+    for method in methods:
+        if method not in METHODS:
+            raise argparse.ArgumentTypeError(
+                f"unknown method {method!r} (choose from {', '.join(METHODS)})")
+    return list(dict.fromkeys(methods))
+
+
+def _tag_conflict(args) -> str | None:
+    """What makes ``tag``'s options contradict each other, if anything."""
+    if args.mode != "true_words" and not args.nbest:
+        return f"--mode {args.mode} needs an --nbest file"
+    if args.online and args.decoder != "posterior":
+        return "--online applies to --decoder posterior only"
+    if args.tune_fusion and not args.prosody:
+        return "--tune-fusion needs a --prosody file"
+    return None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -566,7 +585,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True,
                    help="conversation file with reference words")
     p.add_argument("--nbest", required=True, help="n-best file")
-    p.add_argument("--methods", default=",".join(METHODS),
+    p.add_argument("--methods", type=_methods, default=",".join(METHODS),
                    help="comma list of " + ", ".join(METHODS))
     p.add_argument("--output", required=True, help="output directory")
     p.set_defaults(func=cmd_rescore)
@@ -591,7 +610,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    conflict = _tag_conflict(args) if args.func is cmd_tag else None
+    if conflict:
+        parser.error(conflict)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -24,8 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Conversation, CorpusError, TagSet, _read_text
-from .ngram import END, START, NGramModel, _logsumexp, read_arpa, train_ngram, write_arpa
+from .corpus import SPEAKERS, Conversation, CorpusError, TagSet, _read_text
+from .ngram import (END, START, UNK, NGramModel, _logsumexp, read_arpa,
+                    train_ngram, write_arpa)
 
 PAIR_SEP = "·"  # middle dot, joins label and speaker in pair tokens
 
@@ -42,10 +43,10 @@ class DiscourseGrammar:
     ``order`` 0 means "no grammar": uniform scores, no inner model.
     Each context's scores over the model's vocabulary are memoized, as are
     speaker normalizers; one engine call scores a context together with
-    every context that differs from it in the last token only, and
-    :meth:`transition_row` gathers a history's scores of every label from
-    that row.  Instances are immutable after construction and safe to
-    share across decodes.
+    every context that differs from it in the last token only.  Every
+    score is read from such a row, a token outside the vocabulary from
+    ``<unk>``'s column.  Instances are immutable after construction and
+    safe to share across decodes.
     """
 
     def __init__(self, tagset: TagSet, variant: GrammarVariant, order: int,
@@ -60,7 +61,7 @@ class DiscourseGrammar:
         self.model = model
         self._norm_memo: dict[tuple, float] = {}
         self._rows: dict = {}   # context -> log probs of the sorted vocabulary
-        self._columns: dict = {}  # speaker -> vocabulary ids of the labels
+        self._columns: dict = {}  # speaker -> row columns of the labels
         self._vocab = {t: i for i, t in enumerate(sorted(model.vocab if model
                                                          else ()))}
         if self.variant == GrammarVariant.JOINT:
@@ -107,18 +108,13 @@ class DiscourseGrammar:
         label, speaker = event
         if label not in self.tagset.labels:
             raise CorpusError(f"label {label!r} not in grammar tag set")
-        if self.order == 0:
-            return self._log_uniform
-        ctx = self._context(history)
-        lp = self._log_prob(ctx, self._token(label, speaker))
-        if self.variant == GrammarVariant.SPEAKER_CONDITIONED:
-            lp -= self._speaker_normalizer(ctx, speaker)
-        return lp
+        return float(self.transition_row(history, speaker)[
+            self.labels.index(label)])
 
     def transition_row(self, history: Sequence[tuple[str, str]],
                        speaker: str) -> np.ndarray:
         """log P((label, speaker) | history) of every label of the tag set,
-        in order: :meth:`transition_log_prob` label by label, bit for bit."""
+        in order."""
         if self.order == 0:
             return np.full(len(self.labels), self._log_uniform)
         ctx = self._context(history)
@@ -137,26 +133,22 @@ class DiscourseGrammar:
             row = self._rows[ctx]
         return row
 
-    def _log_prob(self, ctx: tuple[str, ...], token: str) -> float:
-        """The model's log P(token | ctx), read from the context's row."""
-        i = self._vocab.get(token)
-        # outside the vocabulary: <unk>'s score, or a closed-vocabulary error
-        return float(self._row(ctx)[i]) if i is not None else \
-            self.model.cond_log_prob(ctx, token)
+    def _column(self, token: str) -> int:
+        """The column of ``token`` in a context's row: its own, else
+        ``<unk>``'s, as the model scores a token outside its vocabulary."""
+        i = self._vocab.get(token, self._vocab.get(UNK))
+        if i is None:
+            raise ValueError(f"token {token!r} not in closed vocabulary")
+        return i
 
     def _token_row(self, ctx: tuple[str, ...], speaker: str) -> np.ndarray:
         """The model's log P(token | ctx) of each label's token for
         ``speaker``, in tag set order."""
         if speaker not in self._columns:
-            ids = [self._vocab.get(self._token(lab, speaker))
-                   for lab in self.labels]
-            self._columns[speaker] = None if None in ids else \
-                np.array(ids, dtype=np.intp)
-        cols = self._columns[speaker]
-        if cols is None:
-            return np.array([self._log_prob(ctx, self._token(lab, speaker))
-                             for lab in self.labels])
-        return self._row(ctx)[cols]
+            self._columns[speaker] = np.array(
+                [self._column(self._token(lab, speaker)) for lab in self.labels],
+                dtype=np.intp)
+        return self._row(ctx)[self._columns[speaker]]
 
     def _speaker_normalizer(self, ctx: tuple[str, ...], speaker: str) -> float:
         key = (ctx, speaker)
@@ -170,7 +162,7 @@ class DiscourseGrammar:
         never divided by a speaker normalizer."""
         if self.order == 0:
             return 0.0
-        return self._log_prob(self._context(history), END)
+        return float(self._row(self._context(history))[self._column(END)])
 
 
 def _event_sequence(conv: Conversation, tagset: TagSet) -> list[tuple[str, str]]:
@@ -196,14 +188,9 @@ def train_discourse(convs: Sequence[Conversation], tagset: TagSet,
                          "use DiscourseGrammar.uniform for the no-grammar case")
     if not convs:
         raise ValueError("no training conversations")
-    if variant == GrammarVariant.DA_ONLY:
-        vocab = set(tagset.labels)
-        seqs = [[lab for lab, _ in _event_sequence(c, tagset)] for c in convs]
-    else:
-        vocab = {f"{lab}{PAIR_SEP}{spk}"
-                 for lab in tagset.labels for spk in ("A", "B")}
-        seqs = [[f"{lab}{PAIR_SEP}{spk}" for lab, spk in _event_sequence(c, tagset)]
-                for c in convs]
+    token = DiscourseGrammar.uniform(tagset, variant)._token
+    vocab = {token(lab, spk) for lab in tagset.labels for spk in SPEAKERS}
+    seqs = [[token(*ev) for ev in _event_sequence(c, tagset)] for c in convs]
     model = train_ngram(seqs, order, vocabulary=vocab, pad=True)
     return DiscourseGrammar(tagset, variant, order, model)
 

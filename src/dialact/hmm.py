@@ -86,14 +86,13 @@ class LikelihoodTable:
     """Per-utterance x per-label log evidence for one conversation.
 
     ``scores[i, j]`` is log P(evidence_i | label_j); entries are finite or
-    -inf.  ``sources`` records which evidence streams went in.
+    -inf.
     """
 
     conversation_id: str
     labels: tuple[str, ...]
     speakers: tuple[str, ...]
     scores: np.ndarray
-    sources: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         self.scores = np.asarray(self.scores, dtype=float)
@@ -134,15 +133,13 @@ def combine_likelihoods(word: LikelihoodTable,
     """Fuse word and prosody evidence for one conversation."""
     if prosody is None or weights.alpha == 0.0:
         scores = weights.beta * word.scores
-        sources = word.sources | {"combined"}
     else:
         for attr in ("conversation_id", "labels", "speakers"):
             if getattr(word, attr) != getattr(prosody, attr):
                 raise ValueError(f"word/prosody tables disagree on {attr}")
         scores = weights.beta * (word.scores + weights.alpha * prosody.scores)
-        sources = word.sources | prosody.sources | {"combined"}
     return LikelihoodTable(word.conversation_id, word.labels, word.speakers,
-                           scores, frozenset(sources))
+                           scores)
 
 
 # ---------------------------------------------------------------------------

@@ -427,8 +427,7 @@ def prosody_likelihood_tables(tree: DecisionTree, convs,
             with np.errstate(divide="ignore"):
                 scores[featured] = np.log(raw / totals[:, None])[leaf_of]
         tables.append(LikelihoodTable(conv.conv_id, tree.classes,
-                                      conv.speakers, scores,
-                                      frozenset({"prosody"})))
+                                      conv.speakers, scores))
     return tables
 
 

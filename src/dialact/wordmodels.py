@@ -186,8 +186,7 @@ def _scored_evidence(engine: CompiledModelSet, convs: Sequence[Conversation],
                 rows = scores[[i[0] for i in index], :len(labels)]
             tables.append(LikelihoodTable(
                 conv.conv_id, labels, conv.speakers,
-                np.reshape(rows, (len(conv), len(labels))),
-                frozenset({f"words:{mode}"})))
+                np.reshape(rows, (len(conv), len(labels)))))
         return tables, scores, row_of
 
     for conv in convs:
@@ -231,15 +230,14 @@ def word_likelihood_tables(da_lms: DaLmSet, convs: Sequence[Conversation],
 
 
 def classify_from_words(da_lms: DaLmSet, grammar, convs: Sequence[Conversation],
-                        mode: str = "true_words",
-                        scaling: ScoreScaling = ScoreScaling(),
-                        online: bool = False) -> list[list[str]]:
-    """Tag every utterance: posterior decoding over word evidence.
+                        mode: str = "true_words") -> list[list[str]]:
+    """Tag every utterance: posterior decoding over word evidence, with the
+    default :class:`ScoreScaling`.
 
     Returns one label list per conversation.  With an order-0 grammar this
     reduces to per-utterance maximum likelihood.
     """
-    tables = word_likelihood_tables(da_lms, convs, mode, scaling)
+    tables = word_likelihood_tables(da_lms, convs, mode)
     return [[table.labels[j] for j in np.argmax(posts, axis=1)]
             for table, posts in zip(tables, forward_backward_corpus(
-                grammar, tables, online=online))]
+                grammar, tables))]

@@ -403,19 +403,18 @@ def test_tag_fusion_and_tuning(workdir, tmp_path, capsys):
 
 
 def test_tag_flag_validation(workdir, capsys):
-    rc = cli.main(["tag", "--models", str(workdir / "models"),
-                   "--corpus", str(workdir / "corpus.tsv"),
-                   "--mode", "nbest"])
-    assert rc == 1
-    assert "--nbest" in capsys.readouterr().err
-    rc = cli.main(["tag", "--models", str(workdir / "models"),
-                   "--corpus", str(workdir / "corpus.tsv"),
-                   "--decoder", "viterbi", "--online"])
-    assert rc == 1
-    rc = cli.main(["tag", "--models", str(workdir / "models"),
-                   "--corpus", str(workdir / "corpus.tsv"),
-                   "--tune-fusion"])
-    assert rc == 1
+    # usage errors before any file is read: neither path exists
+    for flags, message in [
+            (["--mode", "nbest"], "--mode nbest needs an --nbest file"),
+            (["--mode", "one_best"], "--mode one_best needs an --nbest file"),
+            (["--decoder", "viterbi", "--online"],
+             "--online applies to --decoder posterior only"),
+            (["--tune-fusion"], "--tune-fusion needs a --prosody file")]:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["tag", "--models", str(workdir / "missing"),
+                      "--corpus", str(workdir / "missing.tsv"), *flags])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -488,13 +487,32 @@ def test_max_hyps_below_one_is_a_usage_error(workdir, tmp_path, capsys,
 
 
 def test_rescore_rejects_unknown_method(workdir, tmp_path, capsys):
+    # a usage error before any file is read (there is no such model
+    # directory), as is an empty entry
+    for methods, bad in [("magic", "'magic'"), ("baseline,", "''")]:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["rescore", "--models", str(workdir / "missing"),
+                      "--corpus", str(workdir / "corpus.tsv"),
+                      "--nbest", str(workdir / "nbest.tsv"),
+                      "--methods", methods,
+                      "--output", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"--methods: unknown method {bad}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_rescore_keeps_a_repeated_method_once(workdir, tmp_path, capsys):
+    out = tmp_path / "out"
     rc = cli.main(["rescore", "--models", str(workdir / "models"),
                    "--corpus", str(workdir / "corpus.tsv"),
                    "--nbest", str(workdir / "nbest.tsv"),
-                   "--methods", "magic",
-                   "--output", str(tmp_path / "out")])
-    assert rc == 1
-    assert "magic" in capsys.readouterr().err
+                   "--methods", "oracle,baseline,oracle,baseline",
+                   "--output", str(out)])
+    assert rc == 0
+    report = (out / "report.tsv").read_text().splitlines()
+    assert [row.split("\t")[0] for row in report[1:]] == ["oracle", "baseline"]
+    stdout = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in stdout] == ["oracle", "baseline"]
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +555,25 @@ def test_eval_missing_prediction_fails(workdir, tmp_path, capsys):
                    "--tagset", str(workdir / "tagset.txt")])
     assert rc == 1
     assert "no prediction" in capsys.readouterr().err
+
+
+def test_eval_rejects_a_second_prediction_for_one_utterance(
+        workdir, tmp_path, capsys):
+    pred = tmp_path / "pred.tsv"
+    cli.main(["tag", "--models", str(workdir / "models"),
+              "--corpus", str(workdir / "corpus.tsv"), "--output", str(pred)])
+    capsys.readouterr()
+    rows = pred.read_text().splitlines()
+    # a later row would silently replace the first and change the accuracy
+    label = "Statement" if rows[0].split("\t")[2] != "Statement" else "Question"
+    pred.write_text("".join(f"{row}\n" for row in rows)
+                    + f"c0\t0\t{label}\t-\n")
+    rc = cli.main(["eval", "--reference", str(workdir / "corpus.tsv"),
+                   "--predictions", str(pred),
+                   "--tagset", str(workdir / "tagset.txt")])
+    assert rc == 1
+    assert f"{pred}:{len(rows) + 1}: second prediction row for c0:0 (the " \
+        f"first is on line 1)" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

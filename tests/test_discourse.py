@@ -305,3 +305,36 @@ def test_first_decode_scores_each_context_row_in_one_engine_call(monkeypatch):
     # in the last token only: one per first token of the 43^2 contexts
     assert len(calls) <= len(labels) + 1
     assert (len(labels) + 1) ** 2 <= len(g._rows) <= len(calls) * sum(calls)
+
+
+def test_closed_vocabulary_rows_read_only_their_own_columns():
+    # a pair model trained without padding has neither <unk> nor <end>:
+    # tokens outside it have no column to read and raise as the model does
+    import numpy as np
+
+    from dialact.ngram import UNK, _logsumexp, train_ngram
+
+    token = lambda lab, spk: f"{lab}{PAIR_SEP}{spk}"
+    seqs = [[token(lab, spk) for lab, spk in conv_events]
+            for conv_events in ([("S", "A"), ("B", "B"), ("Q", "A")],
+                                [("Q", "B"), ("S", "A"), ("S", "B")])]
+    model = train_ngram(seqs, 2, vocabulary={
+        token(lab, spk) for lab in TS3.labels for spk in "AB"}, pad=False)
+    assert UNK not in model.vocab and END not in model.vocab
+    for variant in (GrammarVariant.JOINT, GrammarVariant.SPEAKER_CONDITIONED):
+        g = DiscourseGrammar(TS3, variant, 2, model)
+        with pytest.raises(ValueError,
+                           match=f"token '{token('S', 'C')}' not in closed "
+                                 f"vocabulary"):
+            g.transition_row([("Q", "A")], "C")
+        with pytest.raises(ValueError,
+                           match=f"token '{END}' not in closed vocabulary"):
+            g.end_log_prob([("Q", "A")])
+        for hist in ([], [("Q", "A")], [("S", "B")]):
+            for spk in "AB":
+                ctx = g._context(hist)
+                want = np.array([model.cond_log_prob(ctx, token(lab, spk))
+                                 for lab in TS3.labels])
+                if variant is GrammarVariant.SPEAKER_CONDITIONED:
+                    want = want - float(_logsumexp(want, axis=0))
+                assert g.transition_row(hist, spk).tolist() == want.tolist()

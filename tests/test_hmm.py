@@ -202,10 +202,8 @@ def test_online_ignores_end_preference():
 # ---------------------------------------------------------------------------
 
 def fusion_pair():
-    word = LikelihoodTable("c", ("S", "Q"), ("A",), np.array([[-1.0, -3.0]]),
-                           frozenset({"words"}))
-    pros = LikelihoodTable("c", ("S", "Q"), ("A",), np.array([[-2.0, -0.5]]),
-                           frozenset({"prosody"}))
+    word = LikelihoodTable("c", ("S", "Q"), ("A",), np.array([[-1.0, -3.0]]))
+    pros = LikelihoodTable("c", ("S", "Q"), ("A",), np.array([[-2.0, -0.5]]))
     return word, pros
 
 
@@ -213,7 +211,6 @@ def test_combine_unit_weights_adds():
     word, pros = fusion_pair()
     out = combine_likelihoods(word, pros, CombinationWeights(1.0, 1.0))
     assert np.allclose(out.scores, [[-3.0, -3.5]])
-    assert out.sources == frozenset({"words", "prosody", "combined"})
 
 
 def test_combine_alpha_zero_drops_prosody():
@@ -304,10 +301,8 @@ def tuning_corpus(flat_words):
                           for lab in labels] for s in seq])
         prow = np.array([[-0.2 if lab == s else -3.0 for lab in labels]
                          for s in seq])
-        word_tables.append(LikelihoodTable(f"c{c}", labels, spk, wrow,
-                                           frozenset({"words"})))
-        pros_tables.append(LikelihoodTable(f"c{c}", labels, spk, prow,
-                                           frozenset({"prosody"})))
+        word_tables.append(LikelihoodTable(f"c{c}", labels, spk, wrow))
+        pros_tables.append(LikelihoodTable(f"c{c}", labels, spk, prow))
     grammar = train_discourse(convs, tagset, 2, GrammarVariant.DA_ONLY)
     return grammar, word_tables, pros_tables, refs
 

@@ -220,8 +220,7 @@ def oracle_likelihood_tables(tree: DecisionTree, convs,
             with np.errstate(divide="ignore"):
                 scores[i] = np.log(raw / total)
         tables.append(LikelihoodTable(conv.conv_id, tree.classes,
-                                      conv.speakers, scores,
-                                      frozenset({"prosody"})))
+                                      conv.speakers, scores))
     return tables
 
 
@@ -408,7 +407,6 @@ def test_likelihood_tables_match_the_fixture():
     table = prosody_likelihood_tables(bayes_tree(), [conv_with_prosody([0.0])])[0]
     assert table.labels == ("S", "Q")
     assert np.allclose(np.exp(table.scores[0]), [3 / 11, 8 / 11], atol=1e-12)
-    assert table.sources == frozenset({"prosody"})
 
 
 def test_missing_features_give_a_flat_row():
@@ -605,7 +603,6 @@ def test_tables_equal_the_per_utterance_walk(priors):
         [t.conversation_id for t in want]
     for g, w in zip(got, want):
         assert g.labels == w.labels and g.speakers == w.speakers
-        assert g.sources == w.sources
         assert g.scores.shape == w.scores.shape
         assert (g.scores == w.scores).all()
     for conv in convs:
