@@ -290,7 +290,8 @@ def cmd_tag(args) -> int:
     word_tables = word_likelihood_tables(models.da_lms, convs, args.mode,
                                          _scaling(args))
     prosody_tables = [None] * len(word_tables)
-    weights = CombinationWeights(args.alpha, args.beta)
+    weights = CombinationWeights(*(1.0 if w is None else w
+                                   for w in (args.alpha, args.beta)))
     if args.prosody:
         if models.tree is None:
             raise CorpusError("model directory has no prosody tree")
@@ -500,6 +501,10 @@ def _tag_conflict(args) -> str | None:
         return "--online applies to --decoder posterior only"
     if args.tune_fusion and not args.prosody:
         return "--tune-fusion needs a --prosody file"
+    if args.alpha is not None and not args.prosody:
+        return "--alpha weights the --prosody stream, and there is none"
+    if args.tune_fusion and (args.alpha, args.beta) != (None, None):
+        return "--tune-fusion chooses --alpha and --beta itself"
     return None
 
 
@@ -566,10 +571,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="posterior (per-utterance argmax) or viterbi")
     p.add_argument("--online", action="store_true",
                    help="filtered posteriors: no look-ahead")
-    p.add_argument("--alpha", type=_finite_float(0.0), default=1.0,
+    # None: not given, which _tag_conflict tells from an explicit 1
+    p.add_argument("--alpha", type=_finite_float(0.0), default=None,
                    help="prosody stream weight (default 1)")
     p.add_argument("--beta", type=_finite_float(0.0, strict=True),
-                   default=1.0,
+                   default=None,
                    help="evidence flattening weight (default 1)")
     p.add_argument("--tune-fusion", action="store_true",
                    help="jackknife-tune alpha and beta on the labels")

@@ -125,13 +125,17 @@ class DiscourseGrammar:
 
     def _row(self, ctx: tuple[str, ...]) -> np.ndarray:
         """The model's log probs of the sorted vocabulary after ``ctx``."""
-        row = self._rows.get(ctx)
-        if row is None:
-            family = [ctx, *(ctx[:-1] + (t,) for t in self._vocab if ctx)]
-            self._rows.update(zip(family, self.model.log_probs(
-                family, list(self._vocab))))
-            row = self._rows[ctx]
-        return row
+        if ctx not in self._rows:
+            self._memoize([ctx, *(ctx[:-1] + (t,) for t in self._vocab if ctx)])
+        return self._rows[ctx]
+
+    def _memoize(self, contexts: Sequence[tuple[str, ...]]) -> None:
+        """Memoize the rows of every context not memoized yet, in one
+        engine call."""
+        todo = [ctx for ctx in dict.fromkeys(contexts) if ctx not in self._rows]
+        if todo:
+            self._rows.update(zip(todo, self.model.log_probs(
+                todo, list(self._vocab))))
 
     def _column(self, token: str) -> int:
         """The column of ``token`` in a context's row: its own, else
@@ -204,22 +208,38 @@ def discourse_perplexity(grammar: DiscourseGrammar,
     """
     if not convs:
         raise ValueError("no conversations to evaluate")
-    total = 0.0
-    count = 0
-    for conv in convs:
-        events = _event_sequence(conv, grammar.tagset)
-        if grammar.order == 0:
+    streams = [_event_sequence(conv, grammar.tagset) for conv in convs]
+    if grammar.order == 0:
+        total, count = 0.0, sum(map(len, streams))
+        for events in streams:
             total += len(events) * grammar._log_uniform
-            count += len(events)
-            continue
-        k = grammar.order - 1       # only the last k events condition the next
-        for i, ev in enumerate(events):
-            total += grammar.transition_log_prob(events[max(0, i - k):i], ev)
-        total += grammar.end_log_prob(events[max(0, len(events) - k):])
-        count += len(events) + 1
-    if count == 0:
-        raise ValueError("no events to evaluate")
-    return math.exp(-total / count)
+        if count == 0:
+            raise ValueError("no events to evaluate")
+        return math.exp(-total / count)
+    # every event's context (the <end> event's last), token and speaker,
+    # in corpus order
+    k = grammar.order - 1       # only the last k events condition the next
+    contexts: list[tuple[str, ...]] = []
+    tokens, speakers = [], []
+    for events in streams:
+        toks = [START] * k + [grammar._token(*ev) for ev in events]
+        contexts += zip(*(toks[j:len(events) + 1 + j] for j in range(k))) \
+            if k else [()] * (len(events) + 1)
+        tokens += toks[k:] + [END]
+        speakers += [spk for _, spk in events] + [None]
+    where = {ctx: i for i, ctx in enumerate(dict.fromkeys(contexts))}
+    grammar._memoize(list(where))
+    rows = np.array([grammar._rows[ctx] for ctx in where])
+    column = {t: grammar._column(t) for t in dict.fromkeys(tokens)}
+    context = [where[ctx] for ctx in contexts]
+    scores = rows[context, [column[t] for t in tokens]]
+    if grammar.variant == GrammarVariant.SPEAKER_CONDITIONED:
+        # each transition less its context and speaker's normalizer, one
+        # memoized log-sum-exp per pair; the speakerless <end> keeps its score
+        moves = [spk is not None for spk in speakers]
+        scores[moves] -= [grammar._speaker_normalizer(ctx, spk) for ctx, spk
+                          in zip(contexts, speakers) if spk is not None]
+    return math.exp(-float(np.add.accumulate(scores)[-1]) / len(scores))
 
 
 def save_discourse(grammar: DiscourseGrammar, path: str | Path) -> None:

@@ -103,10 +103,13 @@ def tagging_accuracy(predicted: Sequence[str], reference: Sequence[str],
     for lab in list(predicted) + list(reference):
         if lab not in index:
             raise ValueError(f"label {lab!r} not in report label set")
-    confusion = np.zeros((len(labels), len(labels)), dtype=int)
-    for pred, ref in zip(predicted, reference):
-        confusion[index[ref], index[pred]] += 1
-    return EvalReport(labels, confusion)
+    # one count per (reference, prediction) cell, coded ref * k + pred
+    k = len(labels)
+    codes = np.fromiter((index[ref] * k + index[pred] for pred, ref
+                         in zip(predicted, reference)), dtype=np.intp,
+                        count=len(reference))
+    return EvalReport(labels, np.bincount(codes, minlength=k * k
+                                          ).reshape(k, k))
 
 
 # ---------------------------------------------------------------------------

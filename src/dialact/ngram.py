@@ -24,6 +24,7 @@ uses log10, as usual.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from pathlib import Path
@@ -92,11 +93,16 @@ class NGramModel:
                  padded: bool = True) -> None:
         self.order, self.vocab, self.padded, self.tokens = \
             order, vocab, padded, tokens
-        self._ids = {t: i for i, t in enumerate(tokens)}
         self._base = len(tokens) + 1
         self._keys, self._lp, self._bow = keys, lp, bow
         self._log_uniform = -math.log(len(vocab))
         self._engine: CompiledModelSet | None = None
+
+    @functools.cached_property
+    def _ids(self) -> dict[str, int]:
+        """Each token's id, built on first use: the estimator's lower-order
+        models never need it."""
+        return {t: i for i, t in enumerate(self.tokens)}
 
     def log_probs(self, contexts: Sequence[Sequence[str]],
                   tokens: Sequence[str]) -> np.ndarray:
@@ -119,16 +125,6 @@ class NGramModel:
         """Natural-log P(token | context), backing off along context suffixes."""
         return float(self.log_probs([context], [token])[0, 0])
 
-    def backoff_mass(self, context: Sequence[str]) -> float:
-        """Linear probability mass the context leaves to unseen continuations."""
-        n = len(context) + 1
-        if n > self.order:
-            return 1.0
-        rows = np.flatnonzero(~np.isnan(self._lp[n]))
-        ids = [self._ids.get(t, -1) for t in context]
-        lp = self._lp[n][rows[(self._grams(n, rows)[:, :-1] == ids).all(1)]]
-        return max(0.0, 1.0 - left_sum(map(math.exp, lp.tolist())))
-
     @property
     def logprob(self) -> tuple[tuple[str, ...], ...]:
         """The contexts with at least one continuation probability, shortest
@@ -145,14 +141,9 @@ class NGramModel:
 
     def _grams(self, n: int, rows: np.ndarray) -> np.ndarray:
         """Token ids (one row each) of the level-n n-grams at ``rows``."""
-        cols = []
-        for level in range(n, 1, -1):
-            rows, token = np.divmod(self._keys[level][rows], self._base)
-            cols.append(token)
-        return np.column_stack([rows, *cols[::-1]])
+        return _unpack(self._keys, self._base, n, rows)
 
 
-@np.errstate(divide="ignore", invalid="ignore")
 def train_ngram(sequences: Sequence[Sequence[str]], order: int,
                 vocabulary: Iterable[str] | None = None,
                 pad: bool = True) -> NGramModel:
@@ -161,18 +152,34 @@ def train_ngram(sequences: Sequence[Sequence[str]], order: int,
     ``vocabulary`` closes the token set; training tokens outside it are an
     error.  With the default ``pad=True`` the predictable vocabulary also
     contains ``<end>`` and ``<unk>`` and every sequence is padded with
-    order-1 ``<start>`` tokens plus one ``<end>``.
+    order-1 ``<start>`` tokens plus one ``<end>``.  This is the one-group
+    case of :func:`_train_set`.
+    """
+    return _train_set([sequences], order, vocabulary, pad)[0]
 
-    Orders are estimated shortest first, each from packed n-gram keys
-    counted with ``np.unique``; the lower-order probabilities an order
-    needs come from the engine's walk over the orders already estimated.
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _train_set(groups: Sequence[Sequence[Sequence[str]]], order: int,
+               vocabulary: Iterable[str] | None = None,
+               pad: bool = True) -> list[NGramModel]:
+    """One Witten-Bell model per group of sequences over one vocabulary
+    (``vocabulary``, else every group's tokens), each the same as its
+    group estimated alone.
+
+    All groups are estimated at once, shortest order first, as sort-based
+    estimators do (Heafield et al. 2013, "Scalable modified Kneser-Ney
+    language model estimation"): n-grams are packed with their group as
+    the leading digit and counted with one ``np.unique`` per order, each
+    (group, context)'s counts are segment sums, and one engine walk over
+    the orders so far gives every group's lower-order probabilities.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    seqs = [list(s) for s in sequences]
-    if not seqs:
+    groups = [list(seqs) for seqs in groups]
+    if not groups or not all(groups):
         raise ValueError("no training sequences")
-    seen_tokens = {t for s in seqs for t in s}
+    seqs = [s for group in groups for s in group]
+    seen_tokens = set(itertools.chain.from_iterable(seqs))
     vocab = set(seen_tokens if vocabulary is None else vocabulary)
     if seen_tokens - vocab:
         raise ValueError(f"training tokens outside vocabulary: "
@@ -185,19 +192,33 @@ def train_ngram(sequences: Sequence[Sequence[str]], order: int,
     tokens = tuple(sorted(vocab | {START} if pad else vocab))
     ids = {t: i for i, t in enumerate(tokens)}
     base, n_vocab = len(tokens) + 1, len(vocab)
-    head, tail = ([START] * (order - 1), [END]) if pad else ([], [])
-    stream = np.array([ids[t] for s in seqs for t in head + s + tail],
-                      dtype=np.int64)
-    # each token's position within its (padded) sequence
-    index = np.concatenate([np.arange(len(head) + len(s) + len(tail))
-                            for s in seqs])
-    if not (index >= len(head)).any():
+    n_head, n_tail = (order - 1, 1) if pad else (0, 0)
+    # every sequence padded with n_head <start> and n_tail <end> tokens, end
+    # to end; each token's group, and its position within its sequence
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64,
+                          count=len(seqs)) + n_head + n_tail
+    owner = np.repeat(np.repeat(np.arange(len(groups)), list(map(len, groups))),
+                      lengths)
+    first = np.cumsum(lengths) - lengths
+    index = np.arange(int(lengths.sum())) - np.repeat(first, lengths)
+    stream = np.full(len(index), ids.get(START, 0), dtype=np.int64)
+    body = index >= n_head
+    if pad:
+        body[first + lengths - 1] = False
+        stream[first + lengths - 1] = ids[END]
+    stream[body] = np.fromiter(
+        map(ids.__getitem__, itertools.chain.from_iterable(seqs)),
+        dtype=np.int64, count=int(body.sum()))
+    if np.bincount(owner[index >= n_head], minlength=len(groups)).min() == 0:
         raise ValueError("no training events (all sequences empty and pad=False)")
 
     # level n's rows: every n-gram ending at some position, either an event
     # (ending past the pads) or the context of one; ``row`` holds the row
-    # of the n-gram ending at each position
-    keys, lp, bow, row = [None, None], [None], [np.zeros(1)], stream
+    # of the n-gram ending at each position.  Level 1's rows are
+    # group * base + token, so each level's rows are those of the groups in
+    # turn, as in a CompiledModelSet of the groups' models.
+    keys, lp = [None, None], [None]
+    bow, row = [np.zeros(len(groups))], owner * base + stream
     for n in range(1, order + 1):
         if n > 1:
             at = np.flatnonzero(index >= n - 1)
@@ -206,43 +227,80 @@ def train_ngram(sequences: Sequence[Sequence[str]], order: int,
             keys.append(level)
             row = np.full(len(stream), -1)
             row[at] = inverse
-        size = len(keys[n]) if n > 1 else base
-        events = np.flatnonzero(index >= max(len(head), n - 1))
+        size = len(keys[n]) if n > 1 else len(groups) * base
+        events = np.flatnonzero(index >= max(n_head, n - 1))
         counts = np.bincount(row[events], minlength=size)
         seen = np.flatnonzero(counts)
         # seen rows are sorted by key, so each context's rows are adjacent
+        # (level 1: a group's one empty context)
         context, starts, types = np.unique(
-            keys[n][seen] // base if n > 1 else np.zeros(len(seen), int),
+            (keys[n][seen] if n > 1 else seen) // base,
             return_index=True, return_counts=True)
-        group = np.repeat(np.arange(len(context)), types)
+        of = np.repeat(np.arange(len(context)), types)
         denom = np.add.reduceat(counts[seen], starts) + types
         reserved, unseen = types / denom, n_vocab - types
         if n == 1:
             lower, z = np.full(len(seen), -math.log(n_vocab)), unseen / n_vocab
         else:
-            # each seen n-gram's suffix, walked under orders 1..n-1
-            lower_orders = NGramModel(n - 1, vocab, tokens, keys, lp, bow, pad)
-            engine = CompiledModelSet([lower_orders])
-            windows = lower_orders._grams(n, seen)[:, 1:]
-            lower = engine._event_log_probs(windows)[:, 0]
+            # each seen n-gram's suffix, walked under its group's orders
+            # 1..n-1
+            engine = CompiledModelSet(_split_set(
+                n - 1, len(groups), vocab, tokens, keys, lp, bow, pad))
+            grams = _unpack(keys, base, n, seen)
+            group, windows = grams[:, 0] // base, grams[:, 1:]
+            lower = engine._event_log_probs(windows, group)[:, 0]
             z = 1.0 - np.add.reduceat(np.exp(lower), starts)
-            for g in np.flatnonzero((unseen > 0) & (z < _Z_FLOOR)).tolist():
+            for c in np.flatnonzero((unseen > 0) & (z < _Z_FLOOR)).tolist():
                 # the sorted explicit sum over the unseen words
-                probe = np.tile(windows[starts[g]], (unseen[g], 1))
+                probe = np.tile(windows[starts[c]], (unseen[c], 1))
                 probe[:, -1] = np.setdiff1d([ids[t] for t in vocab],
-                                            keys[n][seen[group == g]] % base)
-                z[g] = left_sum(map(math.exp, engine._event_log_probs(
-                    probe)[:, 0].tolist()))
-        c = counts[seen] / denom[group]
+                                            keys[n][seen[of == c]] % base)
+                z[c] = left_sum(map(math.exp, engine._event_log_probs(
+                    probe, np.repeat(group[starts[c]], len(probe)))[
+                        :, 0].tolist()))
+        c = counts[seen] / denom[of]
         lp.append(np.full(size, math.nan))
         # a context that saw every vocabulary token folds its reserved mass
         # back by interpolation, so its row still sums to 1
-        lp[n][seen] = np.log(np.where(unseen[group] == 0, c + reserved[group]
+        lp[n][seen] = np.log(np.where(unseen[of] == 0, c + reserved[of]
                                       * np.exp(lower), c))
         bow.append(np.zeros(size))
         bow[n - 1][context] = np.where(unseen > 0,
                                        np.log(reserved) - np.log(z), 0.0)
-    return NGramModel(order, vocab, tokens, keys, lp, bow, padded=pad)
+    return _split_set(order, len(groups), vocab, tokens, keys, lp, bow, pad)
+
+
+def _unpack(keys: list, base: int, n: int, rows: np.ndarray) -> np.ndarray:
+    """Ids (one row each) of the level-n n-grams at ``rows``: the level-1
+    row of the n-gram's first token, then its other tokens."""
+    cols = []
+    for level in range(n, 1, -1):
+        rows, token = np.divmod(keys[level][rows], base)
+        cols.append(token)
+    return np.column_stack([rows, *cols[::-1]])
+
+
+def _split_set(order: int, n_groups: int, vocab: frozenset[str],
+               tokens: tuple[str, ...], keys: list, lp: list, bow: list,
+               padded: bool) -> list[NGramModel]:
+    """The order-``order`` models of a set estimated by :func:`_train_set`:
+    each group's rows of every level, with its keys' parents counted from
+    the group's first row one level down."""
+    base = len(tokens) + 1
+    first = np.arange(n_groups + 1) * base      # each group's first row
+    # each group's keys, log probs and backoff weights by level
+    parts = [([None, None], [None, lp[1][lo:hi]],
+              [bow[0][g:g + 1], bow[1][lo:hi]])
+             for g, (lo, hi) in enumerate(zip(first, first[1:]))]
+    for n in range(2, order + 1):
+        below, first = first, keys[n].searchsorted(first * base)
+        for g, (k, p, b) in enumerate(parts):
+            lo, hi = first[g], first[g + 1]
+            k.append(keys[n][lo:hi] - below[g] * base)
+            p.append(lp[n][lo:hi])
+            b.append(bow[n][lo:hi])
+    return [NGramModel(order, vocab, tokens, k, p, b, padded)
+            for k, p, b in parts]
 
 
 # ---------------------------------------------------------------------------
@@ -308,23 +366,50 @@ def fit_interp_weight(first, second,
                       heldout: Sequence[Sequence[str]]) -> float:
     """EM for the single interpolation weight, started at 0.5: maximizes
     held-out log likelihood of the two-component mixture, and stops when
-    the weight moves less than ``_EM_TOL`` or after ``_EM_MAX_ITER`` steps."""
-    table, window, _, _ = CompiledModelSet([first, second])._event_table(
-        [tuple(s) for s in heldout])
-    pairs = table[window].tolist()
-    if not pairs:
+    the weight moves less than ``_EM_TOL`` or after ``_EM_MAX_ITER`` steps.
+    This is the one-model case of :func:`_fit_weights`."""
+    return _fit_weights([first], second, [heldout])[0]
+
+
+def _fit_weights(firsts: Sequence, second,
+                 heldouts: Sequence[Sequence[Sequence[str]]]) -> list[float]:
+    """:func:`fit_interp_weight` of each of ``firsts`` with ``second`` on
+    its own held-out sequences, from one engine over ``[*firsts, second]``
+    and one event table over every sequence.
+
+    An event's responsibility for weight w is w / (w + (1 - w) * d) if the
+    first model scores it at least as high (la >= lb), else
+    w * d / (w * d + (1 - w)), with d = exp(-|la - lb|) taken once per
+    event.  Each EM step computes a model's responsibilities as one array
+    and adds them left to right, as ``left_sum`` does."""
+    if not firsts:
+        return []
+    seqs = [tuple(s) for heldout in heldouts for s in heldout]
+    table, window, n_events, _ = CompiledModelSet(
+        [*firsts, second])._event_table(seqs)
+    owner = np.repeat(np.repeat(np.arange(len(firsts)),
+                                [len(h) for h in heldouts]), n_events)
+    counts = np.bincount(owner, minlength=len(firsts))
+    if not counts.all():
         raise ValueError("no held-out events")
-    w = 0.5
-    for _ in range(_EM_MAX_ITER):
-        # responsibilities of the first component, computed stably
-        new = left_sum(w / (w + (1.0 - w) * math.exp(lb - la)) if la >= lb
-                       else w * math.exp(la - lb)
-                       / (w * math.exp(la - lb) + (1.0 - w))
-                       for la, lb in pairs) / len(pairs)
-        moved, w = abs(new - w), new
-        if moved < _EM_TOL:
-            break
-    return w
+    la, lb = table[window, owner], table[window, len(firsts)]
+    ge = la >= lb
+    d = np.fromiter(map(math.exp, np.where(ge, lb - la, la - lb).tolist()),
+                    dtype=float, count=len(la))
+    # with x = w * ex and y = (1 - w) * ey, each responsibility is x / (x + y)
+    bounds = np.cumsum(counts)[:-1]
+    weights = []
+    for ex, ey in zip(np.split(np.where(ge, 1.0, d), bounds),
+                      np.split(np.where(ge, d, 1.0), bounds)):
+        w = 0.5
+        for _ in range(_EM_MAX_ITER):
+            x, y = w * ex, (1.0 - w) * ey
+            new = float(np.add.accumulate(x / (x + y))[-1]) / len(x)
+            moved, w = abs(new - w), new
+            if moved < _EM_TOL:
+                break
+        weights.append(w)
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +469,10 @@ class CompiledModelSet:
         self._view(list(bases.values()))
 
     def _view(self, models: list[NGramModel]) -> None:
-        tokens = sorted(set().union(*(m.tokens for m in models)))
+        # models of one estimate share their tokens and vocabulary, so each
+        # distinct token tuple and vocabulary is mapped once
+        shared = {m.tokens for m in models}
+        tokens = sorted(set().union(*shared))
         self._ids = ids = {t: i for i, t in enumerate(tokens)}
         self._base = base = len(ids) + 1
         none = base - 1
@@ -405,9 +493,12 @@ class CompiledModelSet:
         self._has_children: list = [None,
                                     np.zeros(n_models * base, dtype=bool)]
         # each model's ids (and its "no such token" id) in the union's
-        maps = [np.array([ids[t] for t in m.tokens] + [none]) for m in models]
+        to_union = {toks: np.array([ids[t] for t in toks] + [none])
+                    for toks in shared}
+        maps = [to_union[m.tokens] for m in models]
+        vocab_ids = {v: [ids[t] for t in v] for v in {m.vocab for m in models}}
         for m, (model, to) in enumerate(zip(models, maps)):
-            self._in_vocab[m, [ids[t] for t in model.vocab]] = True
+            self._in_vocab[m, vocab_ids[model.vocab]] = True
             self._lp[1][m * base + to] = model._lp[1]
             self._bow[1][m * base + to] = model._bow[1]
         offsets = [m * base for m in range(n_models)]
@@ -498,14 +589,19 @@ class CompiledModelSet:
             stream[at[:, None] + np.arange(-k1, 1)])
         return table, window, n_events, first
 
-    def _event_log_probs(self, windows: np.ndarray) -> np.ndarray:
+    def _event_log_probs(self, windows: np.ndarray,
+                         model: np.ndarray | None = None) -> np.ndarray:
         """Log probability of each window's last id after the ids before it
-        (rows) under every scorer (columns), in blocks of windows."""
-        table = np.empty((len(windows), self.n_scorers))
-        step = max(1, _BLOCK_CELLS // self._n_rows)
+        (rows) under every scorer (columns), in blocks of windows; or, given
+        ``model``, under the model of each window's entry only (one
+        column), ``model`` indexing the set's distinct NGramModels."""
+        whole = model is None
+        table = np.empty((len(windows), self.n_scorers if whole else 1))
+        step = max(1, _BLOCK_CELLS // (self._n_rows if whole else 1))
         for lo in range(0, len(windows), step):
-            table[lo:lo + step] = self._walk(windows[lo:lo + step]
-                                             )[self._columns].T
+            events = self._walk(windows[lo:lo + step],
+                                None if whole else model[lo:lo + step])
+            table[lo:lo + step] = (events[self._columns] if whole else events).T
         return table
 
     def _find(self, n: int, parent: np.ndarray, token: np.ndarray,
@@ -521,12 +617,16 @@ class CompiledModelSet:
         rows[where] = np.where(keys[found] == query, found, len(keys) - 1)
         return rows
 
-    def _walk(self, tok: np.ndarray) -> np.ndarray:
-        """(rows, windows) log probabilities of a block of id windows."""
+    def _walk(self, tok: np.ndarray, model: np.ndarray | None = None
+              ) -> np.ndarray:
+        """(rows, windows) log probabilities of a block of id windows; given
+        ``model``, one row: each window under its own model."""
         k1 = tok.shape[1] - 1
-        word = np.where(self._in_vocab[:, tok[:, k1]], tok[:, k1], self._unk)
-        depth = self._order[:, None] - 1        # context length walked
-        offset = np.arange(len(self._order))[:, None] * self._base
+        m = np.arange(len(self._order))[:, None] if model is None \
+            else model[None, :]
+        word = np.where(self._in_vocab[m, tok[:, k1]], tok[:, k1], self._unk)
+        depth = self._order[m] - 1              # context length walked
+        offset = m * self._base
         acc = np.zeros(word.shape)
         events = np.zeros(word.shape)
         todo = np.ones(word.shape, dtype=bool)
@@ -536,7 +636,7 @@ class CompiledModelSet:
                 continue
             if n == 0:
                 lp = self._lp[1][offset + word]
-                bow = self._bow[0][:, None]
+                bow = self._bow[0][m]
             else:
                 node = offset + tok[:, k1 - n]
                 for i in range(2, n + 1):
@@ -548,13 +648,13 @@ class CompiledModelSet:
             if n == 0:
                 # unseen at the unigram level: uniform base distribution
                 events = np.where(here & ~hit, acc + bow
-                                  + self._log_uniform[:, None], events)
+                                  + self._log_uniform[m], events)
             else:
                 acc = np.where(here & ~hit, acc + bow, acc)
             todo = todo & ~hit
 
         rows_a, rows_b, log_w, log_rest = self._mix
-        if len(rows_a):
+        if len(rows_a) and model is None:
             events = np.concatenate([events, np.logaddexp(
                 log_w + events[rows_a], log_rest + events[rows_b])])
         return events

@@ -23,8 +23,8 @@ import numpy as np
 
 from .corpus import Conversation, NBestList, TagSet
 from .hmm import LikelihoodTable, forward_backward_corpus
-from .ngram import (CompiledModelSet, NGramModel, _logsumexp,
-                    fit_interp_weight, interpolate, train_ngram)
+from .ngram import (CompiledModelSet, NGramModel, _fit_weights, _logsumexp,
+                    _train_set, interpolate)
 
 MODES = ("true_words", "nbest", "one_best")
 DEFAULT_SMOOTHING = 0.5     # the weight of a class with no held-out data
@@ -86,17 +86,17 @@ def train_da_lms(convs: Sequence[Conversation], tagset: TagSet,
             pooled.append(words)
     if not pooled:
         raise ValueError("no labeled training utterances")
-    vocab = {w for seq in pooled for w in seq}
-    fallback = train_ngram(pooled, order, vocabulary=vocab, pad=True)
+    trained = [lab for lab in tagset.labels if by_class[lab]]
+    # the pooled model and every class model with data, in one pass
+    fallback, *rest = _train_set(
+        [pooled, *(by_class[lab] for lab in trained)], order, pad=True)
+    own = dict(zip(trained, rest))
     models: dict[str, object] = {}
     for lab in tagset.labels:
-        if by_class[lab]:
-            models[lab] = train_ngram(by_class[lab], order, vocabulary=vocab,
-                                      pad=True)
-        else:
+        if lab not in own:
             warnings.warn(f"no training utterances for {lab!r}; "
                           f"using the pooled fallback model")
-            models[lab] = fallback
+        models[lab] = own.get(lab, fallback)
     return DaLmSet(tagset, models, fallback)
 
 
@@ -115,23 +115,27 @@ def smooth_da_lms(da_lms: DaLmSet, heldout: Sequence[Conversation]
             if utt.da_label is not None:
                 heldout_by_class[da_lms.tagset.collapse(utt.da_label)].append(
                     list(utt.words))
+    fallback = da_lms.fallback
+    fitted = [lab for lab in da_lms.labels
+              if da_lms.models[lab] is not fallback and heldout_by_class[lab]]
+    # every class's EM from one engine over the class models
+    fit = dict(zip(fitted, _fit_weights(
+        [da_lms.models[lab] for lab in fitted], fallback,
+        [heldout_by_class[lab] for lab in fitted])))
     weights: dict[str, float] = {}
     models: dict[str, object] = {}
     for lab in da_lms.labels:
         model = da_lms.models[lab]
-        if model is da_lms.fallback:
+        if model is fallback:
             weights[lab] = 0.0
-            models[lab] = da_lms.fallback
+            models[lab] = fallback
             continue
-        data = heldout_by_class[lab]
-        if data:
-            w = fit_interp_weight(model, da_lms.fallback, data)
-        else:
-            w = DEFAULT_SMOOTHING
+        if lab not in fit:
             warnings.warn(f"no held-out utterances for {lab!r}; "
-                          f"interpolation weight defaults to {w}")
-        weights[lab] = w
-        models[lab] = interpolate(model, da_lms.fallback, w)
+                          f"interpolation weight defaults to "
+                          f"{DEFAULT_SMOOTHING}")
+        weights[lab] = fit.get(lab, DEFAULT_SMOOTHING)
+        models[lab] = interpolate(model, fallback, weights[lab])
     return DaLmSet(da_lms.tagset, models, da_lms.fallback), weights
 
 

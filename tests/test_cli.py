@@ -417,6 +417,40 @@ def test_tag_flag_validation(workdir, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_tag_fusion_weights_nothing_reads_are_usage_errors(workdir, capsys):
+    # an explicit weight counts even at its default value; neither path
+    # exists, so each error comes before any file is read
+    prosody = ["--prosody", str(workdir / "missing_prosody.tsv")]
+    for flags, message in [
+            (["--alpha", "2"], "--alpha weights the --prosody stream"),
+            (["--alpha", "1"], "--alpha weights the --prosody stream"),
+            ([*prosody, "--tune-fusion", "--alpha", "0.3"],
+             "--tune-fusion chooses --alpha and --beta itself"),
+            ([*prosody, "--tune-fusion", "--beta", "0.4"],
+             "--tune-fusion chooses --alpha and --beta itself"),
+            ([*prosody, "--tune-fusion", "--beta", "1", "--alpha", "1"],
+             "--tune-fusion chooses --alpha and --beta itself")]:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["tag", "--models", str(workdir / "missing"),
+                      "--corpus", str(workdir / "missing.tsv"), *flags])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
+def test_tag_default_fusion_weights_are_one(workdir, tmp_path, capsys):
+    # leaving --alpha and --beta out is the same as giving 1 for each
+    outs = []
+    for flags in ([], ["--alpha", "1", "--beta", "1"]):
+        outs.append(tmp_path / f"pred{len(outs)}.tsv")
+        rc = cli.main(["tag", "--models", str(workdir / "models"),
+                       "--corpus", str(workdir / "corpus.tsv"),
+                       "--prosody", str(workdir / "prosody.tsv"), *flags,
+                       "--output", str(outs[-1])])
+        assert rc == 0
+    capsys.readouterr()
+    assert outs[0].read_text() == outs[1].read_text()
+
+
 # ---------------------------------------------------------------------------
 # rescore
 # ---------------------------------------------------------------------------

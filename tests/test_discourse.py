@@ -182,37 +182,37 @@ def test_higher_order_fits_training_data_better():
     assert ppl[2] <= ppl[1] <= ppl[0]
 
 
-class HistoryRecorder(DiscourseGrammar):
-    """A grammar that records the length of every history it is given."""
+class ContextRecorder(DiscourseGrammar):
+    """A grammar that records every context whose rows it memoizes."""
 
     def __init__(self, grammar):
         super().__init__(grammar.tagset, grammar.variant, grammar.order,
                          grammar.model)
-        self.lengths = []
+        self.contexts = []
 
-    def transition_log_prob(self, history, event):
-        self.lengths.append(len(history))
-        return super().transition_log_prob(history, event)
-
-    def end_log_prob(self, history):
-        self.lengths.append(len(history))
-        return super().end_log_prob(history)
+    def _memoize(self, contexts):
+        self.contexts += contexts
+        super()._memoize(contexts)
 
 
 def test_perplexity_passes_only_the_conditioning_history():
-    # a long conversation must cost linear time: each event sees at most
-    # the order-1 events the grammar conditions on, with the same result
+    # a long conversation must cost linear time: each event's context holds
+    # at most the order-1 events the grammar conditions on, and each
+    # distinct context is scored once, with the same result
     rng = random.Random(16)
     convs = [mk_conv("long", [(rng.choice("SQB"), "AB"[i % 2])
                               for i in range(200)])]
     for variant in GrammarVariant:
         for order in (1, 2, 3):
             grammar = train_discourse(sample_convs(), TS3, order, variant)
-            recorder = HistoryRecorder(grammar)
+            recorder = ContextRecorder(grammar)
             want = discourse_perplexity(grammar, convs)
             assert discourse_perplexity(recorder, convs) == want
-            assert max(recorder.lengths) == order - 1
-            assert len(recorder.lengths) == 201
+            assert {len(ctx) for ctx in recorder.contexts} == {order - 1}
+            assert len(set(recorder.contexts)) == len(recorder.contexts)
+            # every context the 201 events (200 labels and <end>) can have
+            assert len(recorder.contexts) <= min(201, (1 + 3 * (
+                1 if variant is GrammarVariant.DA_ONLY else 2)) ** (order - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialact.corpus import (CorpusError, FeatureSchema, FeatureVector, TagSet,
                             Utterance, downsample_uniform, jackknife_split)
@@ -61,6 +63,31 @@ def test_precision_recall_and_nan_cases():
     # B never referenced nor predicted
     assert math.isnan(report.precision("B"))
     assert math.isnan(report.recall("B"))
+
+
+def loop_confusion(predicted, reference, labels):
+    """The confusion matrix counted one utterance at a time."""
+    index = {lab: i for i, lab in enumerate(labels)}
+    confusion = np.zeros((len(labels), len(labels)), dtype=int)
+    for pred, ref in zip(predicted, reference):
+        confusion[index[ref], index[pred]] += 1
+    return confusion
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda k: st.tuples(
+    st.just(tuple(f"L{i}" for i in range(k))),
+    st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+             min_size=1, max_size=60))))
+def test_confusion_counts_equal_the_per_utterance_loop(case):
+    labels, pairs = case
+    predicted = [labels[p] for p, _ in pairs]
+    reference = [labels[r] for _, r in pairs]
+    report = tagging_accuracy(predicted, reference, labels=labels)
+    want = loop_confusion(predicted, reference, labels)
+    assert report.confusion.dtype == want.dtype
+    assert report.confusion.tolist() == want.tolist()
+    assert report.format() == EvalReport(labels, want).format()
 
 
 def test_report_validation():
