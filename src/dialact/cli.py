@@ -333,17 +333,23 @@ def cmd_tag(args) -> int:
             fh.writelines(f"{conv_id}\t{i}\t{lab}\t{post}\n" for i, (lab, post)
                           in enumerate(predicted[conv_id]))
 
-    pred_flat, ref_flat = [], []
-    for conv in convs:
-        for utt in conv:
-            if utt.da_label is not None:
-                pred_flat.append(predicted[conv.conv_id][utt.index][0])
-                ref_flat.append(tagset.collapse(utt.da_label))
-    if ref_flat:
-        report = tagging_accuracy(pred_flat, ref_flat, labels=tagset.labels)
+    report = _accuracy(convs, tagset, lambda c, i: predicted[c][i][0])
+    if report is not None:
         stream = sys.stdout if args.output != "-" else sys.stderr
         stream.write(report.format())
     return 0
+
+
+def _accuracy(convs, tagset: TagSet, predicted):
+    """The accuracy report of ``predicted(conv_id, index)``'s label for each
+    labeled utterance against its reference, both collapsed; None if no
+    utterance is labeled."""
+    pairs = [(tagset.collapse(predicted(conv.conv_id, utt.index)),
+              tagset.collapse(utt.da_label))
+             for conv in convs for utt in conv if utt.da_label is not None]
+    if not pairs:
+        return None
+    return tagging_accuracy(*map(list, zip(*pairs)), labels=tagset.labels)
 
 
 def cmd_rescore(args) -> int:
@@ -430,20 +436,15 @@ def cmd_eval(args) -> int:
                                   f"(the first is on line {preds[key][1]})")
             preds[key] = (fields[2], lineno)
 
-    pred_flat, ref_flat = [], []
-    for conv in convs:
-        for utt in conv:
-            if utt.da_label is None:
-                continue
-            key = (conv.conv_id, utt.index)
-            if key not in preds:
-                raise CorpusError(f"{args.predictions}:{lineno}: no "
-                                  f"prediction for {key[0]}:{key[1]}")
-            pred_flat.append(tagset.collapse(preds[key][0]))
-            ref_flat.append(tagset.collapse(utt.da_label))
-    if not ref_flat:
+    def predicted(conv_id: str, index: int) -> str:
+        if (conv_id, index) not in preds:
+            raise CorpusError(f"{args.predictions}:{lineno}: no "
+                              f"prediction for {conv_id}:{index}")
+        return preds[conv_id, index][0]
+
+    report = _accuracy(convs, tagset, predicted)
+    if report is None:
         raise CorpusError(f"{args.reference}:1: no labeled utterances")
-    report = tagging_accuracy(pred_flat, ref_flat, labels=tagset.labels)
     sys.stdout.write(report.format())
     if args.tsv:
         Path(args.tsv).write_text(report.to_tsv(), encoding="utf-8")

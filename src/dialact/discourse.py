@@ -25,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import SPEAKERS, Conversation, CorpusError, TagSet, _read_text
-from .ngram import (END, START, UNK, NGramModel, _logsumexp, read_arpa,
-                    train_ngram, write_arpa)
+from .ngram import (END, START, UNK, NGramModel, _logsumexp, left_sum,
+                    read_arpa, train_ngram, write_arpa)
 
 PAIR_SEP = "·"  # middle dot, joins label and speaker in pair tokens
 
@@ -239,7 +239,7 @@ def discourse_perplexity(grammar: DiscourseGrammar,
         moves = [spk is not None for spk in speakers]
         scores[moves] -= [grammar._speaker_normalizer(ctx, spk) for ctx, spk
                           in zip(contexts, speakers) if spk is not None]
-    return math.exp(-float(np.add.accumulate(scores)[-1]) / len(scores))
+    return math.exp(-left_sum(scores) / len(scores))
 
 
 def save_discourse(grammar: DiscourseGrammar, path: str | Path) -> None:

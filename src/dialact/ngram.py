@@ -59,21 +59,24 @@ _FLOOR = -np.finfo(float).max
 @np.errstate(divide="ignore")
 def _logsumexp(arr: np.ndarray, axis: int) -> np.ndarray:
     """log(sum(exp(arr))) along ``axis``: -inf where every entry is -inf
-    or the axis is empty.  The toolkit's one log-sum-exp."""
+    or the axis is empty.  The toolkit's one log-sum-exp.  A batched call
+    equals the 1-D calls on its rows bit for bit only if each reduced row
+    is contiguous (``axis`` the last of a C-contiguous array): numpy adds
+    a contiguous row pairwise and a strided one in order, and strided rows
+    of 8 or more entries already differ (x86-64, numpy 2.4)."""
     shift = np.maximum(arr.max(axis=axis, keepdims=True, initial=-np.inf),
                        _FLOOR)
     diff = arr - shift
     return shift.squeeze(axis) + np.log(np.exp(diff, out=diff).sum(axis=axis))
 
 
-def left_sum(values: Iterable[float]) -> float:
-    """Sum added left to right.  From Python 3.12 the builtin sum()
-    compensates float rounding, so its result would depend on the Python
-    version; CompiledModelSet adds events left to right as well."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
+def left_sum(values: np.ndarray | Iterable[float]) -> float:
+    """Sum added left to right from 0.0 by ``np.add.accumulate``, as
+    CompiledModelSet adds events: from Python 3.12 the builtin sum()
+    compensates float rounding, and numpy's sum() adds in pairs."""
+    if not isinstance(values, np.ndarray):
+        values = np.fromiter(values, dtype=float)
+    return float(np.add.accumulate(np.append(0.0, values))[-1])
 
 
 class NGramModel:
@@ -100,8 +103,8 @@ class NGramModel:
 
     @functools.cached_property
     def _ids(self) -> dict[str, int]:
-        """Each token's id, built on first use: the estimator's lower-order
-        models never need it."""
+        """Each token's id, built on first use by :meth:`log_probs`:
+        estimation, the engine and ARPA files work from ``tokens``."""
         return {t: i for i, t in enumerate(self.tokens)}
 
     def log_probs(self, contexts: Sequence[Sequence[str]],
@@ -141,7 +144,11 @@ class NGramModel:
 
     def _grams(self, n: int, rows: np.ndarray) -> np.ndarray:
         """Token ids (one row each) of the level-n n-grams at ``rows``."""
-        return _unpack(self._keys, self._base, n, rows)
+        cols = []
+        for level in range(n, 1, -1):
+            rows, token = np.divmod(self._keys[level][rows], self._base)
+            cols.append(token)
+        return np.column_stack([rows, *cols[::-1]])
 
 
 def train_ngram(sequences: Sequence[Sequence[str]], order: int,
@@ -170,8 +177,10 @@ def _train_set(groups: Sequence[Sequence[Sequence[str]]], order: int,
     estimators do (Heafield et al. 2013, "Scalable modified Kneser-Ney
     language model estimation"): n-grams are packed with their group as
     the leading digit and counted with one ``np.unique`` per order, each
-    (group, context)'s counts are segment sums, and one engine walk over
-    the orders so far gives every group's lower-order probabilities.
+    (group, context)'s counts are segment sums, and each seen n-gram's
+    lower-order probability is read at its suffix's row one order down.
+    The engine scores only the unseen words of a context whose unseen
+    mass is below ``_Z_FLOOR``, under its group's lower-order model.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -214,9 +223,9 @@ def _train_set(groups: Sequence[Sequence[Sequence[str]]], order: int,
 
     # level n's rows: every n-gram ending at some position, either an event
     # (ending past the pads) or the context of one; ``row`` holds the row
-    # of the n-gram ending at each position.  Level 1's rows are
-    # group * base + token, so each level's rows are those of the groups in
-    # turn, as in a CompiledModelSet of the groups' models.
+    # of the n-gram ending at each position (``below``: one level down),
+    # ``at_row`` one position of each row.  Level 1's rows are group * base
+    # + token, so each level's rows are those of the groups in turn.
     keys, lp = [None, None], [None]
     bow, row = [np.zeros(len(groups))], owner * base + stream
     for n in range(1, order + 1):
@@ -225,8 +234,10 @@ def _train_set(groups: Sequence[Sequence[Sequence[str]]], order: int,
             level, inverse = np.unique(row[at - 1] * base + stream[at],
                                        return_inverse=True)
             keys.append(level)
-            row = np.full(len(stream), -1)
+            below, row = row, np.full(len(stream), -1)
             row[at] = inverse
+            at_row = np.empty(len(level), dtype=np.int64)
+            at_row[inverse] = at
         size = len(keys[n]) if n > 1 else len(groups) * base
         events = np.flatnonzero(index >= max(n_head, n - 1))
         counts = np.bincount(row[events], minlength=size)
@@ -242,22 +253,23 @@ def _train_set(groups: Sequence[Sequence[Sequence[str]]], order: int,
         if n == 1:
             lower, z = np.full(len(seen), -math.log(n_vocab)), unseen / n_vocab
         else:
-            # each seen n-gram's suffix, walked under its group's orders
-            # 1..n-1
-            engine = CompiledModelSet(_split_set(
-                n - 1, len(groups), vocab, tokens, keys, lp, bow, pad))
-            grams = _unpack(keys, base, n, seen)
-            group, windows = grams[:, 0] // base, grams[:, 1:]
-            lower = engine._event_log_probs(windows, group)[:, 0]
+            # a seen n-gram's suffix is the seen (n-1)-gram that ends where
+            # it does, at any of its positions, so its probability is stored
+            lower = lp[n - 1][below[at_row[seen]]]
             z = 1.0 - np.add.reduceat(np.exp(lower), starts)
-            for c in np.flatnonzero((unseen > 0) & (z < _Z_FLOOR)).tolist():
-                # the sorted explicit sum over the unseen words
-                probe = np.tile(windows[starts[c]], (unseen[c], 1))
+            floored = np.flatnonzero((unseen > 0) & (z < _Z_FLOOR)).tolist()
+            if floored:
+                models = _split_set(n - 1, len(groups), vocab, tokens, keys,
+                                    lp, bow, pad)
+            for c in floored:
+                # the sorted explicit sum over the unseen words, each walked
+                # under the context's group's orders 1..n-1
+                end = at_row[seen[starts[c]]]
+                probe = np.tile(stream[end - n + 2:end + 1], (unseen[c], 1))
                 probe[:, -1] = np.setdiff1d([ids[t] for t in vocab],
                                             keys[n][seen[of == c]] % base)
-                z[c] = left_sum(map(math.exp, engine._event_log_probs(
-                    probe, np.repeat(group[starts[c]], len(probe)))[
-                        :, 0].tolist()))
+                z[c] = left_sum(map(math.exp, _own_engine(
+                    models[owner[end]])._event_log_probs(probe)[:, 0].tolist()))
         c = counts[seen] / denom[of]
         lp.append(np.full(size, math.nan))
         # a context that saw every vocabulary token folds its reserved mass
@@ -268,16 +280,6 @@ def _train_set(groups: Sequence[Sequence[Sequence[str]]], order: int,
         bow[n - 1][context] = np.where(unseen > 0,
                                        np.log(reserved) - np.log(z), 0.0)
     return _split_set(order, len(groups), vocab, tokens, keys, lp, bow, pad)
-
-
-def _unpack(keys: list, base: int, n: int, rows: np.ndarray) -> np.ndarray:
-    """Ids (one row each) of the level-n n-grams at ``rows``: the level-1
-    row of the n-gram's first token, then its other tokens."""
-    cols = []
-    for level in range(n, 1, -1):
-        rows, token = np.divmod(keys[level][rows], base)
-        cols.append(token)
-    return np.column_stack([rows, *cols[::-1]])
 
 
 def _split_set(order: int, n_groups: int, vocab: frozenset[str],
@@ -326,7 +328,7 @@ def perplexity(model, sequences: Sequence[Sequence[str]]) -> float:
     count = sum(len(s) + (1 if model.padded else 0) for s in seqs)
     if count == 0:
         raise ValueError("no tokens to evaluate")
-    total = left_sum(_own_engine(model).score(seqs)[:, 0].tolist())
+    total = left_sum(_own_engine(model).score(seqs)[:, 0])
     return math.exp(-total / count)
 
 
@@ -381,7 +383,7 @@ def _fit_weights(firsts: Sequence, second,
     first model scores it at least as high (la >= lb), else
     w * d / (w * d + (1 - w)), with d = exp(-|la - lb|) taken once per
     event.  Each EM step computes a model's responsibilities as one array
-    and adds them left to right, as ``left_sum`` does."""
+    and adds them with ``left_sum``."""
     if not firsts:
         return []
     seqs = [tuple(s) for heldout in heldouts for s in heldout]
@@ -404,7 +406,7 @@ def _fit_weights(firsts: Sequence, second,
         w = 0.5
         for _ in range(_EM_MAX_ITER):
             x, y = w * ex, (1.0 - w) * ey
-            new = float(np.add.accumulate(x / (x + y))[-1]) / len(x)
+            new = left_sum(x / (x + y)) / len(x)
             moved, w = abs(new - w), new
             if moved < _EM_TOL:
                 break
@@ -589,19 +591,14 @@ class CompiledModelSet:
             stream[at[:, None] + np.arange(-k1, 1)])
         return table, window, n_events, first
 
-    def _event_log_probs(self, windows: np.ndarray,
-                         model: np.ndarray | None = None) -> np.ndarray:
+    def _event_log_probs(self, windows: np.ndarray) -> np.ndarray:
         """Log probability of each window's last id after the ids before it
-        (rows) under every scorer (columns), in blocks of windows; or, given
-        ``model``, under the model of each window's entry only (one
-        column), ``model`` indexing the set's distinct NGramModels."""
-        whole = model is None
-        table = np.empty((len(windows), self.n_scorers if whole else 1))
-        step = max(1, _BLOCK_CELLS // (self._n_rows if whole else 1))
+        (rows) under every scorer (columns), in blocks of windows."""
+        table = np.empty((len(windows), self.n_scorers))
+        step = max(1, _BLOCK_CELLS // self._n_rows)
         for lo in range(0, len(windows), step):
-            events = self._walk(windows[lo:lo + step],
-                                None if whole else model[lo:lo + step])
-            table[lo:lo + step] = (events[self._columns] if whole else events).T
+            table[lo:lo + step] = self._walk(windows[lo:lo + step])[
+                self._columns].T
         return table
 
     def _find(self, n: int, parent: np.ndarray, token: np.ndarray,
@@ -617,13 +614,10 @@ class CompiledModelSet:
         rows[where] = np.where(keys[found] == query, found, len(keys) - 1)
         return rows
 
-    def _walk(self, tok: np.ndarray, model: np.ndarray | None = None
-              ) -> np.ndarray:
-        """(rows, windows) log probabilities of a block of id windows; given
-        ``model``, one row: each window under its own model."""
+    def _walk(self, tok: np.ndarray) -> np.ndarray:
+        """(rows, windows) log probabilities of a block of id windows."""
         k1 = tok.shape[1] - 1
-        m = np.arange(len(self._order))[:, None] if model is None \
-            else model[None, :]
+        m = np.arange(len(self._order))[:, None]
         word = np.where(self._in_vocab[m, tok[:, k1]], tok[:, k1], self._unk)
         depth = self._order[m] - 1              # context length walked
         offset = m * self._base
@@ -654,7 +648,7 @@ class CompiledModelSet:
             todo = todo & ~hit
 
         rows_a, rows_b, log_w, log_rest = self._mix
-        if len(rows_a) and model is None:
+        if len(rows_a):
             events = np.concatenate([events, np.logaddexp(
                 log_w + events[rows_a], log_rest + events[rows_b])])
         return events

@@ -300,7 +300,8 @@ def test_bad_manifest_rows_name_the_line(workdir, tmp_path, capsys, edit,
     assert f"manifest.tsv:{lineno}: " in capsys.readouterr().err
 
 
-def test_collapsed_tagset_survives_the_model_directory(workdir, tmp_path):
+def test_collapsed_tagset_survives_the_model_directory(workdir, tmp_path,
+                                                       capsys):
     tags = tmp_path / "collapsed.txt"
     tags.write_text("Statement\nQuestion\n"
                     "collapse\tQuestion\tBackchannel/Acknowledge\n")
@@ -308,12 +309,29 @@ def test_collapsed_tagset_survives_the_model_directory(workdir, tmp_path):
     assert cli.main(["train", "--corpus", str(workdir / "corpus.tsv"),
                      "--models", str(out), "--tagset", str(tags),
                      "--order", "2", "--word-order", "2"]) == 0
+    capsys.readouterr()
     pred = tmp_path / "pred.tsv"
     assert cli.main(["tag", "--models", str(out),
                      "--corpus", str(workdir / "corpus.tsv"),
                      "--output", str(pred)]) == 0
     assert {line.split("\t")[2] for line in pred.read_text().splitlines()} \
         == {"Statement", "Question"}
+    # eval collapses a member label in the predictions as in the reference,
+    # and reports on tag's predictions what tag reported
+    tagged = capsys.readouterr().out
+    assert "n=64)" in tagged
+    assert cli.main(["eval", "--reference", str(workdir / "corpus.tsv"),
+                     "--predictions", str(pred), "--tagset", str(tags)]) == 0
+    assert capsys.readouterr().out == tagged
+    members = tmp_path / "members.tsv"
+    members.write_text("".join(
+        "\t".join(line.split("\t")[:2] + line.split("\t")[3:4]) + "\n"
+        for line in (workdir / "corpus.tsv").read_text().splitlines()))
+    assert cli.main(["eval", "--reference", str(workdir / "corpus.tsv"),
+                     "--predictions", str(members), "--tagset",
+                     str(tags)]) == 0
+    assert capsys.readouterr().out.startswith("accuracy 100.00%")
+
 
 # ---------------------------------------------------------------------------
 # tag

@@ -227,6 +227,24 @@ def test_logsumexp_matches_the_scalar_reference(rows):
                                 rel_tol=1e-12, abs_tol=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 1000), st.lists(st.integers(1, 3), min_size=0,
+                                      max_size=3),
+       st.sampled_from([0.5, 5.0, 50.0]), st.floats(0.0, 0.5),
+       st.integers(0, 2 ** 32 - 1))
+def test_batched_logsumexp_equals_its_contiguous_rows_bit_for_bit(
+        width, lead, scale, inf_share, seed):
+    # reduced over the last axis of a C-contiguous array, every row adds
+    # up as the 1-D call on it does
+    rng = np.random.default_rng(seed)
+    arr = rng.normal(scale=scale, size=(*lead, width))
+    arr[rng.random(arr.shape) < inf_share] = -np.inf
+    got = _logsumexp(arr, axis=len(lead))
+    assert got.shape == tuple(lead)
+    for index in np.ndindex(*lead):
+        assert got[index] == _logsumexp(arr[index], axis=0)
+
+
 def test_logsumexp_of_nothing_is_minus_inf_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -320,19 +338,19 @@ def test_unseen_mass_guard_adds_the_unseen_words(monkeypatch):
     calls = []
     walk = CompiledModelSet._event_log_probs
 
-    def counting(self, windows, *model):
+    def counting(self, windows):
         calls.append(len(windows))
-        return walk(self, windows, *model)
+        return walk(self, windows)
 
     monkeypatch.setattr(CompiledModelSet, "_event_log_probs", counting)
     plain = train_ngram(seqs, 2, pad=False)
-    assert len(calls) == 1          # the seen bigrams' unigram probabilities
+    assert calls == []              # seen suffixes are read, not walked
     assert plain.logprob == ((), ("a",))
     assert 1e-9 < p(plain, [], "r") < 1e-2
     monkeypatch.setattr(ngram, "_Z_FLOOR", 1e-2)
     calls.clear()
     guarded = train_ngram(seqs, 2, pad=False)
-    assert calls == [3, 1]          # ... and the walk of "a"'s one unseen word
+    assert calls == [1]             # the walk of "a"'s one unseen word
     assert sum(p(guarded, ["a"], w) for w in "abcr") == \
         pytest.approx(1.0, abs=1e-12)
     # the reserved mass T / (N + T) goes to "r" whole

@@ -189,6 +189,22 @@ def arpa_text(model) -> str:
         return (Path(tmp) / "model.arpa").read_text(encoding="utf-8")
 
 
+def assert_same_bits(model, ref):
+    """Keys, log probs (NaN rows included) and backoff weights equal bit
+    for bit: the manifest's smoothing weights read them unrounded."""
+    assert model.order == ref.order
+    for mine, want in ((model._keys, ref._keys), (model._lp, ref._lp),
+                       (model._bow, ref._bow)):
+        assert len(mine) == len(want)
+        for a, b in zip(mine, want):
+            if b is None:
+                assert a is None
+            else:
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert np.ascontiguousarray(a).tobytes() == \
+                    np.ascontiguousarray(b).tobytes()
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 3), st.booleans(), st.booleans(), st.booleans(),
        st.sampled_from([None, 2.0]), st.integers(0, 10 ** 6))
@@ -224,6 +240,8 @@ def test_set_models_write_the_per_group_arpa_files(order, pad, closed, whole,
     for model, one, ref in zip(models, alone, want):
         assert model.vocab == ref.vocab and model.tokens == ref.tokens
         assert arpa_text(model) == arpa_text(one) == arpa_text(ref)
+        assert_same_bits(model, ref)
+        assert_same_bits(one, ref)
 
 
 def test_set_estimation_covers_fold_back_and_the_floor(monkeypatch):
@@ -235,15 +253,18 @@ def test_set_estimation_covers_fold_back_and_the_floor(monkeypatch):
     assert models[0]._bow[0][0] == 0.0 and models[0]._bow[1][0] == 0.0
     assert models[1]._bow[0][0] != 0.0
     for model, seqs in zip(models, groups):
-        assert arpa_text(model) == arpa_text(reference_train_ngram(
-            seqs, 2, ["a", "b", "c"], pad=False))
+        ref = reference_train_ngram(seqs, 2, ["a", "b", "c"], pad=False)
+        assert arpa_text(model) == arpa_text(ref)
+        assert_same_bits(model, ref)
     monkeypatch.setattr(ngram, "_Z_FLOOR", 2.0)
     for order in (1, 2, 3):
         floored = _train_set(groups + [[["c"]]], order, ["a", "b", "c"],
                              pad=False)
         for model, seqs in zip(floored, groups + [[["c"]]]):
-            assert arpa_text(model) == arpa_text(reference_train_ngram(
-                seqs, order, ["a", "b", "c"], pad=False))
+            ref = reference_train_ngram(seqs, order, ["a", "b", "c"],
+                                        pad=False)
+            assert arpa_text(model) == arpa_text(ref)
+            assert_same_bits(model, ref)
 
 
 def test_set_estimation_rejects_what_train_ngram_rejects():
