@@ -6,7 +6,8 @@ first non-blank character is '#' skipped, tab-separated fields, and every
 error naming ``file:line``.
 
   conversations   conv_id <TAB> index <TAB> speaker <TAB> da_label <TAB> words
-                  Words are space-separated; an unlabeled utterance carries "-".
+                  Words are space-separated, and none may be "<start>"; an
+                  unlabeled utterance carries "-".
   n-best lists    conv_id <TAB> index <TAB> rank <TAB> acoustic_log_score <TAB> words
                   Rank 1 is the recognizer's first choice.
   prosody         a header row of feature names, then
@@ -30,6 +31,7 @@ SPEAKERS = ("A", "B")
 
 _MISSING_LABEL = "-"
 _MISSING_VALUE = "NA"
+START = "<start>"   # the n-gram models' sentence-start padding, never a word
 
 
 class CorpusError(ValueError):
@@ -239,6 +241,13 @@ class FeatureSchema:
             if kind not in ("continuous", "categorical"):
                 raise CorpusError(f"unknown feature kind {kind!r}")
 
+    @classmethod
+    def infer(cls, names: Sequence[str], columns: Sequence[Sequence]) -> "FeatureSchema":
+        """Categorical if a feature's value column holds a string, else continuous."""
+        return cls(tuple(names), tuple(
+            "categorical" if any(isinstance(v, str) for v in values)
+            else "continuous" for values in columns))
+
 
 @dataclass(frozen=True)
 class FeatureVector:
@@ -325,7 +334,10 @@ def parse_conversations(path: str | Path, tagset: TagSet | None = None,
             da = None if label == _MISSING_LABEL else label
             if da is not None and tagset is not None and da not in tagset:
                 raise CorpusError(f"{path}:{lineno}: label {da!r} not in tag set")
-            utts.append(Utterance(idx, speaker, da, tuple(words_s.split()),
+            words = tuple(words_s.split())
+            if START in words:
+                raise CorpusError(f"{path}:{lineno}: reserved word {START!r}")
+            utts.append(Utterance(idx, speaker, da, words,
                                   nbest.get((conv_id, idx)),
                                   prosody.get((conv_id, idx))))
     return [Conversation(conv_id, tuple(utts))
@@ -363,9 +375,11 @@ def parse_nbest(path: str | Path,
             if not math.isfinite(score):
                 raise CorpusError(f"{path}:{lineno}: non-finite acoustic "
                                   f"score {score_s!r}")
+            words = tuple(words_s.split())
+            if START in words:
+                raise CorpusError(f"{path}:{lineno}: reserved word {START!r}")
             raw.setdefault((conv_id, int(idx_s)), []).append(
-                (int(rank_s), lineno,
-                 Hypothesis(tuple(words_s.split()), score)))
+                (int(rank_s), lineno, Hypothesis(words, score)))
 
     table: dict[tuple[str, int], NBestList] = {}
     for key, entries in raw.items():
@@ -392,68 +406,62 @@ def serialize_nbest(table: Mapping[tuple[str, int], NBestList], path: str | Path
 # ---------------------------------------------------------------------------
 
 def parse_prosody(path: str | Path) -> tuple[FeatureSchema, dict[tuple[str, int], FeatureVector]]:
-    """Read a prosodic feature file.
-
-    The first content line names the features.  Feature kind is inferred per
-    column: if every non-missing value parses as a float the feature is
-    continuous, otherwise categorical.  Continuous values must be finite,
-    and categorical values may not contain "," (the tree file's category
-    separator).
+    """Read a prosodic feature file whose first content line names the
+    features.  Each column is converted once, to floats if every value but
+    "NA" (None) parses as one, else kept as text; :meth:`FeatureSchema.infer`
+    then gives the kinds.  Continuous values must be finite, categories may
+    not contain "," (the tree file's separator), and keys may not repeat:
+    the first faulty row is reported, a repeated key before its values.
     """
     lines = content_lines(path)
     header_line, names = next(lines, (1, None))
     if names is None:
         raise CorpusError(f"{path}:1: empty prosody file")
     names = tuple(names)
-    rows: list[tuple[int, tuple[str, int], list]] = []
+    linenos, keys, rows = [], [], []
     with located(lambda _: f"{path}:{lineno}: bad utterance index"):
         for lineno, fields in lines:
             if len(fields) != 2 + len(names):
                 raise CorpusError(f"{path}:{lineno}: expected "
                                   f"{2 + len(names)} fields, got {len(fields)}")
-            rows.append((lineno, (fields[0], int(fields[1])), fields[2:]))
+            linenos.append(lineno)
+            keys.append((fields[0], int(fields[1])))
+            rows.append(fields[2:])
 
-    # One float() pass per column: the first value that is not a number
-    # makes the column categorical; otherwise the floats replace the texts
-    # in place (None where missing), except a non-finite value, whose text
-    # stays for its error message.
-    kinds = []
+    columns = []
     for col in range(len(names)):
+        texts = [None if vals[col] == _MISSING_VALUE else vals[col]
+                 for vals in rows]
         try:
-            floats = [None if vals[col] == _MISSING_VALUE else float(vals[col])
-                      for _, _, vals in rows]
+            columns.append([v if v is None else float(v) for v in texts])
         except ValueError:
-            kinds.append("categorical")
-            continue
-        kinds.append("continuous")
-        for (_, _, vals), x in zip(rows, floats):
-            if x is None or math.isfinite(x):
-                vals[col] = x
+            columns.append(texts)
     try:
-        schema = FeatureSchema(names, tuple(kinds))
+        schema = FeatureSchema.infer(names, columns)
     except CorpusError as exc:      # only the header's names can be at fault
         raise CorpusError(f"{path}:{header_line}: {exc}") from None
 
-    table: dict[tuple[str, int], FeatureVector] = {}
-    for lineno, key, vals in rows:
-        if key in table:
-            first = next(line for line, k, _ in rows if k == key)
-            raise CorpusError(f"{path}:{lineno}: duplicate prosody row for "
-                              f"{key} (first at line {first})")
-        parsed: dict[str, float | str | None] = {}
-        for name, kind, v in zip(names, kinds, vals):
-            if kind == "continuous":
-                if isinstance(v, str):
-                    raise CorpusError(f"{path}:{lineno}: feature {name!r}: "
-                                      f"non-finite value {v!r}")
-            elif v == _MISSING_VALUE:
-                v = None
-            elif "," in v:
-                raise CorpusError(f"{path}:{lineno}: feature {name!r}: "
-                                  f"category {v!r} contains ','")
-            parsed[name] = v
-        table[key] = FeatureVector(parsed)
-    return schema, table
+    # (row, column, message) per fault; a repeated key is column -1, so it
+    # comes before its row's values
+    first: dict[tuple[str, int], int] = {}
+    faults = [(row, -1, f"duplicate prosody row for {key} (first at line "
+                        f"{linenos[first[key]]})")
+              for row, key in enumerate(keys) if first.setdefault(key, row) != row]
+    for col, (name, kind, values) in enumerate(zip(names, schema.kinds, columns)):
+        if kind == "continuous":
+            faults += [(row, col, f"feature {name!r}: non-finite value "
+                                  f"{rows[row][col]!r}")
+                       for row, x in enumerate(values)
+                       if x is not None and not math.isfinite(x)]
+        else:
+            faults += [(row, col, f"feature {name!r}: category {v!r} "
+                                  f"contains ','")
+                       for row, v in enumerate(values) if v and "," in v]
+    if faults:
+        row, _, message = min(faults)
+        raise CorpusError(f"{path}:{linenos[row]}: {message}")
+    return schema, {key: FeatureVector(dict(zip(names, values)))
+                    for key, values in zip(keys, zip(*columns))}
 
 
 def serialize_prosody(schema: FeatureSchema,

@@ -179,7 +179,12 @@ def focused_binary_task(utterances: Sequence[Utterance], tagset: TagSet,
 
     if need_prosody:
         if schema is None:
-            schema = _infer_schema(u.prosody for u in train)
+            vectors = [u.prosody.values for u in train]
+            names = tuple(dict.fromkeys(n for fv in vectors for n in fv))
+            if not names:
+                raise CorpusError("no prosodic features present")
+            schema = FeatureSchema.infer(names, [[fv.get(n) for fv in vectors]
+                                                 for n in names])
         tree = train_tree(schema, [(u.prosody, u.da_label) for u in train],
                           config, classes=pair)
         ratios, leaf_of = _scaled_leaves(tree, [u.prosody for u in test])
@@ -199,18 +204,3 @@ def focused_binary_task(utterances: Sequence[Utterance], tagset: TagSet,
     out["chance"] = max(counts) / len(test)
     return out
 
-
-def _infer_schema(vectors) -> FeatureSchema:
-    names: list[str] = []
-    categorical: set[str] = set()
-    for fv in vectors:
-        for name, value in fv.values.items():
-            if name not in names:
-                names.append(name)
-            if isinstance(value, str):
-                categorical.add(name)
-    if not names:
-        raise CorpusError("no prosodic features present")
-    kinds = tuple("categorical" if n in categorical else "continuous"
-                  for n in names)
-    return FeatureSchema(tuple(names), kinds)

@@ -32,9 +32,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import CorpusError, content_lines, located
+from .corpus import START, CorpusError, content_lines, located
 
-START = "<start>"
 END = "<end>"
 UNK = "<unk>"
 
@@ -159,8 +158,8 @@ def train_ngram(sequences: Sequence[Sequence[str]], order: int,
     ``vocabulary`` closes the token set; training tokens outside it are an
     error.  With the default ``pad=True`` the predictable vocabulary also
     contains ``<end>`` and ``<unk>`` and every sequence is padded with
-    order-1 ``<start>`` tokens plus one ``<end>``.  This is the one-group
-    case of :func:`_train_set`.
+    order-1 ``<start>`` tokens plus one ``<end>``, so no sequence may hold
+    ``<start>`` itself.  This is the one-group case of :func:`_train_set`.
     """
     return _train_set([sequences], order, vocabulary, pad)[0]
 
@@ -189,6 +188,8 @@ def _train_set(groups: Sequence[Sequence[Sequence[str]]], order: int,
         raise ValueError("no training sequences")
     seqs = [s for group in groups for s in group]
     seen_tokens = set(itertools.chain.from_iterable(seqs))
+    if pad and START in seen_tokens:
+        raise ValueError(f"training sequences hold the reserved token {START!r}")
     vocab = set(seen_tokens if vocabulary is None else vocabulary)
     if seen_tokens - vocab:
         raise ValueError(f"training tokens outside vocabulary: "

@@ -151,11 +151,17 @@ def _encode(schema: FeatureSchema, fvs: Sequence[FeatureVector]) -> list[_Column
             raise ProsodyError(f"feature {name!r} missing from sample schema")
         col = _Column.of(name, kind == "continuous",
                          [fv.values[name] for fv in fvs])
-        if col.categories is None and not np.isfinite(col.values).all():
-            bad = col.values[~np.isfinite(col.values)][0]
-            raise ProsodyError(f"feature {name!r}: non-finite value {float(bad)!r}")
+        if col.categories is None:
+            _check_finite(name, col.values)
         columns.append(col)
     return columns
+
+
+def _check_finite(name: str, values: np.ndarray) -> None:
+    """Continuous values must be finite: a NaN goes right of every test."""
+    bad = values[~np.isfinite(values)]
+    if len(bad):
+        raise ProsodyError(f"feature {name!r}: non-finite value {float(bad[0])!r}")
 
 
 # Candidate splits are scored this many at a time, so memory stays flat in
@@ -350,6 +356,7 @@ def _route(tree: DecisionTree,
             raise ProsodyError(f"feature {node.feature!r} queried by the tree "
                                f"is absent from the probe's schema")
         if col.categories is None:
+            _check_finite(node.feature, col.values[rows])
             test = col.values[rows] <= node.threshold
         else:
             test = col.members(node.categories)[col.values[rows]]

@@ -98,6 +98,16 @@ def test_train_rejects_unlabeled_utterances(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_train_rejects_the_reserved_start_word(tmp_path, capsys):
+    (tmp_path / "c.tsv").write_text("c0\t0\tA\tStatement\thello there\n"
+                                    "c0\t1\tB\tStatement\tso <start> it\n")
+    rc = cli.main(["train", "--corpus", str(tmp_path / "c.tsv"),
+                   "--models", str(tmp_path / "m")])
+    assert rc == 1
+    assert (f"error: {tmp_path / 'c.tsv'}:2: reserved word '<start>'\n"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("flag,value,low", [
     ("--min-leaf", "0", 1), ("--min-leaf", "-3", 1), ("--max-depth", "-1", 0)])
 def test_tree_limits_out_of_range_are_usage_errors(workdir, tmp_path, capsys,

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dialact import corpus
-from dialact.corpus import (Conversation, CorpusError, FeatureSchema,
-                            FeatureVector, Hypothesis, NBestList, TagSet,
-                            Utterance, default_tagset, downsample_uniform,
-                            jackknife_split, load_tagset,
+from dialact.corpus import (_MISSING_VALUE, Conversation, CorpusError,
+                            FeatureSchema, FeatureVector, Hypothesis,
+                            NBestList, TagSet, Utterance, content_lines,
+                            default_tagset, downsample_uniform,
+                            jackknife_split, load_tagset, located,
                             parse_conversations, parse_nbest, parse_prosody,
                             save_tagset, serialize_conversations,
                             serialize_nbest, serialize_prosody,
@@ -174,6 +175,23 @@ def test_conversation_round_trip_random(tmp_path_factory, rows_per_conv):
 # N-best lists
 # ---------------------------------------------------------------------------
 
+def test_reserved_start_word_names_file_and_line(tmp_path):
+    # "<start>" is the n-gram models' sentence-start padding
+    conv = tmp_path / "c.tsv"
+    conv.write_text("c1\t0\tA\tS\thi there\n# note\n"
+                    "c1\t1\tB\tS\tso <start> we\n")
+    with pytest.raises(CorpusError, match=r"c\.tsv:3: reserved word '<start>'"):
+        parse_conversations(conv)
+    nbest = tmp_path / "n.tsv"
+    nbest.write_text("c1\t0\t1\t-1.0\thi\nc1\t0\t2\t-2.0\t<start> hi\n")
+    with pytest.raises(CorpusError, match=r"n\.tsv:2: reserved word '<start>'"):
+        parse_nbest(nbest)
+    # only a whole word is reserved
+    conv.write_text("c1\t0\tA\tS\t<start>s start\n")
+    assert parse_conversations(conv)[0].utterances[0].words == ("<start>s",
+                                                                "start")
+
+
 def test_nbest_round_trip(tmp_path):
     table = {("c1", 0): NBestList((Hypothesis(("a", "b"), -1.5),
                                    Hypothesis(("a",), -2.25))),
@@ -310,6 +328,130 @@ def test_prosody_values_are_converted_once(tmp_path, monkeypatch):
     assert calls == ["1.5", "-3", "x"]
     assert [table[("c1", i)].values["f0"] for i in range(3)] == [1.5, None, -3.0]
     assert table[("c1", 1)].values["site"] == "2"
+
+
+def reference_parse_prosody(path):
+    """The two-pass reader: floats written back into the text rows, then a
+    kind branch per value."""
+    lines = content_lines(path)
+    header_line, names = next(lines, (1, None))
+    if names is None:
+        raise CorpusError(f"{path}:1: empty prosody file")
+    names = tuple(names)
+    rows: list[tuple[int, tuple[str, int], list]] = []
+    with located(lambda _: f"{path}:{lineno}: bad utterance index"):
+        for lineno, fields in lines:
+            if len(fields) != 2 + len(names):
+                raise CorpusError(f"{path}:{lineno}: expected "
+                                  f"{2 + len(names)} fields, got {len(fields)}")
+            rows.append((lineno, (fields[0], int(fields[1])), fields[2:]))
+
+    # One float() pass per column: the first value that is not a number
+    # makes the column categorical; otherwise the floats replace the texts
+    # in place (None where missing), except a non-finite value, whose text
+    # stays for its error message.
+    kinds = []
+    for col in range(len(names)):
+        try:
+            floats = [None if vals[col] == _MISSING_VALUE else float(vals[col])
+                      for _, _, vals in rows]
+        except ValueError:
+            kinds.append("categorical")
+            continue
+        kinds.append("continuous")
+        for (_, _, vals), x in zip(rows, floats):
+            if x is None or math.isfinite(x):
+                vals[col] = x
+    try:
+        schema = FeatureSchema(names, tuple(kinds))
+    except CorpusError as exc:      # only the header's names can be at fault
+        raise CorpusError(f"{path}:{header_line}: {exc}") from None
+
+    table: dict[tuple[str, int], FeatureVector] = {}
+    for lineno, key, vals in rows:
+        if key in table:
+            first = next(line for line, k, _ in rows if k == key)
+            raise CorpusError(f"{path}:{lineno}: duplicate prosody row for "
+                              f"{key} (first at line {first})")
+        parsed: dict[str, float | str | None] = {}
+        for name, kind, v in zip(names, kinds, vals):
+            if kind == "continuous":
+                if isinstance(v, str):
+                    raise CorpusError(f"{path}:{lineno}: feature {name!r}: "
+                                      f"non-finite value {v!r}")
+            elif v == _MISSING_VALUE:
+                v = None
+            elif "," in v:
+                raise CorpusError(f"{path}:{lineno}: feature {name!r}: "
+                                  f"category {v!r} contains ','")
+            parsed[name] = v
+        table[key] = FeatureVector(parsed)
+    return schema, table
+
+
+_NUMBERS = ["NA", "1.5", "-3", "0", " 2 ", "1e3"]
+_NON_FINITE = ["nan", "NaN", "inf", "-inf", "1e999"]
+_CATEGORIES = ["NA", "m", "f", "2", "", "a,b", ",", "x y"]
+
+
+@st.composite
+def prosody_files(draw):
+    """Prosody file texts where every fault the reader checks turns up:
+    odd header names, non-finite numbers, categories with ",", repeated
+    keys, bad indices, short and long rows, comments and blank lines."""
+    names = draw(st.lists(st.sampled_from(["f0", "f1", "site", "pitch"]),
+                          min_size=1, max_size=4, unique=True))
+    if not draw(st.integers(0, 9)):
+        names[draw(st.integers(0, len(names) - 1))] = draw(
+            st.sampled_from(["", "a b", " pad", names[0]]))
+    pools = [draw(st.sampled_from([_NUMBERS, _NUMBERS + _NON_FINITE,
+                                   _CATEGORIES, _NUMBERS + _CATEGORIES]))
+             for _ in names]
+    lines = [draw(st.sampled_from(["# features", ""]))
+             for _ in range(draw(st.integers(0, 1)))]
+    if draw(st.integers(0, 19)):        # else a file with no header
+        lines.append("\t".join(names))
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 39))
+        if kind < 4:
+            lines.append(draw(st.sampled_from(["# note", "", "   "])))
+            continue
+        index = "x" if kind == 4 else draw(st.sampled_from(
+            ["0", "1", "2", "3", "-1", " 1"]))
+        values = [draw(st.sampled_from(pool)) for pool in pools]
+        if kind == 5:
+            values = values[:-1]
+        elif kind == 6:
+            values.append("NA")
+        lines.append("\t".join([draw(st.sampled_from(["c1", "c2"])), index,
+                                *values]))
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(read, path):
+    try:
+        schema, table = read(path)
+    except CorpusError as exc:
+        return "error", str(exc)
+    return schema, list(table.items())
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=prosody_files())
+def test_prosody_reader_matches_the_two_pass_reader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("prosody") / "p.tsv"
+    path.write_text(text, encoding="utf-8")
+    assert _outcome(parse_prosody, path) == \
+        _outcome(reference_parse_prosody, path)
+
+
+def test_schema_inference_from_columns():
+    schema = FeatureSchema.infer(["f0", "gone", "site"],
+                                 [[1.5, None], [None, None], [None, 2.0, "m"]])
+    assert schema == FeatureSchema(("f0", "gone", "site"), (
+        "continuous", "continuous", "categorical"))
+    with pytest.raises(CorpusError, match="duplicate feature names"):
+        FeatureSchema.infer(["f0", "f0"], [[1.0], ["m"]])
 
 
 def test_attach_prosody(tmp_path):

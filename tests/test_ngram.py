@@ -281,6 +281,19 @@ def test_out_of_vocabulary_training_token_rejected():
         train_ngram([["a", "x"]], 1, vocabulary=["a"])
 
 
+def test_reserved_start_token_rejected_in_padded_training():
+    # it would be counted as an event outside the vocabulary, so each
+    # context's vocabulary probabilities would not sum to 1
+    with pytest.raises(ValueError, match="'<start>'"):
+        train_ngram([["a", START, "b"], [START, "a"]], 2)
+    with pytest.raises(ValueError, match="'<start>'"):
+        train_ngram([["a", START]], 1, vocabulary=["a", START])
+    # without padding it is an ordinary token
+    m = train_ngram([["a", START, "b"], [START, "a"]], 2, pad=False)
+    assert math.isclose(sum(math.exp(m.cond_log_prob((), w))
+                            for w in ("a", "b", START)), 1.0)
+
+
 def test_empty_training_rejected():
     with pytest.raises(ValueError):
         train_ngram([], 2)

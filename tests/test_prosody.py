@@ -637,6 +637,30 @@ def test_non_finite_training_values_rejected():
             train_tree(SCHEMA1, samples)
 
 
+def test_non_finite_lookup_values_rejected_where_tested():
+    tree = train_tree(SCHEMA1, separable_samples())
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ProsodyError,
+                           match=rf"feature 'f': non-finite value {bad!r}$"):
+            tree_posterior(tree, fv(f=bad))
+        conv = Conversation("p", (
+            Utterance(0, "A", None, ("w",), prosody=fv(f=1.0)),
+            Utterance(1, "B", None, ("w",), prosody=fv(f=bad))))
+        with pytest.raises(ProsodyError, match="'f': non-finite"):
+            prosody_likelihood_tables(tree, [conv])
+    # only rows that reach a node testing the feature are checked
+    two = DecisionTree(("S", "Q"), FeatureSchema(("f", "g"), ("continuous",) * 2),
+                       Node(feature="f", threshold=0.0, missing_left=True,
+                            left=Node(posterior=(1.0, 0.0)),
+                            right=Node(feature="g", threshold=1.0,
+                                       left=Node(posterior=(0.5, 0.5)),
+                                       right=Node(posterior=(0.0, 1.0)))),
+                       (0.5, 0.5))
+    assert tree_posterior(two, fv(f=-1.0, g=math.nan)).tolist() == [1.0, 0.0]
+    with pytest.raises(ProsodyError, match="'g': non-finite value nan"):
+        tree_posterior(two, fv(f=1.0, g=math.nan))
+
+
 def test_samples_missing_a_schema_feature_rejected_before_growing():
     # even a tree that would not split checks every sample's features
     samples = [(fv(f=1.0), "S"), (FeatureVector({"other": 1.0}), "S")]
