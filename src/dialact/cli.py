@@ -49,7 +49,8 @@ from .prosody import (DecisionTree, TreeConfig, load_tree,
                       prosody_likelihood_tables, serialize_tree, train_tree)
 from .rescore import METHODS, per_da_wer_report, rescore_corpus
 from .wordmodels import (DEFAULT_SMOOTHING, DaLmSet, MODES, ScoreScaling,
-                         smooth_da_lms, train_da_lms, word_likelihood_tables)
+                         _words_by_class, smooth_da_lms, train_da_lms,
+                         word_likelihood_tables)
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +406,7 @@ def cmd_perplexity(args) -> int:
         all_words = [u.words for conv in convs for u in conv]
         print(f"word_perplexity\t-\t"
               f"{_g(perplexity(models.da_lms.fallback, all_words))}")
-        for lab in models.tagset.labels:
-            seqs = [u.words for conv in convs for u in conv
-                    if u.da_label is not None
-                    and models.tagset.collapse(u.da_label) == lab]
+        for lab, seqs in _words_by_class(convs, models.tagset).items():
             if seqs:
                 print(f"word_perplexity\t{lab}\t"
                       f"{_g(perplexity(models.da_lms.models[lab], seqs))}")
@@ -419,7 +417,6 @@ def cmd_eval(args) -> int:
     tagset = _load_tagset(args)
     convs = parse_conversations(args.reference, tagset)
     preds: dict[tuple[str, int], tuple[str, int]] = {}  # key -> label, line
-    lineno = 1
     with located(lambda _: f"{args.predictions}:{lineno}: bad utterance "
                            f"index {fields[1]!r}"):
         for lineno, fields in content_lines(args.predictions):
@@ -437,8 +434,10 @@ def cmd_eval(args) -> int:
             preds[key] = (fields[2], lineno)
 
     def predicted(conv_id: str, index: int) -> str:
-        if (conv_id, index) not in preds:
-            raise CorpusError(f"{args.predictions}:{lineno}: no "
+        if (conv_id, index) not in preds:   # name the reference's line
+            at = next(n for n, (c, i, *_) in content_lines(args.reference, 5)
+                      if c == conv_id and int(i) == index)
+            raise CorpusError(f"{args.reference}:{at}: no "
                               f"prediction for {conv_id}:{index}")
         return preds[conv_id, index][0]
 

@@ -6,8 +6,8 @@ first non-blank character is '#' skipped, tab-separated fields, and every
 error naming ``file:line``.
 
   conversations   conv_id <TAB> index <TAB> speaker <TAB> da_label <TAB> words
-                  Words are space-separated, and none may be "<start>"; an
-                  unlabeled utterance carries "-".
+                  Words are space-separated, and none may be "<start>" or
+                  "<end>"; an unlabeled utterance carries "-".
   n-best lists    conv_id <TAB> index <TAB> rank <TAB> acoustic_log_score <TAB> words
                   Rank 1 is the recognizer's first choice.
   prosody         a header row of feature names, then
@@ -32,6 +32,7 @@ SPEAKERS = ("A", "B")
 _MISSING_LABEL = "-"
 _MISSING_VALUE = "NA"
 START = "<start>"   # the n-gram models' sentence-start padding, never a word
+END = "<end>"       # the n-gram models' sentence-end event, never a word
 
 
 class CorpusError(ValueError):
@@ -110,6 +111,8 @@ class TagSet:
         for lab in self.labels:
             if not lab or lab.split() != [lab]:
                 raise CorpusError(f"label {lab!r} is empty or contains whitespace")
+            if lab in (START, END):
+                raise CorpusError(f"reserved label {lab!r}")
         members_seen: set[str] = set()
         for cls, members in self.collapsed:
             if cls not in self.labels:
@@ -155,6 +158,8 @@ def load_tagset(path: str | Path) -> TagSet:
             raise CorpusError(f"{path}:{lineno}: a label line holds one label")
         elif fields[0] in labels:
             raise CorpusError(f"{path}:{lineno}: duplicate label {fields[0]!r}")
+        elif fields[0] in (START, END):
+            raise CorpusError(f"{path}:{lineno}: reserved label {fields[0]!r}")
         else:
             labels.append(fields[0])
     if not labels:
@@ -335,8 +340,9 @@ def parse_conversations(path: str | Path, tagset: TagSet | None = None,
             if da is not None and tagset is not None and da not in tagset:
                 raise CorpusError(f"{path}:{lineno}: label {da!r} not in tag set")
             words = tuple(words_s.split())
-            if START in words:
-                raise CorpusError(f"{path}:{lineno}: reserved word {START!r}")
+            for token in (START, END):
+                if token in words:
+                    raise CorpusError(f"{path}:{lineno}: reserved word {token!r}")
             utts.append(Utterance(idx, speaker, da, words,
                                   nbest.get((conv_id, idx)),
                                   prosody.get((conv_id, idx))))
@@ -376,8 +382,9 @@ def parse_nbest(path: str | Path,
                 raise CorpusError(f"{path}:{lineno}: non-finite acoustic "
                                   f"score {score_s!r}")
             words = tuple(words_s.split())
-            if START in words:
-                raise CorpusError(f"{path}:{lineno}: reserved word {START!r}")
+            for token in (START, END):
+                if token in words:
+                    raise CorpusError(f"{path}:{lineno}: reserved word {token!r}")
             raw.setdefault((conv_id, int(idx_s)), []).append(
                 (int(rank_s), lineno, Hypothesis(words, score)))
 

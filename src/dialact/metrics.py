@@ -15,10 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import (CorpusError, FeatureSchema, TagSet, Utterance,
-                     downsample_uniform, jackknife_split)
-from .ngram import CompiledModelSet, train_ngram
-from .prosody import TreeConfig, _scaled_leaves, train_tree
+from .corpus import (Conversation, CorpusError, FeatureSchema, TagSet,
+                     Utterance, downsample_uniform, jackknife_split)
+from .prosody import TreeConfig, prosody_likelihood_tables, train_tree
+from .wordmodels import train_da_lms, word_likelihood_tables
 
 
 @dataclass(eq=False)
@@ -131,9 +131,9 @@ def focused_binary_task(utterances: Sequence[Utterance], tagset: TagSet,
     The labeled utterances are downsampled so both classes are equally
     frequent (chance 50%), split in half per class, and each requested
     classifier is trained on one half and scored on the other with uniform
-    class priors.  The combined classifier adds word and prosody log scores
-    with unit weight.  Returns accuracy per classifier plus the test-set
-    ``chance`` rate.
+    class priors by the tagger's evidence routines.  The combined classifier
+    is their sum, ``combine_likelihoods`` at alpha = beta = 1 bit for bit.
+    Returns accuracy per classifier plus the test-set ``chance`` rate.
     """
     for c in classifiers:
         if c not in CLASSIFIERS:
@@ -166,16 +166,15 @@ def focused_binary_task(utterances: Sequence[Utterance], tagset: TagSet,
         train.extend(half_a)
         test.extend(half_b)
 
-    # (test utterance, class) log scores of each classifier, columns in
-    # ``pair`` order
+    # each half as one conversation; log scores by class in ``pair`` order
+    train_conv, test_conv = (Conversation("", tuple(dataclasses.replace(
+        u, index=i) for i, u in enumerate(half))) for half in (train, test))
     scores: dict[str, np.ndarray] = {}
     if need_words:
-        vocab = sorted({w for u in train for w in u.words})
-        if not vocab:
+        if not any(u.words for u in train):
             raise CorpusError("no training words for the word classifier")
-        scores["words"] = CompiledModelSet([train_ngram(
-            [u.words for u in train if u.da_label == lab], order,
-            vocabulary=vocab) for lab in pair]).score([u.words for u in test])
+        scores["words"] = word_likelihood_tables(train_da_lms(
+            [train_conv], TagSet(pair), order), [test_conv])[0].scores
 
     if need_prosody:
         if schema is None:
@@ -187,11 +186,8 @@ def focused_binary_task(utterances: Sequence[Utterance], tagset: TagSet,
                                                  for n in names])
         tree = train_tree(schema, [(u.prosody, u.da_label) for u in train],
                           config, classes=pair)
-        ratios, leaf_of = _scaled_leaves(tree, [u.prosody for u in test])
-        # uniform prior: the leaf posterior over the training prior
-        scores["prosody"] = np.array([[math.log(p) if p > 0.0 else -math.inf
-                                       for p in row]
-                                      for row in ratios.tolist()])[leaf_of]
+        scores["prosody"] = prosody_likelihood_tables(
+            tree, [test_conv])[0].scores
     if "combined" in classifiers:
         scores["combined"] = scores["words"] + scores["prosody"]
 

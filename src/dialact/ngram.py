@@ -32,9 +32,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import START, CorpusError, content_lines, located
+from .corpus import END, START, CorpusError, content_lines, located
 
-END = "<end>"
 UNK = "<unk>"
 
 # ARPA convention: entries at or below this log10 value carry no probability
@@ -159,7 +158,7 @@ def train_ngram(sequences: Sequence[Sequence[str]], order: int,
     error.  With the default ``pad=True`` the predictable vocabulary also
     contains ``<end>`` and ``<unk>`` and every sequence is padded with
     order-1 ``<start>`` tokens plus one ``<end>``, so no sequence may hold
-    ``<start>`` itself.  This is the one-group case of :func:`_train_set`.
+    either token itself.  This is the one-group case of :func:`_train_set`.
     """
     return _train_set([sequences], order, vocabulary, pad)[0]
 
@@ -188,8 +187,9 @@ def _train_set(groups: Sequence[Sequence[Sequence[str]]], order: int,
         raise ValueError("no training sequences")
     seqs = [s for group in groups for s in group]
     seen_tokens = set(itertools.chain.from_iterable(seqs))
-    if pad and START in seen_tokens:
-        raise ValueError(f"training sequences hold the reserved token {START!r}")
+    for token in (START, END):
+        if pad and token in seen_tokens:
+            raise ValueError(f"training sequences hold the reserved token {token!r}")
     vocab = set(seen_tokens if vocabulary is None else vocabulary)
     if seen_tokens - vocab:
         raise ValueError(f"training tokens outside vocabulary: "

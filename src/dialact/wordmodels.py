@@ -72,18 +72,23 @@ class DaLmSet:
         return self.tagset.labels
 
 
+def _words_by_class(convs: Sequence[Conversation], tagset: TagSet
+                    ) -> dict[str, list[tuple[str, ...]]]:
+    """The words of every labeled utterance by collapsed class, in tag-set
+    order, each class's in corpus order."""
+    by_class: dict[str, list[tuple[str, ...]]] = {lab: [] for lab in tagset}
+    for conv in convs:
+        for utt in conv:
+            if utt.da_label is not None:
+                by_class[tagset.collapse(utt.da_label)].append(utt.words)
+    return by_class
+
+
 def train_da_lms(convs: Sequence[Conversation], tagset: TagSet,
                  order: int = 3) -> DaLmSet:
     """Train one model per tag-set class over a shared vocabulary."""
-    by_class: dict[str, list[list[str]]] = {lab: [] for lab in tagset.labels}
-    pooled: list[list[str]] = []
-    for conv in convs:
-        for utt in conv:
-            if utt.da_label is None:
-                continue
-            words = list(utt.words)
-            by_class[tagset.collapse(utt.da_label)].append(words)
-            pooled.append(words)
+    by_class = _words_by_class(convs, tagset)
+    pooled = [words for seqs in by_class.values() for words in seqs]
     if not pooled:
         raise ValueError("no labeled training utterances")
     trained = [lab for lab in tagset.labels if by_class[lab]]
@@ -109,12 +114,7 @@ def smooth_da_lms(da_lms: DaLmSet, heldout: Sequence[Conversation]
     Returns the smoothed set and the weights.  The unsmoothed set remains
     the right choice for classification; the smoothed one is for rescoring.
     """
-    heldout_by_class: dict[str, list[list[str]]] = {lab: [] for lab in da_lms.labels}
-    for conv in heldout:
-        for utt in conv:
-            if utt.da_label is not None:
-                heldout_by_class[da_lms.tagset.collapse(utt.da_label)].append(
-                    list(utt.words))
+    heldout_by_class = _words_by_class(heldout, da_lms.tagset)
     fallback = da_lms.fallback
     fitted = [lab for lab in da_lms.labels
               if da_lms.models[lab] is not fallback and heldout_by_class[lab]]

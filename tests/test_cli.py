@@ -108,6 +108,33 @@ def test_train_rejects_the_reserved_start_word(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+def test_train_rejects_the_reserved_end_word(tmp_path, capsys):
+    (tmp_path / "c.tsv").write_text("c0\t0\tA\tStatement\thello there\n"
+                                    "c0\t1\tB\tStatement\ta <end> b\n")
+    rc = cli.main(["train", "--corpus", str(tmp_path / "c.tsv"),
+                   "--models", str(tmp_path / "m")])
+    assert rc == 1
+    assert (f"error: {tmp_path / 'c.tsv'}:2: reserved word '<end>'\n"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("token", ["<start>", "<end>"])
+def test_train_rejects_a_reserved_label_at_its_tagset_line(tmp_path, capsys,
+                                                           token):
+    # with --variant da_only a bare label is a grammar token; "<end>" would
+    # share the end-of-conversation event's probability
+    (tmp_path / "tags.txt").write_text(f"S\n{token}\nQ\n")
+    (tmp_path / "c.tsv").write_text("c0\t0\tA\tS\thello\n"
+                                    "c0\t1\tB\tQ\tso\n")
+    rc = cli.main(["train", "--corpus", str(tmp_path / "c.tsv"),
+                   "--models", str(tmp_path / "m"), "--variant", "da_only",
+                   "--tagset", str(tmp_path / "tags.txt")])
+    assert rc == 1
+    assert (f"error: {tmp_path / 'tags.txt'}:2: reserved label '{token}'\n"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "m").exists()
+
+
 @pytest.mark.parametrize("flag,value,low", [
     ("--min-leaf", "0", 1), ("--min-leaf", "-3", 1), ("--max-depth", "-1", 0)])
 def test_tree_limits_out_of_range_are_usage_errors(workdir, tmp_path, capsys,
@@ -617,6 +644,22 @@ def test_eval_missing_prediction_fails(workdir, tmp_path, capsys):
                    "--tagset", str(workdir / "tagset.txt")])
     assert rc == 1
     assert "no prediction" in capsys.readouterr().err
+
+
+def test_eval_names_the_reference_line_of_a_missing_prediction(tmp_path,
+                                                               capsys):
+    ref = tmp_path / "ref.tsv"
+    ref.write_text("c0\t0\tA\tS\ta\nc0\t1\tB\tQ\tb\n# c1 follows\n"
+                   "c0\t2\tA\tS\tc\nc1\t0\tB\tQ\td\nc1\t1\tA\tS\te\n")
+    (tmp_path / "tags.txt").write_text("S\nQ\n")
+    part = tmp_path / "part.tsv"
+    part.write_text("c0\t0\tS\t-\nc0\t1\tQ\t-\nc0\t2\tS\t-\n")
+    rc = cli.main(["eval", "--reference", str(ref), "--predictions",
+                   str(part), "--tagset", str(tmp_path / "tags.txt")])
+    assert rc == 1
+    # c1:0 sits on the reference's fifth line
+    assert (f"error: {ref}:5: no prediction for c1:0\n"
+            in capsys.readouterr().err)
 
 
 def test_eval_rejects_a_second_prediction_for_one_utterance(

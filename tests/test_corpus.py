@@ -54,6 +54,22 @@ def test_tagset_rejects_duplicates_and_whitespace():
         TagSet(())
 
 
+@pytest.mark.parametrize("token", ["<start>", "<end>"])
+def test_reserved_tokens_are_not_labels(tmp_path, token):
+    # a bare label is a discourse grammar token (--variant da_only), and
+    # these two are the grammar's conversation start and end
+    with pytest.raises(CorpusError, match=f"reserved label '{token}'"):
+        TagSet(("S", token, "Q"))
+    path = tmp_path / "tags.txt"
+    path.write_text(f"S\n# note\n{token}\nQ\n")
+    with pytest.raises(CorpusError,
+                       match=f"tags.txt:3: reserved label '{token}'"):
+        load_tagset(path)
+    # a collapsed member never becomes a grammar token
+    path.write_text(f"S\ncollapse S {token}\n")
+    assert load_tagset(path).collapse(token) == "S"
+
+
 def test_tagset_collapse_unknown_label():
     with pytest.raises(CorpusError):
         TagSet(("S",)).collapse("nope")
@@ -190,6 +206,20 @@ def test_reserved_start_word_names_file_and_line(tmp_path):
     conv.write_text("c1\t0\tA\tS\t<start>s start\n")
     assert parse_conversations(conv)[0].utterances[0].words == ("<start>s",
                                                                 "start")
+
+
+def test_reserved_end_word_names_file_and_line(tmp_path):
+    # "<end>" is the n-gram models' sentence-end event
+    conv = tmp_path / "c.tsv"
+    conv.write_text("c1\t0\tA\tS\thi\nc1\t1\tB\tS\tso we <end>\n")
+    with pytest.raises(CorpusError, match=r"c\.tsv:2: reserved word '<end>'"):
+        parse_conversations(conv)
+    nbest = tmp_path / "n.tsv"
+    nbest.write_text("c1\t0\t1\t-1.0\thi <end> there\n")
+    with pytest.raises(CorpusError, match=r"n\.tsv:1: reserved word '<end>'"):
+        parse_nbest(nbest)
+    conv.write_text("c1\t0\tA\tS\t<end>s end\n")
+    assert parse_conversations(conv)[0].utterances[0].words == ("<end>s", "end")
 
 
 def test_nbest_round_trip(tmp_path):

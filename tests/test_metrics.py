@@ -264,7 +264,7 @@ def reference_binary_task(utts, pair, classifiers, seed, order, min_leaf):
 
 def test_binary_task_matches_per_utterance_definition():
     rng = random.Random(21)
-    for case in range(40):
+    for case in range(120):
         utts = build_utterances(rng.randrange(4, 30), rng.random() < 0.5,
                                 rng.random() < 0.5, seed=case)
         if case % 4 == 0:   # identical class word models: word scores tie

@@ -294,6 +294,19 @@ def test_reserved_start_token_rejected_in_padded_training():
                             for w in ("a", "b", START)), 1.0)
 
 
+def test_reserved_end_token_rejected_in_padded_training():
+    # counted as the sentence-end event, it would make the probabilities
+    # of all word sequences sum above 1
+    with pytest.raises(ValueError, match="'<end>'"):
+        train_ngram([["a", END, "b"], ["a"], ["b", "a"]], 2)
+    with pytest.raises(ValueError, match="'<end>'"):
+        train_ngram([["a", END]], 1, vocabulary=["a", END])
+    # without padding it is an ordinary token
+    m = train_ngram([["a", END, "b"], [END, "a"]], 2, pad=False)
+    assert math.isclose(sum(math.exp(m.cond_log_prob((), w))
+                            for w in ("a", "b", END)), 1.0)
+
+
 def test_empty_training_rejected():
     with pytest.raises(ValueError):
         train_ngram([], 2)

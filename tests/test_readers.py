@@ -3,7 +3,8 @@
 Each text reader goes through ``corpus.content_lines``.  Fuzzed copies of
 valid files (lines and fields deleted, duplicated or truncated, bytes that
 are not UTF-8 inserted) must parse or raise ``CorpusError`` or
-``ProsodyError`` with a message that starts with ``<path>:<line>: ``;
+``ProsodyError`` with a message that starts with ``<path>:<line>: ``
+(``eval``'s missing prediction names its reference line instead);
 nothing else may escape.  The explicit cases below are faults that once
 escaped as ``KeyError`` tracebacks or errors without a location.
 """
@@ -161,10 +162,24 @@ def test_fuzzed_predictions_parse_or_name_their_line(
         files, tmp_path_factory, ops):
     path = tmp_path_factory.mktemp("fuzz") / "pred.tsv"
     path.write_bytes(_mutate((files / "pred.tsv").read_bytes(), ops))
+    reference = files / "corpus.tsv"
     args = cli._build_parser().parse_args(
-        ["eval", "--reference", str(files / "corpus.tsv"),
+        ["eval", "--reference", str(reference),
          "--predictions", str(path), "--tagset", str(files / "tagset.txt")])
-    _parses_or_locates(lambda _: cli.cmd_eval(args), path)
+
+    def read(_):
+        try:
+            cli.cmd_eval(args)
+        except CorpusError as exc:
+            missing = re.fullmatch(rf"{re.escape(str(reference))}:(\d+): no "
+                                   rf"prediction for (\S+):(\d+)", str(exc))
+            if missing is None:
+                raise
+            # a missing prediction names its utterance's reference line
+            line = reference.read_text().splitlines()[int(missing[1]) - 1]
+            assert line.split("\t")[:2] == [missing[2], missing[3]]
+
+    _parses_or_locates(read, path)
 
 
 @_FUZZ
