@@ -184,7 +184,11 @@ def load_models(directory: str | Path) -> TrainedModels:
         smoothed[lab] = model if model is fallback else mix
     tree = None
     if "prosody" in by_kind:
-        tree = load_tree(root / by_kind["prosody"]["-"][0])
+        tree = load_tree(path := root / by_kind["prosody"]["-"][0])
+        if tree.classes != tagset.labels:   # name the tree's classes line
+            line = next(n for n, f in content_lines(path) if f[0].strip() == "classes")
+            raise CorpusError(f"{path}:{line}: tree classes differ from the "
+                              f"labels of {by_kind['tagset']['-'][0]}")
     return TrainedModels(tagset, grammar, DaLmSet(tagset, models, fallback),
                          DaLmSet(tagset, smoothed, fallback), tree)
 
@@ -417,6 +421,8 @@ def cmd_eval(args) -> int:
     tagset = _load_tagset(args)
     convs = parse_conversations(args.reference, tagset)
     preds: dict[tuple[str, int], tuple[str, int]] = {}  # key -> label, line
+    at = {(c, int(i)): n    # the reference's line per utterance
+          for n, (c, i, *_) in content_lines(args.reference, 5)}
     with located(lambda _: f"{args.predictions}:{lineno}: bad utterance "
                            f"index {fields[1]!r}"):
         for lineno, fields in content_lines(args.predictions):
@@ -431,13 +437,15 @@ def cmd_eval(args) -> int:
                 raise CorpusError(f"{args.predictions}:{lineno}: second "
                                   f"prediction row for {key[0]}:{key[1]} "
                                   f"(the first is on line {preds[key][1]})")
+            if key not in at:
+                raise CorpusError(f"{args.predictions}:{lineno}: prediction "
+                                  f"for {key[0]}:{key[1]}, which the "
+                                  f"reference lacks")
             preds[key] = (fields[2], lineno)
 
     def predicted(conv_id: str, index: int) -> str:
-        if (conv_id, index) not in preds:   # name the reference's line
-            at = next(n for n, (c, i, *_) in content_lines(args.reference, 5)
-                      if c == conv_id and int(i) == index)
-            raise CorpusError(f"{args.reference}:{at}: no "
+        if (conv_id, index) not in preds:
+            raise CorpusError(f"{args.reference}:{at[conv_id, index]}: no "
                               f"prediction for {conv_id}:{index}")
         return preds[conv_id, index][0]
 

@@ -25,7 +25,10 @@ import math
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 SPEAKERS = ("A", "B")
 
@@ -194,7 +197,7 @@ def default_tagset() -> TagSet:
 # Core records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hypothesis:
     """One recognizer hypothesis: word string plus total acoustic log score."""
 
@@ -202,7 +205,7 @@ class Hypothesis:
     acoustic_score: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NBestList:
     """Recognizer hypotheses for one utterance, best-first."""
 
@@ -254,20 +257,59 @@ class FeatureSchema:
             else "continuous" for values in columns))
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Per-utterance prosodic features; None marks a missing value."""
+@dataclass(frozen=True, slots=True, eq=False)
+class FeatureColumn:
+    """One prosodic feature over the rows of a table.  Continuous: float64
+    values, 0.0 where missing.  Categorical: integer codes into
+    ``categories`` (distinct values, sorted), -1 where missing."""
 
-    values: Mapping[str, float | str | None]
+    values: np.ndarray
+    known: np.ndarray
+    categories: tuple | None = None
+
+
+class FeatureTable(dict):
+    """Feature name -> :class:`FeatureColumn`, all over the same rows."""
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class FeatureVector:
+    """Per-utterance prosodic features: a read-only view of one row of a
+    column table; None marks a missing value.  A mapping given in place of
+    a table becomes a one-row table holding its values as they are."""
+
+    table: FeatureTable
+    row: int = 0
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.table, FeatureTable):
+            object.__setattr__(self, "table", FeatureTable(
+                (name, FeatureColumn(np.array([-1 if v is None else 0]),
+                                     np.array([v is not None]), (v,)))
+                for name, v in self.table.items()))
+
+    @property
+    def values(self) -> Mapping[str, float | str | None]:
+        return MappingProxyType({name: self[name] for name in self.table})
 
     def __getitem__(self, name: str) -> float | str | None:
-        return self.values[name]
+        col, row = self.table[name], self.row
+        if not col.known[row]:
+            return None
+        if col.categories is None:
+            return col.values.item(row)     # a Python float, as repr() writes it
+        return col.categories[col.values[row]]
 
     def __contains__(self, name: str) -> bool:
-        return name in self.values
+        return name in self.table
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FeatureVector):
+            return NotImplemented
+        return self.values == other.values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Utterance:
     index: int
     speaker: str
@@ -319,6 +361,7 @@ def parse_conversations(path: str | Path, tagset: TagSet | None = None,
     Each utterance gets the entries of ``nbest`` and ``prosody`` (tables
     from :func:`parse_nbest` and :func:`parse_prosody`) for its key."""
     nbest, prosody = nbest or {}, prosody or {}
+    intern = {}.setdefault          # one str per distinct word and label
     by_id: dict[str, list[Utterance]] = {}
     cur_id = None
     with located(lambda _: f"{path}:{lineno}: bad utterance index {idx_s!r}"):
@@ -336,10 +379,10 @@ def parse_conversations(path: str | Path, tagset: TagSet | None = None,
                                   f"expected {len(utts)}")
             if speaker not in SPEAKERS:
                 raise CorpusError(f"{path}:{lineno}: bad speaker {speaker!r}")
-            da = None if label == _MISSING_LABEL else label
+            da = None if label == _MISSING_LABEL else intern(label, label)
             if da is not None and tagset is not None and da not in tagset:
                 raise CorpusError(f"{path}:{lineno}: label {da!r} not in tag set")
-            words = tuple(words_s.split())
+            words = tuple([intern(w, w) for w in words_s.split()])
             for token in (START, END):
                 if token in words:
                     raise CorpusError(f"{path}:{lineno}: reserved word {token!r}")
@@ -374,6 +417,7 @@ def parse_nbest(path: str | Path,
         raise ValueError(f"max_hyps must be >= 1, got {max_hyps}")
     # (conv_id, index) -> [(rank, line, hypothesis)]
     raw: dict[tuple[str, int], list[tuple[int, int, Hypothesis]]] = {}
+    intern = {}.setdefault          # one str per distinct word and id
     with located(lambda _: f"{path}:{lineno}: bad index/rank/score"):
         for lineno, (conv_id, idx_s, rank_s, score_s, words_s) \
                 in content_lines(path, 5):
@@ -381,11 +425,11 @@ def parse_nbest(path: str | Path,
             if not math.isfinite(score):
                 raise CorpusError(f"{path}:{lineno}: non-finite acoustic "
                                   f"score {score_s!r}")
-            words = tuple(words_s.split())
+            words = tuple([intern(w, w) for w in words_s.split()])
             for token in (START, END):
                 if token in words:
                     raise CorpusError(f"{path}:{lineno}: reserved word {token!r}")
-            raw.setdefault((conv_id, int(idx_s)), []).append(
+            raw.setdefault((intern(conv_id, conv_id), int(idx_s)), []).append(
                 (int(rank_s), lineno, Hypothesis(words, score)))
 
     table: dict[tuple[str, int], NBestList] = {}
@@ -414,61 +458,64 @@ def serialize_nbest(table: Mapping[tuple[str, int], NBestList], path: str | Path
 
 def parse_prosody(path: str | Path) -> tuple[FeatureSchema, dict[tuple[str, int], FeatureVector]]:
     """Read a prosodic feature file whose first content line names the
-    features.  Each column is converted once, to floats if every value but
-    "NA" (None) parses as one, else kept as text; :meth:`FeatureSchema.infer`
-    then gives the kinds.  Continuous values must be finite, categories may
-    not contain "," (the tree file's separator), and keys may not repeat:
-    the first faulty row is reported, a repeated key before its values.
-    """
+    features into one :class:`FeatureTable` and a view of one row per key.
+    Each column is converted once, to floats if every value but "NA"
+    (missing) parses as one, else to codes of its distinct texts, and
+    :meth:`FeatureSchema.infer` gives the kinds.  Continuous values must be
+    finite, categories may not contain "," (the tree file's separator), and
+    keys may not repeat: the first faulty row is reported, a repeated key
+    before its values."""
     lines = content_lines(path)
     header_line, names = next(lines, (1, None))
     if names is None:
         raise CorpusError(f"{path}:1: empty prosody file")
     names = tuple(names)
-    linenos, keys, rows = [], [], []
+    texts = [[] for _ in names]     # per column, filled row by row
+    linenos, first = [], {}         # first: key -> its first row
+    ids = {}.setdefault             # one str per conversation id
+    # (row, column, message) per fault; a repeated key is column -1, so it
+    # comes before its row's values
+    faults = []
     with located(lambda _: f"{path}:{lineno}: bad utterance index"):
         for lineno, fields in lines:
             if len(fields) != 2 + len(names):
                 raise CorpusError(f"{path}:{lineno}: expected "
                                   f"{2 + len(names)} fields, got {len(fields)}")
+            key = (ids(fields[0], fields[0]), int(fields[1]))
+            if first.setdefault(key, len(linenos)) != len(linenos):
+                faults.append((len(linenos), -1, f"duplicate prosody row for "
+                               f"{key} (first at line {linenos[first[key]]})"))
             linenos.append(lineno)
-            keys.append((fields[0], int(fields[1])))
-            rows.append(fields[2:])
+            for column, text in zip(texts, fields[2:]):
+                column.append(text)
 
     columns = []
-    for col in range(len(names)):
-        texts = [None if vals[col] == _MISSING_VALUE else vals[col]
-                 for vals in rows]
+    for col, name in enumerate(names):
+        column, texts[col] = texts[col], None
+        known = [text != _MISSING_VALUE for text in column]
         try:
-            columns.append([v if v is None else float(v) for v in texts])
+            values = np.array([float(t) if k else 0.0 for t, k in zip(column, known)])
+            cats, bad = None, ~np.isfinite(values)
+            message = "non-finite value {!r}"
         except ValueError:
-            columns.append(texts)
+            cats = tuple(sorted(set(column) - {_MISSING_VALUE}))
+            code = {c: i for i, c in enumerate(cats)}
+            values = np.array([code.get(t, -1) for t in column])
+            bad = np.isin(values, [code[c] for c in cats if "," in c])
+            message = "category {!r} contains ','"
+        columns.append(FeatureColumn(values, np.array(known, dtype=bool), cats))
+        if bad.any():   # the column's first fault
+            row = int(bad.argmax())
+            faults.append((row, col, f"feature {name!r}: {message.format(column[row])}"))
     try:
-        schema = FeatureSchema.infer(names, columns)
+        schema = FeatureSchema.infer(names, [c.categories or () for c in columns])
     except CorpusError as exc:      # only the header's names can be at fault
         raise CorpusError(f"{path}:{header_line}: {exc}") from None
-
-    # (row, column, message) per fault; a repeated key is column -1, so it
-    # comes before its row's values
-    first: dict[tuple[str, int], int] = {}
-    faults = [(row, -1, f"duplicate prosody row for {key} (first at line "
-                        f"{linenos[first[key]]})")
-              for row, key in enumerate(keys) if first.setdefault(key, row) != row]
-    for col, (name, kind, values) in enumerate(zip(names, schema.kinds, columns)):
-        if kind == "continuous":
-            faults += [(row, col, f"feature {name!r}: non-finite value "
-                                  f"{rows[row][col]!r}")
-                       for row, x in enumerate(values)
-                       if x is not None and not math.isfinite(x)]
-        else:
-            faults += [(row, col, f"feature {name!r}: category {v!r} "
-                                  f"contains ','")
-                       for row, v in enumerate(values) if v and "," in v]
     if faults:
         row, _, message = min(faults)
         raise CorpusError(f"{path}:{linenos[row]}: {message}")
-    return schema, {key: FeatureVector(dict(zip(names, values)))
-                    for key, values in zip(keys, zip(*columns))}
+    table = FeatureTable(zip(names, columns))
+    return schema, {key: FeatureVector(table, row) for key, row in first.items()}
 
 
 def serialize_prosody(schema: FeatureSchema,
@@ -477,15 +524,10 @@ def serialize_prosody(schema: FeatureSchema,
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(schema.names) + "\n")
         for (conv_id, idx) in sorted(table):
-            cells = []
-            for name in schema.names:
-                v = table[(conv_id, idx)].values.get(name)
-                if v is None:
-                    cells.append(_MISSING_VALUE)
-                elif isinstance(v, float):
-                    cells.append(repr(v))
-                else:
-                    cells.append(str(v))
+            values = table[(conv_id, idx)].values       # one view per row
+            cells = [_MISSING_VALUE if v is None else repr(v)
+                     if isinstance(v, float) else str(v)
+                     for v in map(values.get, schema.names)]
             fh.write(f"{conv_id}\t{idx}\t" + "\t".join(cells) + "\n")
 
 

@@ -8,13 +8,13 @@ earliest subset in enumeration order).  Samples with a missing value follow
 the side that received the majority of the non-missing samples; the
 direction is recorded on the node and reused at prediction time.
 
-Training encodes the samples once into arrays (float values, category
-codes, class indices) and scores candidates from class counts: per node, a
-continuous feature costs one sort, with left counts read off a cumulative
-count for every midpoint; the 2^(k-1) subsets of a categorical feature
-with k categories are a blocked matrix product of subset membership and
-per-category class counts, still exponential in k.  Lookup sends a batch
-of feature vectors down the tree together, one test per node.
+Training gathers each feature's column once from the samples' tables
+(float values, category codes) and scores candidates from class counts:
+per node, a continuous feature costs one sort, with left counts read off a
+cumulative count for every midpoint; the 2^(k-1) subsets of a categorical
+feature with k categories are a blocked matrix product of subset
+membership and per-category class counts, still exponential in k.  Lookup
+sends a batch of feature vectors down the tree together, one test per node.
 
 Leaves store class posteriors (training frequencies).  For use as HMM
 evidence, posteriors are converted to scaled likelihoods P(F|U) ~ P(U|F) /
@@ -30,7 +30,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import FeatureSchema, FeatureVector, TagSet, content_lines
+from .corpus import (FeatureColumn, FeatureSchema, FeatureVector, TagSet,
+                     content_lines)
 from .hmm import LikelihoodTable
 from .ngram import left_sum
 
@@ -110,50 +111,62 @@ def _gini(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return 1.0 - p.sum(axis=1)
 
 
-@dataclass(frozen=True)
-class _Column:
-    """One feature over a batch of feature vectors.
-
-    Continuous: float values (0.0 where missing).  Categorical: integer
-    codes into ``categories`` (sorted distinct strings), -1 where missing.
-    """
-
-    values: np.ndarray
-    known: np.ndarray
-    categories: tuple[str, ...] | None
-
-    @classmethod
-    def of(cls, name: str, continuous: bool, raw: Sequence) -> "_Column":
-        known = np.array([v is not None for v in raw], dtype=bool)
-        if continuous:
-            try:
-                values = np.array([0.0 if v is None else float(v) for v in raw])
-            except (TypeError, ValueError):
-                raise ProsodyError(f"feature {name!r}: a value is not a "
-                                   f"number") from None
-            return cls(values, known, None)
-        cats = tuple(sorted({str(v) for v in raw if v is not None}))
-        code = {c: i for i, c in enumerate(cats)}
-        return cls(np.array([-1 if v is None else code[str(v)] for v in raw],
-                            dtype=np.intp), known, cats)
-
-    def members(self, categories: frozenset[str]) -> np.ndarray:
-        """Per code, whether its category is in ``categories``; indexing
-        with a missing value's code -1 reads the extra last entry, False."""
-        return np.array([c in categories for c in self.categories] + [False])
+def _rows_by_table(fvs: Sequence[FeatureVector]) -> list:
+    """(table, positions in the batch, rows of the table) per distinct
+    table of the batch, in first-seen order."""
+    batch: dict[int, list[int]] = {}
+    for pos, fv in enumerate(fvs):
+        batch.setdefault(id(fv.table), []).append(pos)
+    return [(fvs[at[0]].table, np.array(at), np.array([fvs[p].row for p in at]))
+            for at in batch.values()]
 
 
-def _encode(schema: FeatureSchema, fvs: Sequence[FeatureVector]) -> list[_Column]:
+def _gather(groups: list, n: int, name: str, continuous: bool):
+    """Feature ``name`` of a batch of ``n`` vectors, read by row index from
+    each table of :func:`_rows_by_table`: per vector whether it lacks the
+    feature, and the batch's column.  Categories (numbers too, as text) are
+    coded over the distinct ones the batch holds, in sorted order."""
+    absent, known = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    values = np.zeros(n) if continuous else np.full(n, -1, dtype=np.intp)
+    parts = []      # (positions, codes, categories, codes held) to convert
+    for table, at, rows in groups:
+        col = table.get(name)
+        absent[at] = col is None
+        if col is None:
+            continue
+        known[at], codes, cats = col.known[rows], col.values[rows], col.categories
+        if cats is None and continuous:
+            values[at] = codes
+            continue
+        if cats is None:                    # numbers as text, one per row
+            cats, codes = codes.tolist(), np.where(known[at], np.arange(len(at)), -1)
+        held = np.bincount(codes[codes >= 0], minlength=len(cats))
+        parts.append((at, codes, cats, np.flatnonzero(held).tolist()))
+    texts = () if continuous else sorted(
+        {str(cats[c]) for _, _, cats, held in parts for c in held})
+    code = {text: i for i, text in enumerate(texts)}
+    for at, codes, cats, held in parts:     # a missing value's -1 reads lut[-1]
+        lut = np.full(len(cats) + 1, 0.0 if continuous else -1, values.dtype)
+        try:
+            lut[held] = [float(cats[c]) if continuous else code[str(cats[c])]
+                         for c in held]
+        except (TypeError, ValueError):
+            raise ProsodyError(f"feature {name!r}: a value is not a "
+                               f"number") from None
+        values[at] = lut[codes]
+    return absent, FeatureColumn(values, known,
+                                 None if continuous else tuple(texts))
+
+
+def _encode(schema: FeatureSchema, fvs: Sequence[FeatureVector]) -> dict[str, FeatureColumn]:
     """Training columns in schema order; every vector must hold every feature."""
-    columns = []
+    groups, columns = _rows_by_table(fvs), {}
     for name, kind in zip(schema.names, schema.kinds):
-        if any(name not in fv.values for fv in fvs):
+        if any(name not in table for table, _, _ in groups):
             raise ProsodyError(f"feature {name!r} missing from sample schema")
-        col = _Column.of(name, kind == "continuous",
-                         [fv.values[name] for fv in fvs])
-        if col.categories is None:
-            _check_finite(name, col.values)
-        columns.append(col)
+        _, columns[name] = _gather(groups, len(fvs), name, kind == "continuous")
+        if kind == "continuous":
+            _check_finite(name, columns[name].values)
     return columns
 
 
@@ -223,9 +236,21 @@ def _subset_candidates(codes: np.ndarray, labels: np.ndarray, n_classes: int,
             lambda j, member=member: present[member[j].astype(bool)]
 
 
-def _best_split(columns: list[_Column], labels: np.ndarray, rows: np.ndarray,
-                n_classes: int, min_leaf: int):
-    """Best (feature index, threshold, categories, missing_left, left mask).
+def _goes_left(col: FeatureColumn, rows: np.ndarray, node: Node) -> np.ndarray:
+    """Per row, whether ``node``'s split on ``col`` sends it left: a finite
+    value <= threshold, or a category in the set (a missing value's code -1
+    reads the extra last entry, False), else the side missing values take."""
+    values = col.values[rows]
+    if col.categories is None:
+        _check_finite(node.feature, values)
+        return np.where(col.known[rows], values <= node.threshold, node.missing_left)
+    members = np.array([c in node.categories for c in col.categories] + [False])
+    return np.where(col.known[rows], members[values], node.missing_left)
+
+
+def _best_split(columns: dict[str, FeatureColumn], labels: np.ndarray,
+                rows: np.ndarray, n_classes: int, min_leaf: int):
+    """Best (split node without children, left mask).
 
     Every candidate of every feature is scored from class counts; the first
     strictly best gain above 1e-12 wins, so ties go to the lowest feature,
@@ -238,7 +263,7 @@ def _best_split(columns: list[_Column], labels: np.ndarray, rows: np.ndarray,
     parent_gini = _gini(parent[None], np.array([n]))[0]
     best_gain, best = 1e-12, None
 
-    for fi, col in enumerate(columns):
+    for name, col in columns.items():
         known = col.known[rows]
         values = col.values[rows][known]
         if not len(values):
@@ -266,22 +291,17 @@ def _best_split(columns: list[_Column], labels: np.ndarray, rows: np.ndarray,
             j = int(np.argmax(gain))
             if gain[j] > best_gain:
                 best_gain = gain[j]
-                best = (fi, pick(ok[j]), bool(missing_left[ok[j]]))
+                best = (name, pick(ok[j]), bool(missing_left[ok[j]]))
 
     if best is None:
         return None
-    fi, test, missing_left = best
-    col = columns[fi]
-    values = col.values[rows]
-    if col.categories is None:
-        threshold, categories = test, None
-        goes_left = values <= threshold
-    else:
-        threshold = None
-        categories = frozenset(col.categories[c] for c in test)
-        goes_left = col.members(categories)[values]
-    left = np.where(col.known[rows], goes_left, missing_left)
-    return fi, threshold, categories, missing_left, left
+    name, test, missing_left = best
+    col = columns[name]
+    continuous = col.categories is None
+    split = Node(feature=name, threshold=test if continuous else None,
+                 missing_left=missing_left, categories=None if continuous else
+                 frozenset(col.categories[c] for c in test))
+    return split, _goes_left(col, rows, split)
 
 
 def train_tree(schema: FeatureSchema,
@@ -316,11 +336,10 @@ def train_tree(schema: FeatureSchema,
         if not pure and not at_depth and len(rows) >= 2 * config.min_leaf:
             found = _best_split(columns, labels, rows, k, config.min_leaf)
             if found is not None:
-                fi, threshold, categories, missing_left, left = found
-                return Node(feature=schema.names[fi], threshold=threshold,
-                            categories=categories, missing_left=missing_left,
-                            left=grow(rows[left], depth + 1),
-                            right=grow(rows[~left], depth + 1))
+                node, left = found
+                node.left = grow(rows[left], depth + 1)
+                node.right = grow(rows[~left], depth + 1)
+                return node
         return Node(posterior=tuple(float(x) for x in counts / counts.sum()))
 
     root = grow(np.arange(len(samples)), 0)
@@ -337,7 +356,8 @@ def _route(tree: DecisionTree,
     """
     leaf_of = np.empty(len(fvs), dtype=np.intp)
     reached: list[Node] = []
-    columns: dict[tuple[str, bool], tuple[np.ndarray, _Column]] = {}
+    groups = _rows_by_table(fvs)
+    columns: dict[tuple[str, bool], tuple[np.ndarray, FeatureColumn]] = {}
     stack = [(tree.root, np.arange(len(fvs)))]
     while stack:
         node, rows = stack.pop()
@@ -347,20 +367,12 @@ def _route(tree: DecisionTree,
             continue
         key = (node.feature, node.threshold is not None)
         if key not in columns:
-            columns[key] = (
-                np.array([node.feature not in fv.values for fv in fvs], dtype=bool),
-                _Column.of(node.feature, key[1],
-                           [fv.values.get(node.feature) for fv in fvs]))
+            columns[key] = _gather(groups, len(fvs), *key)
         absent, col = columns[key]
         if absent[rows].any():
             raise ProsodyError(f"feature {node.feature!r} queried by the tree "
                                f"is absent from the probe's schema")
-        if col.categories is None:
-            _check_finite(node.feature, col.values[rows])
-            test = col.values[rows] <= node.threshold
-        else:
-            test = col.members(node.categories)[col.values[rows]]
-        go_left = np.where(col.known[rows], test, node.missing_left)
+        go_left = _goes_left(col, rows, node)
         for child, mask in ((node.right, ~go_left), (node.left, go_left)):
             if mask.any():
                 stack.append((child, rows[mask]))

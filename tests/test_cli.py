@@ -681,6 +681,44 @@ def test_eval_rejects_a_second_prediction_for_one_utterance(
         f"first is on line 1)" in capsys.readouterr().err
 
 
+def test_eval_rejects_a_prediction_for_an_utterance_the_reference_lacks(
+        tmp_path, capsys):
+    ref = tmp_path / "ref.tsv"
+    ref.write_text("c0\t0\tA\tS\ta\nc0\t1\tB\tQ\tb\n")
+    (tmp_path / "tags.txt").write_text("S\nQ\n")
+    pred = tmp_path / "pred.tsv"
+    pred.write_text("c0\t0\tS\t-\n# c9 is no reference conversation\n"
+                    "c9\t0\tQ\t-\nc0\t1\tQ\t-\nc0\t7\tS\t-\n")
+    rc = cli.main(["eval", "--reference", str(ref), "--predictions",
+                   str(pred), "--tagset", str(tmp_path / "tags.txt")])
+    assert rc == 1
+    assert (f"error: {pred}:3: prediction for c9:0, which the reference "
+            f"lacks\n" in capsys.readouterr().err)
+
+
+def test_a_prosody_tree_of_another_tag_set_fails_at_load(workdir, tmp_path,
+                                                         capsys):
+    tags = tmp_path / "two.txt"
+    tags.write_text("Statement\nQuestion\n"
+                    "collapse\tQuestion\tBackchannel/Acknowledge\n")
+    other = tmp_path / "other"
+    assert cli.main(["train", "--corpus", str(workdir / "corpus.tsv"),
+                     "--models", str(other), "--tagset", str(tags),
+                     "--prosody", str(workdir / "prosody.tsv")]) == 0
+    swapped = tmp_path / "swapped"
+    shutil.copytree(workdir / "models", swapped)
+    shutil.copy(other / "prosody.tree", swapped / "prosody.tree")
+    capsys.readouterr()
+    rc = cli.main(["tag", "--models", str(swapped), "--corpus",
+                   str(workdir / "corpus.tsv"), "--prosody",
+                   str(workdir / "prosody.tsv")])
+    assert rc == 1
+    assert (f"error: {swapped / 'prosody.tree'}:2: tree classes differ from "
+            f"the labels of tagset.txt\n" in capsys.readouterr().err)
+    # the directory the tree came from still loads
+    assert cli.load_models(other).tree.classes == ("Statement", "Question")
+
+
 # ---------------------------------------------------------------------------
 # Determinism and exit codes
 # ---------------------------------------------------------------------------

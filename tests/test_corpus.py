@@ -231,6 +231,19 @@ def test_nbest_round_trip(tmp_path):
     assert parse_nbest(path) == table
 
 
+def test_readers_keep_one_string_per_distinct_token(tmp_path):
+    corpus_path, nbest_path = tmp_path / "c.tsv", tmp_path / "n.tsv"
+    corpus_path.write_text("c1\t0\tA\tS\tso we did\nc1\t1\tB\tS\tand so\n")
+    nbest_path.write_text("c1\t0\t1\t-1.0\tso we\nc1\t1\t1\t-2.0\tyes so\n")
+    first, second = parse_conversations(corpus_path)[0]
+    assert first.words[0] is second.words[1]
+    assert first.da_label is second.da_label
+    table = parse_nbest(nbest_path)
+    (a, _), (b, _) = table
+    assert a is b
+    assert table[a, 0].first.words[0] is table[b, 1].first.words[1]
+
+
 def test_nbest_rank_gap_rejected(tmp_path):
     path = tmp_path / "n.tsv"
     path.write_text("c1\t0\t1\t-1.0\ta\nc1\t0\t3\t-2.0\tb\n")
@@ -283,6 +296,43 @@ def test_prosody_round_trip(tmp_path):
     schema2, table2 = parse_prosody(path)
     assert schema2 == schema
     assert table2 == table
+
+
+def test_prosody_file_round_trips_byte_identical(tmp_path):
+    schema = FeatureSchema(("f0", "energy", "gender", "gone"),
+                           ("continuous", "continuous", "categorical",
+                            "continuous"))
+    table = {("c1", i): FeatureVector({
+        "f0": [0.1, -0.0, 1e-300, None, 123456.789][i],
+        "energy": [2.0, 1 / 3, None, -7.25, 5e22][i],
+        "gender": ["f", None, "m", "f", "x y"][i], "gone": None})
+        for i in range(5)}
+    table[("c0", 2)] = FeatureVector({"f0": 3.5, "energy": 0.0,
+                                      "gender": "m", "gone": None})
+    first, again = tmp_path / "p.tsv", tmp_path / "again.tsv"
+    serialize_prosody(schema, table, first)
+    schema2, parsed = parse_prosody(first)
+    assert schema2 == schema and parsed == table
+    # values read back from the columns as Python floats, texts and None
+    assert [type(parsed[("c1", 1)][n]) for n in schema.names] == \
+        [float, float, type(None), type(None)]
+    serialize_prosody(schema2, parsed, again)
+    assert again.read_bytes() == first.read_bytes()
+
+
+def test_parsed_feature_vectors_are_read_only_row_views(tmp_path):
+    path = tmp_path / "p.tsv"
+    path.write_text("f0\tgender\nc1\t0\t1.5\tf\nc1\t1\tNA\tf\n")
+    _, table = parse_prosody(path)
+    one, two = table[("c1", 0)], table[("c1", 1)]
+    assert one.table is two.table
+    assert one.values == {"f0": 1.5, "gender": "f"}
+    assert one["gender"] is two["gender"]
+    assert "f0" in one and "pitch" not in one
+    assert two.values.get("f0") is None and two.values.get("pitch") is None
+    with pytest.raises(TypeError):
+        one.values["f0"] = 2.0
+    assert one == FeatureVector({"f0": 1.5, "gender": "f"}) != two
 
 
 def test_prosody_kind_inference(tmp_path):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from dialact import prosody
 from dialact.corpus import (Conversation, FeatureSchema, FeatureVector, TagSet,
-                            Utterance)
+                            Utterance, parse_prosody)
 from dialact.prosody import (DecisionTree, Node, ProsodyError, TreeConfig,
                              load_tree, prosody_likelihood_tables,
                              serialize_tree, train_tree, tree_posterior,
@@ -610,6 +610,78 @@ def test_tables_equal_the_per_utterance_walk(priors):
             if utt.prosody is not None:
                 assert (tree_posterior(tree, utt.prosody)
                         == oracle_tree_posterior(tree, utt.prosody)).all()
+
+
+def test_table_backed_vectors_train_and_route_as_dict_built_ones(tmp_path):
+    # parsed vectors are row views of one column table; a dict-built vector
+    # is a one-row table of its own; both must give the same trees, bytes
+    # and leaves, also in a batch mixing tables with different features
+    rng = random.Random(41)
+    lines = ["f\tg\tsite"]
+    labels = []
+    for i in range(160):
+        label = rng.choice("SQB")
+        # "dd" is in the file but only on rows the tree never trains on
+        site = "dd" if i >= 120 and i % 3 == 0 else rng.choice(
+            ["aa", "bb", "cc", "NA"])
+        g = "NA" if rng.random() < 0.2 else repr(rng.gauss(2, 3))
+        lines.append(f"c{i // 40}\t{i % 40}\t"
+                     f"{rng.gauss('SQB'.index(label), 1)!r}\t{g}\t{site}")
+        labels.append(label)
+    path = tmp_path / "p.tsv"
+    path.write_text("\n".join(lines) + "\n")
+    schema, table = parse_prosody(path)
+    assert schema.kinds == ("continuous", "continuous", "categorical")
+    parsed = [table[(f"c{i // 40}", i % 40)] for i in range(160)]
+    built = [FeatureVector(dict(fv.values)) for fv in parsed]
+    assert parsed == built and parsed[0].table is parsed[1].table
+    # mixed: every other vector hand-built, some with extra features and
+    # keys in another order
+    mixed = [fv if i % 2 else FeatureVector(
+        {"site": fv["site"], "extra": i, **dict(fv.values)} if i % 4
+        else dict(fv.values)) for i, fv in enumerate(parsed)]
+    config = TreeConfig(min_leaf=4)
+    train = slice(0, 120)
+    trees = [train_tree(schema, list(zip(batch[train], labels[train])),
+                        config, classes=("S", "Q", "B"))
+             for batch in (parsed, built, mixed)]
+    oracle = oracle_train_tree(schema, list(zip(built[train], labels[train])),
+                               config, classes=("S", "Q", "B"))
+    want = tree_bytes(oracle, tmp_path, "oracle")
+    assert trees[0].depth() >= 3 and b"in\t" in want
+    for n, tree in enumerate(trees):
+        assert tree_bytes(tree, tmp_path, f"tree{n}") == want
+    tree = trees[0]
+    reached, leaf_of = prosody._route(tree, parsed)
+    for batch in (built, mixed):
+        again, again_of = prosody._route(tree, batch)
+        assert [reached[j] for j in leaf_of] == [again[j] for j in again_of]
+    for fv in mixed:
+        assert (tree_posterior(tree, fv)
+                == oracle_tree_posterior(tree, fv)).all()
+
+
+def test_parsed_columns_read_at_the_kind_a_node_tests(tmp_path):
+    # a node may test a feature at another kind than the probe file gave
+    # it: numbers then read as their text, categories as numbers
+    path = tmp_path / "p.tsv"
+    path.write_text("x\ty\nc\t0\t1.5\t2\nc\t1\tNA\tz\nc\t2\t-0.0\t0.5\n")
+    _, table = parse_prosody(path)
+    probes = [table[("c", i)] for i in range(3)]
+    leaves = (Node(posterior=(1.0, 0.0)), Node(posterior=(0.0, 1.0)))
+    by_text = DecisionTree(("S", "Q"), SCHEMA1, Node(
+        feature="x", categories=frozenset({"-0.0"}), missing_left=False,
+        left=leaves[0], right=leaves[1]), (0.5, 0.5))
+    by_number = DecisionTree(("S", "Q"), SCHEMA1, Node(
+        feature="y", threshold=1.0, left=leaves[0], right=leaves[1]),
+        (0.5, 0.5))
+    for tree, batch in ((by_text, probes), (by_number, probes[::2])):
+        reached, leaf_of = prosody._route(tree, batch)
+        assert [reached[j].posterior for j in leaf_of] == \
+            [tuple(oracle_tree_posterior(tree, fv)) for fv in batch]
+    assert [reached[j] for j in leaf_of] == [leaves[1], leaves[0]]
+    with pytest.raises(ProsodyError, match="'y': a value is not a number"):
+        tree_posterior(by_number, probes[1])
 
 
 def test_batched_lookup_reports_an_absent_feature_only_where_it_is_tested():
