@@ -28,12 +28,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import math
 import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
+
+import numpy as np
 
 from .corpus import (Conversation, CorpusError, FeatureSchema, TagSet,
                      content_lines, default_tagset, located, load_tagset,
@@ -321,24 +324,27 @@ def cmd_tag(args) -> int:
     tables = [combine_likelihoods(w, p, weights)
               for w, p in zip(word_tables, prosody_tables)]
 
-    # conversation id -> (label, posterior text) per utterance
-    predicted: dict[str, list[tuple[str, str]]] = {}
+    # conversation id -> (label per utterance, posterior array or None)
+    predicted: dict[str, tuple] = {}
     if args.decoder == "viterbi":
         for table, (path, _) in zip(tables, viterbi_corpus(grammar, tables)):
-            predicted[table.conversation_id] = [(lab, "-") for lab in path]
+            predicted[table.conversation_id] = (path, None)
     else:
         for table, posts in zip(tables, forward_backward_corpus(
                 grammar, tables, online=args.online)):
-            predicted[table.conversation_id] = [
-                (table.labels[j], repr(p)) for j, p in
-                zip(posts.argmax(axis=1).tolist(), posts.max(axis=1).tolist())]
+            predicted[table.conversation_id] = (
+                np.array(table.labels, dtype=object)[posts.argmax(axis=1)],
+                posts.max(axis=1))
 
     with _out_stream(args.output) as fh:
         for conv_id in sorted(predicted):
+            labels, best = predicted[conv_id]
+            texts = itertools.repeat("-") if best is None \
+                else map(repr, best.tolist())
             fh.writelines(f"{conv_id}\t{i}\t{lab}\t{post}\n" for i, (lab, post)
-                          in enumerate(predicted[conv_id]))
+                          in enumerate(zip(labels, texts)))
 
-    report = _accuracy(convs, tagset, lambda c, i: predicted[c][i][0])
+    report = _accuracy(convs, tagset, lambda c, i: predicted[c][0][i])
     if report is not None:
         stream = sys.stdout if args.output != "-" else sys.stderr
         stream.write(report.format())

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import contextlib
 import importlib.resources
+import itertools
 import math
 import random
+from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
 from types import MappingProxyType
@@ -56,6 +58,11 @@ def _read_text(path) -> str:
         raise CorpusError(f"{path}:{lineno}: not UTF-8 ({exc.reason})") from None
 
 
+# Lines are split from slices of about this many characters of the decoded
+# text, so no list of every line of a file is built.
+_SLICE = 1 << 16
+
+
 def content_lines(path: str | Path, nfields: int | None = None,
                   sep: str | None = "\t") -> Iterator[tuple[int, list[str]]]:
     """Yield (1-based line number, fields) for each content line of a file.
@@ -63,16 +70,25 @@ def content_lines(path: str | Path, nfields: int | None = None,
     Blank lines and lines whose first non-blank character is '#' are
     skipped.  Fields are split on ``sep`` (None: on any whitespace); with
     ``nfields``, a line holding another number of fields is an error.
+    The file is decoded whole, then split into lines by ``str.splitlines``
+    one slice of about 64 KiB at a time.  Each slice ends just after a
+    '\\n', which ends a line under every ``splitlines`` rule, so the lines
+    and their numbers are those of the whole text.
     """
-    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
-        head = line.lstrip()
-        if not head or head[0] == "#":
-            continue
-        fields = line.split(sep)
-        if nfields is not None and len(fields) != nfields:
-            raise CorpusError(f"{path}:{lineno}: expected {nfields} "
-                              f"tab-separated fields, got {len(fields)}")
-        yield lineno, fields
+    text, start, lineno = _read_text(path), 0, 0
+    while start < len(text):
+        end = text.find("\n", start + _SLICE) + 1 or len(text)
+        for lineno, line in enumerate(text[start:end].splitlines(),
+                                      lineno + 1):
+            head = line.lstrip()
+            if not head or head[0] == "#":
+                continue
+            fields = line.split(sep)
+            if nfields is not None and len(fields) != nfields:
+                raise CorpusError(f"{path}:{lineno}: expected {nfields} "
+                                  f"tab-separated fields, got {len(fields)}")
+            yield lineno, fields
+        start = end
 
 
 @contextlib.contextmanager
@@ -456,66 +472,168 @@ def serialize_nbest(table: Mapping[tuple[str, int], NBestList], path: str | Path
 # Prosody file I/O
 # ---------------------------------------------------------------------------
 
-def parse_prosody(path: str | Path) -> tuple[FeatureSchema, dict[tuple[str, int], FeatureVector]]:
+# Prosody rows whose field texts are held before each column converts them.
+_CHUNK = 4096
+
+
+class _ColumnReader:
+    """One prosody column, converted a chunk of texts at a time: to floats
+    while every value but "NA" parses as one, else to codes of its distinct
+    texts.  Keeps the first faulty value's (row, message)."""
+
+    def __init__(self) -> None:
+        self.parts: list[tuple[int, np.ndarray, np.ndarray]] = []
+        # text -> code, in first-seen order, once the column is categorical
+        self.code: dict[str, int] | None = None
+        self.fault: tuple[int, str] | None = None
+        self.reread = 0     # rows read as floats before the column failed one
+
+    def add(self, texts: list[str], base: int) -> None:
+        """Convert ``texts``, the values of rows ``base`` on."""
+        known = [text != _MISSING_VALUE for text in texts]
+        if self.code is None:
+            try:
+                values = np.array([float(t) if k else 0.0
+                                   for t, k in zip(texts, known)])
+            except ValueError:  # categorical: earlier rows are read again
+                self.parts, self.fault = [], None
+                self.code, self.reread = {}, base
+            else:
+                self._first(texts, ~np.isfinite(values), base,
+                            "non-finite value {!r}")
+                self.parts.append((base, values, np.array(known, dtype=bool)))
+                return
+        codes = np.array([self.code.setdefault(t, len(self.code)) if k else -1
+                          for t, k in zip(texts, known)], dtype=np.intp)
+        self._first(texts, np.array([k and "," in t for t, k in
+                                     zip(texts, known)], dtype=bool),
+                    base, "category {!r} contains ','")
+        self.parts.append((base, codes, np.array(known, dtype=bool)))
+
+    def _first(self, texts, bad: np.ndarray, base: int, message: str) -> None:
+        if bad.any():
+            row = int(bad.argmax())
+            if self.fault is None or base + row < self.fault[0]:
+                self.fault = (base + row, message.format(texts[row]))
+
+    def column(self) -> FeatureColumn:
+        self.parts.sort(key=lambda part: part[0])
+        values = np.concatenate([values for _, values, _ in self.parts])
+        known = np.concatenate([known for _, _, known in self.parts])
+        if self.code is None:
+            return FeatureColumn(values, known)
+        cats = tuple(sorted(self.code))     # codes become ranks; -1 stays
+        rank = {c: i for i, c in enumerate(cats)}
+        lut = np.array([rank[text] for text in self.code] + [-1])
+        return FeatureColumn(lut[values], known, cats)
+
+
+class _ProsodyRows(Mapping):
+    """(conv_id, index) -> :class:`FeatureVector` of a parsed prosody file:
+    one row index per conversation over one :class:`FeatureTable`, and a
+    view made per lookup.  Keys iterate in file order."""
+
+    def __init__(self, table: FeatureTable,
+                 rows: dict[str, tuple[int, dict[int, int]]],
+                 order: Sequence[int]) -> None:
+        self._table, self._rows, self._order = table, rows, order
+
+    def __getitem__(self, key) -> FeatureVector:
+        try:
+            conv_id, index = key
+            return FeatureVector(self._table, self._rows[conv_id][1][index])
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(key) from None
+
+    def __iter__(self):
+        # order holds each row's conversation, and a conversation's keys
+        # are in its row order
+        convs = [(conv_id, iter(rows)) for conv_id, (_, rows)
+                 in self._rows.items()]
+        for pos in self._order:
+            conv_id, keys = convs[pos]
+            yield conv_id, next(keys)
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+
+def parse_prosody(path: str | Path) -> tuple[
+        FeatureSchema, Mapping[tuple[str, int], FeatureVector]]:
     """Read a prosodic feature file whose first content line names the
     features into one :class:`FeatureTable` and a view of one row per key.
     Each column is converted once, to floats if every value but "NA"
     (missing) parses as one, else to codes of its distinct texts, and
-    :meth:`FeatureSchema.infer` gives the kinds.  Continuous values must be
-    finite, categories may not contain "," (the tree file's separator), and
-    keys may not repeat: the first faulty row is reported, a repeated key
-    before its values."""
+    :meth:`FeatureSchema.infer` gives the kinds.  Texts are held and
+    converted a chunk of rows at a time; a column that fails a float only
+    after earlier chunks parsed reads their texts again.  Continuous values
+    must be finite, categories may not contain "," (the tree file's
+    separator), and keys may not repeat: the first faulty row is reported,
+    a repeated key before its values."""
     lines = content_lines(path)
     header_line, names = next(lines, (1, None))
     if names is None:
         raise CorpusError(f"{path}:1: empty prosody file")
     names = tuple(names)
-    texts = [[] for _ in names]     # per column, filled row by row
-    linenos, first = [], {}         # first: key -> its first row
-    ids = {}.setdefault             # one str per conversation id
-    # (row, column, message) per fault; a repeated key is column -1, so it
-    # comes before its row's values
-    faults = []
+    readers = [_ColumnReader() for _ in names]
+    texts = [[] for _ in names]     # per column, the chunk's texts
+    # per conversation id its position and index -> row; per row its
+    # conversation's position and its line
+    rows: dict[str, tuple[int, dict[int, int]]] = {}
+    order, linenos = array("i"), array("q")
+    repeat = None                   # the first repeated key's (row, message)
+
+    def convert():
+        base = len(linenos) - len(texts[0])
+        for reader, chunk in zip(readers, texts):
+            reader.add(chunk, base)
+            chunk.clear()
+
     with located(lambda _: f"{path}:{lineno}: bad utterance index"):
         for lineno, fields in lines:
             if len(fields) != 2 + len(names):
                 raise CorpusError(f"{path}:{lineno}: expected "
                                   f"{2 + len(names)} fields, got {len(fields)}")
-            key = (ids(fields[0], fields[0]), int(fields[1]))
-            if first.setdefault(key, len(linenos)) != len(linenos):
-                faults.append((len(linenos), -1, f"duplicate prosody row for "
-                               f"{key} (first at line {linenos[first[key]]})"))
+            index = int(fields[1])
+            if fields[0] not in rows:
+                rows[fields[0]] = (len(rows), {})
+            pos, conv = rows[fields[0]]
+            first = conv.setdefault(index, len(linenos))
+            if first != len(linenos) and repeat is None:
+                repeat = (len(linenos), f"duplicate prosody row for "
+                          f"{(fields[0], index)} (first at line "
+                          f"{linenos[first]})")
+            order.append(pos)
             linenos.append(lineno)
-            for column, text in zip(texts, fields[2:]):
-                column.append(text)
+            for chunk, text in zip(texts, fields[2:]):
+                chunk.append(text)
+            if len(texts[0]) == _CHUNK:
+                convert()
+    convert()
+    for col, reader in enumerate(readers):
+        if reader.reread:           # the chunks it read as floats, again
+            again = content_lines(path)
+            next(again)
+            for base in range(0, reader.reread, _CHUNK):
+                reader.add([fields[2 + col] for _, fields in
+                            itertools.islice(again, _CHUNK)], base)
 
-    columns = []
-    for col, name in enumerate(names):
-        column, texts[col] = texts[col], None
-        known = [text != _MISSING_VALUE for text in column]
-        try:
-            values = np.array([float(t) if k else 0.0 for t, k in zip(column, known)])
-            cats, bad = None, ~np.isfinite(values)
-            message = "non-finite value {!r}"
-        except ValueError:
-            cats = tuple(sorted(set(column) - {_MISSING_VALUE}))
-            code = {c: i for i, c in enumerate(cats)}
-            values = np.array([code.get(t, -1) for t in column])
-            bad = np.isin(values, [code[c] for c in cats if "," in c])
-            message = "category {!r} contains ','"
-        columns.append(FeatureColumn(values, np.array(known, dtype=bool), cats))
-        if bad.any():   # the column's first fault
-            row = int(bad.argmax())
-            faults.append((row, col, f"feature {name!r}: {message.format(column[row])}"))
+    columns = [reader.column() for reader in readers]
     try:
         schema = FeatureSchema.infer(names, [c.categories or () for c in columns])
     except CorpusError as exc:      # only the header's names can be at fault
         raise CorpusError(f"{path}:{header_line}: {exc}") from None
+    # (row, column, message); a repeated key is column -1, so it comes
+    # before its row's values
+    faults = [(row, col, f"feature {name!r}: {message}")
+              for col, (name, reader) in enumerate(zip(names, readers))
+              if reader.fault for row, message in [reader.fault]]
+    if repeat:
+        faults.append((repeat[0], -1, repeat[1]))
     if faults:
         row, _, message = min(faults)
         raise CorpusError(f"{path}:{linenos[row]}: {message}")
-    table = FeatureTable(zip(names, columns))
-    return schema, {key: FeatureVector(table, row) for key, row in first.items()}
+    return schema, _ProsodyRows(FeatureTable(zip(names, columns)), rows, order)
 
 
 def serialize_prosody(schema: FeatureSchema,

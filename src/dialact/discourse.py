@@ -24,7 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import SPEAKERS, Conversation, CorpusError, TagSet, _read_text
+from .corpus import (SPEAKERS, Conversation, CorpusError, TagSet, _read_text,
+                     content_lines)
 from .ngram import (END, START, UNK, NGramModel, _logsumexp, left_sum,
                     read_arpa, train_ngram, write_arpa)
 
@@ -265,4 +266,15 @@ def load_discourse(path: str | Path, tagset: TagSet) -> DiscourseGrammar:
     if model.order != order:
         raise CorpusError(f"{path}:1: header order {order} != model order "
                           f"{model.order}")
+    # every token the view makes of the tag set, as train_discourse builds
+    # the vocabulary: a grammar of another tag set would read <unk>'s column
+    token = DiscourseGrammar.uniform(tagset, variant)._token
+    missing = next((tok for lab in tagset.labels for spk in SPEAKERS
+                    if (tok := token(lab, spk)) not in model.vocab), None)
+    if missing is not None:
+        line = next((n for n, f in content_lines(path)
+                     if f[0].strip() == "\\1-grams:"), 1)
+        raise CorpusError(f"{path}:{line}: no grammar token {missing!r} for "
+                          f"a label of the tag set (is the grammar from "
+                          f"another tag set?)")
     return DiscourseGrammar(tagset, variant, order, model)

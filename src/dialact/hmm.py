@@ -36,16 +36,24 @@ labels, Viterbi paths and reruns are unchanged, with one BLAS thread or
 many.
 
 Decoding is batched over a corpus.  The distinct pattern arrays of the
-corpus are stacked once, and each conversation indexes them at every
+corpus are stacked once (each utterance's pattern coded as an integer
+window over the speakers), and each conversation indexes them at every
 utterance.  Conversations are sorted by length and decoded together,
-start-aligned, in groups whose alpha array (utterances x rows x states)
-and step buffers stay within ``DECODE_BUDGET`` = 2^19 elements (4 MB of
-float64); a conversation over it on its own decodes alone.  A row is a
-conversation, or in fusion tuning a conversation at one scale beta.
-Padded steps rule out every label, each conversation's end array enters the
-backward sweep at its own last step, and the backward sweep adds each
-block's betas into alpha in place, so no beta array over the whole group
-is kept.  Results are bit-identical to decoding each conversation alone.
+start-aligned, in groups whose posteriors, kept scores and block buffers
+stay within ``DECODE_BUDGET`` = 2^19 elements (4 MB of float64); a
+conversation over it on its own decodes alone.  A row is a conversation,
+or in fusion tuning a conversation at one scale beta.  Padded steps rule
+out every label, and each conversation's end array enters the backward
+sweep at its own last step.  Forward-backward holds no array over every
+step of a group but its posteriors: the forward sweep runs through one
+buffer of 32 steps and keeps the scores before each block, and the
+backward sweep, last block first, reruns each block's forward from those
+scores (the last block is still in the buffer), adds the block's betas
+and normalizes it: checkpointing, as in Grice, Hughey & Speck (1997,
+"Reduced space sequence alignment").  The rerun repeats each step's
+arithmetic and its underflow guard, so the posteriors are those of one
+alpha over the group, bit for bit, and results are bit-identical to
+decoding each conversation alone.
 
 Evidence enters through :class:`LikelihoodTable`: per-utterance natural-log
 likelihoods, one column per label.  Decoders:
@@ -268,24 +276,34 @@ def _compile(grammar, tables: Sequence[LikelihoodTable],
         prior = _COMPILED[grammar] = _CompiledPrior(grammar)
     m = prior.m
     blind = not getattr(grammar, "uses_speakers", True)
+    # each speaker pattern (the speakers of the last m utterances and of the
+    # current one, None before the conversation) is a window of integer
+    # speaker codes, and the distinct windows of the corpus get rows of
+    # ``trans`` in first-seen order
+    symbol = {None: 0}
+    step_row: dict[tuple, int] = {}
     steps, ends = [], []
     for table in tables:
-        speakers = (None,) * m + (("",) * len(table) if blind
-                                  else tuple(table.speakers))
-        steps.append([speakers[i:i + m + 1] for i in range(len(table))])
-        ends.append(speakers[-m:])
-    step_row = {p: k for k, p in
-                enumerate(dict.fromkeys(itertools.chain(*steps)))}
+        codes = [0] * m + [symbol.setdefault(spk, len(symbol)) for spk in (
+            itertools.repeat("", len(table)) if blind else table.speakers)]
+        ends.append(tuple(codes[len(table):]))
+        windows = zip(*(itertools.islice(codes, j, None)
+                        for j in range(m + 1)))
+        steps.append(np.fromiter((step_row.setdefault(w, len(step_row))
+                                  for w in windows),
+                                 dtype=np.intp, count=len(table)))
+    names = list(symbol)
     end_row = {p: k for k, p in enumerate(dict.fromkeys(ends))}
     t = len(prior.labels)
     cells = len(step_row) * (t + 1) ** m * t * (3 if products else 1)
     if cells > _COMPILE_CELLS:
         raise ValueError(f"an order-{grammar.order} grammar over {t} labels "
                          f"needs {cells} cells; the limit is {_COMPILE_CELLS}")
-    trans = np.stack([prior.transition(grammar, p) for p in step_row])
+    trans = np.stack([prior.transition(grammar, tuple(names[c] for c in p))
+                      for p in step_row])
     comp = _Compiled(
-        trans, np.stack([prior.end(grammar, p) for p in end_row]),
-        [np.array([step_row[p] for p in s], dtype=np.intp) for s in steps],
+        trans, np.stack([prior.end(grammar, tuple(names[c] for c in p))
+                         for p in end_row]), steps,
         np.array([end_row[p] for p in ends], dtype=np.intp))
     if not products:
         return comp
@@ -317,21 +335,29 @@ def _groups(lengths: Sequence[int], per_step: int,
 
 
 def _gather(comp: _Compiled, group: list[int], liks: Sequence[np.ndarray],
-            scales: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Start-aligned pattern rows (n, c) of a group and its evidence
-    (n, c, b, t) at each of b ``scales``, and the positions in the group
-    of the conversations ending at each step.  Padded steps use pattern
-    row 0 and rule out every label, so no product of theirs trips the
-    underflow guard."""
-    n = max(len(liks[k]) for k in group)
-    idx = np.zeros((n, len(group)), dtype=np.intp)
-    lik = np.full((n, len(group), len(scales), comp.trans.shape[-1]), -np.inf)
+            scales: np.ndarray, lo: int, hi: int
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Start-aligned pattern rows (hi - lo, c) of steps lo..hi-1 of a group
+    and their evidence (hi - lo, c, b, t) at each of b ``scales``.  Steps
+    past a conversation's end use pattern row 0 and rule out every label,
+    so no product of theirs trips the underflow guard."""
+    idx = np.zeros((hi - lo, len(group)), dtype=np.intp)
+    lik = np.full((hi - lo, len(group), len(scales), comp.trans.shape[-1]),
+                  -np.inf)
+    for j, k in enumerate(group):
+        end = min(hi, len(liks[k]))
+        if end > lo:
+            idx[:end - lo, j] = comp.steps[k][lo:end]
+            lik[:end - lo, j] = liks[k][lo:end, None] * scales[:, None]
+    return idx, lik
+
+
+def _ending(group: list[int], liks: Sequence[np.ndarray]) -> dict:
+    """The positions in the group of the conversations ending at each step."""
     ending: dict[int, list[int]] = {}
     for j, k in enumerate(group):
-        idx[:len(liks[k]), j] = comp.steps[k]
-        lik[:len(liks[k]), j] = liks[k][:, None] * scales[:, None]
         ending.setdefault(len(liks[k]) - 1, []).append(j)
-    return idx, lik, ending
+    return ending
 
 
 def _underflow(prods: np.ndarray, evid: np.ndarray, shifts: np.ndarray):
@@ -346,115 +372,119 @@ def _underflow(prods: np.ndarray, evid: np.ndarray, shifts: np.ndarray):
 
 
 def _forward(comp: _Compiled, idx: np.ndarray, lik: np.ndarray,
-             alpha: np.ndarray) -> None:
-    """Fill ``alpha`` (n, c, b, states) with the forward log scores.
+             prev: np.ndarray, alpha: np.ndarray) -> None:
+    """Fill ``alpha`` (k, c, b, states), whose "before the conversation"
+    column holds -inf, with the forward log scores of the k steps of
+    ``idx`` and ``lik``, from ``prev``, the scores before the first step
+    laid out (c, b, oldest label, rest of the state).
 
     Step i multiplies, for each conversation and rest of the state, the
     (b, t+1) rows exp(alpha[i-1] - P) over the oldest label by the
     compiled exp(T - M), and stores P + M + log(product) + evidence.
     """
-    n, c, b, size, t = alpha.shape[:4] + (alpha.shape[4] - 1,)
-    blk = min(_BLOCK, n)
-    start = np.full((c, b, t + 1, size), -np.inf)
-    start[..., -1, -1] = 0.0             # every axis "before the conversation"
-    hist = alpha.reshape(n, c, b, t + 1, size)      # (oldest label, rest)
+    blk, c, b, size, t = alpha.shape[:4] + (alpha.shape[4] - 1,)
+    hist = alpha.reshape(blk, c, b, t + 1, size)    # (oldest label, rest)
     rows = np.empty((c, size, b, t + 1))
     rows_in = rows.transpose(0, 2, 3, 1)
     prods = np.empty((blk, c, size, b, t))
     shifts = np.empty((blk, c, b, size, 1))
-    for lo in range(0, n, blk):
-        hi = min(lo + blk, n)
-        tables = comp.fwd[idx[lo:hi]]
-        evid = comp.fwd_max[idx[lo:hi]][:, :, None] + lik[lo:hi, :, :, None]
-        first = lo
-        while first < hi:
-            for i in range(first, hi):
-                k = i - lo
-                prev = hist[i - 1] if i else start
-                shift = np.maximum.reduce(prev, axis=2, keepdims=True,
-                                          out=shifts[k].reshape(c, b, 1, size))
-                np.maximum(shift, _FLOOR, out=shift)
-                np.subtract(prev, shift, out=rows_in)
-                np.exp(rows, out=rows)
-                np.matmul(rows, tables[k], out=prods[k])
-                np.log(prods[k], out=prods[k])
-                out = alpha[i, ..., :t]
-                np.add(prods[k].transpose(0, 2, 1, 3), evid[k], out=out)
-                out += shifts[k]
-            found = _underflow(prods[first - lo:hi - lo],
-                               evid[first - lo:].transpose(0, 1, 3, 2, 4),
-                               shifts[first - lo:hi - lo].transpose(
-                                   0, 1, 3, 2, 4))
-            if found is None:
-                break
-            i = first + found[0]
-            cc, rr, bb, jj = np.nonzero(found[1])
-            prev = hist[i - 1] if i else start
-            alpha[i, cc, bb, rr, jj] = _logsumexp(
-                prev[cc, bb, :, rr] + comp.trans[idx[i, cc], :, rr, jj],
-                axis=1) + lik[i, cc, bb, jj]
-            first = i + 1
+    tables = comp.fwd[idx]
+    evid = comp.fwd_max[idx][:, :, None] + lik[:, :, :, None]
+    first = 0
+    while first < blk:
+        for i in range(first, blk):
+            before = hist[i - 1] if i else prev
+            shift = np.maximum.reduce(before, axis=2, keepdims=True,
+                                      out=shifts[i].reshape(c, b, 1, size))
+            np.maximum(shift, _FLOOR, out=shift)
+            np.subtract(before, shift, out=rows_in)
+            np.exp(rows, out=rows)
+            np.matmul(rows, tables[i], out=prods[i])
+            np.log(prods[i], out=prods[i])
+            out = alpha[i, ..., :t]
+            np.add(prods[i].transpose(0, 2, 1, 3), evid[i], out=out)
+            out += shifts[i]
+        found = _underflow(prods[first:],
+                           evid[first:].transpose(0, 1, 3, 2, 4),
+                           shifts[first:].transpose(0, 1, 3, 2, 4))
+        if found is None:
+            break
+        i = first + found[0]
+        cc, rr, bb, jj = np.nonzero(found[1])
+        before = hist[i - 1] if i else prev
+        alpha[i, cc, bb, rr, jj] = _logsumexp(
+            before[cc, bb, :, rr] + comp.trans[idx[i, cc], :, rr, jj],
+            axis=1) + lik[i, cc, bb, jj]
+        first = i + 1
 
 
 def _backward(comp: _Compiled, idx: np.ndarray, lik: np.ndarray,
-              ends: np.ndarray, ending: dict, alpha: np.ndarray) -> None:
-    """Add the backward log scores into ``alpha``, giving the joint.
+              beta: np.ndarray, ends: np.ndarray, ending: dict, lo: int,
+              betas: np.ndarray) -> None:
+    """Fill ``betas`` (k, c, b, states) with the backward log scores of
+    steps lo + k - 1 down to lo, the j-th of them at j, from ``beta``, the
+    scores of step lo + k; ``idx`` and ``lik`` hold steps lo..lo + k.
 
     Step i multiplies, for each conversation and rest of the state, the
     (b, t) rows exp(evidence + beta[i+1] - P) over the next label by the
     compiled exp(T - N); each conversation's end array (``ends``, one row
     per conversation) enters at its own last step.
     """
-    n, c, b, size, t = alpha.shape[:4] + (alpha.shape[4] - 1,)
-    blk = min(_BLOCK, n)
-    beta = np.broadcast_to(ends, (c, b, size, t + 1))
-    alpha[n - 1] += beta
+    blk, c, b, size, t = betas.shape[:4] + (betas.shape[4] - 1,)
+    top = lo + blk
     nxt = np.empty((c, b, size, t))
     rows = np.empty((c, size, b, t))
     rows_in = rows.transpose(0, 2, 1, 3)
     prods = np.empty((blk, c, size, b, t + 1))
     shifts = np.empty((blk, c, b, size, 1))
-    betas = np.empty((blk, c, b, size, t + 1))
     hist = betas.reshape(blk, c, b, t + 1, size)    # (oldest label, rest)
-    # a block runs steps hi - 1 down to lo, the k-th of them at k
-    for hi in range(n - 1, 0, -blk):
-        lo = max(hi - blk, 0)
-        tables = comp.bwd[idx[hi:lo:-1]]
-        evid = comp.bwd_max[idx[hi:lo:-1]][:, :, None]
-        first = 0
-        while first < hi - lo:
-            for k in range(first, hi - lo):
-                np.add(lik[hi - k][:, :, None],
-                       (betas[k - 1] if k else beta)[..., :t], out=nxt)
-                shift = np.maximum.reduce(nxt, axis=-1, keepdims=True,
-                                          out=shifts[k])
-                np.maximum(shift, _FLOOR, out=shift)
-                np.subtract(nxt, shift, out=rows_in)
-                np.exp(rows, out=rows)
-                np.matmul(rows, tables[k], out=prods[k])
-                np.log(prods[k], out=prods[k])
-                np.add(prods[k].transpose(0, 2, 3, 1), evid[k], out=hist[k])
-                hist[k] += shift.reshape(c, b, 1, size)
-                last = ending.get(hi - 1 - k)
-                if last:
-                    betas[k][last] = ends[last]
-            found = _underflow(prods[first:hi - lo],
-                               evid[first:].transpose(0, 1, 4, 2, 3),
-                               shifts[first:hi - lo].transpose(0, 1, 3, 2, 4))
-            if found is None:
-                break
-            k = first + found[0]
-            cc, rr, bb, oo = np.nonzero(found[1])
-            np.add(lik[hi - k][:, :, None],
+    tables = comp.bwd[idx[blk:0:-1]]
+    evid = comp.bwd_max[idx[blk:0:-1]][:, :, None]
+    first = 0
+    while first < blk:
+        for k in range(first, blk):
+            np.add(lik[blk - k][:, :, None],
                    (betas[k - 1] if k else beta)[..., :t], out=nxt)
-            hist[k, cc, bb, oo, rr] = _logsumexp(
-                comp.trans[idx[hi - k, cc], oo, rr] + nxt[cc, bb, rr], axis=1)
-            last = ending.get(hi - 1 - k)
+            shift = np.maximum.reduce(nxt, axis=-1, keepdims=True,
+                                      out=shifts[k])
+            np.maximum(shift, _FLOOR, out=shift)
+            np.subtract(nxt, shift, out=rows_in)
+            np.exp(rows, out=rows)
+            np.matmul(rows, tables[k], out=prods[k])
+            np.log(prods[k], out=prods[k])
+            np.add(prods[k].transpose(0, 2, 3, 1), evid[k], out=hist[k])
+            hist[k] += shift.reshape(c, b, 1, size)
+            last = ending.get(top - 1 - k)
             if last:
                 betas[k][last] = ends[last]
-            first = k + 1
-        alpha[lo:hi] += betas[hi - lo - 1::-1]
-        beta = betas[hi - lo - 1].copy()
+        found = _underflow(prods[first:],
+                           evid[first:].transpose(0, 1, 4, 2, 3),
+                           shifts[first:].transpose(0, 1, 3, 2, 4))
+        if found is None:
+            break
+        k = first + found[0]
+        cc, rr, bb, oo = np.nonzero(found[1])
+        np.add(lik[blk - k][:, :, None],
+               (betas[k - 1] if k else beta)[..., :t], out=nxt)
+        hist[k, cc, bb, oo, rr] = _logsumexp(
+            comp.trans[idx[blk - k, cc], oo, rr] + nxt[cc, bb, rr], axis=1)
+        last = ending.get(top - 1 - k)
+        if last:
+            betas[k][last] = ends[last]
+        first = k + 1
+
+
+def _normalize(joint: np.ndarray, lengths: list[int], lo: int,
+               out: np.ndarray) -> None:
+    """Write into ``out`` (k, c, b, t) the label posteriors of the joint
+    log scores (k, c, b, states) of steps lo..lo+k-1; padded steps get
+    z = 0 rather than a -inf - -inf."""
+    rows = _logsumexp(joint, axis=3)[..., :out.shape[-1]]
+    z = _logsumexp(rows, axis=-1)
+    z[np.arange(lo, lo + len(joint))[:, None] >= lengths] = 0.0
+    if (z == -np.inf).any():
+        raise ValueError("utterance with no admissible label")
+    np.exp(rows - z[..., None], out=out)
 
 
 @np.errstate(divide="ignore")
@@ -465,29 +495,52 @@ def _group_posteriors(comp: _Compiled, group: list[int],
 
     Returns the posteriors as (n, c, b, t) for c conversations, b scales
     and the longest conversation's n utterances; a conversation's steps
-    past its own length are padding.
+    past its own length are padding.  The forward sweep runs through one
+    buffer of ``_BLOCK`` steps and keeps the scores before each block (and
+    ``online`` normalizes each block as it goes).  The backward sweep takes
+    the blocks last first: it reruns a block's forward from its scores
+    (the last block is still in the buffer), adds the block's betas and
+    normalizes it.  The rerun repeats every step's arithmetic, so the
+    posteriors are bit-identical to those of one alpha over the group.
     """
-    idx, lik, ending = _gather(comp, group, liks, scales)
-    n, c, b, t = lik.shape
-    size = comp.trans.shape[2]
-    alpha = np.full((n, c, b, size, t + 1), -np.inf)
-    _forward(comp, idx, lik, alpha)
-    if not online:
-        _backward(comp, idx, lik,
-                  comp.end[comp.ends[group]].reshape(c, 1, size, t + 1),
-                  ending, alpha)
-    # normalize in blocks of steps, so the temporaries stay small next to
-    # alpha; padded steps get z = 0 rather than a -inf - -inf
-    pad = np.arange(n)[:, None] >= [len(liks[k]) for k in group]
-    block = max(1, DECODE_BUDGET // (32 * c * b * size * (t + 1)))
+    lengths = [len(liks[k]) for k in group]
+    n, c, b = max(lengths), len(group), len(scales)
+    _, _, size, t = comp.trans.shape
+    blocks = [(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
+    alpha = np.full((blocks[0][1], c, b, size, t + 1), -np.inf)
+    before = np.full((c, b, size, t + 1), -np.inf)
+    before[..., -1, -1] = 0.0           # every axis "before the conversation"
+    saved = []                          # the scores before each block
     out = np.empty((n, c, b, t))
-    for lo in range(0, n, block):
-        rows = _logsumexp(alpha[lo:lo + block], axis=3)[..., :t]
-        z = _logsumexp(rows, axis=-1)
-        z[pad[lo:lo + block]] = 0.0
-        if (z == -np.inf).any():
-            raise ValueError("utterance with no admissible label")
-        np.exp(rows - z[..., None], out=out[lo:lo + block])
+    for lo, hi in blocks:
+        if not online:
+            saved.append(before)
+        _forward(comp, *_gather(comp, group, liks, scales, lo, hi),
+                 before.reshape(c, b, t + 1, size), alpha[:hi - lo])
+        if online:
+            _normalize(alpha[:hi - lo], lengths, lo, out[lo:hi])
+        before = alpha[hi - lo - 1].copy()
+    if online:
+        return out
+    ends = comp.end[comp.ends[group]].reshape(c, 1, size, t + 1)
+    ending = _ending(group, liks)
+    beta = np.broadcast_to(ends, (c, b, size, t + 1))
+    betas = np.empty_like(alpha)
+    for lo, hi in reversed(blocks):
+        top = min(hi, n - 1)            # the step whose betas the block reads
+        idx, lik = _gather(comp, group, liks, scales, lo, top + 1)
+        if hi < n:
+            _forward(comp, idx[:hi - lo], lik[:hi - lo],
+                     saved[lo // _BLOCK].reshape(c, b, t + 1, size),
+                     alpha[:hi - lo])
+        else:
+            alpha[hi - lo - 1] += beta
+        if top > lo:
+            _backward(comp, idx, lik, beta, ends, ending, lo,
+                      betas[:top - lo])
+            alpha[:top - lo] += betas[top - lo - 1::-1]
+            beta = betas[top - lo - 1].copy()
+        _normalize(alpha[:hi - lo], lengths, lo, out[lo:hi])
     return out
 
 
@@ -496,13 +549,16 @@ def _posteriors(comp: _Compiled, liks: Sequence[np.ndarray],
     """Posteriors of each conversation, (b, n, t) for its evidence ``liks``
     scaled by each of the b ``scales``."""
     _, _, size, t = comp.trans.shape
-    # beyond alpha, a conversation holds four steps' worth of buffers and,
-    # per step of a block, its gathered tables (t / b steps' worth) and at
-    # most four steps' worth of evidence, products, betas and guard masks
-    extra = 4 + _BLOCK * (-(-t // len(scales)) + 4)
+    b, states = len(scales), size * (t + 1)
+    # per utterance, a conversation holds its posteriors and its share of
+    # the scores kept before each block; per step of a block, its alpha
+    # and beta buffers and at most four steps' worth of evidence, products,
+    # joint scores and guard masks, and its gathered tables (t / b steps'
+    # worth)
+    per_step = b * t + -(-b * states // _BLOCK)
+    extra = -(-_BLOCK * states * (6 * b + t) // per_step)
     out: list[np.ndarray] = [np.empty(0)] * len(liks)
-    for group in _groups([len(lik) for lik in liks],
-                         len(scales) * size * (t + 1), extra):
+    for group in _groups([len(lik) for lik in liks], per_step, extra):
         posts = _group_posteriors(comp, group, liks, scales, online)
         for j, k in enumerate(group):
             out[k] = posts[:len(liks[k]), j].transpose(1, 0, 2)
@@ -538,8 +594,10 @@ def _group_viterbi(comp: _Compiled, group: list[int],
                    liks: Sequence[np.ndarray]) -> list:
     """Viterbi over one group: per conversation, its (label indices, log
     joint score), or the ValueError its own decode raises."""
-    idx, lik, ending = _gather(comp, group, liks, _UNSCALED)
-    n, c, _, t = lik.shape               # lik: (n, c, 1, t)
+    n = max(len(liks[k]) for k in group)
+    idx, lik = _gather(comp, group, liks, _UNSCALED, 0, n)
+    ending = _ending(group, liks)
+    c, t = len(group), lik.shape[-1]     # lik: (n, c, 1, t)
     size = comp.trans.shape[2]
     score = np.full((c, t + 1, size), -np.inf)
     score[:, -1, -1] = 0.0               # every axis "before the conversation"

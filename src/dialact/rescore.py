@@ -230,9 +230,10 @@ def rescore_corpus(convs: Sequence[Conversation], grammar,
     DA posteriors come from forward-backward over n-best word evidence using
     ``da_lms`` (the unsmoothed classification set); hypothesis probabilities
     use ``rescoring_lms`` (typically the smoothed set; defaults to
-    ``da_lms``).  Per conversation, each distinct word sequence (hypothesis
-    or reference) is scored once under every model of both sets, and the
-    evidence, every method and every perplexity read those scores.
+    ``da_lms``).  In each group of utterances, each distinct word sequence
+    (hypothesis or reference) is scored once under every model of both
+    sets, and the evidence, every method and every perplexity read those
+    scores.
     Utterances without recognizer output are skipped and reported.
     """
     for m in methods:
@@ -278,16 +279,16 @@ def rescore_corpus(convs: Sequence[Conversation], grammar,
     tokens = 0
     def decoded():
         # every distinct hypothesis and reference, scored once under every
-        # model of the group of conversations it falls in, and the group's
-        # conversations decoded together
-        for tables, scores, row_of in _scored_evidence(
+        # model of the group of utterances it falls in, and the
+        # conversations each group completes decoded together
+        for tables, held in _scored_evidence(
                 engine, subs, labels, "nbest", scaling, references=True):
-            for table, posts in zip(tables,
-                                    forward_backward_corpus(grammar, tables)):
-                yield table.conversation_id, posts, scores, row_of
+            yield from zip(tables, forward_backward_corpus(grammar, tables),
+                           held)
 
-    for kept, (conv_id, posts, scores, row_of) in zip(kept_utts, decoded()):
-        for row, utt in zip(posts, kept):
+    for kept, (table, posts, held) in zip(kept_utts, decoded()):
+        conv_id = table.conversation_id
+        for row, utt, scores in zip(posts, kept, held):
             key = (conv_id, utt.index)
             post = posteriors[key] = {lab: float(p) for lab, p in
                                       zip(labels, row)}
@@ -295,9 +296,8 @@ def rescore_corpus(convs: Sequence[Conversation], grammar,
             if utt.da_label is not None:
                 true_labels[key] = da_lms.tagset.collapse(utt.da_label)
             nbest = utt.nbest
-            lm = scores[[row_of[h.words] for h in nbest]]
+            lm, ref = scores[:-1], scores[-1]
             scaled = scaling.hyp_scores(nbest, lm)
-            ref = scores[row_of[words]]
             for method in methods:
                 if method == "mixture_of_lms":
                     mix_post = [post[lab] for lab in rescoring_lms.labels]

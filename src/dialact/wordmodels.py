@@ -15,6 +15,7 @@ Evidence for the decoder comes in three modes:
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -152,66 +153,80 @@ def _evidence_sequences(utt, mode: str) -> tuple[tuple[str, ...], ...]:
     return tuple(h.words for h in utt.nbest)
 
 
-# Conversations are scored in groups holding at most this many (sequence,
-# scorer) scores and (event window, scorer) scores together (a conversation
+# Utterances are scored in groups holding at most this many (sequence,
+# scorer) scores and (event window, scorer) scores together (an utterance
 # larger than that is a group of its own), so the scores alive at once stay
-# near 512 KB at any corpus size.
+# near 512 KB at any corpus or conversation size.
 _GROUP_CELLS = 1 << 16
 
 
 def _scored_evidence(engine: CompiledModelSet, convs: Sequence[Conversation],
                      labels: tuple[str, ...], mode: str, scaling: ScoreScaling,
                      references: bool = False):
-    """Yield ``(tables, scores, row_of)`` for each group of conversations.
+    """Yield ``(tables, held)`` each time a group of utterances is scored.
 
     The first ``len(labels)`` scorers of ``engine`` are the class models of
-    ``labels``; ``tables`` holds each conversation's evidence table from
-    them, in input order.  ``scores`` holds one row per distinct word
-    sequence of the group (``row_of`` maps a sequence to its row) and one
-    column per scorer of ``engine``.  The sequences are those the evidence
-    reads, plus every utterance's own words when ``references`` is set.
+    ``labels``.  Each distinct word sequence of a group is scored once under
+    every scorer; the sequences are those the evidence reads, plus every
+    utterance's own words when ``references`` is set.  A conversation may
+    span groups: ``tables`` holds the evidence table of each conversation
+    whose last utterance the group scored, in input order, assembled from
+    its groups.  With ``references``, ``held`` holds per such table one
+    array per utterance, the scores of its evidence sequences and then of
+    its own words (rows) under every scorer (columns); else it is None.
     """
-    group: list[Conversation] = []
+    t = len(labels)
+    # per conversation begun and not yet yielded: [conversation, its
+    # evidence rows in blocks, its held arrays, the sequence rows of its
+    # utterances awaiting the next flush]
+    pending: list[list] = []
     row_of: dict[tuple[str, ...], int] = {}
     cells = 0
 
     def flush():
         scores = engine.score(list(row_of))
-        tables = []
-        for conv in group:
-            index = [[row_of[seq] for seq in _evidence_sequences(utt, mode)]
-                     for utt in conv]
+        for conv, parts, held, index in pending:
+            if not index:
+                continue
+            scored = sum(map(len, parts))
+            utts = conv.utterances[scored:scored + len(index)]
             if mode == "nbest":
                 # the acoustic-weighted hypothesis sum of every label
                 rows = [_logsumexp(scaling.hyp_scores(
-                    utt.nbest, scores[i, :len(labels)]), axis=0)
-                    for utt, i in zip(conv, index)]
+                    utt.nbest, scores[i[:len(utt.nbest)], :t]), axis=0)
+                    for utt, i in zip(utts, index)]
             else:
-                rows = scores[[i[0] for i in index], :len(labels)]
-            tables.append(LikelihoodTable(
-                conv.conv_id, labels, conv.speakers,
-                np.reshape(rows, (len(conv), len(labels)))))
-        return tables, scores, row_of
+                rows = scores[[i[0] for i in index], :t]
+            parts.append(np.reshape(rows, (len(index), t)))
+            if references:
+                held += [scores[i] for i in index]
+            index.clear()
+        done = list(itertools.takewhile(
+            lambda entry: sum(map(len, entry[1])) == len(entry[0]), pending))
+        del pending[:len(done)]
+        return ([LikelihoodTable(conv.conv_id, labels, conv.speakers,
+                                 np.concatenate([np.empty((0, t)), *parts]))
+                 for conv, parts, _, _ in done],
+                [held for _, _, held, _ in done] if references else None)
 
     for conv in convs:
-        seqs = []
+        pending.append([conv, [], [], []])
         for utt in conv:
             if mode != "true_words" and utt.nbest is None:
                 raise ValueError(f"{conv.conv_id}:{utt.index}: mode "
                                  f"{mode!r} needs an n-best list")
-            seqs += _evidence_sequences(utt, mode)
+            seqs = _evidence_sequences(utt, mode)
             if references:
-                seqs.append(utt.words)
-        # a sequence adds a row of scores and at most len + 1 windows
-        cost = engine.n_scorers * sum(len(seq) + 2 for seq in seqs)
-        if group and cells + cost > _GROUP_CELLS:
-            yield flush()
-            group, row_of, cells = [], {}, 0
-        cells += cost
-        group.append(conv)
-        for seq in seqs:
-            row_of.setdefault(seq, len(row_of))
-    if group:
+                seqs += (utt.words,)
+            # a sequence adds a row of scores and at most len + 1 windows
+            cost = engine.n_scorers * sum(len(seq) + 2 for seq in seqs)
+            if row_of and cells + cost > _GROUP_CELLS:
+                yield flush()
+                row_of, cells = {}, 0
+            cells += cost
+            pending[-1][3].append([row_of.setdefault(seq, len(row_of))
+                                   for seq in seqs])
+    if pending:
         yield flush()
 
 
@@ -228,7 +243,7 @@ def word_likelihood_tables(da_lms: DaLmSet, convs: Sequence[Conversation],
         raise ValueError(f"mode must be one of {MODES}")
     labels = da_lms.labels
     engine = CompiledModelSet([da_lms.models[lab] for lab in labels])
-    return [table for tables, _, _ in
+    return [table for tables, _ in
             _scored_evidence(engine, convs, labels, mode, scaling)
             for table in tables]
 

@@ -705,16 +705,28 @@ def test_a_prosody_tree_of_another_tag_set_fails_at_load(workdir, tmp_path,
     assert cli.main(["train", "--corpus", str(workdir / "corpus.tsv"),
                      "--models", str(other), "--tagset", str(tags),
                      "--prosody", str(workdir / "prosody.tsv")]) == 0
-    swapped = tmp_path / "swapped"
-    shutil.copytree(workdir / "models", swapped)
-    shutil.copy(other / "prosody.tree", swapped / "prosody.tree")
-    capsys.readouterr()
-    rc = cli.main(["tag", "--models", str(swapped), "--corpus",
-                   str(workdir / "corpus.tsv"), "--prosody",
-                   str(workdir / "prosody.tsv")])
-    assert rc == 1
-    assert (f"error: {swapped / 'prosody.tree'}:2: tree classes differ from "
-            f"the labels of tagset.txt\n" in capsys.readouterr().err)
+    grams = next(n for n, line in enumerate(
+        (other / "discourse.arpa").read_text().splitlines(), 1)
+        if line == "\\1-grams:")
+    # each file of the other directory in turn, the first naming its
+    # classes line, the second its unigram section
+    for name, line, message in (
+            ("prosody.tree", 2, "tree classes differ from the labels of "
+                                "tagset.txt"),
+            ("discourse.arpa", grams, "no grammar token "
+                                      "'Backchannel/Acknowledge·A' for a "
+                                      "label of the tag set (is the grammar "
+                                      "from another tag set?)")):
+        swapped = tmp_path / f"swapped_{name}"
+        shutil.copytree(workdir / "models", swapped)
+        shutil.copy(other / name, swapped / name)
+        capsys.readouterr()
+        rc = cli.main(["tag", "--models", str(swapped), "--corpus",
+                       str(workdir / "corpus.tsv"), "--prosody",
+                       str(workdir / "prosody.tsv")])
+        assert rc == 1
+        assert (f"error: {swapped / name}:{line}: {message}\n"
+                in capsys.readouterr().err)
     # the directory the tree came from still loads
     assert cli.load_models(other).tree.classes == ("Statement", "Question")
 

@@ -803,3 +803,199 @@ def test_padded_rows_emit_no_warnings():
             for online in (False, True):
                 forward_backward_corpus(grammar, tables, online)
             viterbi_corpus(grammar, tables)
+
+
+# ---------------------------------------------------------------------------
+# Checkpointed forward-backward against one alpha over the whole group
+# ---------------------------------------------------------------------------
+
+def whole_group_gather(comp, group, liks, scales):
+    """Pattern rows (n, c), evidence (n, c, b, t) and the positions ending
+    at each step, of every step of a group at once."""
+    n = max(len(liks[k]) for k in group)
+    idx = np.zeros((n, len(group)), dtype=np.intp)
+    lik = np.full((n, len(group), len(scales), comp.trans.shape[-1]), -np.inf)
+    ending = {}
+    for j, k in enumerate(group):
+        idx[:len(liks[k]), j] = comp.steps[k]
+        lik[:len(liks[k]), j] = liks[k][:, None] * scales[:, None]
+        ending.setdefault(len(liks[k]) - 1, []).append(j)
+    return idx, lik, ending
+
+
+def whole_group_forward(comp, idx, lik, alpha):
+    """Fill ``alpha`` (n, c, b, size, t+1) with the forward log scores, in
+    blocks of steps whose underflow guard is checked together."""
+    n, c, b, size, t = alpha.shape[:4] + (alpha.shape[4] - 1,)
+    blk = min(hmm._BLOCK, n)
+    start = np.full((c, b, t + 1, size), -np.inf)
+    start[..., -1, -1] = 0.0
+    hist = alpha.reshape(n, c, b, t + 1, size)
+    rows = np.empty((c, size, b, t + 1))
+    rows_in = rows.transpose(0, 2, 3, 1)
+    prods = np.empty((blk, c, size, b, t))
+    shifts = np.empty((blk, c, b, size, 1))
+    for lo in range(0, n, blk):
+        hi = min(lo + blk, n)
+        tables = comp.fwd[idx[lo:hi]]
+        evid = comp.fwd_max[idx[lo:hi]][:, :, None] + lik[lo:hi, :, :, None]
+        first = lo
+        while first < hi:
+            for i in range(first, hi):
+                k = i - lo
+                prev = hist[i - 1] if i else start
+                shift = np.maximum.reduce(prev, axis=2, keepdims=True,
+                                          out=shifts[k].reshape(c, b, 1, size))
+                np.maximum(shift, hmm._FLOOR, out=shift)
+                np.subtract(prev, shift, out=rows_in)
+                np.exp(rows, out=rows)
+                np.matmul(rows, tables[k], out=prods[k])
+                np.log(prods[k], out=prods[k])
+                out = alpha[i, ..., :t]
+                np.add(prods[k].transpose(0, 2, 1, 3), evid[k], out=out)
+                out += shifts[k]
+            found = hmm._underflow(prods[first - lo:hi - lo],
+                                   evid[first - lo:].transpose(0, 1, 3, 2, 4),
+                                   shifts[first - lo:hi - lo].transpose(
+                                       0, 1, 3, 2, 4))
+            if found is None:
+                break
+            i = first + found[0]
+            cc, rr, bb, jj = np.nonzero(found[1])
+            prev = hist[i - 1] if i else start
+            alpha[i, cc, bb, rr, jj] = hmm._logsumexp(
+                prev[cc, bb, :, rr] + comp.trans[idx[i, cc], :, rr, jj],
+                axis=1) + lik[i, cc, bb, jj]
+            first = i + 1
+
+
+def whole_group_backward(comp, idx, lik, ends, ending, alpha):
+    """Add the backward log scores into ``alpha``, block by block from the
+    last step."""
+    n, c, b, size, t = alpha.shape[:4] + (alpha.shape[4] - 1,)
+    blk = min(hmm._BLOCK, n)
+    beta = np.broadcast_to(ends, (c, b, size, t + 1))
+    alpha[n - 1] += beta
+    nxt = np.empty((c, b, size, t))
+    rows = np.empty((c, size, b, t))
+    rows_in = rows.transpose(0, 2, 1, 3)
+    prods = np.empty((blk, c, size, b, t + 1))
+    shifts = np.empty((blk, c, b, size, 1))
+    betas = np.empty((blk, c, b, size, t + 1))
+    hist = betas.reshape(blk, c, b, t + 1, size)
+    for hi in range(n - 1, 0, -blk):
+        lo = max(hi - blk, 0)
+        tables = comp.bwd[idx[hi:lo:-1]]
+        evid = comp.bwd_max[idx[hi:lo:-1]][:, :, None]
+        first = 0
+        while first < hi - lo:
+            for k in range(first, hi - lo):
+                np.add(lik[hi - k][:, :, None],
+                       (betas[k - 1] if k else beta)[..., :t], out=nxt)
+                shift = np.maximum.reduce(nxt, axis=-1, keepdims=True,
+                                          out=shifts[k])
+                np.maximum(shift, hmm._FLOOR, out=shift)
+                np.subtract(nxt, shift, out=rows_in)
+                np.exp(rows, out=rows)
+                np.matmul(rows, tables[k], out=prods[k])
+                np.log(prods[k], out=prods[k])
+                np.add(prods[k].transpose(0, 2, 3, 1), evid[k], out=hist[k])
+                hist[k] += shift.reshape(c, b, 1, size)
+                last = ending.get(hi - 1 - k)
+                if last:
+                    betas[k][last] = ends[last]
+            found = hmm._underflow(prods[first:hi - lo],
+                                   evid[first:].transpose(0, 1, 4, 2, 3),
+                                   shifts[first:hi - lo].transpose(
+                                       0, 1, 3, 2, 4))
+            if found is None:
+                break
+            k = first + found[0]
+            cc, rr, bb, oo = np.nonzero(found[1])
+            np.add(lik[hi - k][:, :, None],
+                   (betas[k - 1] if k else beta)[..., :t], out=nxt)
+            hist[k, cc, bb, oo, rr] = hmm._logsumexp(
+                comp.trans[idx[hi - k, cc], oo, rr] + nxt[cc, bb, rr], axis=1)
+            last = ending.get(hi - 1 - k)
+            if last:
+                betas[k][last] = ends[last]
+            first = k + 1
+        alpha[lo:hi] += betas[hi - lo - 1::-1]
+        beta = betas[hi - lo - 1].copy()
+
+
+@np.errstate(divide="ignore")
+def whole_group_posteriors(comp, group, liks, scales, online):
+    """Forward-backward over one group with one alpha (n, c, b, states)
+    over every step, normalized in blocks of steps: the oracle of the
+    checkpointed decoder, which holds one block of steps and the scores
+    before each block."""
+    idx, lik, ending = whole_group_gather(comp, group, liks, scales)
+    n, c, b, t = lik.shape
+    size = comp.trans.shape[2]
+    alpha = np.full((n, c, b, size, t + 1), -np.inf)
+    whole_group_forward(comp, idx, lik, alpha)
+    if not online:
+        whole_group_backward(
+            comp, idx, lik, comp.end[comp.ends[group]].reshape(c, 1, size,
+                                                               t + 1),
+            ending, alpha)
+    pad = np.arange(n)[:, None] >= [len(liks[k]) for k in group]
+    block = max(1, hmm.DECODE_BUDGET // (32 * c * b * size * (t + 1)))
+    out = np.empty((n, c, b, t))
+    for lo in range(0, n, block):
+        rows = hmm._logsumexp(alpha[lo:lo + block], axis=3)[..., :t]
+        z = hmm._logsumexp(rows, axis=-1)
+        z[pad[lo:lo + block]] = 0.0
+        if (z == -np.inf).any():
+            raise ValueError("utterance with no admissible label")
+        np.exp(rows - z[..., None], out=out[lo:lo + block])
+    return out
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_checkpointed_posteriors_equal_one_alpha_over_the_group(order):
+    # ragged lengths around the 32-step blocks: one block, one step short
+    # of and one past a block edge, two blocks and a step
+    rng = random.Random(order)
+    grammar, _ = rand_instance(rng, 4, order, 1, GrammarVariant.JOINT)
+    tables = [rand_instance(rng, 4, 0, n)[1] for n in (1, 31, 32, 33, 65)]
+    groups = [[0, 1, 2, 3, 4], [4], [2], [1, 3], [0]]
+    comp = hmm._compile(grammar, tables, products=True)
+    liks = [table.scores for table in tables]
+    for scales in ([1.0], [0.1, 0.7, 2.0]):
+        scales = np.array(scales)
+        for online in (False, True):
+            for group in groups:
+                assert np.array_equal(
+                    hmm._group_posteriors(comp, group, liks, scales, online),
+                    whole_group_posteriors(comp, group, liks, scales,
+                                           online))
+
+
+def test_checkpointed_posteriors_equal_one_alpha_past_underflow():
+    # the ladder prior and evidence trip the underflow guard in both
+    # sweeps, in blocks before the last too
+    rng = random.Random(0)
+    labels = ("S", "Q", "B")
+    grammar = Ladder(labels, 2, rng)
+    tables = [LikelihoodTable(f"c{c}", labels,
+                              tuple(rng.choice("AB") for _ in range(n)),
+                              np.array([[ladder(rng) for _ in labels]
+                                        for _ in range(n)]))
+              for c, n in enumerate((70, 33, 1))]
+    comp = hmm._compile(grammar, tables, products=True)
+    liks = [table.scores for table in tables]
+    tripped = []
+    underflow = hmm._underflow
+    for scales in (np.array([1.0]), np.array([1.0, 2.0])):
+        for online in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(hmm, "_underflow", lambda *args: tripped.append(
+                    underflow(*args)) or tripped[-1])
+                got = hmm._group_posteriors(comp, [0, 1, 2], liks, scales,
+                                            online)
+            assert np.array_equal(got, whole_group_posteriors(
+                comp, [0, 1, 2], liks, scales, online))
+    # the forward products have t columns, the backward ones t + 1
+    assert {found[1].shape[-1] for found in tripped if found} == {3, 4}

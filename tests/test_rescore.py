@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from dialact.corpus import (Conversation, Hypothesis, NBestList, TagSet,
                             Utterance)
 from dialact.discourse import DiscourseGrammar, GrammarVariant, train_discourse
+from dialact import wordmodels
 from dialact.hmm import forward_backward
 from dialact.ngram import CompiledModelSet, _logsumexp, sequence_log_prob
 from dialact.rescore import (METHODS, WordErrors, best_hypothesis, corpus_wer,
@@ -484,10 +485,15 @@ def rescore_by_primitives(convs, grammar, lms, rescoring, scaling):
     return posts, out
 
 
-def test_rescore_corpus_equals_the_per_method_primitives():
+def test_rescore_corpus_equals_the_per_method_primitives(monkeypatch):
     lms, smoothed, grammar = smoothed_setup()
     rng = random.Random(23)
+    cells = wordmodels._GROUP_CELLS
     for trial in range(6):
+        # odd trials score every utterance in a group of its own, so each
+        # conversation spans groups
+        monkeypatch.setattr(wordmodels, "_GROUP_CELLS", 1 if trial % 2
+                            else cells)
         convs = random_corpus(rng)
         scaling = ScoreScaling(rng.uniform(4.0, 12.0), rng.uniform(0.0, 2.0))
         result = rescore_corpus(convs, grammar, lms, smoothed, METHODS,

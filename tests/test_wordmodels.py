@@ -281,10 +281,13 @@ def test_tables_are_scored_in_bounded_groups_of_conversations(monkeypatch):
         return [(tuple(rng.choice(words) for _ in range(rng.randint(1, 5))),
                  -float(rng.randint(1, 9))) for _ in range(4)]
 
-    # at most 6 utterances x 4 hypotheses x 2 labels = 48 scores each
+    # at most 6 utterances x 4 hypotheses x 2 labels = 48 scores each, and
+    # one conversation of 40 utterances (320 scores) that spans groups
     convs = [with_nbest(f"c{k}", [("AB"[i % 2], "S", (), hyps())
                                   for i in range(rng.randint(1, 6))])
              for k in range(30)]
+    convs.insert(12, with_nbest("long", [("AB"[i % 2], "S", (), hyps())
+                                         for i in range(40)]))
     whole = word_likelihood_tables(lms, convs, "nbest")
     cells = []
     score = CompiledModelSet.score
@@ -297,6 +300,8 @@ def test_tables_are_scored_in_bounded_groups_of_conversations(monkeypatch):
     monkeypatch.setattr(wordmodels, "_GROUP_CELLS", 64)
     grouped = word_likelihood_tables(lms, convs, "nbest")
     assert len(cells) > 5 and max(cells) <= 64
+    assert [t.conversation_id for t in grouped] == \
+        [c.conv_id for c in convs]
     for a, b in zip(whole, grouped):
         assert np.array_equal(a.scores, b.scores)
 
