@@ -18,13 +18,12 @@ from .hmm import (CombinationWeights, JackknifeResult, LikelihoodTable,
                   forward_backward_corpus, tune_alpha_beta, viterbi_corpus,
                   viterbi_decode)
 from .metrics import EvalReport, focused_binary_task, tagging_accuracy
-from .ngram import (InterpolatedModel, NGramModel, fit_interp_weight,
-                    interpolate, perplexity, read_arpa, sequence_log_prob,
-                    train_ngram, write_arpa)
+from .ngram import (InterpolatedModel, NGramModel, interpolate, perplexity,
+                    read_arpa, train_ngram, write_arpa)
 from .prosody import (DecisionTree, ProsodyError, TreeConfig, load_tree,
                       prosody_likelihood_tables, serialize_tree,
                       train_tree, tree_posterior, tree_scaled_likelihood)
-from .rescore import (RescoreResult, WordErrors, best_hypothesis, corpus_wer,
+from .rescore import (RescoreResult, WordErrors, best_hypothesis,
                       mixture_lm_scores, mixture_posterior_scores,
                       per_da_wer_report, rescore_corpus, wer)
 from .wordmodels import (DaLmSet, ScoreScaling, classify_from_words,
@@ -37,19 +36,17 @@ __all__ = [
     "JackknifeResult", "LikelihoodTable", "NBestList", "NGramModel",
     "ProsodyError", "RescoreResult", "ScoreScaling", "TagSet", "TreeConfig",
     "Utterance", "WordErrors", "best_hypothesis", "brute_force_decode",
-    "classify_from_words", "combine_likelihoods", "corpus_wer",
-    "default_tagset", "discourse_perplexity", "downsample_uniform",
-    "fit_interp_weight", "focused_binary_task", "forward_backward",
-    "forward_backward_corpus", "interpolate", "jackknife_split",
-    "load_discourse", "load_tagset", "load_tree", "mixture_lm_scores",
-    "mixture_posterior_scores", "parse_conversations", "parse_nbest",
-    "parse_prosody", "per_da_wer_report", "perplexity",
+    "classify_from_words", "combine_likelihoods", "default_tagset",
+    "discourse_perplexity", "downsample_uniform", "focused_binary_task",
+    "forward_backward", "forward_backward_corpus", "interpolate",
+    "jackknife_split", "load_discourse", "load_tagset", "load_tree",
+    "mixture_lm_scores", "mixture_posterior_scores", "parse_conversations",
+    "parse_nbest", "parse_prosody", "per_da_wer_report", "perplexity",
     "prosody_likelihood_tables", "read_arpa", "rescore_corpus",
-    "save_discourse", "save_tagset", "sequence_log_prob",
-    "serialize_conversations", "serialize_nbest", "serialize_prosody",
-    "serialize_tree", "smooth_da_lms", "symmetrize_speakers",
-    "tagging_accuracy", "train_da_lms", "train_discourse", "train_ngram",
-    "train_tree", "tree_posterior", "tree_scaled_likelihood",
-    "tune_alpha_beta", "viterbi_corpus", "viterbi_decode", "wer",
-    "word_likelihood_tables", "write_arpa",
+    "save_discourse", "save_tagset", "serialize_conversations",
+    "serialize_nbest", "serialize_prosody", "serialize_tree", "smooth_da_lms",
+    "symmetrize_speakers", "tagging_accuracy", "train_da_lms",
+    "train_discourse", "train_ngram", "train_tree", "tree_posterior",
+    "tree_scaled_likelihood", "tune_alpha_beta", "viterbi_corpus",
+    "viterbi_decode", "wer", "word_likelihood_tables", "write_arpa",
 ]

@@ -48,7 +48,7 @@ from .hmm import (CombinationWeights, combine_likelihoods,
                   forward_backward_corpus, tune_alpha_beta, viterbi_corpus)
 from .metrics import tagging_accuracy
 from .ngram import interpolate, perplexity, read_arpa, write_arpa
-from .prosody import (DecisionTree, TreeConfig, load_tree,
+from .prosody import (DecisionTree, ProsodyError, TreeConfig, load_tree,
                       prosody_likelihood_tables, serialize_tree, train_tree)
 from .rescore import METHODS, per_da_wer_report, rescore_corpus
 from .wordmodels import (DEFAULT_SMOOTHING, DaLmSet, MODES, ScoreScaling,
@@ -219,6 +219,23 @@ def _load_convs(args, tagset: TagSet
     return convs, schema
 
 
+def _require_labels(path: str, convs, message: str) -> None:
+    """Raise ``message`` at the line of corpus file ``path`` that holds the
+    first unlabeled utterance of ``convs``, if there is one."""
+    for conv in convs:
+        for utt in conv:
+            if utt.da_label is None:    # read the file again for its line
+                line = next(n for n, (c, i, *_) in content_lines(path, 5)
+                            if c == conv.conv_id and int(i) == utt.index)
+                raise CorpusError(f"{path}:{line}: {message}")
+
+
+def _at_header(path: str):
+    """Report a ValueError of the block, a fault of the prosody file's
+    columns as a whole, at the file's header line."""
+    return located(lambda exc: f"{path}:{next(content_lines(path))[0]}: {exc}")
+
+
 def _grammar_for(args, models: TrainedModels) -> DiscourseGrammar:
     if args.grammar == "none":
         return DiscourseGrammar.uniform(models.tagset, models.grammar.variant)
@@ -249,11 +266,8 @@ def _g(x: float) -> str:
 def cmd_train(args) -> int:
     tagset = _load_tagset(args)
     convs, schema = _load_convs(args, tagset)
-    for conv in convs:
-        for utt in conv:
-            if utt.da_label is None:
-                raise CorpusError(f"{conv.conv_id}:{utt.index}: training "
-                                  f"corpus has an unlabeled utterance")
+    _require_labels(args.corpus, convs, "training corpus has an unlabeled "
+                                        "utterance")
 
     grammar_data = symmetrize_speakers(convs) if args.symmetrize else convs
     grammar = train_discourse(grammar_data, tagset, args.order,
@@ -274,11 +288,11 @@ def cmd_train(args) -> int:
     if args.prosody:
         samples = [(u.prosody, tagset.collapse(u.da_label))
                    for conv in convs for u in conv if u.prosody is not None]
-        if not samples:
-            raise CorpusError(f"{args.prosody}: no features match the corpus")
-        tree = train_tree(schema, samples,
-                          TreeConfig(args.min_leaf, args.max_depth),
-                          classes=tagset.labels)
+        config = TreeConfig(args.min_leaf, args.max_depth)
+        with _at_header(args.prosody):
+            if not samples:
+                raise ProsodyError("no features match the corpus")
+            tree = train_tree(schema, samples, config, classes=tagset.labels)
 
     save_models(args.models, tagset, grammar, da_lms, weights, tree)
 
@@ -303,14 +317,13 @@ def cmd_tag(args) -> int:
     if args.prosody:
         if models.tree is None:
             raise CorpusError("model directory has no prosody tree")
-        prosody_tables = prosody_likelihood_tables(models.tree, convs)
+        with _at_header(args.prosody):
+            prosody_tables = prosody_likelihood_tables(models.tree, convs)
         if args.tune_fusion:
-            refs = {}
-            for conv in convs:
-                if any(u.da_label is None for u in conv):
-                    raise CorpusError(f"{conv.conv_id}: --tune-fusion needs "
-                                      f"labels on every utterance")
-                refs[conv.conv_id] = [tagset.collapse(u.da_label) for u in conv]
+            _require_labels(args.corpus, convs, "--tune-fusion needs labels "
+                                                "on every utterance")
+            refs = {conv.conv_id: [tagset.collapse(u.da_label) for u in conv]
+                    for conv in convs}
             result = tune_alpha_beta(grammar, word_tables, prosody_tables,
                                      refs, seed=args.seed)
             for half, (w, acc) in enumerate(zip(result.weights,

@@ -23,6 +23,7 @@ import contextlib
 import importlib.resources
 import itertools
 import math
+import numbers
 import random
 from array import array
 from dataclasses import dataclass, replace
@@ -288,11 +289,25 @@ class FeatureTable(dict):
     """Feature name -> :class:`FeatureColumn`, all over the same rows."""
 
 
+def _one_row(name: str, value) -> FeatureColumn:
+    """A mapping's value as a one-row column of the kind its type gives."""
+    if isinstance(value, str):
+        return FeatureColumn(np.zeros(1, dtype=np.intp), np.ones(1, bool),
+                             (value,))
+    if not isinstance(value, (numbers.Real, type(None))):
+        raise CorpusError(f"feature {name!r}: {value!r} is neither a number "
+                          f"nor a string")
+    return FeatureColumn(np.array([0.0 if value is None else float(value)]),
+                         np.array([value is not None]))
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class FeatureVector:
     """Per-utterance prosodic features: a read-only view of one row of a
     column table; None marks a missing value.  A mapping given in place of
-    a table becomes a one-row table holding its values as they are."""
+    a table becomes a one-row table: a string is categorical, a number
+    continuous (read back as a float), and None a missing continuous value,
+    which lookup reads as missing at either kind."""
 
     table: FeatureTable
     row: int = 0
@@ -300,9 +315,7 @@ class FeatureVector:
     def __post_init__(self) -> None:
         if not isinstance(self.table, FeatureTable):
             object.__setattr__(self, "table", FeatureTable(
-                (name, FeatureColumn(np.array([-1 if v is None else 0]),
-                                     np.array([v is not None]), (v,)))
-                for name, v in self.table.items()))
+                (name, _one_row(name, v)) for name, v in self.table.items()))
 
     @property
     def values(self) -> Mapping[str, float | str | None]:

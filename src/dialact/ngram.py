@@ -47,7 +47,7 @@ _LN10 = math.log(10.0)
 # words' probabilities are added up instead.
 _Z_FLOOR = 1e-9
 
-_EM_TOL, _EM_MAX_ITER = 1e-4, 100       # fit_interp_weight's stopping rule
+_EM_TOL, _EM_MAX_ITER = 1e-4, 100       # _fit_weights' stopping rule
 
 # Shifting an all -inf row by the most negative float instead of its max
 # keeps finite shifts exact and turns that row into -max + log(0) = -inf.
@@ -317,11 +317,6 @@ def _own_engine(scorer) -> "CompiledModelSet":
     return scorer._engine
 
 
-def sequence_log_prob(model, sequence: Sequence[str]) -> float:
-    """Natural-log probability of a sequence under the model's padding rules."""
-    return float(_own_engine(model).score([sequence])[0, 0])
-
-
 def perplexity(model, sequences: Sequence[Sequence[str]]) -> float:
     """exp of the per-token negative mean log probability; the token count
     includes the ``<end>`` event of each sequence for padded models."""
@@ -365,20 +360,14 @@ def interpolate(first, second, weight: float) -> InterpolatedModel:
     return InterpolatedModel(first, second, weight)
 
 
-def fit_interp_weight(first, second,
-                      heldout: Sequence[Sequence[str]]) -> float:
-    """EM for the single interpolation weight, started at 0.5: maximizes
-    held-out log likelihood of the two-component mixture, and stops when
-    the weight moves less than ``_EM_TOL`` or after ``_EM_MAX_ITER`` steps.
-    This is the one-model case of :func:`_fit_weights`."""
-    return _fit_weights([first], second, [heldout])[0]
-
-
 def _fit_weights(firsts: Sequence, second,
                  heldouts: Sequence[Sequence[Sequence[str]]]) -> list[float]:
-    """:func:`fit_interp_weight` of each of ``firsts`` with ``second`` on
-    its own held-out sequences, from one engine over ``[*firsts, second]``
-    and one event table over every sequence.
+    """EM for the interpolation weight of each of ``firsts`` with
+    ``second``, started at 0.5: maximizes the held-out log likelihood of
+    the two-component mixture on its own held-out sequences, and stops when
+    the weight moves less than ``_EM_TOL`` or after ``_EM_MAX_ITER`` steps.
+    One engine over ``[*firsts, second]`` and one event table over every
+    sequence serve every weight.
 
     An event's responsibility for weight w is w / (w + (1 - w) * d) if the
     first model scores it at least as high (la >= lb), else

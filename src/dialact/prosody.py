@@ -13,8 +13,10 @@ Training gathers each feature's column once from the samples' tables
 per node, a continuous feature costs one sort, with left counts read off a
 cumulative count for every midpoint; the 2^(k-1) subsets of a categorical
 feature with k categories are a blocked matrix product of subset
-membership and per-category class counts, still exponential in k.  Lookup
-sends a batch of feature vectors down the tree together, one test per node.
+membership and per-category class counts, still exponential in k, so a
+training column may hold at most ``_MAX_CATEGORIES`` categories.  Lookup
+sends a batch of feature vectors down the tree together, one test per node,
+and reads each column only at the kind it was built with.
 
 Leaves store class posteriors (training frequencies).  For use as HMM
 evidence, posteriors are converted to scaled likelihoods P(F|U) ~ P(U|F) /
@@ -85,13 +87,6 @@ class DecisionTree:
     root: Node
     training_priors: tuple[float, ...]
 
-    def depth(self) -> int:
-        def walk(node: Node) -> int:
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-        return walk(self.root)
-
     def n_leaves(self) -> int:
         def walk(node: Node) -> int:
             if node.is_leaf:
@@ -124,49 +119,60 @@ def _rows_by_table(fvs: Sequence[FeatureVector]) -> list:
 def _gather(groups: list, n: int, name: str, continuous: bool):
     """Feature ``name`` of a batch of ``n`` vectors, read by row index from
     each table of :func:`_rows_by_table`: per vector whether it lacks the
-    feature, and the batch's column.  Categories (numbers too, as text) are
-    coded over the distinct ones the batch holds, in sorted order."""
+    feature, and the batch's column of the kind a test reads.  A column is
+    read only at its own kind: a threshold copies its floats, and a subset
+    test recodes its category codes over the categories the batch holds, in
+    sorted order.  A column of the other kind with a known value in the
+    batch raises; an all-missing one reads as missing."""
     absent, known = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     values = np.zeros(n) if continuous else np.full(n, -1, dtype=np.intp)
-    parts = []      # (positions, codes, categories, codes held) to convert
+    parts = []      # (positions, codes, categories) to recode
     for table, at, rows in groups:
         col = table.get(name)
         absent[at] = col is None
         if col is None:
             continue
-        known[at], codes, cats = col.known[rows], col.values[rows], col.categories
-        if cats is None and continuous:
-            values[at] = codes
-            continue
-        if cats is None:                    # numbers as text, one per row
-            cats, codes = codes.tolist(), np.where(known[at], np.arange(len(at)), -1)
-        held = np.bincount(codes[codes >= 0], minlength=len(cats))
-        parts.append((at, codes, cats, np.flatnonzero(held).tolist()))
-    texts = () if continuous else sorted(
-        {str(cats[c]) for _, _, cats, held in parts for c in held})
-    code = {text: i for i, text in enumerate(texts)}
-    for at, codes, cats, held in parts:     # a missing value's -1 reads lut[-1]
-        lut = np.full(len(cats) + 1, 0.0 if continuous else -1, values.dtype)
-        try:
-            lut[held] = [float(cats[c]) if continuous else code[str(cats[c])]
-                         for c in held]
-        except (TypeError, ValueError):
-            raise ProsodyError(f"feature {name!r}: a value is not a "
-                               f"number") from None
-        values[at] = lut[codes]
+        known[at] = col.known[rows]
+        if (col.categories is None) != continuous:
+            if known[at].any():
+                kinds = ("continuous", "categorical")
+                read, other = kinds if continuous else kinds[::-1]
+                raise ProsodyError(f"feature {name!r} is read as {read} but "
+                                   f"holds {other} values")
+        elif continuous:
+            values[at] = col.values[rows]
+        else:
+            parts.append((at, col.values[rows], col.categories))
+    cats = sorted({own[c] for _, codes, own in parts
+                   for c in set(codes[codes >= 0].tolist())})
+    code = {cat: i for i, cat in enumerate(cats)}
+    for at, codes, own in parts:    # a missing value's -1 reads the last code
+        values[at] = np.array([code.get(c, -1) for c in own] + [-1])[codes]
     return absent, FeatureColumn(values, known,
-                                 None if continuous else tuple(texts))
+                                 None if continuous else tuple(cats))
+
+
+# A categorical training column may hold at most this many categories: its
+# split search scores 2^(k-1) - 1 subsets per node, about 3.7 times the work
+# for each two more (a depth-2 tree over 400 samples took 0.22 s at k = 20).
+_MAX_CATEGORIES = 20
 
 
 def _encode(schema: FeatureSchema, fvs: Sequence[FeatureVector]) -> dict[str, FeatureColumn]:
-    """Training columns in schema order; every vector must hold every feature."""
+    """Training columns in schema order; every vector must hold every
+    feature, and a categorical one at most ``_MAX_CATEGORIES`` categories."""
     groups, columns = _rows_by_table(fvs), {}
     for name, kind in zip(schema.names, schema.kinds):
         if any(name not in table for table, _, _ in groups):
             raise ProsodyError(f"feature {name!r} missing from sample schema")
-        _, columns[name] = _gather(groups, len(fvs), name, kind == "continuous")
+        col = columns[name] = _gather(groups, len(fvs), name,
+                                      kind == "continuous")[1]
         if kind == "continuous":
-            _check_finite(name, columns[name].values)
+            _check_finite(name, col.values)
+        elif len(col.categories) > _MAX_CATEGORIES:
+            raise ProsodyError(f"feature {name!r} holds {len(col.categories)} "
+                               f"categories, more than the {_MAX_CATEGORIES} "
+                               f"a split search may take")
     return columns
 
 
@@ -380,10 +386,9 @@ def _route(tree: DecisionTree,
 
 
 def _scaled_leaves(tree: DecisionTree, fvs: Sequence[FeatureVector],
-                   priors: Sequence[float] | None = None):
+                   priors: Sequence[float]):
     """Posterior / prior (1 at prior 0) per leaf reached; each vector's leaf."""
     reached, leaf_of = _route(tree, fvs)
-    priors = tree.training_priors if priors is None else priors
     return np.array([[p / pr if pr > 0.0 else 1.0
                       for p, pr in zip(leaf.posterior, priors)]
                      for leaf in reached]), leaf_of
@@ -420,14 +425,14 @@ def tree_scaled_likelihood(tree: DecisionTree, fv: FeatureVector,
     return {lab: v / total for lab, v in scores.items()}
 
 
-def prosody_likelihood_tables(tree: DecisionTree, convs,
-                              priors: Sequence[float] | None = None) -> list:
+def prosody_likelihood_tables(tree: DecisionTree, convs) -> list:
     """Decoder evidence tables from the tree, one per conversation.
 
-    Rows are log scaled likelihoods over the tree's classes, normalized to
-    sum 1 before taking logs.  A class never seen in tree training (prior 0,
-    hence posterior 0 everywhere) scores flat: the tree carries no evidence
-    about it.  Utterances without features get a flat row too.
+    Rows are log scaled likelihoods (posterior over the tree's training
+    prior) over the tree's classes, normalized to sum 1 before taking logs.
+    A class never seen in tree training (prior 0, hence posterior 0
+    everywhere) scores flat: the tree carries no evidence about it.
+    Utterances without features get a flat row too.
     """
     k = len(tree.classes)
     tables = []
@@ -437,7 +442,8 @@ def prosody_likelihood_tables(tree: DecisionTree, convs,
         if featured:
             # every utterance reaching a leaf gets that leaf's row
             raw, leaf_of = _scaled_leaves(
-                tree, [conv.utterances[i].prosody for i in featured], priors)
+                tree, [conv.utterances[i].prosody for i in featured],
+                tree.training_priors)
             totals = raw.sum(axis=1)
             zero = totals[leaf_of] <= 0.0
             if zero.any():
@@ -499,6 +505,16 @@ def load_tree(path: str | Path) -> DecisionTree:
     lines = list(content_lines(path))
     pos = 0     # index into ``lines`` of the line being read
 
+    def probabilities(fields: list[str]) -> tuple[float, ...]:
+        """The priors or a leaf's posteriors: one per class, each in [0, 1],
+        not all 0, so every scaled likelihood row has a positive sum."""
+        values = tuple(float(p) for p in fields)
+        if (len(values) != len(classes) or not any(values)
+                or not all(0.0 <= p <= 1.0 for p in values)):
+            raise ProsodyError(f"expected {len(classes)} probabilities in "
+                               f"[0, 1], not all 0")
+        return values
+
     def parse(depth: int) -> Node:
         nonlocal pos
         if pos == len(lines):
@@ -508,8 +524,9 @@ def load_tree(path: str | Path) -> DecisionTree:
             raise ProsodyError("bad indentation")
         fields = line.strip().split("\t")
         if fields[0] == "leaf" and len(fields) == 1 + len(classes):
+            node = Node(posterior=probabilities(fields[1:]))
             pos += 1
-            return Node(posterior=tuple(float(p) for p in fields[1:]))
+            return node
         if (fields[0] != "node" or len(fields) != 5 or fields[2] not in
                 ("<=", "in") or fields[4] not in ("missing=left",
                                                   "missing=right")):
@@ -543,7 +560,7 @@ def load_tree(path: str | Path) -> DecisionTree:
                                tuple(p[1] for p in pairs))
         kind_of = dict(zip(schema.names, schema.kinds))
         pos = 3
-        priors = tuple(float(p) for p in lines[3][1][1:])
+        priors = probabilities(lines[3][1][1:])
         pos = 4
         root = parse(0)
         if pos != len(lines):

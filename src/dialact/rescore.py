@@ -39,10 +39,6 @@ class WordErrors(NamedTuple):
     deletions: int
     rate: float
 
-    @property
-    def total(self) -> int:
-        return self.substitutions + self.insertions + self.deletions
-
 
 def wer(reference: Sequence[str], hypothesis: Sequence[str]) -> WordErrors:
     """Minimum-edit alignment counts and the error rate.
@@ -76,12 +72,6 @@ def _pooled_wer(errors: Sequence[WordErrors], ref_words: int) -> WordErrors:
     """Add up alignment counts over ``ref_words`` reference words."""
     s, i, d = (sum(e[k] for e in errors) for k in range(3))
     return WordErrors(s, i, d, (s + i + d) / ref_words if ref_words else math.nan)
-
-
-def corpus_wer(pairs: Sequence[tuple[Sequence[str], Sequence[str]]]) -> WordErrors:
-    """Aggregate WER over (reference, hypothesis) pairs."""
-    return _pooled_wer([wer(ref, hyp) for ref, hyp in pairs],
-                      sum(len(ref) for ref, _ in pairs))
 
 
 def per_da_wer_report(references: Mapping[tuple[str, int], Sequence[str]],

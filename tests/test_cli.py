@@ -12,7 +12,7 @@ import pytest
 from dialact import cli
 from dialact.corpus import (Conversation, CorpusError, load_tagset,
                             parse_conversations, parse_nbest, parse_prosody)
-from dialact.ngram import sequence_log_prob
+from dialact.ngram import _own_engine
 from dialact.wordmodels import smooth_da_lms, train_da_lms
 
 LABELS = ("Statement", "Question", "Backchannel/Acknowledge")
@@ -96,6 +96,100 @@ def test_train_rejects_unlabeled_utterances(tmp_path, capsys):
                    "--models", str(tmp_path / "m")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_unlabeled_utterances_are_named_by_their_corpus_line(workdir,
+                                                            tmp_path, capsys):
+    # a comment line and a second conversation put c1:1 on line 5
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("# two conversations\nc0\t0\tA\tStatement\ti think\n"
+                      "c0\t1\tB\tQuestion\tdo you\n"
+                      "c1\t0\tA\tStatement\tso we did\n"
+                      "c1\t1\tB\t-\tright\nc1\t2\tA\t-\tyeah\n")
+    pros = tmp_path / "p.tsv"
+    pros.write_text("pitch\n" + "".join(f"c{c}\t{i}\t{0.5 * i}\n"
+                                        for c, n in ((0, 2), (1, 3))
+                                        for i in range(n)))
+    for argv, message in (
+            (["train", "--models", str(tmp_path / "m"), "--tagset",
+              str(workdir / "tagset.txt")],
+             "training corpus has an unlabeled utterance"),
+            (["tag", "--models", str(workdir / "models"), "--prosody",
+              str(pros), "--tune-fusion"],
+             "--tune-fusion needs labels on every utterance")):
+        capsys.readouterr()
+        assert cli.main(argv + ["--corpus", str(corpus)]) == 1
+        assert capsys.readouterr().err == f"error: {corpus}:5: {message}\n"
+
+
+def test_train_names_the_prosody_header_when_no_row_matches(workdir, tmp_path,
+                                                            capsys):
+    pros = tmp_path / "p.tsv"
+    pros.write_text("# pitch only\npitch\nz9\t0\t1.5\n")
+    rc = cli.main(["train", "--corpus", str(workdir / "corpus.tsv"),
+                   "--models", str(tmp_path / "m"), "--tagset",
+                   str(workdir / "tagset.txt"), "--prosody", str(pros)])
+    assert rc == 1
+    assert capsys.readouterr().err.endswith(
+        f"\nerror: {pros}:2: no features match the corpus\n")
+
+
+def test_a_training_column_with_too_many_categories_fails_at_its_header(
+        workdir, tmp_path, capsys):
+    pros = tmp_path / "p.tsv"
+    pros.write_text("pitch\tsite\n" + "".join(
+        f"c{c}\t{i}\t{0.1 * i}\ts{(8 * c + i) % 21}\n"
+        for c in range(8) for i in range(8)))
+    rc = cli.main(["train", "--corpus", str(workdir / "corpus.tsv"),
+                   "--models", str(tmp_path / "m"), "--tagset",
+                   str(workdir / "tagset.txt"), "--prosody", str(pros)])
+    assert rc == 1
+    assert capsys.readouterr().err.endswith(
+        f"\nerror: {pros}:1: feature 'site' holds 21 categories, more than "
+        f"the 20 a split search may take\n")
+    assert not (tmp_path / "m").exists()
+
+
+def test_tag_prosody_columns_must_match_the_tree(tmp_path, capsys):
+    # g is categorical in training ("a", "1", "2") and the tree tests
+    # g in {1, 2}; an all-numeric tag file reads g as continuous
+    (tmp_path / "tags.txt").write_text("S\nQ\n")
+    (tmp_path / "train.tsv").write_text("".join(
+        f"c0\t{i}\tA\t{lab}\tw\n" for i, lab in enumerate("SQQSQQ")))
+    (tmp_path / "train_p.tsv").write_text("g\n" + "".join(
+        f"c0\t{i}\t{g}\n" for i, g in enumerate("a12a12")))
+    (tmp_path / "test.tsv").write_text("c0\t0\tA\tQ\tw\nc0\t1\tA\tQ\tw\n")
+    models = tmp_path / "m"
+    assert cli.main(["train", "--tagset", str(tmp_path / "tags.txt"),
+                     "--corpus", str(tmp_path / "train.tsv"), "--models",
+                     str(models), "--order", "1", "--word-order", "1",
+                     "--min-leaf", "1", "--prosody",
+                     str(tmp_path / "train_p.tsv")]) == 0
+    assert "node\tg\tin\t1,2\t" in (models / "prosody.tree").read_text()
+    for name, text, message in (
+            ("numbers.tsv", "g\nc0\t0\t1\nc0\t1\t2\n",
+             "feature 'g' is read as categorical but holds continuous "
+             "values"),
+            ("absent.tsv", "# no g\nh\nc0\t0\tx\nc0\t1\ty\n",
+             "feature 'g' queried by the tree is absent from the probe's "
+             "schema")):
+        probe = tmp_path / name
+        probe.write_text(text)
+        capsys.readouterr()
+        rc = cli.main(["tag", "--models", str(models), "--corpus",
+                       str(tmp_path / "test.tsv"), "--prosody", str(probe)])
+        line = text.count("\n", 0, text.index("\nc0")) + 1
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {probe}:{line}: {message}\n"
+    # a tag file that gives g the kind it had in training routes as trained
+    good = tmp_path / "good.tsv"
+    good.write_text("g\nc0\t0\t1\nc0\t1\ta\n")
+    out = tmp_path / "pred.tsv"
+    assert cli.main(["tag", "--models", str(models), "--corpus",
+                     str(tmp_path / "test.tsv"), "--prosody", str(good),
+                     "--output", str(out)]) == 0
+    assert [row.split("\t")[2] for row in
+            out.read_text().splitlines()] == ["Q", "S"]
 
 
 def test_train_rejects_the_reserved_start_word(tmp_path, capsys):
@@ -279,8 +373,9 @@ def test_smoothed_set_round_trips_through_the_model_directory(workdir,
     for _ in range(200):
         words = [rng.choice(vocab) for _ in range(rng.randrange(0, 8))]
         for lab in LABELS:
-            assert abs(sequence_log_prob(loaded.models[lab], words)
-                       - sequence_log_prob(smoothed.models[lab], words)) <= 1e-9
+            got = _own_engine(loaded.models[lab]).score([words])[0, 0]
+            want = _own_engine(smoothed.models[lab]).score([words])[0, 0]
+            assert abs(got - want) <= 1e-9
 
 
 def _drop_weight(lines):

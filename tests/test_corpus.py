@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -333,6 +334,28 @@ def test_parsed_feature_vectors_are_read_only_row_views(tmp_path):
     with pytest.raises(TypeError):
         one.values["f0"] = 2.0
     assert one == FeatureVector({"f0": 1.5, "gender": "f"}) != two
+
+
+def test_mapping_built_vectors_are_typed_by_value(tmp_path):
+    vec = FeatureVector({"f": 1.5, "n": 2, "s": "rise", "m": None,
+                         "b": np.float32(0.25)})
+    kinds = {name: col.categories is None for name, col in vec.table.items()}
+    assert kinds == {"f": True, "n": True, "s": False, "m": True, "b": True}
+    assert vec.values == {"f": 1.5, "n": 2.0, "s": "rise", "m": None,
+                          "b": 0.25}
+    assert type(vec["n"]) is float and vec["m"] is None
+    assert not vec.table["m"].known[0]
+    # an int is written as the float it reads back as
+    path = tmp_path / "p.tsv"
+    serialize_prosody(FeatureSchema(("n", "s", "m"), ("continuous",
+                                                      "categorical",
+                                                      "continuous")),
+                      {("c", 0): vec}, path)
+    assert path.read_text() == "n\ts\tm\nc\t0\t2.0\trise\tNA\n"
+    for bad in (b"1.5", [1.0], object()):
+        with pytest.raises(CorpusError, match=r"^feature 'x': .* is neither "
+                                              r"a number nor a string$"):
+            FeatureVector({"f": 1.0, "x": bad})
 
 
 def test_prosody_kind_inference(tmp_path):

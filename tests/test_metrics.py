@@ -12,7 +12,7 @@ from dialact.corpus import (CorpusError, FeatureSchema, FeatureVector, TagSet,
                             Utterance, downsample_uniform, jackknife_split)
 from dialact.metrics import (CLASSIFIERS, EvalReport, focused_binary_task,
                              tagging_accuracy)
-from dialact.ngram import sequence_log_prob, train_ngram
+from dialact.ngram import _own_engine, train_ngram
 from dialact.prosody import TreeConfig, train_tree, tree_posterior
 
 
@@ -226,7 +226,7 @@ def test_schema_inference_marks_string_features_categorical():
 
 def reference_binary_task(utts, pair, classifiers, seed, order, min_leaf):
     """The two-class task one test utterance at a time: the same balanced
-    split and training, each class scored by sequence_log_prob and the log
+    split and training, each class scored by its word model and the log
     of its leaf posterior over its training prior, and pair[0] winning
     ties."""
     sample = downsample_uniform([u for u in utts if u.da_label in pair],
@@ -247,10 +247,11 @@ def reference_binary_task(utts, pair, classifiers, seed, order, min_leaf):
         ratio = tree_posterior(tree, u.prosody)[j] / tree.training_priors[j]
         return math.log(ratio) if ratio > 0.0 else -math.inf
 
-    score = {"words": lambda u, j: sequence_log_prob(lms[j], u.words),
-             "prosody": prosody,
-             "combined": lambda u, j: (sequence_log_prob(lms[j], u.words)
-                                       + prosody(u, j))}
+    def words(u, j):
+        return _own_engine(lms[j]).score([u.words])[0, 0]
+
+    score = {"words": words, "prosody": prosody,
+             "combined": lambda u, j: words(u, j) + prosody(u, j)}
     out = {}
     for name in classifiers:
         hits = 0

@@ -18,10 +18,9 @@ from hypothesis import strategies as st
 
 from dialact import ngram
 from dialact.ngram import (_BLOCK_CELLS, END, START, UNK, CompiledModelSet,
-                           InterpolatedModel, NGramModel, fit_interp_weight,
-                           _logsumexp, interpolate, left_sum, perplexity,
-                           read_arpa, sequence_log_prob, train_ngram,
-                           write_arpa)
+                           InterpolatedModel, NGramModel, _fit_weights,
+                           _logsumexp, _own_engine, interpolate, left_sum,
+                           perplexity, read_arpa, train_ngram, write_arpa)
 
 
 def p(model, ctx, tok):
@@ -499,15 +498,15 @@ def two_models():
 def p1(model, tok):
     """P(tok) of an unpadded unigram model or mixture: its one-token
     sequence's probability."""
-    return math.exp(sequence_log_prob(model, [tok]))
+    return math.exp(_own_engine(model).score([[tok]])[0, 0])
 
 
 def test_interpolate_identities():
     a, b = two_models()
     for tok in "abc":
-        assert sequence_log_prob(interpolate(a, b, 1.0), [tok]) == \
+        assert _own_engine(interpolate(a, b, 1.0)).score([[tok]])[0, 0] == \
             a.cond_log_prob((), tok)
-        assert sequence_log_prob(interpolate(a, b, 0.0), [tok]) == \
+        assert _own_engine(interpolate(a, b, 0.0)).score([[tok]])[0, 0] == \
             b.cond_log_prob((), tok)
 
 
@@ -543,14 +542,14 @@ def test_fit_weight_prefers_matching_model():
               for _ in range(30)]
     a = train_ngram(from_a, 1, vocabulary=vocab)
     b = train_ngram(from_b, 1, vocabulary=vocab)
-    w = fit_interp_weight(a, b, from_a[:10])
+    w = _fit_weights([a], b, [from_a[:10]])[0]
     assert w > 0.95
 
 
 def test_fit_weight_flat_likelihood_stays_half():
     a, _ = two_models()
-    assert fit_interp_weight(a, a, [["a", "b"]]) == pytest.approx(0.5,
-                                                                  abs=1e-9)
+    assert _fit_weights([a], a, [[["a", "b"]]])[0] == pytest.approx(0.5,
+                                                                    abs=1e-9)
 
 
 def test_fit_weight_matches_grid_search():
@@ -562,7 +561,7 @@ def test_fit_weight_matches_grid_search():
                     vocabulary=vocab)
     held = [[rng.choice(["x", "y", "y", "z"]) for _ in range(25)]
             for _ in range(4)]
-    w = fit_interp_weight(a, b, held)
+    w = _fit_weights([a], b, [held])[0]
     grid = [i * 0.001 for i in range(1001)]
     # every interpolation of the grid scored in one compiled set
     held_ll = CompiledModelSet([
@@ -687,7 +686,8 @@ def test_sequence_log_prob_pads():
     m = train_ngram([["a", "b"]], 2, vocabulary=["a", "b"])
     want = m.cond_log_prob((START,), "a") + m.cond_log_prob(("a",), "b") \
         + m.cond_log_prob(("b",), END)
-    assert sequence_log_prob(m, ["a", "b"]) == pytest.approx(want, abs=1e-12)
+    got = _own_engine(m).score([["a", "b"]])[0, 0]
+    assert got == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +701,7 @@ def assert_compiled_equals_scalar(scorers, seqs):
         for c, scorer in enumerate(scorers):
             want = reference_sequence_log_prob(scorer, seq)
             assert got[s, c] == want, (seq, c)
-            assert sequence_log_prob(scorer, seq) == want, (seq, c)
+            assert _own_engine(scorer).score([seq])[0, 0] == want, (seq, c)
 
 
 @settings(max_examples=80, deadline=None)

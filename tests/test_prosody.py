@@ -1,5 +1,6 @@
 """Decision trees over prosodic features and their decoder evidence."""
 
+import dataclasses
 import math
 import random
 from pathlib import Path
@@ -24,6 +25,14 @@ SCHEMA1 = FeatureSchema(("f",), ("continuous",))
 
 def fv(**values):
     return FeatureVector(values)
+
+
+def depth(tree: DecisionTree) -> int:
+    def walk(node: Node) -> int:
+        if node.is_leaf:
+            return 0
+        return 1 + max(walk(node.left), walk(node.right))
+    return walk(tree.root)
 
 
 def separable_samples():
@@ -189,8 +198,7 @@ def oracle_tree_posterior(tree: DecisionTree, fv: FeatureVector) -> np.ndarray:
 
 
 
-def oracle_likelihood_tables(tree: DecisionTree, convs,
-                              priors: Sequence[float] | None = None) -> list:
+def oracle_likelihood_tables(tree: DecisionTree, convs) -> list:
     """Decoder evidence tables from the tree, one per conversation.
 
     Rows are log scaled likelihoods over the tree's classes, normalized to
@@ -200,8 +208,7 @@ def oracle_likelihood_tables(tree: DecisionTree, convs,
     """
     from dialact.hmm import LikelihoodTable
 
-    if priors is None:
-        priors = tree.training_priors
+    priors = tree.training_priors
     k = len(tree.classes)
     tables = []
     for conv in convs:
@@ -231,7 +238,7 @@ def oracle_likelihood_tables(tree: DecisionTree, convs,
 def test_separable_data_grows_a_pure_stump():
     tree = train_tree(SCHEMA1, separable_samples())
     assert tree.classes == ("Q", "S")  # sorted default
-    assert tree.depth() == 1 and tree.n_leaves() == 2
+    assert depth(tree) == 1 and tree.n_leaves() == 2
     assert tuple(tree_posterior(tree, fv(f=-5.0))) == (0.0, 1.0)
     assert tuple(tree_posterior(tree, fv(f=5.0))) == (1.0, 0.0)
     assert tree.training_priors == (0.5, 0.5)
@@ -281,7 +288,7 @@ def test_min_leaf_and_max_depth_stop_growth():
     samples = separable_samples()
     assert train_tree(SCHEMA1, samples, TreeConfig(min_leaf=len(samples))) \
         .n_leaves() == 1
-    assert train_tree(SCHEMA1, samples, TreeConfig(max_depth=0)).depth() == 0
+    assert depth(train_tree(SCHEMA1, samples, TreeConfig(max_depth=0))) == 0
     with pytest.raises(ValueError):
         TreeConfig(min_leaf=0)
     with pytest.raises(ValueError):
@@ -431,12 +438,6 @@ def test_class_unseen_in_training_scores_flat():
     assert math.isclose(row[tree.classes.index("Z")], 1 / 3, abs_tol=1e-12)
 
 
-def test_explicit_priors_override_training_priors():
-    table = prosody_likelihood_tables(bayes_tree(), [conv_with_prosody([0.0])],
-                                      priors=(0.5, 0.5))[0]
-    assert np.allclose(np.exp(table.scores[0]), [0.6, 0.4], atol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -450,7 +451,7 @@ def test_round_trip_is_exact(tmp_path):
                    site=rng.choice(["aa", "bb", "cc"])),
                 rng.choice(("S", "Q", "B"))) for _ in range(80)]
     tree = train_tree(schema, samples, TreeConfig(min_leaf=2))
-    assert tree.depth() >= 2  # the fixture must exercise nesting
+    assert depth(tree) >= 2  # the fixture must exercise nesting
     path = tmp_path / "tree.txt"
     serialize_tree(tree, path)
     back = load_tree(path)
@@ -479,6 +480,20 @@ def test_load_rejects_malformed_files(tmp_path):
                          "node\tf\t<=\t0.0\tmissing=left\n  leaf\t1.0\t0.0\n")
     with pytest.raises(ProsodyError, match="truncated"):
         load_tree(truncated)
+    # priors and leaves are probabilities, so no lookup row sums to zero
+    header = "tree v1\nclasses\tS\tQ\nfeatures\tf:continuous\n"
+    for n, (priors, leaf) in enumerate((("0.5\t0.5", "0.0\t0.0"),
+                                        ("0.5\t0.5", "1.5\t0.0"),
+                                        ("0.5\t0.5", "nan\t1.0"),
+                                        ("-0.5\t1.0", "1.0\t0.0"),
+                                        ("1.0", "1.0\t0.0"))):
+        path = tmp_path / f"p{n}.txt"
+        path.write_text(f"{header}priors\t{priors}\nnode\tf\t<=\t0.0\t"
+                        f"missing=left\n  leaf\t{leaf}\n  leaf\t1.0\t0.0\n")
+        line = 6 if priors == "0.5\t0.5" else 4
+        with pytest.raises(ProsodyError, match=rf":{line}: expected 2 "
+                           rf"probabilities in \[0, 1\], not all 0$"):
+            load_tree(path)
 
 
 # ---------------------------------------------------------------------------
@@ -596,9 +611,11 @@ def lookup_fixture():
                                     (0.25, 0.25, 0.25, 0.25)])
 def test_tables_equal_the_per_utterance_walk(priors):
     tree, convs = lookup_fixture()
-    assert tree.training_priors[2] == 0.0 and tree.depth() >= 3
-    got = prosody_likelihood_tables(tree, convs, priors)
-    want = oracle_likelihood_tables(tree, convs, priors)
+    assert tree.training_priors[2] == 0.0 and depth(tree) >= 3
+    if priors is not None:      # tables divide by the tree's own priors
+        tree = dataclasses.replace(tree, training_priors=priors)
+    got = prosody_likelihood_tables(tree, convs)
+    want = oracle_likelihood_tables(tree, convs)
     assert [t.conversation_id for t in got] == \
         [t.conversation_id for t in want]
     for g, w in zip(got, want):
@@ -648,7 +665,7 @@ def test_table_backed_vectors_train_and_route_as_dict_built_ones(tmp_path):
     oracle = oracle_train_tree(schema, list(zip(built[train], labels[train])),
                                config, classes=("S", "Q", "B"))
     want = tree_bytes(oracle, tmp_path, "oracle")
-    assert trees[0].depth() >= 3 and b"in\t" in want
+    assert depth(trees[0]) >= 3 and b"in\t" in want
     for n, tree in enumerate(trees):
         assert tree_bytes(tree, tmp_path, f"tree{n}") == want
     tree = trees[0]
@@ -661,9 +678,9 @@ def test_table_backed_vectors_train_and_route_as_dict_built_ones(tmp_path):
                 == oracle_tree_posterior(tree, fv)).all()
 
 
-def test_parsed_columns_read_at_the_kind_a_node_tests(tmp_path):
-    # a node may test a feature at another kind than the probe file gave
-    # it: numbers then read as their text, categories as numbers
+def test_a_column_of_the_other_kind_raises_at_lookup_and_training(tmp_path):
+    # x is continuous and y categorical in the file; each node tests the
+    # other kind, and nothing converts between kinds
     path = tmp_path / "p.tsv"
     path.write_text("x\ty\nc\t0\t1.5\t2\nc\t1\tNA\tz\nc\t2\t-0.0\t0.5\n")
     _, table = parse_prosody(path)
@@ -675,13 +692,78 @@ def test_parsed_columns_read_at_the_kind_a_node_tests(tmp_path):
     by_number = DecisionTree(("S", "Q"), SCHEMA1, Node(
         feature="y", threshold=1.0, left=leaves[0], right=leaves[1]),
         (0.5, 0.5))
-    for tree, batch in ((by_text, probes), (by_number, probes[::2])):
-        reached, leaf_of = prosody._route(tree, batch)
-        assert [reached[j].posterior for j in leaf_of] == \
-            [tuple(oracle_tree_posterior(tree, fv)) for fv in batch]
-    assert [reached[j] for j in leaf_of] == [leaves[1], leaves[0]]
-    with pytest.raises(ProsodyError, match="'y': a value is not a number"):
-        tree_posterior(by_number, probes[1])
+    for tree, message in (
+            (by_text, "feature 'x' is read as categorical but holds "
+                      "continuous values"),
+            (by_number, "feature 'y' is read as continuous but holds "
+                        "categorical values")):
+        for batch in (probes, probes[::2], [fv(x=-0.0, y="2")]):
+            with pytest.raises(ProsodyError, match=f"^{message}$"):
+                prosody._route(tree, batch)
+    # the row whose x is missing never reads it, whatever the kind
+    assert tuple(tree_posterior(by_text, probes[1])) == (0.0, 1.0)
+    # training reads each column at its schema kind, before growing
+    for kinds, message in ((("categorical", "categorical"), "'x' is read as "
+                            "categorical"),
+                           (("continuous", "continuous"), "'y' is read as "
+                            "continuous")):
+        with mock.patch.object(prosody, "_best_split") as search, \
+                pytest.raises(ProsodyError, match=message):
+            train_tree(FeatureSchema(("x", "y"), kinds),
+                       list(zip(probes, "SQS")))
+        search.assert_not_called()
+    with pytest.raises(ProsodyError, match="'g' is read as continuous"):
+        train_tree(FeatureSchema(("g",), ("continuous",)),
+                   [(fv(g=1.0), "S"), (fv(g="a"), "Q")])
+
+
+def test_an_all_missing_column_reads_as_missing_at_either_kind(tmp_path):
+    path = tmp_path / "p.tsv"
+    path.write_text("z\nc\t0\tNA\nc\t1\tNA\n")
+    _, table = parse_prosody(path)
+    blank = [table[("c", i)] for i in range(2)]
+    assert table[("c", 0)].table["z"].categories is None    # continuous
+    leaves = (Node(posterior=(1.0, 0.0)), Node(posterior=(0.0, 1.0)))
+    for node in (Node(feature="z", categories=frozenset({"a"}),
+                      missing_left=False),
+                 Node(feature="z", threshold=0.0, missing_left=False)):
+        node.left, node.right = leaves
+        tree = DecisionTree(("S", "Q"), SCHEMA1, node, (0.5, 0.5))
+        reached, leaf_of = prosody._route(tree, blank + [fv(z=None)])
+        assert [reached[j] for j in leaf_of] == [leaves[1]] * 3
+    # beside categorical vectors, a categorical split trains as if the
+    # parsed rows held None
+    schema = FeatureSchema(("z",), ("categorical",))
+    coded = [(fv(z=c), lab) for c, lab in zip("aabb", "SSQQ")]
+    tree = train_tree(schema, list(zip(blank, "SQ")) + coded,
+                      TreeConfig(min_leaf=1))
+    want = oracle_train_tree(schema, [(fv(z=None), "S"), (fv(z=None), "Q")]
+                             + coded, TreeConfig(min_leaf=1))
+    assert tree_bytes(tree, tmp_path, "parsed") == \
+        tree_bytes(want, tmp_path, "oracle")
+    assert tree.root.categories == frozenset({"a"})
+
+
+def test_category_count_is_capped_before_growing(monkeypatch):
+    def samples(k):
+        return [(fv(site=f"s{i:02d}", f=float(i)), "SQ"[i % 2])
+                for i in range(k)]
+
+    schema = FeatureSchema(("site", "f"), ("categorical", "continuous"))
+    monkeypatch.setattr(prosody, "_MAX_CATEGORIES", 3)
+    train_tree(schema, samples(3))
+    with pytest.raises(ProsodyError, match=r"^feature 'site' holds 4 "
+                       r"categories, more than the 3 a split search may "
+                       r"take$"):
+        train_tree(schema, samples(4))
+    # only the categories the training column holds count
+    assert train_tree(schema, samples(4)[:3] + [(fv(site=None, f=9.0), "S")])
+    monkeypatch.undo()
+    assert prosody._MAX_CATEGORIES == 20
+    with mock.patch.object(prosody, "_best_split") as search, \
+            pytest.raises(ProsodyError, match="'site' holds 21 categories"):
+        train_tree(schema, samples(21))
+    search.assert_not_called()
 
 
 def test_batched_lookup_reports_an_absent_feature_only_where_it_is_tested():

@@ -26,9 +26,8 @@ from dialact.discourse import (DiscourseGrammar, GrammarVariant,
                                _event_sequence, discourse_perplexity,
                                train_discourse)
 from dialact.ngram import (_EM_MAX_ITER, _EM_TOL, END, START, UNK,
-                           CompiledModelSet, NGramModel, _train_set,
-                           fit_interp_weight, left_sum, train_ngram,
-                           write_arpa)
+                           CompiledModelSet, NGramModel, _fit_weights,
+                           _train_set, left_sum, train_ngram, write_arpa)
 from dialact.wordmodels import smooth_da_lms, train_da_lms
 
 
@@ -339,7 +338,7 @@ def test_smoothing_weights_equal_the_scalar_em(order, seed):
         else:
             want = reference_fit_interp_weight(model, fallback, data)
             assert weights[lab] == want
-            assert fit_interp_weight(model, fallback, data) == want
+            assert _fit_weights([model], fallback, [data])[0] == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -356,14 +355,14 @@ def test_fit_interp_weight_equals_the_scalar_em(order_a, order_b, seed):
     held = [[rng.choice(vocab + ["zebra"]) for _ in range(rng.randint(0, 7))]
             for _ in range(rng.randint(1, 5))]
     for first, second in ((a, b), (b, a), (a, a)):
-        assert fit_interp_weight(first, second, held) == \
+        assert _fit_weights([first], second, [held])[0] == \
             reference_fit_interp_weight(first, second, held)
 
 
 def test_fit_interp_weight_needs_held_out_events():
     a = train_ngram([["a", "b"]], 2, pad=False)
     with pytest.raises(ValueError, match="no held-out events"):
-        fit_interp_weight(a, a, [[]])
+        _fit_weights([a], a, [[[]]])[0]
 
 
 # ---------------------------------------------------------------------------
