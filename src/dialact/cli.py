@@ -165,10 +165,11 @@ def load_models(directory: str | Path) -> TrainedModels:
     fallback = model_at(by_kind["fallback"]["-"][0])
     table = by_kind.get("da_lm", {})
     weights = by_kind.get("smoothing_weight", {})
-    for lab, (_, line) in weights.items():
-        if lab not in tagset.labels:
-            raise CorpusError(f"{manifest}:{line}: smoothing weight for "
-                              f"{lab!r}, which is not in the tag set")
+    for kind, rows in (("da_lm", table), ("smoothing_weight", weights)):
+        for lab, (_, line) in rows.items():
+            if lab not in tagset.labels:
+                raise CorpusError(f"{manifest}:{line}: {kind} row for "
+                                  f"{lab!r}, which is not in the tag set")
     models, smoothed = {}, {}
     for lab in tagset.labels:
         if lab not in table:

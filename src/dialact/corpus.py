@@ -131,7 +131,7 @@ class TagSet:
         for lab in self.labels:
             if not lab or lab.split() != [lab]:
                 raise CorpusError(f"label {lab!r} is empty or contains whitespace")
-            if lab in (START, END):
+            if lab in (START, END, _MISSING_LABEL):
                 raise CorpusError(f"reserved label {lab!r}")
         members_seen: set[str] = set()
         for cls, members in self.collapsed:
@@ -178,7 +178,7 @@ def load_tagset(path: str | Path) -> TagSet:
             raise CorpusError(f"{path}:{lineno}: a label line holds one label")
         elif fields[0] in labels:
             raise CorpusError(f"{path}:{lineno}: duplicate label {fields[0]!r}")
-        elif fields[0] in (START, END):
+        elif fields[0] in (START, END, _MISSING_LABEL):
             raise CorpusError(f"{path}:{lineno}: reserved label {fields[0]!r}")
         else:
             labels.append(fields[0])
@@ -383,6 +383,16 @@ class Conversation:
 # Conversation file I/O
 # ---------------------------------------------------------------------------
 
+def _words(text: str, intern, path: str | Path,
+           lineno: int) -> tuple[str, ...]:
+    """A words field's interned words; ``START`` and ``END`` are rejected."""
+    words = tuple([intern(w, w) for w in text.split()])
+    for token in (START, END):
+        if token in words:
+            raise CorpusError(f"{path}:{lineno}: reserved word {token!r}")
+    return words
+
+
 def parse_conversations(path: str | Path, tagset: TagSet | None = None,
                         nbest: Mapping | None = None,
                         prosody: Mapping | None = None) -> list[Conversation]:
@@ -411,10 +421,7 @@ def parse_conversations(path: str | Path, tagset: TagSet | None = None,
             da = None if label == _MISSING_LABEL else intern(label, label)
             if da is not None and tagset is not None and da not in tagset:
                 raise CorpusError(f"{path}:{lineno}: label {da!r} not in tag set")
-            words = tuple([intern(w, w) for w in words_s.split()])
-            for token in (START, END):
-                if token in words:
-                    raise CorpusError(f"{path}:{lineno}: reserved word {token!r}")
+            words = _words(words_s, intern, path, lineno)
             utts.append(Utterance(idx, speaker, da, words,
                                   nbest.get((conv_id, idx)),
                                   prosody.get((conv_id, idx))))
@@ -454,10 +461,7 @@ def parse_nbest(path: str | Path,
             if not math.isfinite(score):
                 raise CorpusError(f"{path}:{lineno}: non-finite acoustic "
                                   f"score {score_s!r}")
-            words = tuple([intern(w, w) for w in words_s.split()])
-            for token in (START, END):
-                if token in words:
-                    raise CorpusError(f"{path}:{lineno}: reserved word {token!r}")
+            words = _words(words_s, intern, path, lineno)
             raw.setdefault((intern(conv_id, conv_id), int(idx_s)), []).append(
                 (int(rank_s), lineno, Hypothesis(words, score)))
 

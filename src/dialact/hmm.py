@@ -20,20 +20,19 @@ placeholder speaker, so m + 1 patterns, if ``uses_speakers`` is False).
 One forward-backward and one Viterbi recursion then run over these arrays
 for every grammar order.
 
-Viterbi is max-plus.  Forward-backward runs each step as matrix products
-in log space, the scaled recursion of Rabiner (1989, "A tutorial on hidden
-Markov models") with log-space shifts: a step from log scores a through
-transitions T stores P + M + log(exp(a - P) @ exp(T - M)), P each row's
-max and M each transition column's max (the row max over the next label
-for the backward step), with exp(T - M) computed when the corpus is
-compiled.  A product below 1e-280 from finite shifts may have lost terms
-to underflow or digits to subnormals; such cells are recomputed with the
-exact logsumexp, ``ngram._logsumexp``, the toolkit's one such routine.  Blocks of 32 steps gather their tables together and
-check this guard once, rerunning from a block's first flagged step.  This
-moves posteriors by float rounding (at most 8.1e-12 on the bench's long
-conversations) against the exact logsumexp recursion kept in the tests;
-labels, Viterbi paths and reruns are unchanged, with one BLAS thread or
-many.
+Viterbi is max-plus.  Both forward-backward sweeps run one guarded step
+(``_steps``), the scaled recursion of Rabiner (1989, "A tutorial on
+hidden Markov models") as log-space matrix products: from log scores a
+through transitions T a step stores P + M + log(exp(a - P) @ exp(T - M)),
+P each row's max and M the max of T over the summed label, exp(T - M)
+computed when the corpus is compiled.  A product below 1e-280 from finite
+shifts may have lost terms to underflow or digits to subnormals; the step
+recomputes such cells with the exact ``ngram._logsumexp``, checking this
+guard once per block of 32 steps and rerunning from a block's first
+flagged step.  This moves posteriors by float rounding (at most 8.1e-12
+on the bench's long conversations) against the exact logsumexp recursion
+kept in the tests; labels, Viterbi paths and reruns are unchanged, with
+one BLAS thread or many.
 
 Decoding is batched over a corpus.  The distinct pattern arrays of the
 corpus are stacked once (each utterance's pattern coded as an integer
@@ -53,7 +52,8 @@ and normalizes it: checkpointing, as in Grice, Hughey & Speck (1997,
 "Reduced space sequence alignment").  The rerun repeats each step's
 arithmetic and its underflow guard, so the posteriors are those of one
 alpha over the group, bit for bit, and results are bit-identical to
-decoding each conversation alone.
+decoding each conversation alone.  Viterbi holds its back pointers and
+reads its evidence one block of 32 steps at a time.
 
 Evidence enters through :class:`LikelihoodTable`: per-utterance natural-log
 likelihoods, one column per label.  Decoders:
@@ -371,107 +371,91 @@ def _underflow(prods: np.ndarray, evid: np.ndarray, shifts: np.ndarray):
     return (int(steps[0]), bad[steps[0]]) if steps.size else None
 
 
-def _forward(comp: _Compiled, idx: np.ndarray, lik: np.ndarray,
-             prev: np.ndarray, alpha: np.ndarray) -> None:
-    """Fill ``alpha`` (k, c, b, states), whose "before the conversation"
-    column holds -inf, with the forward log scores of the k steps of
-    ``idx`` and ``lik``, from ``prev``, the scores before the first step
-    laid out (c, b, oldest label, rest of the state).
-
-    Step i multiplies, for each conversation and rest of the state, the
-    (b, t+1) rows exp(alpha[i-1] - P) over the oldest label by the
-    compiled exp(T - M), and stores P + M + log(product) + evidence.
-    """
-    blk, c, b, size, t = alpha.shape[:4] + (alpha.shape[4] - 1,)
-    hist = alpha.reshape(blk, c, b, t + 1, size)    # (oldest label, rest)
-    rows = np.empty((c, size, b, t + 1))
-    rows_in = rows.transpose(0, 2, 3, 1)
-    prods = np.empty((blk, c, size, b, t))
+def _steps(source, target, tables: np.ndarray, evid: np.ndarray,
+           trans: np.ndarray, idx: np.ndarray, lik: np.ndarray | None = None,
+           after=lambda i: None) -> None:
+    """Run a block of guarded log-space steps, the one step of both sweeps:
+    step i reads log scores ``source(i)`` (c, b, size, K) and writes
+    log(exp(source - P) @ ``tables[i]``) + ``evid[i]`` + P, P each row's
+    max, into the view ``target(i)`` (c, b, size, L); ``tables`` holds
+    exp(T - M) per conversation (c, size, K, L).  Cells the guard flags
+    are summed exactly over the log transitions ``trans`` (pattern, size,
+    K, L) at rows ``idx[i]``, plus ``lik[i]`` if given, and the block
+    reruns from the next step.  ``after(i)`` runs after step i's product
+    and may write only cells the guard cannot flag."""
+    blk, c, size, k, l = tables.shape
+    b = target(0).shape[1]
+    rows = np.empty((c, size, b, k))
+    rows_in = rows.transpose(0, 2, 1, 3)
+    prods = np.empty((blk, c, size, b, l))
     shifts = np.empty((blk, c, b, size, 1))
-    tables = comp.fwd[idx]
-    evid = comp.fwd_max[idx][:, :, None] + lik[:, :, :, None]
     first = 0
     while first < blk:
         for i in range(first, blk):
-            before = hist[i - 1] if i else prev
-            shift = np.maximum.reduce(before, axis=2, keepdims=True,
-                                      out=shifts[i].reshape(c, b, 1, size))
+            scores = source(i)
+            shift = np.maximum.reduce(scores, axis=-1, keepdims=True,
+                                      out=shifts[i])
             np.maximum(shift, _FLOOR, out=shift)
-            np.subtract(before, shift, out=rows_in)
+            np.subtract(scores, shift, out=rows_in)
             np.exp(rows, out=rows)
             np.matmul(rows, tables[i], out=prods[i])
             np.log(prods[i], out=prods[i])
-            out = alpha[i, ..., :t]
-            np.add(prods[i].transpose(0, 2, 1, 3), evid[i], out=out)
-            out += shifts[i]
+            out = np.add(prods[i].transpose(0, 2, 1, 3), evid[i],
+                         out=target(i))
+            out += shift
+            after(i)
         found = _underflow(prods[first:],
                            evid[first:].transpose(0, 1, 3, 2, 4),
                            shifts[first:].transpose(0, 1, 3, 2, 4))
         if found is None:
             break
         i = first + found[0]
-        cc, rr, bb, jj = np.nonzero(found[1])
-        before = hist[i - 1] if i else prev
-        alpha[i, cc, bb, rr, jj] = _logsumexp(
-            before[cc, bb, :, rr] + comp.trans[idx[i, cc], :, rr, jj],
-            axis=1) + lik[i, cc, bb, jj]
+        cc, rr, bb, ll = np.nonzero(found[1])
+        exact = _logsumexp(
+            source(i)[cc, bb, rr] + trans[idx[i, cc], rr, :, ll], axis=1)
+        target(i)[cc, bb, rr, ll] = exact if lik is None else \
+            exact + lik[i, cc, bb, ll]
         first = i + 1
+
+
+def _forward(comp: _Compiled, idx: np.ndarray, lik: np.ndarray,
+             prev: np.ndarray, alpha: np.ndarray) -> None:
+    """Fill ``alpha`` (k, c, b, states), whose "before the conversation"
+    column holds -inf, with the forward log scores of the k steps of
+    ``idx`` and ``lik`` from ``prev``, the scores before the first step
+    laid out (c, b, oldest label, rest); a step sums over the oldest."""
+    blk, c, b, size, t = alpha.shape[:4] + (alpha.shape[4] - 1,)
+    hist = alpha.reshape(blk, c, b, t + 1, size)
+    _steps(lambda i: (hist[i - 1] if i else prev).transpose(0, 1, 3, 2),
+           lambda i: alpha[i, ..., :t], comp.fwd[idx],
+           comp.fwd_max[idx][:, :, None] + lik[:, :, :, None],
+           comp.trans.transpose(0, 2, 1, 3), idx, lik)
 
 
 def _backward(comp: _Compiled, idx: np.ndarray, lik: np.ndarray,
               beta: np.ndarray, ends: np.ndarray, ending: dict, lo: int,
               betas: np.ndarray) -> None:
     """Fill ``betas`` (k, c, b, states) with the backward log scores of
-    steps lo + k - 1 down to lo, the j-th of them at j, from ``beta``, the
-    scores of step lo + k; ``idx`` and ``lik`` hold steps lo..lo + k.
-
-    Step i multiplies, for each conversation and rest of the state, the
-    (b, t) rows exp(evidence + beta[i+1] - P) over the next label by the
-    compiled exp(T - N); each conversation's end array (``ends``, one row
-    per conversation) enters at its own last step.
-    """
+    steps lo + k - 1 down to lo, the j-th at j, from ``beta``, the scores
+    of step lo + k, where ``idx`` and ``lik`` hold steps lo..lo + k; a
+    step sums over the next label, and each conversation's row of
+    ``ends`` enters at its own last step (a step that reads padded
+    evidence, so its shift is floored and the guard never flags it)."""
     blk, c, b, size, t = betas.shape[:4] + (betas.shape[4] - 1,)
-    top = lo + blk
     nxt = np.empty((c, b, size, t))
-    rows = np.empty((c, size, b, t))
-    rows_in = rows.transpose(0, 2, 1, 3)
-    prods = np.empty((blk, c, size, b, t + 1))
-    shifts = np.empty((blk, c, b, size, 1))
-    hist = betas.reshape(blk, c, b, t + 1, size)    # (oldest label, rest)
-    tables = comp.bwd[idx[blk:0:-1]]
-    evid = comp.bwd_max[idx[blk:0:-1]][:, :, None]
-    first = 0
-    while first < blk:
-        for k in range(first, blk):
-            np.add(lik[blk - k][:, :, None],
-                   (betas[k - 1] if k else beta)[..., :t], out=nxt)
-            shift = np.maximum.reduce(nxt, axis=-1, keepdims=True,
-                                      out=shifts[k])
-            np.maximum(shift, _FLOOR, out=shift)
-            np.subtract(nxt, shift, out=rows_in)
-            np.exp(rows, out=rows)
-            np.matmul(rows, tables[k], out=prods[k])
-            np.log(prods[k], out=prods[k])
-            np.add(prods[k].transpose(0, 2, 3, 1), evid[k], out=hist[k])
-            hist[k] += shift.reshape(c, b, 1, size)
-            last = ending.get(top - 1 - k)
-            if last:
-                betas[k][last] = ends[last]
-        found = _underflow(prods[first:],
-                           evid[first:].transpose(0, 1, 4, 2, 3),
-                           shifts[first:].transpose(0, 1, 3, 2, 4))
-        if found is None:
-            break
-        k = first + found[0]
-        cc, rr, bb, oo = np.nonzero(found[1])
-        np.add(lik[blk - k][:, :, None],
-               (betas[k - 1] if k else beta)[..., :t], out=nxt)
-        hist[k, cc, bb, oo, rr] = _logsumexp(
-            comp.trans[idx[blk - k, cc], oo, rr] + nxt[cc, bb, rr], axis=1)
-        last = ending.get(top - 1 - k)
+    hist = betas.reshape(blk, c, b, t + 1, size).transpose(0, 1, 2, 4, 3)
+    steps = idx[blk:0:-1]
+
+    def after(k: int) -> None:
+        last = ending.get(lo + blk - 1 - k)
         if last:
             betas[k][last] = ends[last]
-        first = k + 1
+
+    _steps(lambda k: np.add(lik[blk - k][:, :, None],
+                            (betas[k - 1] if k else beta)[..., :t], out=nxt),
+           hist.__getitem__, comp.bwd[steps],
+           comp.bwd_max.transpose(0, 2, 1)[steps][:, :, None],
+           comp.trans.transpose(0, 2, 3, 1), steps, after=after)
 
 
 def _normalize(joint: np.ndarray, lengths: list[int], lo: int,
@@ -594,11 +578,9 @@ def _group_viterbi(comp: _Compiled, group: list[int],
                    liks: Sequence[np.ndarray]) -> list:
     """Viterbi over one group: per conversation, its (label indices, log
     joint score), or the ValueError its own decode raises."""
-    n = max(len(liks[k]) for k in group)
-    idx, lik = _gather(comp, group, liks, _UNSCALED, 0, n)
+    n, c = max(len(liks[k]) for k in group), len(group)
     ending = _ending(group, liks)
-    c, t = len(group), lik.shape[-1]     # lik: (n, c, 1, t)
-    size = comp.trans.shape[2]
+    _, _, size, t = comp.trans.shape
     score = np.full((c, t + 1, size), -np.inf)
     score[:, -1, -1] = 0.0               # every axis "before the conversation"
     state = np.full((c, size, t + 1), -np.inf)
@@ -607,9 +589,11 @@ def _group_viterbi(comp: _Compiled, group: list[int],
     peak = np.empty((n, c))
     final = np.empty((c, size * (t + 1)))
     for i in range(n):
-        cand = score[..., None] + comp.trans[idx[i]]
+        if i % _BLOCK == 0:     # lik: (steps, c, 1, t)
+            idx, lik = _gather(comp, group, liks, _UNSCALED, i, i + _BLOCK)
+        cand = score[..., None] + comp.trans[idx[i % _BLOCK]]
         back[i] = cand.argmax(axis=1)
-        state[..., :t] = cand.max(axis=1) + lik[i]
+        state[..., :t] = cand.max(axis=1) + lik[i % _BLOCK]
         peak[i] = state.reshape(c, -1).max(axis=1)
         score = state.reshape(c, t + 1, size)
         for j in ending.get(i, ()):

@@ -406,6 +406,8 @@ def _append(line):
     (_set_weight("1.5"), "weight '1.5': interpolation weight must be in"),
     (_set_weight("-0.25"), "weight '-0.25': interpolation weight must be in"),
     (_append("smoothing_weight\tFiller\t0.5"), "not in the tag set"),
+    (_append("da_lm\tFiller\tda_lms/_fallback.arpa"),
+     "da_lm row for 'Filler', which is not in the tag set"),
     (_append("da_lm_smoothed\tStatement\tda_lms_smoothed/Statement.arpa"),
      "re-run `dialact train`"),
     (_append("da_lm\tStatement\tda_lms/_fallback.arpa"),
@@ -414,8 +416,8 @@ def _append(line):
      "second smoothing_weight row for 'Statement'"),
     (_append("bogus_kind\tx\ty"), "unknown kind 'bogus_kind'"),
 ], ids=["missing", "not-a-float", "nan", "above-one", "below-zero",
-        "unknown-label", "old-dense-row", "second-da-lm", "second-weight",
-        "unknown-kind"])
+        "unknown-label", "unknown-da-lm-label", "old-dense-row",
+        "second-da-lm", "second-weight", "unknown-kind"])
 def test_bad_manifest_rows_name_the_line(workdir, tmp_path, capsys, edit,
                                          message):
     models = tmp_path / "models"

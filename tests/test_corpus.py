@@ -55,10 +55,11 @@ def test_tagset_rejects_duplicates_and_whitespace():
         TagSet(())
 
 
-@pytest.mark.parametrize("token", ["<start>", "<end>"])
+@pytest.mark.parametrize("token", ["<start>", "<end>", "-"])
 def test_reserved_tokens_are_not_labels(tmp_path, token):
     # a bare label is a discourse grammar token (--variant da_only), and
-    # these two are the grammar's conversation start and end
+    # the first two are the grammar's conversation start and end; a corpus
+    # reads "-" as an unlabeled act
     with pytest.raises(CorpusError, match=f"reserved label '{token}'"):
         TagSet(("S", token, "Q"))
     path = tmp_path / "tags.txt"

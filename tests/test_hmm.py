@@ -999,3 +999,23 @@ def test_checkpointed_posteriors_equal_one_alpha_past_underflow():
                 comp, [0, 1, 2], liks, scales, online))
     # the forward products have t columns, the backward ones t + 1
     assert {found[1].shape[-1] for found in tripped if found} == {3, 4}
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_exact_path_on_every_cell_equals_the_oracle(order, monkeypatch):
+    # with the guard above every product, each cell of both sweeps whose
+    # evidence and shift are finite is summed again exactly, step after
+    # step with a rerun from the next: the oracle's recursion, bit for bit
+    monkeypatch.setattr(hmm, "_LOG_TINY", np.inf)
+    rng = random.Random(order)
+    grammar, _ = rand_instance(rng, 4, order, 1, GrammarVariant.JOINT)
+    tables = [rand_instance(rng, 4, 0, n)[1] for n in (1, 33, 65)]
+    comp = hmm._compile(grammar, tables, products=True)
+    liks = [table.scores for table in tables]
+    scales = np.array([1.0, 0.5])
+    for online in (False, True):
+        posts = hmm._group_posteriors(comp, [0, 1, 2], liks, scales, online)
+        for j, table in enumerate(tables):
+            assert np.array_equal(
+                posts[:len(table), j].transpose(1, 0, 2),
+                oracle_posteriors(grammar, table, scales, online))

@@ -1,14 +1,14 @@
 """Memory held while reading, scoring and decoding does not grow with the
 length of a conversation.
 
-Each reader, the word scorer and forward-backward run on one conversation
+Each reader, the word scorer and both decoders run on one conversation
 of N and of 4N utterances under ``tracemalloc``, whose counts repeat
 exactly.  What a call holds at its traced peak beyond what its result
 holds is its transient.  The transient may grow by the decoded text of
-the file, which is read whole, and by a few bytes per utterance for the
-indices a call keeps per row; per-row text lists, an alpha over every
-step or a scoring group per long conversation each grow it by hundreds of
-bytes per utterance.
+the file, which is read whole, by Viterbi's back pointers, and by a few
+bytes per utterance for the indices a call keeps per row; per-row text
+lists, an alpha or evidence over every step or a scoring group per long
+conversation each grow it by tens to hundreds of bytes per utterance.
 """
 
 import gc
@@ -20,7 +20,8 @@ import pytest
 
 from dialact.corpus import TagSet, parse_conversations, parse_prosody
 from dialact.discourse import GrammarVariant, train_discourse
-from dialact.hmm import LikelihoodTable, forward_backward_corpus
+from dialact.hmm import (LikelihoodTable, forward_backward_corpus,
+                         viterbi_corpus)
 from dialact.wordmodels import train_da_lms, word_likelihood_tables
 
 N = 4096                # a full chunk of prosody rows, two scoring groups
@@ -106,3 +107,20 @@ def test_forward_backward_holds_one_block_and_its_checkpoints(inputs):
     forward_backward_corpus(grammar, tables[N])    # compile the prior first
     assert growth(lambda n: forward_backward_corpus(grammar, tables[n]),
                   N // 4) <= PER_ROW * 3 * N // 4
+
+
+def test_viterbi_holds_its_back_pointers_and_one_block(inputs):
+    # the forward-backward test's tables; Viterbi keeps a back pointer per
+    # (rest of the state, label) and step, one byte each here, and reads
+    # its evidence one block of steps at a time
+    tagset = TagSet(LABELS)
+    grammar = train_discourse(parse_conversations(inputs[N][0], tagset),
+                              tagset, 3, GrammarVariant.SPEAKER_CONDITIONED)
+    tables = {n: [LikelihoodTable(
+        "c", LABELS, tuple("AB"[i % 2] for i in range(n)),
+        np.log(np.random.default_rng(n).dirichlet(np.ones(len(LABELS)), n)))]
+        for n in (N // 4, N)}
+    viterbi_corpus(grammar, tables[N])              # compile the prior first
+    back = (len(LABELS) + 1) * len(LABELS)
+    assert growth(lambda n: viterbi_corpus(grammar, tables[n]), N // 4) \
+        <= (back + PER_ROW) * 3 * N // 4
