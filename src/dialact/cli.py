@@ -47,7 +47,7 @@ from .discourse import (DiscourseGrammar, GrammarVariant, discourse_perplexity,
 from .hmm import (CombinationWeights, combine_likelihoods,
                   forward_backward_corpus, tune_alpha_beta, viterbi_corpus)
 from .metrics import tagging_accuracy
-from .ngram import interpolate, perplexity, read_arpa, write_arpa
+from .ngram import _merge, interpolate, perplexity, read_arpa, write_arpa
 from .prosody import (DecisionTree, ProsodyError, TreeConfig, load_tree,
                       prosody_likelihood_tables, serialize_tree, train_tree)
 from .rescore import METHODS, per_da_wer_report, rescore_corpus
@@ -155,14 +155,6 @@ def load_models(directory: str | Path) -> TrainedModels:
     tagset = load_tagset(root / by_kind["tagset"]["-"][0])
     grammar = load_discourse(root / by_kind["discourse"]["-"][0], tagset)
 
-    cache: dict[str, object] = {}
-
-    def model_at(path: str):
-        if path not in cache:
-            cache[path] = read_arpa(root / path)
-        return cache[path]
-
-    fallback = model_at(by_kind["fallback"]["-"][0])
     table = by_kind.get("da_lm", {})
     weights = by_kind.get("smoothing_weight", {})
     for kind, rows in (("da_lm", table), ("smoothing_weight", weights)):
@@ -170,7 +162,6 @@ def load_models(directory: str | Path) -> TrainedModels:
             if lab not in tagset.labels:
                 raise CorpusError(f"{manifest}:{line}: {kind} row for "
                                   f"{lab!r}, which is not in the tag set")
-    models, smoothed = {}, {}
     for lab in tagset.labels:
         if lab not in table:
             raise CorpusError(f"{manifest}:{by_kind['tagset']['-'][1]}: no "
@@ -178,7 +169,14 @@ def load_models(directory: str | Path) -> TrainedModels:
         if lab not in weights:
             raise CorpusError(f"{manifest}:{table[lab][1]}: no "
                               f"smoothing_weight row for {lab!r}")
-        model = models[lab] = model_at(table[lab][0])
+    # each model file read once, and all of them merged into one store
+    paths = list(dict.fromkeys([by_kind["fallback"]["-"][0], *(
+        table[lab][0] for lab in tagset.labels)]))
+    model_at = dict(zip(paths, _merge([read_arpa(root / p) for p in paths])))
+    fallback = model_at[paths[0]]
+    models, smoothed = {}, {}
+    for lab in tagset.labels:
+        model = models[lab] = model_at[table[lab][0]]
         text, line = weights[lab]
         try:    # non-numbers, NaN and weights outside [0, 1] all raise
             mix = interpolate(model, fallback, float(text))

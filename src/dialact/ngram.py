@@ -13,10 +13,12 @@ map to ``<unk>`` at query time, which collects probability only through
 backoff.  ``pad=False`` turns both the padding and the reserved tokens off
 (useful for hand-checkable distributions over a closed token set).
 
-A model is stored once, as sorted arrays (Heafield 2011, "KenLM: faster
-and smaller language model queries"): estimation fills them one order at
-a time, ARPA files are read into and written from them, and
-:class:`CompiledModelSet` scores from them.
+Models are held in stores of sorted arrays, one per estimate, ARPA file
+or model directory (Heafield 2011, "KenLM: faster and smaller language
+model queries"), and an :class:`NGramModel` is a handle on one model's
+rows.  Estimation fills a store for a whole set of models, a directory's
+ARPA files merge into one, and :class:`CompiledModelSet` scores from a
+store in place: only a merge copies arrays.
 
 All internal arithmetic is in natural logs; the ARPA-style file format
 uses log10, as usual.
@@ -28,7 +30,7 @@ import functools
 import itertools
 import math
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -39,6 +41,7 @@ UNK = "<unk>"
 # ARPA convention: entries at or below this log10 value carry no probability
 # (context-only lines, e.g. <start>).
 _LOG10_NONE = -99.0
+_NO_KEY = np.iinfo(np.int64).max       # the key of a level's sentinel row
 _LN10 = math.log(10.0)
 
 # A context's unseen mass is 1 minus its seen words' lower-order mass
@@ -77,33 +80,75 @@ def left_sum(values: np.ndarray | Iterable[float]) -> float:
     return float(np.add.accumulate(np.append(0.0, values))[-1])
 
 
-class NGramModel:
-    """A trained (or file-loaded) backoff model, stored as arrays.
+class _Store:
+    """Backoff models over one token list, each a group of rows of one set
+    of arrays.
 
-    Token ids follow the sorted ``tokens``; id ``len(tokens)`` stands for
-    any other.  Per level n, ``lp`` and ``bow`` hold log probs (NaN: an
-    n-gram stored only as a context) and backoff weights (0.0: none).
-    Level 0 is the empty context, level 1 is dense over ids, and a higher
-    level's n-grams are its sorted int64 ``keys``, ``parent * B + token``
-    (``parent`` the row of the n-gram's prefix one level down, B the id
-    count).  Every prefix of a stored n-gram is stored.
+    Token ids follow the sorted ``tokens``; id B - 1 = ``len(tokens)``
+    stands for any other.  Per level n, ``lp`` and ``bow`` hold log probs
+    (NaN: a row held only as a context) and backoff weights (0.0: none).
+    Level 0 holds each group's empty context, and level 1 is dense over
+    ids, row group * B + id.  A higher level's rows are its sorted int64
+    ``keys``, parent * B + id (``parent`` the row of the n-gram's prefix
+    one level down), so every level holds the groups' rows in turn, each
+    group's from its row of ``first``; every prefix of a stored n-gram is
+    stored.  Those levels end in a sentinel row (a key beyond any query,
+    NaN, 0.0) that stands for "no such n-gram", and ``has_children`` marks
+    the rows that are the prefix of some row one level up.  ``groups``
+    holds each group's order, vocabulary and padding.
     """
 
-    def __init__(self, order: int, vocab: frozenset[str],
-                 tokens: tuple[str, ...], keys: list, lp: list, bow: list,
-                 padded: bool = True) -> None:
-        self.order, self.vocab, self.padded, self.tokens = \
-            order, vocab, padded, tokens
-        self._base = len(tokens) + 1
-        self._keys, self._lp, self._bow = keys, lp, bow
-        self._log_uniform = -math.log(len(vocab))
-        self._engine: CompiledModelSet | None = None
+    def __init__(self, tokens: tuple[str, ...],
+                 groups: Sequence[tuple[int, frozenset[str], bool]],
+                 keys: list, lp: list, bow: list) -> None:
+        n_groups = len(groups)
+        self.tokens, self.base = tokens, len(tokens) + 1
+        self.unk = tokens.index(UNK) if UNK in tokens else len(tokens)
+        self.keys, self.bow = keys, bow
+        self.lp = [np.full(n_groups, math.nan), *lp[1:]]
+        self.groups = list(groups)
+        masks = {v: [t in v for t in tokens] + [False]   # each vocabulary once
+                 for v in {vocab for _, vocab, _ in groups}}
+        self.in_vocab = np.array([masks[vocab] for _, vocab, _ in groups])
+        self.orders = np.array([order for order, _, _ in groups])
+        self.log_uniform = np.array([-math.log(len(v)) for _, v, _ in groups])
+        self.first = [np.arange(n_groups + 1), np.arange(n_groups + 1)
+                      * self.base]
+        self.has_children = [None, np.zeros(n_groups * self.base, dtype=bool)]
+        for n in range(2, len(keys)):
+            self.first.append(keys[n].searchsorted(self.first[-1] * self.base))
+            self.has_children[-1][keys[n][:-1] // self.base] = True
+            self.has_children.append(np.zeros(len(keys[n]), dtype=bool))
 
     @functools.cached_property
-    def _ids(self) -> dict[str, int]:
-        """Each token's id, built on first use by :meth:`log_probs`:
-        estimation, the engine and ARPA files work from ``tokens``."""
+    def ids(self) -> dict[str, int]:    # built on first query, not to merge
         return {t: i for i, t in enumerate(self.tokens)}
+
+
+class NGramModel:
+    """A trained (or file-loaded) backoff model: group ``group`` of a
+    store, whose arrays it reads in place.  Its ids follow the store's
+    ``tokens``."""
+
+    __slots__ = ("_store", "_group", "order", "vocab", "tokens", "padded")
+
+    def __init__(self, store: _Store, group: int) -> None:
+        self._store, self._group, self.tokens = store, group, store.tokens
+        self.order, self.vocab, self.padded = store.groups[group]
+
+    def level(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(grams, lp, bow)`` of the model's level-n rows: their token
+        ids (one row each; level 0 is the empty context), and views of
+        their log probs and backoff weights."""
+        s = self._store
+        lo, hi = s.first[n][self._group:self._group + 2]
+        rows, cols = np.arange(lo, hi), []
+        for level in range(n, 1, -1):
+            rows, token = np.divmod(s.keys[level][rows], s.base)
+            cols.append(token)
+        # level 0, the empty context, has no tokens
+        return (np.column_stack([rows % s.base, *cols[::-1]])[:, :n],
+                s.lp[n][lo:hi], s.bow[n][lo:hi])
 
     def log_probs(self, contexts: Sequence[Sequence[str]],
                   tokens: Sequence[str]) -> np.ndarray:
@@ -113,12 +158,12 @@ class NGramModel:
         for token in tokens:
             if token not in self.vocab and UNK not in self.vocab:
                 raise ValueError(f"token {token!r} not in closed vocabulary")
-        k1, none = self.order - 1, self._base - 1
-        ctx = np.array([[self._ids.get(t, none) for t in ([None] * k1 + list(
+        ids, none, k1 = self._store.ids, len(self.tokens), self.order - 1
+        ctx = np.array([[ids.get(t, none) for t in ([None] * k1 + list(
             context))[len(context):]] for context in contexts],
             dtype=np.int64).reshape(len(contexts), k1)
-        tok = np.array([self._ids.get(t, none) for t in tokens], dtype=np.int64)
-        return _own_engine(self)._event_log_probs(np.column_stack([
+        tok = np.array([ids.get(t, none) for t in tokens], dtype=np.int64)
+        return CompiledModelSet([self])._event_log_probs(np.column_stack([
             np.repeat(ctx, len(tok), axis=0), np.tile(tok, len(ctx))]))[
             :, 0].reshape(len(ctx), len(tok))
 
@@ -130,23 +175,12 @@ class NGramModel:
     def logprob(self) -> tuple[tuple[str, ...], ...]:
         """The contexts with at least one continuation probability, shortest
         first and in sorted order (read-only)."""
-        found = [] if np.isnan(self._lp[1]).all() else [()]
-        for n in range(2, self.order + 1):
-            rows = np.unique(self._keys[n][~np.isnan(self._lp[n])] // self._base)
-            found += [tuple(self.tokens[i] for i in gram)
-                      for gram in self._grams(n - 1, rows).tolist()]
+        found = []
+        for n in range(1, self.order + 1):
+            grams, lp, _ = self.level(n)
+            found += sorted({tuple(map(self.tokens.__getitem__, gram[:-1]))
+                             for gram in grams[~np.isnan(lp)].tolist()})
         return tuple(found)
-
-    def contexts(self) -> Iterator[tuple[str, ...]]:
-        return iter(self.logprob)
-
-    def _grams(self, n: int, rows: np.ndarray) -> np.ndarray:
-        """Token ids (one row each) of the level-n n-grams at ``rows``."""
-        cols = []
-        for level in range(n, 1, -1):
-            rows, token = np.divmod(self._keys[level][rows], self._base)
-            cols.append(token)
-        return np.column_stack([rows, *cols[::-1]])
 
 
 def train_ngram(sequences: Sequence[Sequence[str]], order: int,
@@ -226,7 +260,8 @@ def _train_set(groups: Sequence[Sequence[Sequence[str]]], order: int,
     # (ending past the pads) or the context of one; ``row`` holds the row
     # of the n-gram ending at each position (``below``: one level down),
     # ``at_row`` one position of each row.  Level 1's rows are group * base
-    # + token, so each level's rows are those of the groups in turn.
+    # + token, so each level's rows are those of the groups in turn, and
+    # each level above 1 ends in the store's sentinel row.
     keys, lp = [None, None], [None]
     bow, row = [np.zeros(len(groups))], owner * base + stream
     for n in range(1, order + 1):
@@ -234,7 +269,7 @@ def _train_set(groups: Sequence[Sequence[Sequence[str]]], order: int,
             at = np.flatnonzero(index >= n - 1)
             level, inverse = np.unique(row[at - 1] * base + stream[at],
                                        return_inverse=True)
-            keys.append(level)
+            keys.append(np.append(level, _NO_KEY))
             below, row = row, np.full(len(stream), -1)
             row[at] = inverse
             at_row = np.empty(len(level), dtype=np.int64)
@@ -260,8 +295,8 @@ def _train_set(groups: Sequence[Sequence[Sequence[str]]], order: int,
             z = 1.0 - np.add.reduceat(np.exp(lower), starts)
             floored = np.flatnonzero((unseen > 0) & (z < _Z_FLOOR)).tolist()
             if floored:
-                models = _split_set(n - 1, len(groups), vocab, tokens, keys,
-                                    lp, bow, pad)
+                lower_orders = _Store(tokens, [(n - 1, vocab, pad)]
+                                      * len(groups), keys[:n], lp, bow)
             for c in floored:
                 # the sorted explicit sum over the unseen words, each walked
                 # under the context's group's orders 1..n-1
@@ -269,8 +304,9 @@ def _train_set(groups: Sequence[Sequence[Sequence[str]]], order: int,
                 probe = np.tile(stream[end - n + 2:end + 1], (unseen[c], 1))
                 probe[:, -1] = np.setdiff1d([ids[t] for t in vocab],
                                             keys[n][seen[of == c]] % base)
-                z[c] = left_sum(map(math.exp, _own_engine(
-                    models[owner[end]])._event_log_probs(probe)[:, 0].tolist()))
+                z[c] = left_sum(map(math.exp, CompiledModelSet([NGramModel(
+                    lower_orders, owner[end])])._event_log_probs(probe)[
+                    :, 0].tolist()))
         c = counts[seen] / denom[of]
         lp.append(np.full(size, math.nan))
         # a context that saw every vocabulary token folds its reserved mass
@@ -280,42 +316,13 @@ def _train_set(groups: Sequence[Sequence[Sequence[str]]], order: int,
         bow.append(np.zeros(size))
         bow[n - 1][context] = np.where(unseen > 0,
                                        np.log(reserved) - np.log(z), 0.0)
-    return _split_set(order, len(groups), vocab, tokens, keys, lp, bow, pad)
-
-
-def _split_set(order: int, n_groups: int, vocab: frozenset[str],
-               tokens: tuple[str, ...], keys: list, lp: list, bow: list,
-               padded: bool) -> list[NGramModel]:
-    """The order-``order`` models of a set estimated by :func:`_train_set`:
-    each group's rows of every level, with its keys' parents counted from
-    the group's first row one level down."""
-    base = len(tokens) + 1
-    first = np.arange(n_groups + 1) * base      # each group's first row
-    # each group's keys, log probs and backoff weights by level
-    parts = [([None, None], [None, lp[1][lo:hi]],
-              [bow[0][g:g + 1], bow[1][lo:hi]])
-             for g, (lo, hi) in enumerate(zip(first, first[1:]))]
-    for n in range(2, order + 1):
-        below, first = first, keys[n].searchsorted(first * base)
-        for g, (k, p, b) in enumerate(parts):
-            lo, hi = first[g], first[g + 1]
-            k.append(keys[n][lo:hi] - below[g] * base)
-            p.append(lp[n][lo:hi])
-            b.append(bow[n][lo:hi])
-    return [NGramModel(order, vocab, tokens, k, p, b, padded)
-            for k, p, b in parts]
+    store = _Store(tokens, [(order, vocab, pad)] * len(groups), keys, lp, bow)
+    return [NGramModel(store, g) for g in range(len(groups))]
 
 
 # ---------------------------------------------------------------------------
 # Scoring and perplexity (works for NGramModel and InterpolatedModel alike)
 # ---------------------------------------------------------------------------
-
-def _own_engine(scorer) -> "CompiledModelSet":
-    """The scorer's compiled view on its own, built on first use."""
-    if scorer._engine is None:
-        scorer._engine = CompiledModelSet([scorer])
-    return scorer._engine
-
 
 def perplexity(model, sequences: Sequence[Sequence[str]]) -> float:
     """exp of the per-token negative mean log probability; the token count
@@ -324,7 +331,7 @@ def perplexity(model, sequences: Sequence[Sequence[str]]) -> float:
     count = sum(len(s) + (1 if model.padded else 0) for s in seqs)
     if count == 0:
         raise ValueError("no tokens to evaluate")
-    total = left_sum(_own_engine(model).score(seqs)[:, 0])
+    total = left_sum(CompiledModelSet([model]).score(seqs)[:, 0])
     return math.exp(-total / count)
 
 
@@ -353,7 +360,6 @@ class InterpolatedModel:
         # a zero weight silences its component exactly through logaddexp
         self._log_w = math.log(weight) if weight > 0.0 else -math.inf
         self._log_rest = math.log(1.0 - weight) if weight < 1.0 else -math.inf
-        self._engine: CompiledModelSet | None = None
 
 
 def interpolate(first, second, weight: float) -> InterpolatedModel:
@@ -421,12 +427,9 @@ class CompiledModelSet:
 
     ``scorers`` are NGramModels and interpolations of two NGramModels, all
     padded alike; their orders may differ, as a model directory's ARPA
-    files each declare their own.  The set views the distinct NGramModels
-    behind them end to end over the union of their tokens (the last id
-    stands for every token no model knows): each level's rows are those
-    of the models in turn, so every key's parent row moves by the rows of
-    the models before, and a model's ids map increasingly into the union,
-    so each level stays sorted.
+    files each declare their own.  The set reads the store of the distinct
+    NGramModels behind them in place and walks only their groups; models
+    of several stores are first merged into one by :func:`_merge`.
 
     :meth:`score` runs the backoff walk of each distinct event window
     under every model with ``np.searchsorted``.  Backoff weights
@@ -458,58 +461,10 @@ class CompiledModelSet:
                      np.array([row[id(s.second)] for s in mixed], dtype=int),
                      np.array([s._log_w for s in mixed])[:, None],
                      np.array([s._log_rest for s in mixed])[:, None])
-        self._view(list(bases.values()))
-
-    def _view(self, models: list[NGramModel]) -> None:
-        # models of one estimate share their tokens and vocabulary, so each
-        # distinct token tuple and vocabulary is mapped once
-        shared = {m.tokens for m in models}
-        tokens = sorted(set().union(*shared))
-        self._ids = ids = {t: i for i, t in enumerate(tokens)}
-        self._base = base = len(ids) + 1
-        none = base - 1
-        n_models = len(models)
+        models = _merge(list(bases.values()))
+        self._store = models[0]._store
+        self._groups = np.array([m._group for m in models])
         self._padded = models[0].padded
-        self._order = np.array([m.order for m in models])
-        self._in_vocab = np.zeros((n_models, base), dtype=bool)
-        self._closed = np.array([UNK not in m.vocab for m in models])
-        self._unk = ids.get(UNK, none)
-        self._log_uniform = np.array([m._log_uniform for m in models])
-        # per level: sorted keys, then log probs and backoff weights, each
-        # ending in a sentinel row (key beyond any query, NaN, 0.0) that
-        # stands for "no such n-gram"; level 1 is dense over (model, token)
-        self._keys, self._lp, self._bow = [None, None], [
-            None, np.full(n_models * base, math.nan)], [
-            np.concatenate([m._bow[0] for m in models]), np.zeros(n_models * base)]
-        # per level: which rows are the prefix of some row one level up
-        self._has_children: list = [None,
-                                    np.zeros(n_models * base, dtype=bool)]
-        # each model's ids (and its "no such token" id) in the union's
-        to_union = {toks: np.array([ids[t] for t in toks] + [none])
-                    for toks in shared}
-        maps = [to_union[m.tokens] for m in models]
-        vocab_ids = {v: [ids[t] for t in v] for v in {m.vocab for m in models}}
-        for m, (model, to) in enumerate(zip(models, maps)):
-            self._in_vocab[m, vocab_ids[model.vocab]] = True
-            self._lp[1][m * base + to] = model._lp[1]
-            self._bow[1][m * base + to] = model._bow[1]
-        offsets = [m * base for m in range(n_models)]
-        for n in range(2, int(self._order.max()) + 1):
-            parts = []
-            for model, to, offset in zip(models, maps, offsets):
-                if n <= model.order:
-                    parent, token = np.divmod(model._keys[n], model._base)
-                    parts.append((((to[parent] if n == 2 else parent)
-                                   + offset) * base + to[token],
-                                  model._lp[n], model._bow[n]))
-            offsets = np.cumsum([0] + [len(m._keys[n]) if n <= m.order else 0
-                                       for m in models])
-            keys, lps, bows = map(np.concatenate, zip(*parts))
-            self._has_children[-1][keys // base] = True
-            self._has_children.append(np.zeros(len(keys) + 1, dtype=bool))
-            self._keys.append(np.append(keys, np.iinfo(np.int64).max))
-            self._lp.append(np.append(lps, math.nan))
-            self._bow.append(np.append(bows, 0.0))
 
     def score(self, sequences: Sequence[Sequence[str]]) -> np.ndarray:
         """Natural-log probability of every sequence (rows) under every
@@ -538,9 +493,9 @@ class CompiledModelSet:
         it, k the largest order) under every scorer, by
         :meth:`_event_log_probs`; the window of each event in input order;
         each sequence's event count and first event."""
-        ids, base = self._ids, self._base
-        none = base - 1
-        k1 = int(self._order.max()) - 1
+        store = self._store
+        ids, base, none = store.ids, store.base, len(store.tokens)
+        k1 = int(store.orders[self._groups].max()) - 1
         tail = (END,) if self._padded else ()
         n_events = np.fromiter(map(len, seqs), dtype=np.int64,
                                count=len(seqs)) + len(tail)
@@ -558,8 +513,9 @@ class CompiledModelSet:
         stream[np.delete(pos, ends)] = [
             ids.get(t, none) for t in itertools.chain.from_iterable(seqs)]
         stream[pos[ends]] = ids.get(END, none)
-        if self._closed.any():
-            unknown = ~self._in_vocab[self._closed].all(axis=0)[stream[pos]]
+        closed = self._groups[~store.in_vocab[self._groups, store.unk]]
+        if len(closed):
+            unknown = ~store.in_vocab[closed].all(axis=0)[stream[pos]]
             if unknown.any():
                 e = int(unknown.argmax())
                 s = int(np.searchsorted(first, e, side="right")) - 1
@@ -595,10 +551,10 @@ class CompiledModelSet:
               where: np.ndarray) -> np.ndarray:
         """Row in level n of each (parent row, token) where ``where`` holds
         and the parent has rows below it; the sentinel row elsewhere."""
-        keys = self._keys[n]
+        keys = self._store.keys[n]
         rows = np.full(parent.shape, len(keys) - 1)
-        where = where & self._has_children[n - 1][parent]
-        query = parent[where] * self._base + np.broadcast_to(
+        where = where & self._store.has_children[n - 1][parent]
+        query = parent[where] * self._store.base + np.broadcast_to(
             token, parent.shape)[where]
         found = keys.searchsorted(query)
         rows[where] = np.where(keys[found] == query, found, len(keys) - 1)
@@ -606,11 +562,12 @@ class CompiledModelSet:
 
     def _walk(self, tok: np.ndarray) -> np.ndarray:
         """(rows, windows) log probabilities of a block of id windows."""
+        s = self._store
         k1 = tok.shape[1] - 1
-        m = np.arange(len(self._order))[:, None]
-        word = np.where(self._in_vocab[m, tok[:, k1]], tok[:, k1], self._unk)
-        depth = self._order[m] - 1              # context length walked
-        offset = m * self._base
+        m = self._groups[:, None]
+        word = np.where(s.in_vocab[m, tok[:, k1]], tok[:, k1], s.unk)
+        depth = s.orders[m] - 1                 # context length walked
+        offset = m * s.base
         acc = np.zeros(word.shape)
         events = np.zeros(word.shape)
         todo = np.ones(word.shape, dtype=bool)
@@ -619,20 +576,20 @@ class CompiledModelSet:
             if not here.any():
                 continue
             if n == 0:
-                lp = self._lp[1][offset + word]
-                bow = self._bow[0][m]
+                lp = s.lp[1][offset + word]
+                bow = s.bow[0][m]
             else:
                 node = offset + tok[:, k1 - n]
                 for i in range(2, n + 1):
                     node = self._find(i, node, tok[:, k1 - n + i - 1], here)
-                lp = self._lp[n + 1][self._find(n + 1, node, word, here)]
-                bow = self._bow[n][node]
+                lp = s.lp[n + 1][self._find(n + 1, node, word, here)]
+                bow = s.bow[n][node]
             hit = here & ~np.isnan(lp)
             events = np.where(hit, acc + lp, events)
             if n == 0:
                 # unseen at the unigram level: uniform base distribution
                 events = np.where(here & ~hit, acc + bow
-                                  + self._log_uniform[m], events)
+                                  + s.log_uniform[m], events)
             else:
                 acc = np.where(here & ~hit, acc + bow, acc)
             todo = todo & ~hit
@@ -642,6 +599,48 @@ class CompiledModelSet:
             events = np.concatenate([events, np.logaddexp(
                 log_w + events[rows_a], log_rest + events[rows_b])])
         return events
+
+
+def _merge(models: Sequence[NGramModel]) -> list[NGramModel]:
+    """The models as handles on one store: themselves if they share one,
+    else handles on a new store over the union of their tokens, holding
+    each model's rows of every level in turn.  A model's ids map
+    increasingly into the union's and each key's parent row moves by the
+    rows of the models before it, so each level stays sorted."""
+    if len({id(m._store) for m in models}) == 1:
+        return list(models)
+    tokens = tuple(sorted(set().union(*(m.tokens for m in models))))
+    ids = {t: i for i, t in enumerate(tokens)}
+    base, size = len(tokens) + 1, len(models) * (len(tokens) + 1)
+    maps = [np.array([ids[t] for t in m.tokens] + [base - 1]) for m in models]
+    # each distinct vocabulary once, over the union's strings
+    vocabs = {v: frozenset(tokens[ids[t]] for t in v)
+              for v in {m.vocab for m in models}}
+    keys, lp = [None, None], [None, np.full(size, math.nan)]
+    bow = [np.array([m.level(0)[2][0] for m in models]), np.zeros(size)]
+    for j, (m, to) in enumerate(zip(models, maps)):
+        _, lp[1][j * base + to], bow[1][j * base + to] = m.level(1)
+    offsets = np.arange(len(models)) * base     # each model's first row below
+    for n in range(2, max(m.order for m in models) + 1):
+        parts = [(np.zeros(0, dtype=np.int64), [], [])]
+        for m, to, offset in zip(models, maps, offsets):
+            s, g = m._store, m._group
+            if n > m.order:
+                parts.append(parts[0])
+                continue
+            lo, hi = s.first[n][g:g + 2]
+            parent, token = np.divmod(s.keys[n][lo:hi], s.base)
+            parent -= s.first[n - 1][g]         # its row within its model
+            parts.append((((to[parent] if n == 2 else parent) + offset)
+                          * base + to[token], s.lp[n][lo:hi], s.bow[n][lo:hi]))
+        offsets = np.cumsum([len(part[0]) for part in parts])
+        level = list(zip(*parts, ([_NO_KEY], [math.nan], [0.0])))
+        keys.append(np.concatenate(level[0]))
+        lp.append(np.concatenate(level[1]))
+        bow.append(np.concatenate(level[2]))
+    store = _Store(tokens, [(m.order, vocabs[m.vocab], m.padded)
+                            for m in models], keys, lp, bow)
+    return [NGramModel(store, j) for j in range(len(models))]
 
 
 # ---------------------------------------------------------------------------
@@ -659,20 +658,20 @@ def write_arpa(model, path: str | Path, comments: Sequence[str] = ()) -> None:
     if not isinstance(model, NGramModel):
         raise TypeError("write_arpa needs a concrete NGramModel; store an "
                         "interpolation as its components and weight")
+    s, g = model._store, model._group
     sections = []
     for n in range(1, model.order + 1):
-        lp, bow = model._lp[n], model._bow[n]
+        grams, lp, bow = model.level(n)
         if n == 1:
-            vocab = [t in model.vocab for t in model.tokens] + [False]
-            lp = np.where(vocab, np.where(np.isnan(lp), model._bow[0]
-                                          + model._log_uniform, lp), math.nan)
+            lp = np.where(s.in_vocab[g], np.where(
+                np.isnan(lp), s.bow[0][g] + s.log_uniform[g], lp), math.nan)
         # a context's backoff weight rides on the line of the context itself
         rows = np.flatnonzero(~np.isnan(lp) | (bow != 0.0))
         sections.append([
             (f"{_LOG10_NONE:g}" if math.isnan(lp10) else f"{lp10:.12g}")
-            + "\t" + " ".join(model.tokens[i] for i in gram)
+            + "\t" + " ".join(s.tokens[i] for i in gram)
             + (f"\t{bow10:.12g}\n" if bow10 else "\n")
-            for gram, lp10, bow10 in zip(model._grams(n, rows).tolist(),
+            for gram, lp10, bow10 in zip(grams[rows].tolist(),
                                          (lp[rows] / _LN10).tolist(),
                                          (bow[rows] / _LN10).tolist())])
 
@@ -753,7 +752,7 @@ def read_arpa(path: str | Path) -> NGramModel:
             [[ids[t] for t in row[2]] for row in rows],
             dtype=np.int64).reshape(-1, k), prefixes])
         lp10 = np.array([row[0] for row in rows] + [_LOG10_NONE] * len(prefixes))
-        lp[k] = np.where(lp10 > _LOG10_NONE + 1.0, lp10 * _LN10, math.nan)
+        lp[k] = np.where(lp10 > _LOG10_NONE, lp10 * _LN10, math.nan)
         bow[k] = np.append([row[1] for row in rows], np.zeros(len(prefixes))
                            ) * _LN10
     keys: list = [None, None]
@@ -769,10 +768,12 @@ def read_arpa(path: str | Path) -> NGramModel:
             dense[0][level], dense[1][level] = lp[1][pick], bow[1][pick]
             lp[1], bow[1] = dense
         else:
-            keys.append(level)
-            lp[k], bow[k] = lp[k][pick], bow[k][pick]
+            keys.append(np.append(level, _NO_KEY))
+            lp[k] = np.append(lp[k][pick], math.nan)
+            bow[k] = np.append(bow[k][pick], 0.0)
     vocab = frozenset(tokens[i] for i in np.flatnonzero(~np.isnan(lp[1])))
     if not vocab:
         raise CorpusError(f"{path}:{lineno}: no \\data\\ section with "
                           f"unigram probabilities")
-    return NGramModel(order, vocab, tokens, keys, lp, bow, padded=END in vocab)
+    return NGramModel(_Store(tokens, [(order, vocab, END in vocab)], keys, lp,
+                             bow), 0)

@@ -107,7 +107,7 @@ def test_criterion_02_normalization_everywhere():
         seqs = [[rng.choice(vocab) for _ in range(rng.randint(1, 10))]
                 for _ in range(rng.randint(1, 8))]
         m = train_ngram(seqs, rng.randint(1, 4), vocabulary=vocab)
-        probes = set(m.contexts())
+        probes = set(m.logprob)
         probes.add((vocab[0],) * (m.order + 1))
         probes.add((UNK,))
         for ctx in probes:
@@ -137,7 +137,7 @@ def test_criterion_02_normalization_everywhere():
                     ok = ok and close1(total)
                     cases += 1
         else:
-            for ctx in g.model.contexts():
+            for ctx in g.model.logprob:
                 total = sum(math.exp(g.model.cond_log_prob(ctx, w))
                             for w in sorted(g.model.vocab))
                 ok = ok and close1(total)

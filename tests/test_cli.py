@@ -12,7 +12,7 @@ import pytest
 from dialact import cli
 from dialact.corpus import (Conversation, CorpusError, load_tagset,
                             parse_conversations, parse_nbest, parse_prosody)
-from dialact.ngram import _own_engine
+from dialact.ngram import CompiledModelSet
 from dialact.wordmodels import smooth_da_lms, train_da_lms
 
 LABELS = ("Statement", "Question", "Backchannel/Acknowledge")
@@ -373,8 +373,8 @@ def test_smoothed_set_round_trips_through_the_model_directory(workdir,
     for _ in range(200):
         words = [rng.choice(vocab) for _ in range(rng.randrange(0, 8))]
         for lab in LABELS:
-            got = _own_engine(loaded.models[lab]).score([words])[0, 0]
-            want = _own_engine(smoothed.models[lab]).score([words])[0, 0]
+            got, want = (CompiledModelSet([lms.models[lab]]).score(
+                [words])[0, 0] for lms in (loaded, smoothed))
             assert abs(got - want) <= 1e-9
 
 

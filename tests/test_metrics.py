@@ -12,7 +12,7 @@ from dialact.corpus import (CorpusError, FeatureSchema, FeatureVector, TagSet,
                             Utterance, downsample_uniform, jackknife_split)
 from dialact.metrics import (CLASSIFIERS, EvalReport, focused_binary_task,
                              tagging_accuracy)
-from dialact.ngram import _own_engine, train_ngram
+from dialact.ngram import CompiledModelSet, train_ngram
 from dialact.prosody import TreeConfig, train_tree, tree_posterior
 
 
@@ -248,7 +248,7 @@ def reference_binary_task(utts, pair, classifiers, seed, order, min_leaf):
         return math.log(ratio) if ratio > 0.0 else -math.inf
 
     def words(u, j):
-        return _own_engine(lms[j]).score([u.words])[0, 0]
+        return CompiledModelSet([lms[j]]).score([u.words])[0, 0]
 
     score = {"words": words, "prosody": prosody,
              "combined": lambda u, j: words(u, j) + prosody(u, j)}

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from dialact import ngram
 from dialact.ngram import (_BLOCK_CELLS, END, START, UNK, CompiledModelSet,
                            InterpolatedModel, NGramModel, _fit_weights,
-                           _logsumexp, _own_engine, interpolate, left_sum,
+                           _logsumexp, interpolate, left_sum,
                            perplexity, read_arpa, train_ngram, write_arpa)
 
 
@@ -100,12 +100,13 @@ def reference_train(sequences, order, vocabulary=None, pad=True):
 def as_dicts(model):
     """``(logprob, logbow)`` of an array-backed model (read only: cached)."""
     logprob, logbow = {}, {}
-    if model._bow[0][0] != 0.0:
-        logbow[()] = model._bow[0][0]
+    if model.level(0)[2][0] != 0.0:
+        logbow[()] = model.level(0)[2][0]
     for n in range(1, model.order + 1):
-        rows = np.arange(len(model.tokens) if n == 1 else len(model._keys[n]))
-        for gram, lp, bow in zip(model._grams(n, rows).tolist(),
-                                 model._lp[n].tolist(), model._bow[n].tolist()):
+        grams, lps, bows = model.level(n)
+        for gram, lp, bow in zip(grams.tolist(), lps.tolist(), bows.tolist()):
+            if len(model.tokens) in gram:   # the id of every other token
+                continue
             gram = tuple(model.tokens[i] for i in gram)
             if not math.isnan(lp):
                 logprob.setdefault(gram[:-1], {})[gram[-1]] = lp
@@ -121,7 +122,8 @@ def reference_cond_log_prob(model, context, token):
         token = UNK
     ctx = tuple(context)[max(0, len(context) - model.order + 1):]
     logprob, logbow = as_dicts(model)
-    return reference_backoff(logprob, logbow, model._log_uniform, ctx, token)
+    return reference_backoff(logprob, logbow, -math.log(len(model.vocab)),
+                             ctx, token)
 
 
 def reference_sequence_log_prob(scorer, sequence):
@@ -151,9 +153,9 @@ def backoff_mass(model, context):
     n = len(context) + 1
     if n > model.order:
         return 1.0
-    rows = np.flatnonzero(~np.isnan(model._lp[n]))
-    ids = [model._ids.get(t, -1) for t in context]
-    lp = model._lp[n][rows[(model._grams(n, rows)[:, :-1] == ids).all(1)]]
+    grams, lp, _ = model.level(n)
+    ids = [model.tokens.index(t) if t in model.tokens else -1 for t in context]
+    lp = lp[~np.isnan(lp) & (grams[:, :-1] == ids).all(1)]
     return max(0.0, 1.0 - left_sum(map(math.exp, lp.tolist())))
 
 
@@ -182,7 +184,7 @@ def test_backoff_mass_always_reserved_when_padded():
     # every real token appears after every context; <unk> keeps mass positive
     seqs = [["a", "b"], ["b", "a"], ["a", "a"], ["b", "b"]]
     m = train_ngram(seqs, 2, vocabulary=["a", "b"])
-    for ctx in m.contexts():
+    for ctx in m.logprob:
         assert backoff_mass(m, ctx) > 0.0
 
 
@@ -199,10 +201,12 @@ def test_float_sums_add_left_to_right():
     tokens = tuple(sorted(["a"] + [f"w{i}" for i in range(len(logs))]))
     base = len(tokens) + 1
     keys = np.arange(1, len(tokens)) + base * tokens.index("a")
-    model = NGramModel(2, frozenset(tokens), tokens, [None, None, keys],
-                       [None, np.full(base, math.nan), np.array(logs)],
-                       [np.zeros(1), np.zeros(base), np.zeros(len(logs))],
-                       padded=False)
+    # one model's store; the bigram level ends in its sentinel row
+    model = NGramModel(ngram._Store(
+        tokens, [(2, frozenset(tokens), False)],
+        [None, None, np.append(keys, ngram._NO_KEY)],
+        [None, np.full(base, math.nan), np.append(logs, math.nan)],
+        [np.zeros(1), np.zeros(base), np.zeros(len(logs) + 1)]), 0)
     assert backoff_mass(model, ("a",)) == 1.0 - left_sum(
         math.exp(v) for v in logs)
     assert backoff_mass(model, ("a",)) != 1.0 - math.fsum(
@@ -406,7 +410,7 @@ def rand_model(rng):
 def test_rows_sum_to_one(seed):
     rng = random.Random(seed)
     m = rand_model(rng)
-    contexts = set(m.contexts())
+    contexts = set(m.logprob)
     # also probe unstored and over-long contexts reachable by the scorer
     vocab = sorted(m.vocab)
     contexts.add((vocab[0], vocab[-1]) * m.order)
@@ -419,7 +423,7 @@ def test_rows_sum_to_one(seed):
 
 def test_probabilities_in_unit_interval():
     m = train_ngram([["a", "b", "a"], ["b"]], 2, vocabulary=["a", "b", "c"])
-    for ctx in m.contexts():
+    for ctx in m.logprob:
         for w in sorted(m.vocab):
             lp = m.cond_log_prob(ctx, w)
             assert lp <= 0.0 and math.isfinite(lp)
@@ -498,16 +502,16 @@ def two_models():
 def p1(model, tok):
     """P(tok) of an unpadded unigram model or mixture: its one-token
     sequence's probability."""
-    return math.exp(_own_engine(model).score([[tok]])[0, 0])
+    return math.exp(CompiledModelSet([model]).score([[tok]])[0, 0])
 
 
 def test_interpolate_identities():
     a, b = two_models()
     for tok in "abc":
-        assert _own_engine(interpolate(a, b, 1.0)).score([[tok]])[0, 0] == \
-            a.cond_log_prob((), tok)
-        assert _own_engine(interpolate(a, b, 0.0)).score([[tok]])[0, 0] == \
-            b.cond_log_prob((), tok)
+        assert CompiledModelSet([interpolate(a, b, 1.0)]).score(
+            [[tok]])[0, 0] == a.cond_log_prob((), tok)
+        assert CompiledModelSet([interpolate(a, b, 0.0)]).score(
+            [[tok]])[0, 0] == b.cond_log_prob((), tok)
 
 
 def test_interpolate_arithmetic_mean():
@@ -605,27 +609,29 @@ def test_arpa_round_trip_reproduces_the_arrays(tmp_path):
     # word's probability takes in the empty context's backoff weight
     unigrams = m.log_probs([()], m.tokens)[0]
     in_vocab = [t in m.vocab for t in m.tokens]
-    assert back._bow[0][0] == 0.0
-    assert np.allclose(back._lp[1][:-1][in_vocab], unigrams[in_vocab],
+    assert back.level(0)[2][0] == 0.0
+    _, back_lp, back_bow = back.level(1)
+    assert np.allclose(back_lp[:-1][in_vocab], unigrams[in_vocab],
                        rtol=0, atol=1e-10)
-    assert np.isnan(back._lp[1][:-1][np.logical_not(in_vocab)]).all()
-    assert np.allclose(back._bow[1], m._bow[1], rtol=0, atol=1e-10)
+    assert np.isnan(back_lp[:-1][np.logical_not(in_vocab)]).all()
+    assert np.allclose(back_bow, m.level(1)[2], rtol=0, atol=1e-10)
     for n in range(2, m.order + 1):
-        assert np.array_equal(back._keys[n], m._keys[n])
-        assert np.allclose(back._lp[n], m._lp[n], rtol=0, atol=1e-10,
-                           equal_nan=True)
-        assert np.allclose(back._bow[n], m._bow[n], rtol=0, atol=1e-10)
+        (grams, lp, bow), (m_grams, m_lp, m_bow) = back.level(n), m.level(n)
+        assert np.array_equal(grams, m_grams)
+        assert np.allclose(lp, m_lp, rtol=0, atol=1e-10, equal_nan=True)
+        assert np.allclose(bow, m_bow, rtol=0, atol=1e-10)
     # a model read from a file comes back exactly
     write_arpa(back, tmp_path / "b.arpa")
     again = read_arpa(tmp_path / "b.arpa")
     assert (tmp_path / "b.arpa").read_bytes() == \
         (tmp_path / "a.arpa").read_bytes()
     for n in range(m.order + 1):
+        (grams, lp, bow), (b_grams, b_lp, b_bow) = again.level(n), back.level(n)
         if n > 1:
-            assert np.array_equal(again._keys[n], back._keys[n])
+            assert np.array_equal(grams, b_grams)
         if n > 0:
-            assert np.array_equal(again._lp[n], back._lp[n], equal_nan=True)
-        assert np.array_equal(again._bow[n], back._bow[n])
+            assert np.array_equal(lp, b_lp, equal_nan=True)
+        assert np.array_equal(bow, b_bow)
 
 
 def test_arpa_section_counts_match_headers(tmp_path):
@@ -665,6 +671,20 @@ def test_hand_written_arpa_file(tmp_path):
     assert p(m, [], "b") == pytest.approx(0.5, abs=1e-9)
 
 
+def test_only_minus_99_and_below_carry_no_probability(tmp_path):
+    # -98.5 is a (tiny) probability; -99 marks a context-only line
+    path = tmp_path / "low.arpa"
+    path.write_text("\n\\data\\\nngram 1=3\n\n\\1-grams:\n-0.1\ta\n"
+                    "-98.5\tb\n-99\tc\t-0.5\n\n\\end\\\n")
+    m = read_arpa(path)
+    assert m.vocab == {"a", "b"}
+    assert m.cond_log_prob((), "b") == -98.5 * math.log(10.0)
+    with pytest.raises(ValueError, match="closed vocabulary"):
+        m.cond_log_prob((), "c")
+    write_arpa(m, tmp_path / "back.arpa")
+    assert (tmp_path / "back.arpa").read_bytes() == path.read_bytes()
+
+
 def test_write_arpa_rejects_interpolations(tmp_path):
     a, b = two_models()
     with pytest.raises(TypeError):
@@ -686,7 +706,7 @@ def test_sequence_log_prob_pads():
     m = train_ngram([["a", "b"]], 2, vocabulary=["a", "b"])
     want = m.cond_log_prob((START,), "a") + m.cond_log_prob(("a",), "b") \
         + m.cond_log_prob(("b",), END)
-    got = _own_engine(m).score([["a", "b"]])[0, 0]
+    got = CompiledModelSet([m]).score([["a", "b"]])[0, 0]
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -701,7 +721,8 @@ def assert_compiled_equals_scalar(scorers, seqs):
         for c, scorer in enumerate(scorers):
             want = reference_sequence_log_prob(scorer, seq)
             assert got[s, c] == want, (seq, c)
-            assert _own_engine(scorer).score([seq])[0, 0] == want, (seq, c)
+            assert CompiledModelSet([scorer]).score([seq])[0, 0] == want, \
+                (seq, c)
 
 
 @settings(max_examples=80, deadline=None)
@@ -827,7 +848,7 @@ def test_compiled_windows_too_wide_for_one_int64_key():
     seen = ["w0010", "w0001", "w0002", "w0003", "w0004", "w0005"]
     m = train_ngram([seen, ["w0011", *seen[1:5], "w0006"]], 6,
                     vocabulary=vocab)
-    assert CompiledModelSet([m])._base == 2048
+    assert CompiledModelSet([m])._store.base == 2048
     # "w0522" is 512 ids after "w0010", and only the order-6 context
     # tells the two apart at the last word
     unseen = ["w0522", *seen[1:]]

@@ -16,7 +16,7 @@ from dialact.corpus import (Conversation, Hypothesis, NBestList, TagSet,
 from dialact.discourse import DiscourseGrammar, GrammarVariant, train_discourse
 from dialact import wordmodels
 from dialact.hmm import forward_backward
-from dialact.ngram import CompiledModelSet, _logsumexp, _own_engine
+from dialact.ngram import CompiledModelSet, _logsumexp
 from dialact.rescore import (METHODS, WordErrors, _pooled_wer, best_hypothesis,
                              mixture_lm_scores, mixture_posterior_scores,
                              per_da_wer_report, rescore_corpus, wer)
@@ -188,7 +188,7 @@ def test_hypothesis_scores_formula():
         [h.words for h in nbest]))[:, 0]
     for i, hyp in enumerate(nbest):
         expect = (hyp.acoustic_score - 2.0 * len(hyp.words)) / 5.0 + \
-            _own_engine(lms.fallback).score([hyp.words])[0, 0]
+            CompiledModelSet([lms.fallback]).score([hyp.words])[0, 0]
         assert math.isclose(scores[i], expect, abs_tol=1e-12)
 
 
@@ -198,7 +198,7 @@ def test_mixture_lm_scores_are_posterior_weighted():
     post = {"S": 0.3, "Q": 0.7}
     scores = mixture_lm_scores(nbest, lms, post)
     for i, hyp in enumerate(nbest):
-        mix = sum(p * math.exp(_own_engine(lms.models[lab]).score(
+        mix = sum(p * math.exp(CompiledModelSet([lms.models[lab]]).score(
                       [hyp.words])[0, 0]) for lab, p in post.items())
         expect = hyp.acoustic_score / 10.0 + math.log(mix)
         assert math.isclose(scores[i], expect, rel_tol=1e-9)
@@ -472,12 +472,13 @@ def rescore_by_primitives(convs, grammar, lms, rescoring, scaling):
             if model is not None:
                 scores = scaling.hyp_scores(nbest, CompiledModelSet(
                     [model]).score([h.words for h in nbest]))[:, 0]
-                log_total += _own_engine(model).score([words])[0, 0]
+                log_total += CompiledModelSet([model]).score([words])[0, 0]
             elif method == "mixture_of_lms":
                 scores = mixture_lm_scores(nbest, rescoring, post, scaling)
                 log_total += float(_logsumexp(np.array([
                     math.log(post[lab])
-                    + _own_engine(rescoring.models[lab]).score([words])[0, 0]
+                    + CompiledModelSet([rescoring.models[lab]]).score(
+                        [words])[0, 0]
                     for lab in rescoring.labels if post[lab] > 0.0]), axis=0))
             else:
                 scores = mixture_posterior_scores(nbest, rescoring, post,
@@ -534,8 +535,8 @@ def test_each_sequence_is_scored_once_per_model_and_utterance(monkeypatch):
     rescore_corpus(convs, grammar, lms, smoothed)
     # one compiled set holds every rescoring model, and each call to it
     # scores every sequence under each of its models once (the grammar
-    # reads its transition rows through a view of its own model)
-    compiled.remove({id(grammar.model)})
+    # reads its transition rows through sets of its own model)
+    compiled = [ids for ids in compiled if ids != {id(grammar.model)}]
     assert len(compiled) == 1
     assert {id(m) for m in (smoothed.fallback, *smoothed.models.values())} \
         <= compiled[0]

@@ -5,8 +5,9 @@ one Witten-Bell estimate for every group, one engine and EM for every
 smoothing weight, one row gather for the discourse perplexity.  The
 per-item routines they replace are kept below, verbatim but for their
 names (and the estimator reading ``_Z_FLOOR`` from the module, so a test
-can move it), as oracles: model files, smoothing weights and perplexities
-must come out bit for bit the same.
+can move it, and holding its levels in a one-model store), as oracles:
+model files, smoothing weights and perplexities must come out bit for bit
+the same.
 """
 
 import math
@@ -86,7 +87,7 @@ def reference_train_ngram(sequences: Sequence[Sequence[str]], order: int,
             at = np.flatnonzero(index >= n - 1)
             level, inverse = np.unique(row[at - 1] * base + stream[at],
                                        return_inverse=True)
-            keys.append(level)
+            keys.append(np.append(level, ngram._NO_KEY))
             row = np.full(len(stream), -1)
             row[at] = inverse
         size = len(keys[n]) if n > 1 else base
@@ -104,9 +105,14 @@ def reference_train_ngram(sequences: Sequence[Sequence[str]], order: int,
             lower, z = np.full(len(seen), -math.log(n_vocab)), unseen / n_vocab
         else:
             # each seen n-gram's suffix, walked under orders 1..n-1
-            lower_orders = NGramModel(n - 1, vocab, tokens, keys, lp, bow, pad)
-            engine = CompiledModelSet([lower_orders])
-            windows = lower_orders._grams(n, seen)[:, 1:]
+            lower_orders = ngram._Store(tokens, [(n - 1, vocab, pad)],
+                                        keys[:n], lp, bow)
+            lower_model = NGramModel(lower_orders, 0)
+            engine = CompiledModelSet([lower_model])
+            # level n - 1 rows are numbered from 0 (level 1: by id)
+            parent, token = np.divmod(keys[n][seen], base)
+            windows = np.column_stack([lower_model.level(n - 1)[0][parent],
+                                       token])[:, 1:]
             lower = engine._event_log_probs(windows)[:, 0]
             z = 1.0 - np.add.reduceat(np.exp(lower), starts)
             for g in np.flatnonzero((unseen > 0) & (z < ngram._Z_FLOOR)).tolist():
@@ -125,7 +131,8 @@ def reference_train_ngram(sequences: Sequence[Sequence[str]], order: int,
         bow.append(np.zeros(size))
         bow[n - 1][context] = np.where(unseen > 0,
                                        np.log(reserved) - np.log(z), 0.0)
-    return NGramModel(order, vocab, tokens, keys, lp, bow, padded=pad)
+    return NGramModel(ngram._Store(tokens, [(order, vocab, pad)], keys, lp,
+                                   bow), 0)
 
 
 def reference_fit_interp_weight(first, second,
@@ -189,19 +196,15 @@ def arpa_text(model) -> str:
 
 
 def assert_same_bits(model, ref):
-    """Keys, log probs (NaN rows included) and backoff weights equal bit
-    for bit: the manifest's smoothing weights read them unrounded."""
+    """N-grams, log probs (NaN rows included) and backoff weights of every
+    level equal bit for bit: the manifest's smoothing weights read them
+    unrounded."""
     assert model.order == ref.order
-    for mine, want in ((model._keys, ref._keys), (model._lp, ref._lp),
-                       (model._bow, ref._bow)):
-        assert len(mine) == len(want)
-        for a, b in zip(mine, want):
-            if b is None:
-                assert a is None
-            else:
-                assert a.dtype == b.dtype and a.shape == b.shape
-                assert np.ascontiguousarray(a).tobytes() == \
-                    np.ascontiguousarray(b).tobytes()
+    for n in range(model.order + 1):
+        for a, b in zip(model.level(n), ref.level(n)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.ascontiguousarray(a).tobytes() == \
+                np.ascontiguousarray(b).tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -249,8 +252,8 @@ def test_set_estimation_covers_fold_back_and_the_floor(monkeypatch):
     groups = [[["a", "a", "a", "b", "a", "c"]], [["b", "c", "b"]]]
     models = _train_set(groups, 2, ["a", "b", "c"], pad=False)
     assert models[0].tokens == ("a", "b", "c")
-    assert models[0]._bow[0][0] == 0.0 and models[0]._bow[1][0] == 0.0
-    assert models[1]._bow[0][0] != 0.0
+    assert models[0].level(0)[2][0] == 0.0 and models[0].level(1)[2][0] == 0.0
+    assert models[1].level(0)[2][0] != 0.0
     for model, seqs in zip(models, groups):
         ref = reference_train_ngram(seqs, 2, ["a", "b", "c"], pad=False)
         assert arpa_text(model) == arpa_text(ref)

@@ -11,8 +11,7 @@ from dialact.corpus import (Conversation, Hypothesis, NBestList, TagSet,
 from dialact.discourse import (DiscourseGrammar, GrammarVariant,
                                train_discourse)
 from dialact import wordmodels
-from dialact.ngram import (CompiledModelSet, InterpolatedModel, _logsumexp,
-                           _own_engine)
+from dialact.ngram import CompiledModelSet, InterpolatedModel, _logsumexp
 from dialact.wordmodels import (MODES, ScoreScaling, classify_from_words,
                                 smooth_da_lms, train_da_lms,
                                 word_likelihood_tables)
@@ -91,7 +90,7 @@ def test_empty_class_shares_the_fallback():
         lms = train_da_lms(mk_corpus(), ts3, order=2)
     assert lms.models["Z"] is lms.fallback
     assert true_words_evidence(lms, ("i", "agree"))["Z"] == \
-        _own_engine(lms.fallback).score([("i", "agree")])[0, 0]
+        CompiledModelSet([lms.fallback]).score([("i", "agree")])[0, 0]
 
 
 def test_no_labeled_utterances_rejected():
@@ -133,11 +132,11 @@ def test_smoothing_without_heldout_defaults_with_warning():
     assert weights == {"S": 0.5, "Q": 0.5}
     # the interpolation really is the even mixture
     words = ("do", "you", "know")
-    mix = 0.5 * math.exp(_own_engine(lms.models["Q"]).score([words])[0, 0]) + \
-        0.5 * math.exp(_own_engine(lms.fallback).score([words])[0, 0])
-    assert math.isclose(
-        math.exp(_own_engine(smoothed.models["Q"]).score([words])[0, 0]), mix,
-        rel_tol=1e-9)
+    mix = 0.5 * math.exp(CompiledModelSet([lms.models["Q"]]).score(
+        [words])[0, 0]) + 0.5 * math.exp(CompiledModelSet(
+            [lms.fallback]).score([words])[0, 0])
+    assert math.isclose(math.exp(CompiledModelSet(
+        [smoothed.models["Q"]]).score([words])[0, 0]), mix, rel_tol=1e-9)
 
 
 def test_smoothing_skips_fallback_shared_classes():
@@ -168,7 +167,7 @@ def test_single_hypothesis_sum_is_the_score():
     words = ("do", "you", "know")
     nb = [Hypothesis(words, -42.0)]
     expect = (-42.0 - 0.5 * 3) / 8.0 + \
-        _own_engine(lms.models["Q"]).score([words])[0, 0]
+        CompiledModelSet([lms.models["Q"]]).score([words])[0, 0]
     got = nbest_evidence(lms, nb, "Q", scaling)
     assert math.isclose(got, expect, rel_tol=0, abs_tol=1e-12)
 
@@ -202,8 +201,8 @@ def test_log_sum_matches_linear_resummation():
     hyps = [Hypothesis(("do", "you"), -30.0), Hypothesis(("can", "you"), -31.0),
             Hypothesis(("what",), -29.5)]
     linear = sum(math.exp(scaling.hyp_score(
-        h.acoustic_score, _own_engine(lms.models["Q"]).score([h.words])[0, 0],
-        len(h.words))) for h in hyps)
+        h.acoustic_score, CompiledModelSet([lms.models["Q"]]).score(
+            [h.words])[0, 0], len(h.words))) for h in hyps)
     got = nbest_evidence(lms, hyps, "Q", scaling)
     assert math.isclose(got, math.log(linear), rel_tol=1e-9)
 
@@ -234,7 +233,7 @@ def test_one_best_scores_the_top_hypothesis_as_truth():
     for j, lab in enumerate(table.labels):
         assert math.isclose(
             table.scores[0, j],
-            _own_engine(lms.models[lab]).score([("do", "you")])[0, 0],
+            CompiledModelSet([lms.models[lab]]).score([("do", "you")])[0, 0],
             abs_tol=1e-12)
     # no acoustic term leaks in: identical under any scaling
     other = word_likelihood_tables(lms, [conv], "one_best",
@@ -263,14 +262,15 @@ def test_tables_equal_the_per_utterance_definitions_exactly():
                     for j, lab in enumerate(table.labels):
                         model = da_lms.models[lab]
                         if mode == "nbest":
-                            lm = np.array([_own_engine(model).score(
+                            lm = np.array([CompiledModelSet([model]).score(
                                 [h.words])[0] for h in utt.nbest])
                             want = _logsumexp(scaling.hyp_scores(
                                 utt.nbest, lm), axis=0)[0]
                         else:
                             words = (utt.words if mode == "true_words"
                                      else utt.nbest.first.words)
-                            want = _own_engine(model).score([words])[0, 0]
+                            want = CompiledModelSet([model]).score(
+                                [words])[0, 0]
                         assert table.scores[i, j] == want, (mode, i, lab)
 
 
