@@ -422,6 +422,7 @@ def cmd_rescore(args) -> int:
 def cmd_perplexity(args) -> int:
     models = load_models(args.models)
     convs, _ = _load_convs(args, models.tagset)
+    _require_labels(args.corpus, convs, "perplexity needs labeled utterances")
     grammar = _grammar_for(args, models)
     print(f"discourse_perplexity\t{_g(discourse_perplexity(grammar, convs))}")
     if args.words:

@@ -37,17 +37,23 @@ class GrammarVariant(str, enum.Enum):
     JOINT = "joint"
     SPEAKER_CONDITIONED = "conditional"
 
+    def token(self, label: str, speaker: str) -> str:
+        """The grammar token of the event (label, speaker) in this view."""
+        if self is self.DA_ONLY:
+            return label
+        return f"{label}{PAIR_SEP}{speaker}"
+
 
 class DiscourseGrammar:
     """A trained discourse prior plus the tag set it scores.
 
-    ``order`` 0 means "no grammar": uniform scores, no inner model.
-    Each context's scores over the model's vocabulary are memoized, as are
-    speaker normalizers; one engine call scores a context together with
-    every context that differs from it in the last token only.  Every
-    score is read from such a row, a token outside the vocabulary from
-    ``<unk>``'s column.  Instances are immutable after construction and
-    safe to share across decodes.
+    ``order`` 0 means "no grammar": uniform scores, no inner model.  Every
+    score is read from one memo that ``_label_rows`` fills in batches: per
+    (context, speaker) the labels' columns of the context's row over the
+    model's vocabulary (one engine call for the contexts not scored yet),
+    less the speaker normalizer in the conditioned view.  A token outside
+    the vocabulary reads ``<unk>``'s column.  Instances are immutable after
+    construction and safe to share across decodes.
     """
 
     def __init__(self, tagset: TagSet, variant: GrammarVariant, order: int,
@@ -60,15 +66,11 @@ class DiscourseGrammar:
         self.variant = GrammarVariant(variant)
         self.order = order
         self.model = model
-        self._norm_memo: dict[tuple, float] = {}
-        self._rows: dict = {}   # context -> log probs of the sorted vocabulary
-        self._columns: dict = {}  # speaker -> row columns of the labels
-        self._vocab = {t: i for i, t in enumerate(sorted(model.vocab if model
-                                                         else ()))}
-        if self.variant == GrammarVariant.JOINT:
-            self._log_uniform = -math.log(2 * len(tagset.labels))
-        else:
-            self._log_uniform = -math.log(len(tagset.labels))
+        self._memo: dict = {}   # (context, speaker) -> row of _label_rows
+        self._vocab = {t: i for i, t in enumerate(sorted(model.vocab))} \
+            if model else {END: 0}      # order 0's rows hold <end> alone
+        self._log_uniform = -math.log(len(tagset.labels) * (
+            2 if self.variant == GrammarVariant.JOINT else 1))
 
     @classmethod
     def uniform(cls, tagset: TagSet,
@@ -85,58 +87,75 @@ class DiscourseGrammar:
         """False when no score depends on speakers (DA-only view, order 0)."""
         return self.order > 0 and self.variant != GrammarVariant.DA_ONLY
 
-    def _token(self, label: str, speaker: str) -> str:
-        if self.variant == GrammarVariant.DA_ONLY:
-            return label
-        return f"{label}{PAIR_SEP}{speaker}"
-
     def _context(self, history: Sequence[tuple[str, str]]) -> tuple[str, ...]:
-        if self.order <= 1:
-            return ()
-        events = list(history)[-(self.order - 1):]
-        toks = [self._token(lab, spk) for lab, spk in events]
-        pad = self.order - 1 - len(toks)
-        return tuple([START] * pad + toks)
+        """The tokens of the last order-1 events, padded with ``<start>``."""
+        k = self.order - 1
+        events = history[-k:] if k > 0 else ()
+        return (START,) * (k - len(events)) + tuple(
+            [self.variant.token(lab, spk) for lab, spk in events])
 
     def transition_log_prob(self, history: Sequence[tuple[str, str]],
                             event: tuple[str, str]) -> float:
-        """log P(event | history) under the grammar's view.
-
-        ``history`` and ``event`` are (label, speaker) pairs; histories
-        longer than order-1 are truncated, shorter ones padded with
-        ``<start>``.
-        """
+        """log P(event | history) under the grammar's view, for (label,
+        speaker) pairs: only the last order-1 events of ``history`` count,
+        and a shorter one is padded with ``<start>``."""
         label, speaker = event
         if label not in self.tagset.labels:
             raise CorpusError(f"label {label!r} not in grammar tag set")
-        return float(self.transition_row(history, speaker)[
+        return float(self._label_row(history, speaker)[
             self.labels.index(label)])
 
-    def transition_row(self, history: Sequence[tuple[str, str]],
-                       speaker: str) -> np.ndarray:
-        """log P((label, speaker) | history) of every label of the tag set,
-        in order."""
-        if self.order == 0:
-            return np.full(len(self.labels), self._log_uniform)
+    def transition_rows(self, histories: Sequence[Sequence[tuple[str, str]]],
+                        speaker: str) -> np.ndarray:
+        """log P((label, speaker) | history) of every label of the tag set
+        (columns, in order) after each of ``histories`` (rows)."""
+        return self._label_rows(list(map(self._context, histories)), speaker)
+
+    def end_log_prob(self, history: Sequence[tuple[str, str]]) -> float:
+        """log P(<end> | history), never divided by a speaker normalizer."""
+        return float(self._label_row(history, END)[self._column(END)])
+
+    def _label_row(self, history: Sequence[tuple[str, str]],
+                   speaker: str) -> np.ndarray:
+        """The row of ``_label_rows`` after ``history``: one memo lookup
+        once its context is scored, which is done in one engine call with
+        the contexts that differ from it in the last token only."""
         ctx = self._context(history)
-        row = self._token_row(ctx, speaker)
-        if self.variant == GrammarVariant.SPEAKER_CONDITIONED:
-            row = row - self._speaker_normalizer(ctx, speaker)
+        row = self._memo.get((ctx, self._speaker_key(speaker)))
+        if row is None:
+            row = self._label_rows([ctx, *(ctx[:-1] + (t,) for t in
+                                           self._vocab if ctx)], speaker)[0]
         return row
 
-    def _row(self, ctx: tuple[str, ...]) -> np.ndarray:
-        """The model's log probs of the sorted vocabulary after ``ctx``."""
-        if ctx not in self._rows:
-            self._memoize([ctx, *(ctx[:-1] + (t,) for t in self._vocab if ctx)])
-        return self._rows[ctx]
+    def _speaker_key(self, speaker: str) -> str:
+        """The memo's speaker: ``""`` for all in a view blind to them."""
+        return speaker if speaker == END or self.uses_speakers else ""
 
-    def _memoize(self, contexts: Sequence[tuple[str, ...]]) -> None:
-        """Memoize the rows of every context not memoized yet, in one
-        engine call."""
-        todo = [ctx for ctx in dict.fromkeys(contexts) if ctx not in self._rows]
+    def _label_rows(self, contexts: Sequence[tuple[str, ...]],
+                    speaker: str) -> np.ndarray:
+        """log P((label, speaker) | context) of each label, in tag set
+        order, after each of ``contexts``: the labels' columns of the
+        contexts' rows, in the conditioned view less their log-sum-exp.
+        Speaker ``<end>`` (the end event has none) gives the whole rows."""
+        speaker = self._speaker_key(speaker)
+        todo = [ctx for ctx in dict.fromkeys(contexts)
+                if (ctx, speaker) not in self._memo]
+        if todo and speaker == END:
+            block = self.model.log_probs(todo, list(self._vocab)) \
+                if self.model else np.zeros((len(todo), 1))  # a sure <end>
+        elif todo and self.order == 0:      # no grammar: uniform labels
+            block = np.full((len(todo), len(self.labels)), self._log_uniform)
+        elif todo:
+            cols = [self._column(self.variant.token(lab, speaker))
+                    for lab in self.labels]
+            # a contiguous copy: a batched log-sum-exp equals the 1-D one
+            # of each row bit for bit only over contiguous rows
+            block = np.ascontiguousarray(self._label_rows(todo, END)[:, cols])
+            if self.variant == GrammarVariant.SPEAKER_CONDITIONED:
+                block -= _logsumexp(block, axis=1)[:, None]
         if todo:
-            self._rows.update(zip(todo, self.model.log_probs(
-                todo, list(self._vocab))))
+            self._memo.update(zip([(ctx, speaker) for ctx in todo], block))
+        return np.array([self._memo[ctx, speaker] for ctx in contexts])
 
     def _column(self, token: str) -> int:
         """The column of ``token`` in a context's row: its own, else
@@ -145,29 +164,6 @@ class DiscourseGrammar:
         if i is None:
             raise ValueError(f"token {token!r} not in closed vocabulary")
         return i
-
-    def _token_row(self, ctx: tuple[str, ...], speaker: str) -> np.ndarray:
-        """The model's log P(token | ctx) of each label's token for
-        ``speaker``, in tag set order."""
-        if speaker not in self._columns:
-            self._columns[speaker] = np.array(
-                [self._column(self._token(lab, speaker)) for lab in self.labels],
-                dtype=np.intp)
-        return self._row(ctx)[self._columns[speaker]]
-
-    def _speaker_normalizer(self, ctx: tuple[str, ...], speaker: str) -> float:
-        key = (ctx, speaker)
-        if key not in self._norm_memo:
-            self._norm_memo[key] = float(_logsumexp(
-                self._token_row(ctx, speaker), axis=0))
-        return self._norm_memo[key]
-
-    def end_log_prob(self, history: Sequence[tuple[str, str]]) -> float:
-        """log P(<end> | history); the end event is speakerless, so it is
-        never divided by a speaker normalizer."""
-        if self.order == 0:
-            return 0.0
-        return float(self._row(self._context(history))[self._column(END)])
 
 
 def _event_sequence(conv: Conversation, tagset: TagSet) -> list[tuple[str, str]]:
@@ -193,7 +189,7 @@ def train_discourse(convs: Sequence[Conversation], tagset: TagSet,
                          "use DiscourseGrammar.uniform for the no-grammar case")
     if not convs:
         raise ValueError("no training conversations")
-    token = DiscourseGrammar.uniform(tagset, variant)._token
+    token = variant.token
     vocab = {token(lab, spk) for lab in tagset.labels for spk in SPEAKERS}
     seqs = [[token(*ev) for ev in _event_sequence(c, tagset)] for c in convs]
     model = train_ngram(seqs, order, vocabulary=vocab, pad=True)
@@ -211,35 +207,37 @@ def discourse_perplexity(grammar: DiscourseGrammar,
         raise ValueError("no conversations to evaluate")
     streams = [_event_sequence(conv, grammar.tagset) for conv in convs]
     if grammar.order == 0:
-        total, count = 0.0, sum(map(len, streams))
-        for events in streams:
-            total += len(events) * grammar._log_uniform
+        count = sum(map(len, streams))
         if count == 0:
             raise ValueError("no events to evaluate")
-        return math.exp(-total / count)
-    # every event's context (the <end> event's last), token and speaker,
-    # in corpus order
+        return math.exp(-left_sum([len(events) * grammar._log_uniform
+                                   for events in streams]) / count)
     k = grammar.order - 1       # only the last k events condition the next
-    contexts: list[tuple[str, ...]] = []
-    tokens, speakers = [], []
+    # every event's context (the <end> event's last) and (label, speaker),
+    # in corpus order: (<end>, <end>) for the speakerless <end>
+    contexts, moves = [], []
+    token = {ev: grammar.variant.token(*ev) for ev in set().union(*streams)}
     for events in streams:
-        toks = [START] * k + [grammar._token(*ev) for ev in events]
+        toks = [START] * k + [token[ev] for ev in events]
         contexts += zip(*(toks[j:len(events) + 1 + j] for j in range(k))) \
             if k else [()] * (len(events) + 1)
-        tokens += toks[k:] + [END]
-        speakers += [spk for _, spk in events] + [None]
-    where = {ctx: i for i, ctx in enumerate(dict.fromkeys(contexts))}
-    grammar._memoize(list(where))
-    rows = np.array([grammar._rows[ctx] for ctx in where])
-    column = {t: grammar._column(t) for t in dict.fromkeys(tokens)}
-    context = [where[ctx] for ctx in contexts]
-    scores = rows[context, [column[t] for t in tokens]]
-    if grammar.variant == GrammarVariant.SPEAKER_CONDITIONED:
-        # each transition less its context and speaker's normalizer, one
-        # memoized log-sum-exp per pair; the speakerless <end> keeps its score
-        moves = [spk is not None for spk in speakers]
-        scores[moves] -= [grammar._speaker_normalizer(ctx, spk) for ctx, spk
-                          in zip(contexts, speakers) if spk is not None]
+        moves += events + [(END, END)]
+    where: dict = {}        # each distinct context -> its index
+    column = {lab: i for i, lab in enumerate(grammar.labels)}
+    column[END] = grammar._column(END)      # of a vocabulary row
+    ctx = np.array([where.setdefault(c, len(where)) for c in contexts])
+    col = np.array([column[lab] for lab, _ in moves])
+    who = np.array([spk for _, spk in moves], dtype=object)
+    if not grammar.uses_speakers:       # every speaker reads one row
+        who[who != END] = ""
+    # each distinct (context, speaker) scored once, one batch per speaker key;
+    # <end> reads its context's vocabulary row, so is never normalized
+    seen, scores = list(where), np.empty(len(moves))
+    for speaker in dict.fromkeys(who):
+        mine = who == speaker
+        rows = np.flatnonzero(np.bincount(ctx[mine], minlength=len(seen)))
+        block = grammar._label_rows([seen[i] for i in rows], speaker)
+        scores[mine] = block[np.searchsorted(rows, ctx[mine]), col[mine]]
     return math.exp(-left_sum(scores) / len(scores))
 
 
@@ -268,9 +266,9 @@ def load_discourse(path: str | Path, tagset: TagSet) -> DiscourseGrammar:
                           f"{model.order}")
     # every token the view makes of the tag set, as train_discourse builds
     # the vocabulary: a grammar of another tag set would read <unk>'s column
-    token = DiscourseGrammar.uniform(tagset, variant)._token
     missing = next((tok for lab in tagset.labels for spk in SPEAKERS
-                    if (tok := token(lab, spk)) not in model.vocab), None)
+                    if (tok := variant.token(lab, spk)) not in model.vocab),
+                   None)
     if missing is not None:
         line = next((n for n, f in content_lines(path)
                      if f[0].strip() == "\\1-grams:"), 1)

@@ -6,9 +6,9 @@ conversation.  Any object with ``labels``, ``order``,
 ``transition_log_prob(history, event)`` and ``end_log_prob(history)`` works
 as the prior (see :class:`dialact.discourse.DiscourseGrammar`), where
 ``history``/``event`` hold (label, speaker) pairs.  A prior that also has
-``transition_row(history, speaker)``, the log probs of every label in one
-array, is compiled a whole row at a time.  Grammars are treated as
-immutable: each one is compiled once and the result reused.
+``transition_rows(histories, speaker)``, each label's log prob after each
+history, fills a speaker pattern's transitions in one call.  Grammars are
+treated as immutable: each one is compiled once and the result reused.
 
 Compiling turns the prior into dense arrays over history states.  A state
 is the last m = max(order - 1, 1) labels, each axis with one extra "before
@@ -212,9 +212,9 @@ class _CompiledPrior:
         arr = self._trans.get(pattern)
         if arr is None:
             t = len(self.labels)
+            flats, histories = zip(*self._histories(pattern[:-1]))
             arr = np.full(((t + 1) ** self.m, t), -np.inf)
-            for flat, events in self._histories(pattern[:-1]):
-                arr[flat] = _transition_row(grammar, events, pattern[-1])
+            arr[list(flats)] = _transition_rows(grammar, histories, pattern[-1])
             arr = self._trans[pattern] = arr.reshape(t + 1, -1, t)
         return arr
 
@@ -228,15 +228,14 @@ class _CompiledPrior:
         return arr
 
 
-def _transition_row(grammar, history: tuple, speaker) -> Sequence[float]:
-    """log P((label, speaker) | history) of each of the grammar's labels:
-    its ``transition_row`` where it has one, else one
-    ``transition_log_prob`` call per label."""
-    row = getattr(grammar, "transition_row", None)
-    if row is not None:
-        return row(history, speaker)
-    return [grammar.transition_log_prob(history, (lab, speaker))
-            for lab in grammar.labels]
+def _transition_rows(grammar, histories: tuple, speaker) -> Sequence:
+    """log P((label, speaker) | history) of each of the grammar's labels
+    (columns) after each of ``histories`` (rows): its ``transition_rows``
+    where it has one, else one ``transition_log_prob`` call per label."""
+    if hasattr(grammar, "transition_rows"):
+        return grammar.transition_rows(histories, speaker)
+    return [[grammar.transition_log_prob(history, (lab, speaker))
+             for lab in grammar.labels] for history in histories]
 
 
 # Grammars are immutable by contract, so each one is compiled once.

@@ -116,7 +116,9 @@ def test_unlabeled_utterances_are_named_by_their_corpus_line(workdir,
              "training corpus has an unlabeled utterance"),
             (["tag", "--models", str(workdir / "models"), "--prosody",
               str(pros), "--tune-fusion"],
-             "--tune-fusion needs labels on every utterance")):
+             "--tune-fusion needs labels on every utterance"),
+            (["perplexity", "--models", str(workdir / "models")],
+             "perplexity needs labeled utterances")):
         capsys.readouterr()
         assert cli.main(argv + ["--corpus", str(corpus)]) == 1
         assert capsys.readouterr().err == f"error: {corpus}:5: {message}\n"

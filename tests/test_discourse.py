@@ -183,16 +183,20 @@ def test_higher_order_fits_training_data_better():
 
 
 class ContextRecorder(DiscourseGrammar):
-    """A grammar that records every context whose rows it memoizes."""
+    """A grammar whose model records every context it scores."""
+
+    class Model:
+        def __init__(self, model, contexts):
+            self.vocab, self.model, self.contexts = model.vocab, model, contexts
+
+        def log_probs(self, contexts, tokens):
+            self.contexts += contexts
+            return self.model.log_probs(contexts, tokens)
 
     def __init__(self, grammar):
-        super().__init__(grammar.tagset, grammar.variant, grammar.order,
-                         grammar.model)
         self.contexts = []
-
-    def _memoize(self, contexts):
-        self.contexts += contexts
-        super()._memoize(contexts)
+        super().__init__(grammar.tagset, grammar.variant, grammar.order,
+                         self.Model(grammar.model, self.contexts))
 
 
 def test_perplexity_passes_only_the_conditioning_history():
@@ -280,6 +284,7 @@ def test_first_decode_scores_each_context_row_in_one_engine_call(monkeypatch):
     # backoff walks
     import numpy as np
 
+    from dialact import hmm
     from dialact.corpus import default_tagset
     from dialact.hmm import LikelihoodTable, forward_backward
     from dialact.ngram import CompiledModelSet
@@ -301,10 +306,15 @@ def test_first_decode_scores_each_context_row_in_one_engine_call(monkeypatch):
     table = LikelihoodTable("t", labels, tuple("AB"[j % 2] for j in range(30)),
                             np.log(np.full((30, len(labels)), 0.5)))
     forward_backward(g, table)
-    # each call scores the whole rows of a family of contexts that differ
-    # in the last token only: one per first token of the 43^2 contexts
-    assert len(calls) <= len(labels) + 1
-    assert (len(labels) + 1) ** 2 <= len(g._rows) <= len(calls) * sum(calls)
+    # at most one call per transition pattern (the DA-only view compiles
+    # one per count of "before the conversation" slots; the end pattern
+    # reads the rows they scored), scoring the whole row of each context
+    # once: every context the 43^2 history states can have
+    compiled = hmm._COMPILED[g]
+    assert len(calls) <= len(compiled._trans) <= 3
+    scored = [ctx for ctx, speaker in g._memo if speaker == END]
+    assert len(scored) == 1 + len(labels) + len(labels) ** 2
+    assert sum(calls) == len(scored) * len(g.model.vocab)
 
 
 def test_closed_vocabulary_rows_read_only_their_own_columns():
@@ -326,7 +336,7 @@ def test_closed_vocabulary_rows_read_only_their_own_columns():
         with pytest.raises(ValueError,
                            match=f"token '{token('S', 'C')}' not in closed "
                                  f"vocabulary"):
-            g.transition_row([("Q", "A")], "C")
+            g.transition_rows([[("Q", "A")]], "C")
         with pytest.raises(ValueError,
                            match=f"token '{END}' not in closed vocabulary"):
             g.end_log_prob([("Q", "A")])
@@ -337,4 +347,94 @@ def test_closed_vocabulary_rows_read_only_their_own_columns():
                                  for lab in TS3.labels])
                 if variant is GrammarVariant.SPEAKER_CONDITIONED:
                     want = want - float(_logsumexp(want, axis=0))
-                assert g.transition_row(hist, spk).tolist() == want.tolist()
+                assert g.transition_rows([hist], spk)[0].tolist() == \
+                    want.tolist()
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_any_speaker_reads_its_own_row_never_the_vocabulary_row(order):
+    # the DA-only view ignores the speaker, None included, and keeps one
+    # memoized row per context for every speaker; in a pair view a speaker
+    # no pair token has (None too) reads <unk>'s column; neither is ever
+    # read from, nor stored as, a context's row over the vocabulary
+    from dialact.ngram import UNK
+
+    history = [("S", "A"), ("Q", "B")]
+    for variant in (GrammarVariant.DA_ONLY, GrammarVariant.JOINT):
+        g = train_discourse(sample_convs(), TagSet(("S", "Q", "B")), order,
+                            variant)
+        vocab = sorted(g.model.vocab)
+        row = g.model.log_probs([g._context(history)], vocab)[0]
+        for speaker in (None, "A", "B", "C"):
+            tokens = [variant.token(lab, speaker) for lab in g.labels]
+            want = [row[vocab.index(tok if tok in vocab else UNK)]
+                    for tok in tokens]
+            assert [g.transition_log_prob(history, (lab, speaker))
+                    for lab in g.labels] == want
+            assert g.transition_rows([history], speaker).tolist() == [want]
+            assert g.end_log_prob(history) == row[vocab.index(END)]
+        speakers = {speaker for _, speaker in g._memo}
+        if variant is GrammarVariant.DA_ONLY:
+            assert speakers == {"", END}
+        else:
+            assert speakers == {None, "A", "B", "C", END}
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_conditioned_rows_equal_one_normalizer_per_row(order):
+    # over the 42 bundled acts a speaker's label row holds more than the 8
+    # terms from which numpy sums a strided row in another order than a
+    # contiguous one: the batched normalizers must equal one 1-D
+    # log-sum-exp per row, bit for bit, in decoding and in perplexity
+    import itertools
+
+    import numpy as np
+
+    from dialact.corpus import default_tagset
+    from dialact.ngram import UNK, _logsumexp, left_sum
+
+    tagset = default_tagset()
+    labels = tagset.labels
+    rng = random.Random(28)
+    convs = [mk_conv(f"c{i}", [(rng.choice(labels), rng.choice("AB"))
+                               for _ in range(rng.randint(2, 30))])
+             for i in range(20)]
+    trained = train_discourse(convs, tagset, order,
+                              GrammarVariant.SPEAKER_CONDITIONED)
+    model = trained.model
+    vocab = sorted(model.vocab)
+
+    def reference(contexts, speaker):
+        """Each context's label row for ``speaker``, less one 1-D
+        log-sum-exp; its <end> score where ``speaker`` is None."""
+        rows = model.log_probs(contexts, vocab)
+        if speaker is None:
+            return rows[:, vocab.index(END)].tolist()
+        # C: a speaker no pair token has, read from <unk>'s column
+        tokens = [trained.variant.token(lab, speaker) for lab in labels]
+        cols = [vocab.index(tok if tok in model.vocab else UNK)
+                for tok in tokens]
+        return [(row[cols] - float(_logsumexp(row[cols], axis=0))).tolist()
+                for row in rows]
+
+    k = order - 1
+    for speakers in [("A",) * k, ("B", "A")[-k:], (None, "B")[-k:],
+                     (None,) * k]:
+        histories = list(dict.fromkeys(
+            tuple((lab, spk) for lab, spk in zip(labs, speakers)
+                  if spk is not None)
+            for labs in itertools.product(labels, repeat=k)))
+        for speaker in "ABC":
+            g = DiscourseGrammar(tagset, trained.variant, order, model)
+            assert g.transition_rows(histories, speaker).tolist() == \
+                reference([g._context(h) for h in histories], speaker)
+
+    g = DiscourseGrammar(tagset, trained.variant, order, model)
+    scores = []
+    for conv in convs:
+        events = [(utt.da_label, utt.speaker) for utt in conv]
+        for i, (lab, spk) in enumerate([*events, (END, None)]):
+            row = reference([g._context(events[:i])], spk)[0]
+            scores.append(row if spk is None else row[labels.index(lab)])
+    assert discourse_perplexity(g, convs) == \
+        math.exp(-left_sum(scores) / len(scores))

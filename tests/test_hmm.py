@@ -424,7 +424,7 @@ def test_speaker_blind_grammars_compile_one_pattern_per_depth():
 
 
 def test_prior_compiles_by_whole_rows(monkeypatch):
-    # DiscourseGrammar compiles through transition_row, with no per-label
+    # DiscourseGrammar compiles through transition_rows, with no per-label
     # call, into the arrays the per-label adapter builds, bit for bit
     rng = random.Random(12)
     tagset = TagSet(("S", "Q", "B"))

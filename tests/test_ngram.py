@@ -794,7 +794,7 @@ def test_discourse_rows_equal_the_reference_walk():
             spk = rng.choice("ABC")     # C: a speaker no pair token has
             ctx = g._context(hist)
             want = {lab: reference_cond_log_prob(g.model, ctx,
-                                                 g._token(lab, spk))
+                                                 g.variant.token(lab, spk))
                     for lab in labels}
             if variant is GrammarVariant.SPEAKER_CONDITIONED:
                 # the toolkit's one log-sum-exp, itself checked against
