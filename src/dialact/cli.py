@@ -218,12 +218,12 @@ def _load_convs(args, tagset: TagSet
     return convs, schema
 
 
-def _require_labels(path: str, convs, message: str) -> None:
+def _require(path: str, convs, message: str, field: str = "da_label") -> None:
     """Raise ``message`` at the line of corpus file ``path`` that holds the
-    first unlabeled utterance of ``convs``, if there is one."""
+    first utterance of ``convs`` whose ``field`` is None, if there is one."""
     for conv in convs:
         for utt in conv:
-            if utt.da_label is None:    # read the file again for its line
+            if getattr(utt, field) is None:     # read the file for its line
                 line = next(n for n, (c, i, *_) in content_lines(path, 5)
                             if c == conv.conv_id and int(i) == utt.index)
                 raise CorpusError(f"{path}:{line}: {message}")
@@ -265,8 +265,7 @@ def _g(x: float) -> str:
 def cmd_train(args) -> int:
     tagset = _load_tagset(args)
     convs, schema = _load_convs(args, tagset)
-    _require_labels(args.corpus, convs, "training corpus has an unlabeled "
-                                        "utterance")
+    _require(args.corpus, convs, "training corpus has an unlabeled utterance")
 
     grammar_data = symmetrize_speakers(convs) if args.symmetrize else convs
     grammar = train_discourse(grammar_data, tagset, args.order,
@@ -307,6 +306,9 @@ def cmd_tag(args) -> int:
     models = load_models(args.models)
     tagset = models.tagset
     convs, _ = _load_convs(args, tagset)
+    if args.mode != "true_words":
+        _require(args.corpus, convs,
+                 f"mode {args.mode!r} needs an n-best list", "nbest")
     grammar = _grammar_for(args, models)
     word_tables = word_likelihood_tables(models.da_lms, convs, args.mode,
                                          _scaling(args))
@@ -319,8 +321,8 @@ def cmd_tag(args) -> int:
         with _at_header(args.prosody):
             prosody_tables = prosody_likelihood_tables(models.tree, convs)
         if args.tune_fusion:
-            _require_labels(args.corpus, convs, "--tune-fusion needs labels "
-                                                "on every utterance")
+            _require(args.corpus, convs, "--tune-fusion needs labels "
+                                         "on every utterance")
             refs = {conv.conv_id: [tagset.collapse(u.da_label) for u in conv]
                     for conv in convs}
             result = tune_alpha_beta(grammar, word_tables, prosody_tables,
@@ -422,7 +424,7 @@ def cmd_rescore(args) -> int:
 def cmd_perplexity(args) -> int:
     models = load_models(args.models)
     convs, _ = _load_convs(args, models.tagset)
-    _require_labels(args.corpus, convs, "perplexity needs labeled utterances")
+    _require(args.corpus, convs, "perplexity needs labeled utterances")
     grammar = _grammar_for(args, models)
     print(f"discourse_perplexity\t{_g(discourse_perplexity(grammar, convs))}")
     if args.words:

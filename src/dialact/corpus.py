@@ -26,7 +26,7 @@ import math
 import numbers
 import random
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
@@ -122,6 +122,8 @@ class TagSet:
 
     labels: tuple[str, ...]
     collapsed: tuple[tuple[str, tuple[str, ...]], ...] = ()
+    # each label and collapsed member -> its model class
+    _class: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.labels:
@@ -133,14 +135,15 @@ class TagSet:
                 raise CorpusError(f"label {lab!r} is empty or contains whitespace")
             if lab in (START, END, _MISSING_LABEL):
                 raise CorpusError(f"reserved label {lab!r}")
-        members_seen: set[str] = set()
+        classes = dict(zip(self.labels, self.labels))
         for cls, members in self.collapsed:
             if cls not in self.labels:
                 raise CorpusError(f"collapsed class {cls!r} not in labels")
             for m in members:
-                if m in self.labels or m in members_seen:
+                if m in classes:
                     raise CorpusError(f"collapsed member {m!r} is ambiguous")
-                members_seen.add(m)
+                classes[m] = cls
+        object.__setattr__(self, "_class", classes)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -149,18 +152,13 @@ class TagSet:
         return iter(self.labels)
 
     def __contains__(self, label: str) -> bool:
-        if label in self.labels:
-            return True
-        return any(label in members for _, members in self.collapsed)
+        return label in self._class
 
     def collapse(self, label: str) -> str:
         """Map a corpus label to its model class (identity if not collapsed)."""
-        if label in self.labels:
-            return label
-        for cls, members in self.collapsed:
-            if label in members:
-                return cls
-        raise CorpusError(f"label {label!r} not in tag set")
+        if label not in self._class:
+            raise CorpusError(f"label {label!r} not in tag set")
+        return self._class[label]
 
 
 def load_tagset(path: str | Path) -> TagSet:

@@ -16,9 +16,11 @@ backoff.  ``pad=False`` turns both the padding and the reserved tokens off
 Models are held in stores of sorted arrays, one per estimate, ARPA file
 or model directory (Heafield 2011, "KenLM: faster and smaller language
 model queries"), and an :class:`NGramModel` is a handle on one model's
-rows.  Estimation fills a store for a whole set of models, a directory's
-ARPA files merge into one, and :class:`CompiledModelSet` scores from a
-store in place: only a merge copies arrays.
+rows.  Estimation fills a store for a whole set of models.  An ARPA
+file's lines, and the models of a merge (a directory's files become one
+store), are laid out by :func:`_build`, the one encoder of n-gram keys;
+:meth:`NGramModel.level` is the one decoder.  :class:`CompiledModelSet`
+scores from a store in place: only a merge copies arrays.
 
 All internal arithmetic is in natural logs; the ARPA-style file format
 uses log10, as usual.
@@ -603,43 +605,60 @@ class CompiledModelSet:
 
 def _merge(models: Sequence[NGramModel]) -> list[NGramModel]:
     """The models as handles on one store: themselves if they share one,
-    else handles on a new store over the union of their tokens, holding
-    each model's rows of every level in turn.  A model's ids map
-    increasingly into the union's and each key's parent row moves by the
-    rows of the models before it, so each level stays sorted."""
+    else handles on a store that :func:`_build` lays out over the union of
+    their tokens."""
     if len({id(m._store) for m in models}) == 1:
         return list(models)
     tokens = tuple(sorted(set().union(*(m.tokens for m in models))))
     ids = {t: i for i, t in enumerate(tokens)}
-    base, size = len(tokens) + 1, len(models) * (len(tokens) + 1)
-    maps = [np.array([ids[t] for t in m.tokens] + [base - 1]) for m in models]
     # each distinct vocabulary once, over the union's strings
     vocabs = {v: frozenset(tokens[ids[t]] for t in v)
               for v in {m.vocab for m in models}}
-    keys, lp = [None, None], [None, np.full(size, math.nan)]
-    bow = [np.array([m.level(0)[2][0] for m in models]), np.zeros(size)]
-    for j, (m, to) in enumerate(zip(models, maps)):
-        _, lp[1][j * base + to], bow[1][j * base + to] = m.level(1)
-    offsets = np.arange(len(models)) * base     # each model's first row below
-    for n in range(2, max(m.order for m in models) + 1):
-        parts = [(np.zeros(0, dtype=np.int64), [], [])]
-        for m, to, offset in zip(models, maps, offsets):
-            s, g = m._store, m._group
-            if n > m.order:
-                parts.append(parts[0])
-                continue
-            lo, hi = s.first[n][g:g + 2]
-            parent, token = np.divmod(s.keys[n][lo:hi], s.base)
-            parent -= s.first[n - 1][g]         # its row within its model
-            parts.append((((to[parent] if n == 2 else parent) + offset)
-                          * base + to[token], s.lp[n][lo:hi], s.bow[n][lo:hi]))
-        offsets = np.cumsum([len(part[0]) for part in parts])
-        level = list(zip(*parts, ([_NO_KEY], [math.nan], [0.0])))
-        keys.append(np.concatenate(level[0]))
-        lp.append(np.concatenate(level[1]))
-        bow.append(np.concatenate(level[2]))
-    store = _Store(tokens, [(m.order, vocabs[m.vocab], m.padded)
-                            for m in models], keys, lp, bow)
+    maps = {id(m): np.array([ids[t] for t in m.tokens] + [len(tokens)])
+            for m in models}
+    return _build(tokens, [(m.order, vocabs[m.vocab], m.padded, [
+        (maps[id(m)][grams], lp, bow) for grams, lp, bow
+        in map(m.level, range(m.order + 1))]) for m in models])
+
+
+def _build(tokens: tuple[str, ...], models: Sequence[tuple]
+           ) -> list[NGramModel]:
+    """Handles on a new store over ``tokens`` holding ``models`` in turn:
+    the one encoder of n-gram keys (:meth:`NGramModel.level` decodes).
+    A model is ``(order, vocab, padded, levels)``, ``levels[n]`` its rows
+    ``(grams, lp, bow)`` of level n = 0..order as ``level`` gives them,
+    with ids into ``tokens`` (of level 0 only ``bow`` is read).  A missing
+    prefix of a gram becomes a row with no probability or backoff weight,
+    and of the rows of one gram the first is kept."""
+    base, top = len(tokens) + 1, max(order for order, *_ in models)
+    # per level, top down: each model's rows, led by the model's index,
+    # then every prefix of a row one level up
+    rows = {top + 1: [np.zeros((0, top + 2), dtype=np.int64)]}
+    for n in range(top, 0, -1):
+        up = rows[n + 1][0][:, :-1]
+        parts = [(np.column_stack([np.full(len(grams), j), grams]), lp, bow)
+                 for j, (order, *_, levels) in enumerate(models) if n <= order
+                 for grams, lp, bow in [levels[n]]]
+        parts.append((up, np.full(len(up), math.nan), np.zeros(len(up))))
+        rows[n] = [np.concatenate(column) for column in zip(*parts)]
+    keys, lp = [None, None], [None, np.full(len(models) * base, math.nan)]
+    bow = [np.array([levels[0][2][0] for *_, levels in models]),
+           np.zeros(len(lp[1]))]
+    for n in range(1, top + 1):
+        grams, lps, bows = rows[n]
+        row = grams[:, 0] * base + grams[:, 1]
+        for i in range(2, n):
+            row = keys[i].searchsorted(row * base + grams[:, i])
+        # the first of a key's rows: the one given, if any
+        level, pick = np.unique(row * base + grams[:, -1] if n > 1 else row,
+                                return_index=True)
+        if n == 1:
+            lp[1][level], bow[1][level] = lps[pick], bows[pick]
+        else:
+            keys.append(np.append(level, _NO_KEY))
+            lp.append(np.append(lps[pick], math.nan))
+            bow.append(np.append(bows[pick], 0.0))
+    store = _Store(tokens, [model[:3] for model in models], keys, lp, bow)
     return [NGramModel(store, j) for j in range(len(models))]
 
 
@@ -739,41 +758,18 @@ def read_arpa(path: str | Path) -> NGramModel:
     tokens = tuple(sorted({t for rows in entries.values()
                            for row in rows for t in row[2]}))
     ids = {t: i for i, t in enumerate(tokens)}
-    base, order = len(tokens) + 1, max([1, *declared])
-    # per level, top down: each n-gram's token ids, log prob and backoff
-    # weight, then every prefix of an n-gram one level up, which becomes a
-    # row without a probability or a backoff weight if no line gives one
-    grams = {order + 1: np.zeros((0, order + 1), dtype=np.int64)}
-    lp, bow = [None] * (order + 1), [np.zeros(1)] + [None] * order
-    for k in range(order, 0, -1):
-        rows = entries.get(k, [])
-        prefixes = grams[k + 1][:, :-1]
-        grams[k] = np.concatenate([np.array(
-            [[ids[t] for t in row[2]] for row in rows],
-            dtype=np.int64).reshape(-1, k), prefixes])
-        lp10 = np.array([row[0] for row in rows] + [_LOG10_NONE] * len(prefixes))
-        lp[k] = np.where(lp10 > _LOG10_NONE, lp10 * _LN10, math.nan)
-        bow[k] = np.append([row[1] for row in rows], np.zeros(len(prefixes))
-                           ) * _LN10
-    keys: list = [None, None]
+    order = max([1, *declared])
+    levels = [(None, None, [0.0])]
     for k in range(1, order + 1):
-        row = grams[k][:, 0]
-        for j in range(2, k):
-            row = keys[j].searchsorted(row * base + grams[k][:, j - 1])
-        # the first of a key's rows: the line that gave it, if any
-        level, pick = np.unique(row * base + grams[k][:, -1] if k > 1
-                                else row, return_index=True)
-        if k == 1:
-            dense = np.full(base, math.nan), np.zeros(base)
-            dense[0][level], dense[1][level] = lp[1][pick], bow[1][pick]
-            lp[1], bow[1] = dense
-        else:
-            keys.append(np.append(level, _NO_KEY))
-            lp[k] = np.append(lp[k][pick], math.nan)
-            bow[k] = np.append(bow[k][pick], 0.0)
-    vocab = frozenset(tokens[i] for i in np.flatnonzero(~np.isnan(lp[1])))
+        rows = entries.get(k, [])
+        lp10 = np.array([row[0] for row in rows])
+        levels.append((np.array([[ids[t] for t in row[2]] for row in rows],
+                                dtype=np.int64).reshape(-1, k),
+                       np.where(lp10 > _LOG10_NONE, lp10 * _LN10, math.nan),
+                       np.array([row[1] for row in rows]) * _LN10))
+    vocab = frozenset(tokens[ids[gram[0]]] for lp10, _, gram
+                      in entries.get(1, ()) if lp10 > _LOG10_NONE)
     if not vocab:
         raise CorpusError(f"{path}:{lineno}: no \\data\\ section with "
                           f"unigram probabilities")
-    return NGramModel(_Store(tokens, [(order, vocab, END in vocab)], keys, lp,
-                             bow), 0)
+    return _build(tokens, [(order, vocab, END in vocab, levels)])[0]

@@ -124,6 +124,25 @@ def test_unlabeled_utterances_are_named_by_their_corpus_line(workdir,
         assert capsys.readouterr().err == f"error: {corpus}:5: {message}\n"
 
 
+@pytest.mark.parametrize("mode", ["nbest", "one_best"])
+def test_missing_nbest_lists_are_named_by_their_corpus_line(workdir, tmp_path,
+                                                            capsys, mode):
+    # n-best lists for c0 and c1:0 only, so c1:1 on line 5 is the first
+    # utterance without one
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("# two conversations\nc0\t0\tA\tStatement\ti think\n"
+                      "c0\t1\tB\tQuestion\tdo you\n"
+                      "c1\t0\tA\tStatement\tso we did\n"
+                      "c1\t1\tB\tQuestion\tdo you\nc1\t2\tA\tStatement\tyeah\n")
+    nbest = tmp_path / "n.tsv"
+    nbest.write_text("c0\t0\t1\t-10.0\ti think\nc0\t1\t1\t-10.0\tdo you\n"
+                     "c1\t0\t1\t-10.0\tso we did\n")
+    assert cli.main(["tag", "--models", str(workdir / "models"), "--corpus",
+                     str(corpus), "--nbest", str(nbest), "--mode", mode]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {corpus}:5: mode {mode!r} needs an n-best list\n"
+
+
 def test_train_names_the_prosody_header_when_no_row_matches(workdir, tmp_path,
                                                             capsys):
     pros = tmp_path / "p.tsv"

@@ -77,6 +77,38 @@ def test_tagset_collapse_unknown_label():
         TagSet(("S",)).collapse("nope")
 
 
+def test_tagset_lookups_match_a_scan_of_labels_and_members():
+    def scan(ts, label):
+        """The class of ``label`` by a scan of the labels, then of each
+        class's members, in order; None if no label or member matches."""
+        if label in ts.labels:
+            return label
+        return next((cls for cls, members in ts.collapsed
+                     if label in members), None)
+
+    labels = default_tagset().labels
+    folded = tuple((labels[i], tuple(f"m{i}-{k}" for k in range(i % 3 + 1)))
+                   for i in range(0, len(labels), 5))
+    ts = TagSet(labels, folded)
+    members = [m for _, ms in folded for m in ms]
+    for label in [*labels, *members, "nope", "m1-0", "Statement ", ""]:
+        want = scan(ts, label)
+        assert (label in ts) == (want is not None), label
+        if want is None:
+            with pytest.raises(CorpusError) as exc:
+                ts.collapse(label)
+            assert str(exc.value) == f"label {label!r} not in tag set"
+        else:
+            assert ts.collapse(label) == want, label
+    # the lookup table takes no part in equality, hashing or the repr
+    same = TagSet(labels, folded)
+    assert same == ts and hash(same) == hash(ts)
+    assert repr(ts) == f"TagSet(labels={labels!r}, collapsed={folded!r})"
+    assert TagSet(labels) != ts
+    # a copy with other members builds its own table
+    assert "m0-0" not in dataclasses.replace(ts, collapsed=())
+
+
 def test_default_tagset_has_42_labels():
     ts = default_tagset()
     assert len(ts) == 42
