@@ -710,7 +710,9 @@ def read_arpa(path: str | Path) -> NGramModel:
 
     Lines before ``\\data\\`` are ignored.  An n-gram line is
     ``log10 prob <TAB> space-separated gram [<TAB> log10 backoff]``, and an
-    n-gram appears at most once per section.
+    n-gram appears at most once per section.  A log10 probability is finite
+    or ``-inf``, and at or below -99 means no probability; a backoff weight
+    is finite.
     """
     declared: dict[int, tuple[int, int]] = {}   # order -> (count, line)
     # per section: log10 prob, log10 backoff weight and gram of each line
@@ -748,8 +750,15 @@ def read_arpa(path: str | Path) -> NGramModel:
                 if first != lineno:
                     raise ValueError(f"duplicate n-gram {' '.join(gram)!r} "
                                      f"(first at line {first})")
-                entries[n].append((float(fields[0]), float(fields[2])
-                                   if len(fields) == 3 else 0.0, gram))
+                lp10 = float(fields[0])
+                bow10 = float(fields[2]) if len(fields) == 3 else 0.0
+                if math.isnan(lp10) or lp10 == math.inf:
+                    raise ValueError(f"log10 probability {fields[0]!r} must "
+                                     f"be finite or -inf")
+                if not math.isfinite(bow10):
+                    raise ValueError(f"log10 backoff weight {fields[2]!r} "
+                                     f"must be finite")
+                entries[n].append((lp10, bow10, gram))
     for k, (count, line) in declared.items():
         if len(entries.get(k, ())) != count:
             raise CorpusError(f"{path}:{line}: \\{k}-grams: section has "

@@ -88,11 +88,14 @@ class DecisionTree:
     training_priors: tuple[float, ...]
 
     def n_leaves(self) -> int:
-        def walk(node: Node) -> int:
+        count, stack = 0, [self.root]
+        while stack:
+            node = stack.pop()
             if node.is_leaf:
-                return 1
-            return walk(node.left) + walk(node.right)
-        return walk(self.root)
+                count += 1
+            else:
+                stack += (node.left, node.right)
+        return count
 
 
 def _gini(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -334,21 +337,26 @@ def train_tree(schema: FeatureSchema,
     labels = np.array([index[lab] for _, lab in samples], dtype=np.intp)
     columns = _encode(schema, [fv for fv, _ in samples])
     k = len(classes)
-
-    def grow(rows: np.ndarray, depth: int) -> Node:
+    # nodes grow from a stack of (parent, side, rows, depth), left child
+    # first, so a tree of any depth grows without recursion
+    top = Node()
+    stack = [(top, "left", np.arange(len(samples)), 0)]
+    while stack:
+        parent, side, rows, depth = stack.pop()
         counts = np.bincount(labels[rows], minlength=k)
         pure = (counts > 0).sum() <= 1
         at_depth = config.max_depth is not None and depth >= config.max_depth
+        found = None
         if not pure and not at_depth and len(rows) >= 2 * config.min_leaf:
             found = _best_split(columns, labels, rows, k, config.min_leaf)
-            if found is not None:
-                node, left = found
-                node.left = grow(rows[left], depth + 1)
-                node.right = grow(rows[~left], depth + 1)
-                return node
-        return Node(posterior=tuple(float(x) for x in counts / counts.sum()))
-
-    root = grow(np.arange(len(samples)), 0)
+        if found is None:
+            node = Node(posterior=tuple(float(x) for x in counts / counts.sum()))
+        else:
+            node, left = found
+            stack += ((node, "right", rows[~left], depth + 1),
+                      (node, "left", rows[left], depth + 1))
+        setattr(parent, side, node)
+    root = top.left
     priors = np.bincount(labels, minlength=k) / len(samples)
     return DecisionTree(classes, schema, root, tuple(float(x) for x in priors))
 
@@ -477,11 +485,13 @@ def serialize_tree(tree: DecisionTree, path: str | Path) -> None:
         "priors\t" + "\t".join(repr(p) for p in tree.training_priors),
     ]
 
-    def emit(node: Node, depth: int) -> None:
+    stack = [(tree.root, 0)]
+    while stack:
+        node, depth = stack.pop()
         pad = "  " * depth
         if node.is_leaf:
             lines.append(pad + "leaf\t" + "\t".join(repr(p) for p in node.posterior))
-            return
+            continue
         miss = "left" if node.missing_left else "right"
         if node.threshold is not None:
             lines.append(f"{pad}node\t{node.feature}\t<=\t{node.threshold!r}"
@@ -493,10 +503,7 @@ def serialize_tree(tree: DecisionTree, path: str | Path) -> None:
                                        f"{cat!r} would not reload as written")
             cats = ",".join(sorted(node.categories))
             lines.append(f"{pad}node\t{node.feature}\tin\t{cats}\tmissing={miss}")
-        emit(node.left, depth + 1)
-        emit(node.right, depth + 1)
-
-    emit(tree.root, 0)
+        stack += ((node.right, depth + 1), (node.left, depth + 1))
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
@@ -516,7 +523,7 @@ def load_tree(path: str | Path) -> DecisionTree:
         return values
 
     def parse(depth: int) -> Node:
-        nonlocal pos
+        """The node on line ``pos``, without its children."""
         if pos == len(lines):
             raise ProsodyError("truncated tree body")
         line = "\t".join(lines[pos][1])
@@ -524,9 +531,7 @@ def load_tree(path: str | Path) -> DecisionTree:
             raise ProsodyError("bad indentation")
         fields = line.strip().split("\t")
         if fields[0] == "leaf" and len(fields) == 1 + len(classes):
-            node = Node(posterior=probabilities(fields[1:]))
-            pos += 1
-            return node
+            return Node(posterior=probabilities(fields[1:]))
         if (fields[0] != "node" or len(fields) != 5 or fields[2] not in
                 ("<=", "in") or fields[4] not in ("missing=left",
                                                   "missing=right")):
@@ -538,13 +543,12 @@ def load_tree(path: str | Path) -> DecisionTree:
         if (op == "<=") != (kind_of[feature] == "continuous"):
             raise ProsodyError(f"{op!r} test on {kind_of[feature]} feature "
                                f"{feature!r}")
-        node = Node(feature=feature, missing_left=miss == "missing=left",
-                    threshold=float(arg) if op == "<=" else None,
+        threshold = float(arg) if op == "<=" else None
+        if threshold is not None and math.isnan(threshold):
+            raise ProsodyError(f"threshold {arg!r} is not a number")
+        return Node(feature=feature, missing_left=miss == "missing=left",
+                    threshold=threshold,
                     categories=frozenset(arg.split(",")) if op == "in" else None)
-        pos += 1
-        node.left = parse(depth + 1)
-        node.right = parse(depth + 1)
-        return node
 
     try:
         for pos, key in enumerate(("tree v1", "classes", "features", "priors")):
@@ -561,8 +565,19 @@ def load_tree(path: str | Path) -> DecisionTree:
         kind_of = dict(zip(schema.names, schema.kinds))
         pos = 3
         priors = probabilities(lines[3][1][1:])
+        # one node per line in preorder, each filling the slot of a
+        # (parent, side, depth) stack, left child first
+        top = Node()
+        slots = [(top, "left", 0)]
         pos = 4
-        root = parse(0)
+        while slots:
+            parent, side, depth = slots.pop()
+            node = parse(depth)
+            pos += 1
+            setattr(parent, side, node)
+            if not node.is_leaf:
+                slots += ((node, "right", depth + 1), (node, "left", depth + 1))
+        root = top.left
         if pos != len(lines):
             raise ProsodyError("trailing tree lines")
     except ValueError as exc:   # a ProsodyError, a bad number or schema

@@ -611,17 +611,21 @@ def test_tag_fusion_weights_nothing_reads_are_usage_errors(workdir, capsys):
 
 
 def test_tag_default_fusion_weights_are_one(workdir, tmp_path, capsys):
-    # leaving --alpha and --beta out is the same as giving 1 for each
+    # leaving --alpha and --beta out is the same as giving 1 for each; with
+    # no --prosody file too, --beta still scales the word evidence
+    prosody = ["--prosody", str(workdir / "prosody.tsv")]
     outs = []
-    for flags in ([], ["--alpha", "1", "--beta", "1"]):
+    for flags in ([*prosody], [*prosody, "--alpha", "1", "--beta", "1"],
+                  [], ["--beta", "0.5"]):
         outs.append(tmp_path / f"pred{len(outs)}.tsv")
         rc = cli.main(["tag", "--models", str(workdir / "models"),
-                       "--corpus", str(workdir / "corpus.tsv"),
-                       "--prosody", str(workdir / "prosody.tsv"), *flags,
+                       "--corpus", str(workdir / "corpus.tsv"), *flags,
                        "--output", str(outs[-1])])
         assert rc == 0
     capsys.readouterr()
     assert outs[0].read_text() == outs[1].read_text()
+    assert len(outs[3].read_text().splitlines()) == 8 * 8
+    assert outs[2].read_text() != outs[3].read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -843,8 +847,9 @@ def test_a_prosody_tree_of_another_tag_set_fails_at_load(workdir, tmp_path,
                        str(workdir / "corpus.tsv"), "--prosody",
                        str(workdir / "prosody.tsv")])
         assert rc == 1
-        assert (f"error: {swapped / name}:{line}: {message}\n"
-                in capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert f"error: {swapped / name}:{line}: {message}\n" in err
+        assert "Traceback" not in err
     # the directory the tree came from still loads
     assert cli.load_models(other).tree.classes == ("Statement", "Question")
 

@@ -6,7 +6,8 @@ copy.  Both the reader and the merge lay out their stores through one
 builder, so a merged model keeps its source's rows and a read model the
 rows its file gives, with every missing prefix added.  The directory here is shaped like the Switchboard bench data: the
 42 bundled acts with Zipf frequencies (so rare acts share the pooled
-file), an 80-word vocabulary, and bigram word models.
+file), an 80-word vocabulary, and bigram word models; the write-back test
+adds word orders 3 and 4.
 """
 
 import gc
@@ -22,6 +23,7 @@ import pytest
 
 from dialact import cli
 from dialact.corpus import CorpusError, default_tagset
+from dialact.discourse import save_discourse
 from dialact.ngram import (CompiledModelSet, _merge, _train_set, read_arpa,
                            train_ngram, write_arpa)
 
@@ -46,18 +48,31 @@ def write_corpus(path: Path, rng: random.Random, prefix: str, n_convs: int):
 
 
 @pytest.fixture(scope="module")
-def trained(tmp_path_factory) -> Path:
+def corpora(tmp_path_factory) -> Path:
     root = tmp_path_factory.mktemp("store")
     rng = random.Random(7)
     write_corpus(root / "train.tsv", rng, "tr", 20)
     write_corpus(root / "heldout.tsv", rng, "ho", 6)
-    with warnings.catch_warnings():     # rare acts: no data, no held-out
-        warnings.simplefilter("ignore")
-        assert cli.main(["train", "--corpus", str(root / "train.tsv"),
-                         "--heldout", str(root / "heldout.tsv"),
-                         "--models", str(root / "models"), "--order", "2",
-                         "--word-order", "2"]) == 0
-    return root / "models"
+    return root
+
+
+def train(root: Path, order: int, word_order: int) -> Path:
+    """The directory trained on ``root``'s corpora at these grammar and
+    word orders, trained on first use."""
+    models = root / f"models_{order}_{word_order}"
+    if not models.exists():
+        with warnings.catch_warnings():     # rare acts: no data, no held-out
+            warnings.simplefilter("ignore")
+            assert cli.main(["train", "--corpus", str(root / "train.tsv"),
+                             "--heldout", str(root / "heldout.tsv"),
+                             "--models", str(models), "--order", str(order),
+                             "--word-order", str(word_order)]) == 0
+    return models
+
+
+@pytest.fixture(scope="module")
+def trained(corpora) -> Path:
+    return train(corpora, 2, 2)
 
 
 def model_files(root: Path, loaded) -> dict[Path, object]:
@@ -85,14 +100,20 @@ def add_unigram(path: Path, line: str) -> None:
     path.write_text("\n".join(lines), encoding="utf-8")
 
 
+@pytest.mark.parametrize("orders", [(2, 2), (2, 3), (3, 4)],
+                         ids=["words-2", "words-3", "grammar-3-words-4"])
 @pytest.mark.parametrize("edited", [False, True],
                          ids=["as-trained", "one-file-edited"])
 def test_a_directory_loads_into_one_store_that_writes_its_files_back(
-        trained, tmp_path, edited):
+        corpora, tmp_path, orders, edited):
     root = tmp_path / "models"
-    shutil.copytree(trained, root)
+    shutil.copytree(train(corpora, *orders), root)
     loaded = cli.load_models(root)
+    save_discourse(loaded.grammar, tmp_path / "discourse.arpa")
+    assert (tmp_path / "discourse.arpa").read_bytes() == \
+        (root / "discourse.arpa").read_bytes()
     files = model_files(root, loaded)
+    assert len(files) > 1
     if edited:
         # one act's own file gains a token the other files lack, a context
         # with a backoff weight and no probability (smoothing needs the

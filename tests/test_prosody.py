@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import sys
 from pathlib import Path
 from typing import Sequence
 from unittest import mock
@@ -28,11 +29,14 @@ def fv(**values):
 
 
 def depth(tree: DecisionTree) -> int:
-    def walk(node: Node) -> int:
+    deepest, stack = 0, [(tree.root, 0)]
+    while stack:
+        node, at = stack.pop()
         if node.is_leaf:
-            return 0
-        return 1 + max(walk(node.left), walk(node.right))
-    return walk(tree.root)
+            deepest = max(deepest, at)
+        else:
+            stack += ((node.left, at + 1), (node.right, at + 1))
+    return deepest
 
 
 def separable_samples():
@@ -466,6 +470,47 @@ def test_round_trip_is_exact(tmp_path):
                               tree_posterior(tree, probe))
     again = tmp_path / "again.txt"
     serialize_tree(back, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_a_tree_deeper_than_the_recursion_limit_trains_saves_and_loads(
+        tmp_path):
+    # labels i^2 mod 3 along x = i: each split peels off one or two rows
+    samples = [(fv(f=float(i)), str(i * i % 3)) for i in range(1800)]
+    tree = train_tree(SCHEMA1, samples, TreeConfig(min_leaf=1))
+    assert depth(tree) > sys.getrecursionlimit()
+    assert tree.n_leaves() == 1200
+    path = tmp_path / "deep.tree"
+    serialize_tree(tree, path)
+    back = load_tree(path)
+    assert back.n_leaves() == 1200
+    for i in (0, 1, 2, 3, 900, 1798, 1799):
+        # every leaf is pure, so a training row reaches its own label
+        assert tree_posterior(back, fv(f=float(i)))[i * i % 3] == 1.0, i
+    for x in (-1.0, 2.5, 1798.6, 5000.0):
+        assert np.array_equal(tree_posterior(back, fv(f=x)),
+                              tree_posterior(tree, fv(f=x))), x
+    again = tmp_path / "again.tree"
+    serialize_tree(back, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_a_hand_written_file_1200_levels_deep_loads(tmp_path):
+    # node k sends f <= k + 0.5 to a leaf of class k mod 2, the rest deeper
+    body = "".join(f"{'  ' * k}node\tf\t<=\t{k + 0.5!r}\tmissing=left\n"
+                   f"{'  ' * (k + 1)}leaf\t{float(k % 2 == 0)!r}\t"
+                   f"{float(k % 2)!r}\n" for k in range(1200))
+    path = tmp_path / "deep.tree"
+    path.write_text("tree v1\nclasses\tS\tQ\nfeatures\tf:continuous\n"
+                    "priors\t0.5\t0.5\n" + body + "  " * 1200
+                    + "leaf\t0.5\t0.5\n")
+    tree = load_tree(path)
+    assert depth(tree) == 1200 and tree.n_leaves() == 1201
+    for x, want in ((0.0, [1.0, 0.0]), (1.0, [0.0, 1.0]), (1198.0, [1.0, 0.0]),
+                    (1199.0, [0.0, 1.0]), (1200.0, [0.5, 0.5])):
+        assert tree_posterior(tree, fv(f=x)).tolist() == want, x
+    again = tmp_path / "again.tree"
+    serialize_tree(tree, again)
     assert again.read_bytes() == path.read_bytes()
 
 

@@ -21,7 +21,7 @@ from dialact import cli
 from dialact.corpus import (CorpusError, load_tagset, parse_conversations,
                             parse_nbest, parse_prosody)
 from dialact.discourse import load_discourse
-from dialact.ngram import read_arpa
+from dialact.ngram import read_arpa, write_arpa
 from dialact.prosody import ProsodyError, load_tree
 
 LABELS = ("Statement", "Question", "Backchannel")
@@ -216,6 +216,19 @@ def _model_fault(rel, old, new):
     return apply
 
 
+def _arpa_line_fault(needle, line):
+    """The first line of the pooled word model holding ``needle`` replaced
+    by ``line``."""
+    def apply(models, root):
+        path = models / "da_lms/_fallback.arpa"
+        lines = path.read_bytes().split(b"\n")
+        at = next(i for i, old in enumerate(lines) if needle in old)
+        path.write_bytes(b"\n".join(lines[:at] + [line] + lines[at + 1:]))
+        return path, ["tag", "--models", str(models),
+                      "--corpus", str(root / "corpus.tsv")]
+    return apply
+
+
 def _corpus_fault(models, root):
     bad = root / "bad_corpus.tsv"
     shutil.copy(root / "corpus.tsv", bad)
@@ -268,6 +281,10 @@ def _eval_index_fault(models, root):
      b"discourse grammar"),
     (_model_fault("da_lms/_fallback.arpa", b"\n-", b"\nx-"), b"x-"),
     (_model_fault("discourse.arpa", b"\t-0.", b"\t-0.x"), b"-0.x"),
+    (_arpa_line_fault(b"\ti\t", b"inf\ti\t-0.5"), b"inf\t"),
+    (_arpa_line_fault(b"\t<start>\t", b"nan\t<start>\t-0.5"), b"nan\t"),
+    (_arpa_line_fault(b"\t<start>\t", b"-99\t<start>\tnan"), b"\tnan"),
+    (_arpa_line_fault(b"\t<start>\t", b"-99\t<start>\t-inf"), b"\t-inf"),
     (_model_fault("prosody.tree", b"priors\t0.", b"priors\t0.x"), b"0.x"),
     (_model_fault("prosody.tree", b":continuous", b""), b"features"),
     (_model_fault("prosody.tree", b"node\tf0\t<=\t116.5",
@@ -276,6 +293,8 @@ def _eval_index_fault(models, root):
                   b"node\tcontour\t<=\t1.5"), b"contour\t<="),
     (_model_fault("prosody.tree", b"node\tf0\t<=\t106.5",
                   b"node\tf0\tin\t106.5"), b"f0\tin"),
+    (_model_fault("prosody.tree", b"node\tf0\t<=\t116.5",
+                  b"node\tf0\t<=\tnan"), b"\tnan\t"),
     (_corpus_fault, b"\xff"),
     (_tagset_fault, b"\xff"),
     (_eval_index_fault, b"two"),
@@ -294,9 +313,11 @@ def _eval_index_fault(models, root):
     (_tag_input_fault("prosody.tsv", b"\trise", b"\tri,se"), b"ri,se"),
     (_tag_input_fault("prosody.tsv", b"\trise", b"\tri\xffse"), b"\xff"),
 ], ids=["discourse-no-order", "discourse-bad-variant", "arpa-bad-prob",
-        "arpa-bad-backoff", "tree-bad-float", "tree-feature-without-kind",
-        "tree-feature-not-in-header", "tree-threshold-on-categorical",
-        "tree-categories-on-continuous", "corpus-not-utf8", "tagset-not-utf8",
+        "arpa-bad-backoff", "arpa-inf-prob", "arpa-nan-prob",
+        "arpa-nan-backoff", "arpa-minus-inf-backoff", "tree-bad-float",
+        "tree-feature-without-kind", "tree-feature-not-in-header",
+        "tree-threshold-on-categorical", "tree-categories-on-continuous",
+        "tree-nan-threshold", "corpus-not-utf8", "tagset-not-utf8",
         "eval-bad-index", "tag-corpus-bad-index", "tag-corpus-bad-speaker",
         "tag-nbest-bad-score", "tag-nbest-rank-gap", "tag-nbest-nan-score",
         "tag-nbest-minus-inf-score", "rescore-nbest-minus-inf-score",
@@ -333,3 +354,16 @@ def test_repeated_arpa_ngram_names_its_second_line(tmp_path, sections, gram):
     with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}:{second}: "
                        rf"duplicate n-gram '{gram}' \(first at line {first}\)"):
         read_arpa(path)
+
+
+@pytest.mark.parametrize("none", ["-inf", "-120.5"])
+def test_an_arpa_probability_at_or_below_minus_99_means_none(files, tmp_path,
+                                                             none):
+    trained = files / "models/da_lms/_fallback.arpa"
+    path = tmp_path / "m.arpa"
+    edited = trained.read_bytes().replace(b"\n-99\t<start>\t",
+                                              f"\n{none}\t<start>\t".encode())
+    assert edited != trained.read_bytes()
+    path.write_bytes(edited)
+    write_arpa(read_arpa(path), tmp_path / "back.arpa")
+    assert (tmp_path / "back.arpa").read_bytes() == trained.read_bytes()
