@@ -46,10 +46,11 @@ from .discourse import (DiscourseGrammar, GrammarVariant, discourse_perplexity,
                         load_discourse, save_discourse, train_discourse)
 from .hmm import (CombinationWeights, combine_likelihoods,
                   forward_backward_corpus, tune_alpha_beta, viterbi_corpus)
-from .metrics import tagging_accuracy
+from .metrics import EvalReport
 from .ngram import _merge, interpolate, perplexity, read_arpa, write_arpa
-from .prosody import (DecisionTree, ProsodyError, TreeConfig, load_tree,
-                      prosody_likelihood_tables, serialize_tree, train_tree)
+from .prosody import (DecisionTree, TreeConfig, load_tree,
+                      prosody_likelihood_tables, serialize_tree,
+                      train_corpus_tree)
 from .rescore import METHODS, per_da_wer_report, rescore_corpus
 from .wordmodels import (DEFAULT_SMOOTHING, DaLmSet, MODES, ScoreScaling,
                          _words_by_class, smooth_da_lms, train_da_lms,
@@ -218,15 +219,17 @@ def _load_convs(args, tagset: TagSet
     return convs, schema
 
 
-def _require(path: str, convs, message: str, field: str = "da_label") -> None:
+def _require(path: str, convs, message: str, column: str = "labels") -> None:
     """Raise ``message`` at the line of corpus file ``path`` that holds the
-    first utterance of ``convs`` whose ``field`` is None, if there is one."""
+    first utterance of ``convs`` whose entry in ``column`` is None, if
+    there is one."""
     for conv in convs:
-        for utt in conv:
-            if getattr(utt, field) is None:     # read the file for its line
-                line = next(n for n, (c, i, *_) in content_lines(path, 5)
-                            if c == conv.conv_id and int(i) == utt.index)
-                raise CorpusError(f"{path}:{line}: {message}")
+        entries = getattr(conv, column)
+        if None in entries:                     # read the file for its line
+            index = entries.index(None)
+            line = next(n for n, (c, i, *_) in content_lines(path, 5)
+                        if c == conv.conv_id and int(i) == index)
+            raise CorpusError(f"{path}:{line}: {message}")
 
 
 def _at_header(path: str):
@@ -284,18 +287,14 @@ def cmd_train(args) -> int:
 
     tree = None
     if args.prosody:
-        samples = [(u.prosody, tagset.collapse(u.da_label))
-                   for conv in convs for u in conv if u.prosody is not None]
         config = TreeConfig(args.min_leaf, args.max_depth)
         with _at_header(args.prosody):
-            if not samples:
-                raise ProsodyError("no features match the corpus")
-            tree = train_tree(schema, samples, config, classes=tagset.labels)
+            tree = train_corpus_tree(schema, convs, tagset, config)
 
     save_models(args.models, tagset, grammar, da_lms, weights, tree)
 
     print(f"discourse_perplexity\t{_g(discourse_perplexity(grammar, convs))}")
-    all_words = [u.words for conv in convs for u in conv]
+    all_words = [words for conv in convs for words in conv.words]
     print(f"word_perplexity_baseline\t{_g(perplexity(da_lms.fallback, all_words))}")
     for lab in tagset.labels:
         print(f"smoothing_weight\t{lab}\t{_g(weights[lab])}")
@@ -323,7 +322,7 @@ def cmd_tag(args) -> int:
         if args.tune_fusion:
             _require(args.corpus, convs, "--tune-fusion needs labels "
                                          "on every utterance")
-            refs = {conv.conv_id: [tagset.collapse(u.da_label) for u in conv]
+            refs = {conv.conv_id: list(map(tagset.collapse, conv.labels))
                     for conv in convs}
             result = tune_alpha_beta(grammar, word_tables, prosody_tables,
                                      refs, seed=args.seed)
@@ -335,6 +334,9 @@ def cmd_tag(args) -> int:
             print(f"fusion pooled accuracy {_g(100 * result.accuracy)}%",
                   file=sys.stderr)
             weights = result.better
+    # from here on tag reads only the label columns, for its report
+    references = [(conv.conv_id, conv.labels) for conv in convs]
+    del convs
     tables = [combine_likelihoods(w, p, weights)
               for w, p in zip(word_tables, prosody_tables)]
 
@@ -358,23 +360,31 @@ def cmd_tag(args) -> int:
             fh.writelines(f"{conv_id}\t{i}\t{lab}\t{post}\n" for i, (lab, post)
                           in enumerate(zip(labels, texts)))
 
-    report = _accuracy(convs, tagset, lambda c, i: predicted[c][0][i])
+    report = _accuracy(references, tagset, lambda c, i: predicted[c][0][i])
     if report is not None:
         stream = sys.stdout if args.output != "-" else sys.stderr
         stream.write(report.format())
     return 0
 
 
-def _accuracy(convs, tagset: TagSet, predicted):
+def _accuracy(references, tagset: TagSet, predicted) -> EvalReport | None:
     """The accuracy report of ``predicted(conv_id, index)``'s label for each
     labeled utterance against its reference, both collapsed; None if no
-    utterance is labeled."""
-    pairs = [(tagset.collapse(predicted(conv.conv_id, utt.index)),
-              tagset.collapse(utt.da_label))
-             for conv in convs for utt in conv if utt.da_label is not None]
-    if not pairs:
+    utterance is labeled.  ``references`` holds per conversation its id and
+    its label column, which the counts are read from with no list of
+    pairs."""
+    k = len(tagset.labels)
+    code = {lab: i for i, lab in enumerate(tagset.labels)}
+    # one count per (reference, prediction) cell, coded ref * k + pred
+    cells = np.concatenate([np.empty(0, dtype=np.intp), *(np.fromiter(
+        (code[tagset.collapse(predicted(conv_id, i))]
+         + k * code[tagset.collapse(label)]
+         for i, label in enumerate(labels) if label is not None),
+        dtype=np.intp) for conv_id, labels in references)])
+    if not len(cells):
         return None
-    return tagging_accuracy(*map(list, zip(*pairs)), labels=tagset.labels)
+    return EvalReport(tagset.labels,
+                      np.bincount(cells, minlength=k * k).reshape(k, k))
 
 
 def cmd_rescore(args) -> int:
@@ -428,7 +438,7 @@ def cmd_perplexity(args) -> int:
     grammar = _grammar_for(args, models)
     print(f"discourse_perplexity\t{_g(discourse_perplexity(grammar, convs))}")
     if args.words:
-        all_words = [u.words for conv in convs for u in conv]
+        all_words = [words for conv in convs for words in conv.words]
         print(f"word_perplexity\t-\t"
               f"{_g(perplexity(models.da_lms.fallback, all_words))}")
         for lab, seqs in _words_by_class(convs, models.tagset).items():
@@ -470,7 +480,8 @@ def cmd_eval(args) -> int:
                               f"prediction for {conv_id}:{index}")
         return preds[conv_id, index][0]
 
-    report = _accuracy(convs, tagset, predicted)
+    report = _accuracy([(conv.conv_id, conv.labels) for conv in convs],
+                       tagset, predicted)
     if report is None:
         raise CorpusError(f"{args.reference}:1: no labeled utterances")
     sys.stdout.write(report.format())

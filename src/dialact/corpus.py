@@ -1,9 +1,10 @@
 """Conversation corpus types, file formats, and corpus transforms.
 
 Every text input (the three formats below and the model directory's files)
-is read through :func:`content_lines`: UTF-8, blank lines and lines whose
-first non-blank character is '#' skipped, tab-separated fields, and every
-error naming ``file:line``.
+is read through :func:`content_lines`: UTF-8 after any byte-order mark,
+lines ending in LF or CRLF, blank lines and lines whose first non-blank
+character is '#' skipped, tab-separated fields, and every error naming
+``file:line``.
 
   conversations   conv_id <TAB> index <TAB> speaker <TAB> da_label <TAB> words
                   Words are space-separated, and none may be "<start>" or
@@ -20,13 +21,14 @@ line order of a conversation is its modeling order.
 from __future__ import annotations
 
 import contextlib
+import copy
 import importlib.resources
 import itertools
 import math
 import numbers
 import random
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
@@ -50,12 +52,13 @@ class CorpusError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _read_text(path) -> str:
-    """The file decoded as UTF-8; ``path`` may also be a package resource."""
+    """The file decoded as UTF-8 less a leading byte-order mark; ``path``
+    may also be a package resource."""
     data = (path if hasattr(path, "read_bytes") else Path(path)).read_bytes()
     try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:   # the bytes before the bad one decode
-        lineno = len((data[:exc.start] + b".").decode("utf-8").splitlines())
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:   # the line of the bad byte
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
         raise CorpusError(f"{path}:{lineno}: not UTF-8 ({exc.reason})") from None
 
 
@@ -68,19 +71,23 @@ def content_lines(path: str | Path, nfields: int | None = None,
                   sep: str | None = "\t") -> Iterator[tuple[int, list[str]]]:
     """Yield (1-based line number, fields) for each content line of a file.
 
-    Blank lines and lines whose first non-blank character is '#' are
-    skipped.  Fields are split on ``sep`` (None: on any whitespace); with
-    ``nfields``, a line holding another number of fields is an error.
-    The file is decoded whole, then split into lines by ``str.splitlines``
-    one slice of about 64 KiB at a time.  Each slice ends just after a
-    '\\n', which ends a line under every ``splitlines`` rule, so the lines
-    and their numbers are those of the whole text.
+    A line ends at '\\n', and one '\\r' before it is dropped, so no other
+    character breaks a line.  Blank lines and lines whose first non-blank
+    character is '#' are skipped.  Fields are split on ``sep`` (None: on
+    any whitespace); with ``nfields``, a line holding another number of
+    fields is an error.  The file is decoded whole, then split into lines
+    one slice of about 64 KiB at a time, each slice ending just after a
+    '\\n'.
     """
     text, start, lineno = _read_text(path), 0, 0
     while start < len(text):
         end = text.find("\n", start + _SLICE) + 1 or len(text)
-        for lineno, line in enumerate(text[start:end].splitlines(),
-                                      lineno + 1):
+        lines = text[start:end].split("\n")
+        if text[end - 1] == "\n":
+            lines.pop()     # the empty text after the slice's last newline
+        for lineno, line in enumerate(lines, lineno + 1):
+            if line[-1:] == "\r":
+                line = line[:-1]
             head = line.lstrip()
             if not head or head[0] == "#":
                 continue
@@ -350,31 +357,91 @@ class Utterance:
             raise CorpusError(f"speaker must be one of {SPEAKERS}, got {self.speaker!r}")
 
 
-@dataclass(frozen=True)
-class Conversation:
-    conv_id: str
-    utterances: tuple[Utterance, ...]
+def _vector_columns(vectors: Sequence[FeatureVector | None]) -> tuple:
+    """``(tables, table_of, rows)`` of a conversation's feature vectors:
+    the distinct tables they are rows of, in first-seen order, and per
+    vector its table's position there (-1 for None) and its row."""
+    tables: dict[int, tuple[int, FeatureTable]] = {}
+    table_of = np.full(len(vectors), -1, dtype=np.int32)
+    rows = np.full(len(vectors), -1, dtype=np.intp)
+    for pos, fv in enumerate(vectors):
+        if fv is not None:
+            table_of[pos] = tables.setdefault(
+                id(fv.table), (len(tables), fv.table))[0]
+            rows[pos] = fv.row
+    return tuple(table for _, table in tables.values()), table_of, rows
 
-    def __post_init__(self) -> None:
-        for pos, utt in enumerate(self.utterances):
+
+class Conversation:
+    """One conversation held as per-utterance columns.
+
+    ``speakers``, ``labels`` (None where unlabeled), ``words`` and
+    ``nbest`` (None where an utterance has no list) are tuples.  Prosody is
+    ``tables``, the distinct :class:`FeatureTable` objects the utterances'
+    feature vectors are rows of (one, when parsed with a prosody file),
+    and per utterance the position of its table there (``table_of``, -1
+    without features) and its row (``rows``).  Iterating or indexing
+    yields :class:`Utterance` views made on demand.
+
+    ``Conversation(conv_id, utterances)`` builds the columns from
+    utterances, whose indices must be 0-based and contiguous.
+    """
+
+    __slots__ = ("conv_id", "speakers", "labels", "words", "nbest",
+                 "tables", "table_of", "rows")
+
+    def __init__(self, conv_id: str, utterances: Sequence[Utterance]) -> None:
+        utts = tuple(utterances)
+        for pos, utt in enumerate(utts):
             if utt.index != pos:
                 raise CorpusError(
-                    f"conversation {self.conv_id}: utterance index {utt.index} "
+                    f"conversation {conv_id}: utterance index {utt.index} "
                     f"at position {pos}, indices must be 0-based and contiguous")
+        self._fill(conv_id, tuple(u.speaker for u in utts),
+                   tuple(u.da_label for u in utts),
+                   tuple(u.words for u in utts), tuple(u.nbest for u in utts),
+                   *_vector_columns([u.prosody for u in utts]))
+
+    def _fill(self, *columns) -> "Conversation":
+        for name, column in zip(self.__slots__, columns, strict=True):
+            setattr(self, name, column)
+        return self
 
     def __len__(self) -> int:
-        return len(self.utterances)
+        return len(self.speakers)
 
-    def __iter__(self):
-        return iter(self.utterances)
+    def __getitem__(self, index: int) -> Utterance:
+        i = range(len(self))[index]
+        table = self.table_of[i]
+        return Utterance(i, self.speakers[i], self.labels[i], self.words[i],
+                         self.nbest[i], None if table < 0 else FeatureVector(
+                             self.tables[table], int(self.rows[i])))
+
+    def __iter__(self) -> Iterator[Utterance]:
+        return map(self.__getitem__, range(len(self)))
 
     @property
-    def speakers(self) -> tuple[str, ...]:
-        return tuple(u.speaker for u in self.utterances)
+    def utterances(self) -> tuple[Utterance, ...]:
+        return tuple(self)
 
-    @property
-    def labels(self) -> tuple[str | None, ...]:
-        return tuple(u.da_label for u in self.utterances)
+    def feature_rows(self) -> list[tuple[FeatureTable, np.ndarray,
+                                         np.ndarray]]:
+        """Per table, the table, the positions of the utterances whose
+        features it holds, ascending, and their rows."""
+        groups = []
+        for t, table in enumerate(self.tables):
+            at = np.flatnonzero(self.table_of == t)
+            groups.append((table, at, self.rows[at]))
+        return groups
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Conversation):
+            return NotImplemented
+        return (self.conv_id, self.utterances) == (other.conv_id,
+                                                   other.utterances)
+
+    def __repr__(self) -> str:
+        return f"Conversation({self.conv_id!r}, {self.utterances!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -396,35 +463,52 @@ def parse_conversations(path: str | Path, tagset: TagSet | None = None,
                         prosody: Mapping | None = None) -> list[Conversation]:
     """Read a conversation file; labels are validated against ``tagset``.
     Each utterance gets the entries of ``nbest`` and ``prosody`` (tables
-    from :func:`parse_nbest` and :func:`parse_prosody`) for its key."""
+    from :func:`parse_nbest` and :func:`parse_prosody`) for its key; a
+    conversation joins the rows of a parsed prosody file with one
+    ``searchsorted``."""
     nbest, prosody = nbest or {}, prosody or {}
-    intern = {}.setdefault          # one str per distinct word and label
-    by_id: dict[str, list[Utterance]] = {}
-    cur_id = None
+    intern = {}.setdefault          # one str per distinct word, label, speaker
+    convs: list[Conversation] = []
+    seen: set[str] = set()
+    # the current conversation's id and speaker, label and words columns
+    conv_id, speakers, labels, words = None, [], [], []
+
+    def close() -> None:
+        n = len(speakers)
+        features = prosody._join(conv_id, n) \
+            if isinstance(prosody, _ProsodyRows) else _vector_columns(
+                [prosody.get((conv_id, i)) for i in range(n)])
+        convs.append(object.__new__(Conversation)._fill(
+            conv_id, tuple(speakers), tuple(labels), tuple(words),
+            tuple(nbest.get((conv_id, i)) for i in range(n)), *features))
+
     with located(lambda _: f"{path}:{lineno}: bad utterance index {idx_s!r}"):
-        for lineno, (conv_id, idx_s, speaker, label, words_s) \
+        for lineno, (cid, idx_s, speaker, label, words_s) \
                 in content_lines(path, 5):
-            if conv_id != cur_id:
-                if conv_id in by_id:
+            if cid != conv_id:
+                if cid in seen:
                     raise CorpusError(f"{path}:{lineno}: conversation "
-                                      f"{conv_id!r} reappears after another "
+                                      f"{cid!r} reappears after another "
                                       f"conversation")
-                cur_id, utts = conv_id, by_id.setdefault(conv_id, [])
+                if seen:
+                    close()
+                seen.add(cid)
+                conv_id, speakers, labels, words = cid, [], [], []
             idx = int(idx_s)
-            if idx != len(utts):
+            if idx != len(speakers):
                 raise CorpusError(f"{path}:{lineno}: utterance index {idx}, "
-                                  f"expected {len(utts)}")
+                                  f"expected {len(speakers)}")
             if speaker not in SPEAKERS:
                 raise CorpusError(f"{path}:{lineno}: bad speaker {speaker!r}")
             da = None if label == _MISSING_LABEL else intern(label, label)
             if da is not None and tagset is not None and da not in tagset:
                 raise CorpusError(f"{path}:{lineno}: label {da!r} not in tag set")
-            words = _words(words_s, intern, path, lineno)
-            utts.append(Utterance(idx, speaker, da, words,
-                                  nbest.get((conv_id, idx)),
-                                  prosody.get((conv_id, idx))))
-    return [Conversation(conv_id, tuple(utts))
-            for conv_id, utts in by_id.items()]
+            speakers.append(intern(speaker, speaker))
+            labels.append(da)
+            words.append(_words(words_s, intern, path, lineno))
+    if seen:
+        close()
+    return convs
 
 
 def serialize_conversations(convs: Sequence[Conversation], path: str | Path) -> None:
@@ -545,32 +629,44 @@ class _ColumnReader:
 
 class _ProsodyRows(Mapping):
     """(conv_id, index) -> :class:`FeatureVector` of a parsed prosody file:
-    one row index per conversation over one :class:`FeatureTable`, and a
-    view made per lookup.  Keys iterate in file order."""
+    one :class:`FeatureTable`, per conversation its indices, ascending, and
+    their rows, and a view made per lookup.  Keys iterate in file order."""
 
     def __init__(self, table: FeatureTable,
-                 rows: dict[str, tuple[int, dict[int, int]]],
-                 order: Sequence[int]) -> None:
-        self._table, self._rows, self._order = table, rows, order
+                 rows: dict[str, tuple[np.ndarray, np.ndarray]]) -> None:
+        self._table, self._rows = table, rows
 
     def __getitem__(self, key) -> FeatureVector:
         try:
             conv_id, index = key
-            return FeatureVector(self._table, self._rows[conv_id][1][index])
-        except (KeyError, TypeError, ValueError):
-            raise KeyError(key) from None
+            indices, rows = self._rows[conv_id]
+            at = int(indices.searchsorted(index))
+            if at < len(indices) and indices[at] == index:
+                return FeatureVector(self._table, int(rows[at]))
+        except (KeyError, TypeError, ValueError, OverflowError):
+            pass
+        raise KeyError(key) from None
 
     def __iter__(self):
-        # order holds each row's conversation, and a conversation's keys
-        # are in its row order
-        convs = [(conv_id, iter(rows)) for conv_id, (_, rows)
-                 in self._rows.items()]
-        for pos in self._order:
-            conv_id, keys = convs[pos]
-            yield conv_id, next(keys)
+        keys = [None] * len(self)       # each row's key
+        for conv_id, (indices, rows) in self._rows.items():
+            for index, row in zip(indices.tolist(), rows.tolist()):
+                keys[row] = conv_id, index
+        return iter(keys)
 
     def __len__(self) -> int:
-        return len(self._order)
+        return sum(len(rows) for _, rows in self._rows.values())
+
+    def _join(self, conv_id: str, n: int) -> tuple:
+        """:func:`_vector_columns` of utterances 0..n-1 of a conversation."""
+        indices, rows = self._rows.get(conv_id, (np.empty(0, np.int64),) * 2)
+        at = indices.searchsorted(np.arange(n))
+        hit = np.flatnonzero(at < len(indices))
+        hit = hit[indices[at[hit]] == hit]
+        joined = np.full(n, -1, dtype=np.intp)
+        joined[hit] = rows[at[hit]]
+        return (self._table,), np.where(joined < 0, -1, 0).astype(np.int32), \
+            joined
 
 
 def parse_prosody(path: str | Path) -> tuple[
@@ -592,11 +688,10 @@ def parse_prosody(path: str | Path) -> tuple[
     names = tuple(names)
     readers = [_ColumnReader() for _ in names]
     texts = [[] for _ in names]     # per column, the chunk's texts
-    # per conversation id its position and index -> row; per row its
-    # conversation's position and its line
-    rows: dict[str, tuple[int, dict[int, int]]] = {}
-    order, linenos = array("i"), array("q")
-    repeat = None                   # the first repeated key's (row, message)
+    # per conversation id the index and the row of each of its lines; per
+    # row its line
+    keys: dict[str, tuple[array, array]] = {}
+    linenos = array("q")
 
     def convert():
         base = len(linenos) - len(texts[0])
@@ -610,15 +705,13 @@ def parse_prosody(path: str | Path) -> tuple[
                 raise CorpusError(f"{path}:{lineno}: expected "
                                   f"{2 + len(names)} fields, got {len(fields)}")
             index = int(fields[1])
-            if fields[0] not in rows:
-                rows[fields[0]] = (len(rows), {})
-            pos, conv = rows[fields[0]]
-            first = conv.setdefault(index, len(linenos))
-            if first != len(linenos) and repeat is None:
-                repeat = (len(linenos), f"duplicate prosody row for "
-                          f"{(fields[0], index)} (first at line "
-                          f"{linenos[first]})")
-            order.append(pos)
+            if not -1 << 63 <= index < 1 << 63:     # kept in an int64 array
+                raise ValueError(index)
+            if fields[0] not in keys:
+                keys[fields[0]] = (array("q"), array("q"))
+            indices, rows = keys[fields[0]]
+            indices.append(index)
+            rows.append(len(linenos))
             linenos.append(lineno)
             for chunk, text in zip(texts, fields[2:]):
                 chunk.append(text)
@@ -643,12 +736,24 @@ def parse_prosody(path: str | Path) -> tuple[
     faults = [(row, col, f"feature {name!r}: {message}")
               for col, (name, reader) in enumerate(zip(names, readers))
               if reader.fault for row, message in [reader.fault]]
-    if repeat:
-        faults.append((repeat[0], -1, repeat[1]))
+    rows_of: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    for conv_id, (indices, rows) in keys.items():
+        # ascending indices, a repeated one's rows in file order
+        indices = np.frombuffer(indices, dtype=np.int64)
+        order = np.argsort(indices, kind="stable")
+        indices = indices[order]
+        rows = np.frombuffer(rows, dtype=np.int64)[order]
+        rows_of[conv_id] = indices, rows
+        again = np.flatnonzero(indices[1:] == indices[:-1])
+        if len(again):              # the first repeat of the conversation
+            first = again[rows[again + 1].argmin()]
+            faults.append((int(rows[first + 1]), -1, f"duplicate prosody "
+                           f"row for {(conv_id, int(indices[first]))} (first "
+                           f"at line {linenos[rows[first]]})"))
     if faults:
         row, _, message = min(faults)
         raise CorpusError(f"{path}:{linenos[row]}: {message}")
-    return schema, _ProsodyRows(FeatureTable(zip(names, columns)), rows, order)
+    return schema, _ProsodyRows(FeatureTable(zip(names, columns)), rows_of)
 
 
 def serialize_prosody(schema: FeatureSchema,
@@ -670,12 +775,12 @@ def serialize_prosody(schema: FeatureSchema,
 
 def symmetrize_speakers(convs: Sequence[Conversation]) -> list[Conversation]:
     """Each conversation plus an A<->B swapped copy (for grammar training)."""
-    swap = {"A": "B", "B": "A"}
+    swap = {"A": "B", "B": "A"}.__getitem__
     out = []
     for conv in convs:
-        out.append(conv)
-        flipped = tuple(replace(u, speaker=swap[u.speaker]) for u in conv)
-        out.append(Conversation(conv.conv_id, flipped))
+        flipped = copy.copy(conv)       # every other column shared
+        flipped.speakers = tuple(map(swap, conv.speakers))
+        out += (conv, flipped)
     return out
 
 

@@ -167,13 +167,11 @@ class DiscourseGrammar:
 
 
 def _event_sequence(conv: Conversation, tagset: TagSet) -> list[tuple[str, str]]:
-    events = []
-    for utt in conv:
-        if utt.da_label is None:
-            raise CorpusError(f"conversation {conv.conv_id}: utterance "
-                              f"{utt.index} is unlabeled")
-        events.append((tagset.collapse(utt.da_label), utt.speaker))
-    return events
+    """(collapsed label, speaker) per utterance, from the columns."""
+    if None in conv.labels:
+        raise CorpusError(f"conversation {conv.conv_id}: utterance "
+                          f"{conv.labels.index(None)} is unlabeled")
+    return list(zip(map(tagset.collapse, conv.labels), conv.speakers))
 
 
 def train_discourse(convs: Sequence[Conversation], tagset: TagSet,

@@ -32,8 +32,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import (FeatureColumn, FeatureSchema, FeatureVector, TagSet,
-                     content_lines)
+from .corpus import (Conversation, FeatureColumn, FeatureSchema,
+                     FeatureVector, TagSet, content_lines)
 from .hmm import LikelihoodTable
 from .ngram import left_sum
 
@@ -161,14 +161,16 @@ def _gather(groups: list, n: int, name: str, continuous: bool):
 _MAX_CATEGORIES = 20
 
 
-def _encode(schema: FeatureSchema, fvs: Sequence[FeatureVector]) -> dict[str, FeatureColumn]:
-    """Training columns in schema order; every vector must hold every
+def _encode(schema: FeatureSchema, groups: list,
+            n: int) -> dict[str, FeatureColumn]:
+    """Training columns in schema order of the ``n`` samples of ``groups``
+    (as :func:`_rows_by_table` gives them); every sample must hold every
     feature, and a categorical one at most ``_MAX_CATEGORIES`` categories."""
-    groups, columns = _rows_by_table(fvs), {}
+    columns = {}
     for name, kind in zip(schema.names, schema.kinds):
         if any(name not in table for table, _, _ in groups):
             raise ProsodyError(f"feature {name!r} missing from sample schema")
-        col = columns[name] = _gather(groups, len(fvs), name,
+        col = columns[name] = _gather(groups, n, name,
                                       kind == "continuous")[1]
         if kind == "continuous":
             _check_finite(name, col.values)
@@ -324,23 +326,48 @@ def train_tree(schema: FeatureSchema,
     sides with positive Gini decrease, or at ``max_depth``.  Every sample
     must carry every schema feature, and continuous values must be finite.
     """
-    if not samples:
+    return _grow(schema, _rows_by_table([fv for fv, _ in samples]),
+                 [lab for _, lab in samples], config, classes)
+
+
+def train_corpus_tree(schema: FeatureSchema, convs: Sequence[Conversation],
+                      tagset: TagSet,
+                      config: TreeConfig = TreeConfig()) -> DecisionTree:
+    """:func:`train_tree` over the tag set's labels on every utterance of
+    ``convs`` that has features, labeled with its collapsed class, read
+    from the conversations' columns."""
+    groups, labels = [], []
+    for conv in convs:
+        featured = np.flatnonzero(conv.table_of >= 0)
+        groups += [(table, len(labels) + featured.searchsorted(at), rows)
+                   for table, at, rows in conv.feature_rows()]
+        labels += [tagset.collapse(conv.labels[i]) for i in featured.tolist()]
+    if not labels:
+        raise ProsodyError("no features match the corpus")
+    return _grow(schema, groups, labels, config, tagset.labels)
+
+
+def _grow(schema: FeatureSchema, groups: list, sample_labels: Sequence[str],
+          config: TreeConfig, classes: Sequence[str] | None) -> DecisionTree:
+    """:func:`train_tree` on the samples of ``groups`` and their labels."""
+    if not sample_labels:
         raise ProsodyError("no training samples")
     if classes is None:
-        classes = tuple(sorted({lab for _, lab in samples}))
+        classes = tuple(sorted(set(sample_labels)))
     else:
         classes = tuple(classes)
-        stray = {lab for _, lab in samples} - set(classes)
+        stray = set(sample_labels) - set(classes)
         if stray:
             raise ProsodyError(f"sample labels outside class list: {sorted(stray)}")
     index = {lab: i for i, lab in enumerate(classes)}
-    labels = np.array([index[lab] for _, lab in samples], dtype=np.intp)
-    columns = _encode(schema, [fv for fv, _ in samples])
+    labels = np.array([index[lab] for lab in sample_labels], dtype=np.intp)
+    n = len(labels)
+    columns = _encode(schema, groups, n)
     k = len(classes)
     # nodes grow from a stack of (parent, side, rows, depth), left child
     # first, so a tree of any depth grows without recursion
     top = Node()
-    stack = [(top, "left", np.arange(len(samples)), 0)]
+    stack = [(top, "left", np.arange(n), 0)]
     while stack:
         parent, side, rows, depth = stack.pop()
         counts = np.bincount(labels[rows], minlength=k)
@@ -357,22 +384,30 @@ def train_tree(schema: FeatureSchema,
                       (node, "left", rows[left], depth + 1))
         setattr(parent, side, node)
     root = top.left
-    priors = np.bincount(labels, minlength=k) / len(samples)
+    priors = np.bincount(labels, minlength=k) / n
     return DecisionTree(classes, schema, root, tuple(float(x) for x in priors))
 
 
 def _route(tree: DecisionTree,
            fvs: Sequence[FeatureVector]) -> tuple[list[Node], np.ndarray]:
-    """The leaves the feature vectors reach, and per vector its leaf's index.
+    """The leaves the feature vectors reach, and each vector's leaf."""
+    return _descend(tree, _rows_by_table(fvs), len(fvs))
 
-    All vectors descend together, one boolean test per node.  A feature is
-    read into a column once, the first time a node tests it.
+
+def _descend(tree: DecisionTree, groups: list,
+             n: int) -> tuple[list[Node], np.ndarray]:
+    """The leaves reached by the positions ``groups`` covers of a batch of
+    ``n`` (as :func:`_rows_by_table` gives them), and per position its
+    leaf's index (-1 at a position not covered).
+
+    All positions descend together, one boolean test per node.  A feature
+    is read into a column once, the first time a node tests it.
     """
-    leaf_of = np.empty(len(fvs), dtype=np.intp)
+    leaf_of = np.full(n, -1, dtype=np.intp)
     reached: list[Node] = []
-    groups = _rows_by_table(fvs)
     columns: dict[tuple[str, bool], tuple[np.ndarray, FeatureColumn]] = {}
-    stack = [(tree.root, np.arange(len(fvs)))]
+    stack = [(tree.root, np.sort(np.concatenate(
+        [at for _, at, _ in groups] or [np.empty(0, dtype=np.intp)])))]
     while stack:
         node, rows = stack.pop()
         if node.is_leaf:
@@ -381,7 +416,7 @@ def _route(tree: DecisionTree,
             continue
         key = (node.feature, node.threshold is not None)
         if key not in columns:
-            columns[key] = _gather(groups, len(fvs), *key)
+            columns[key] = _gather(groups, n, *key)
         absent, col = columns[key]
         if absent[rows].any():
             raise ProsodyError(f"feature {node.feature!r} queried by the tree "
@@ -393,10 +428,11 @@ def _route(tree: DecisionTree,
     return reached, leaf_of
 
 
-def _scaled_leaves(tree: DecisionTree, fvs: Sequence[FeatureVector],
+def _scaled_leaves(tree: DecisionTree, groups: list, n: int,
                    priors: Sequence[float]):
-    """Posterior / prior (1 at prior 0) per leaf reached; each vector's leaf."""
-    reached, leaf_of = _route(tree, fvs)
+    """Posterior / prior (1 at prior 0) per leaf reached; each position's
+    leaf, as :func:`_descend` gives them."""
+    reached, leaf_of = _descend(tree, groups, n)
     return np.array([[p / pr if pr > 0.0 else 1.0
                       for p, pr in zip(leaf.posterior, priors)]
                      for leaf in reached]), leaf_of
@@ -422,7 +458,8 @@ def tree_scaled_likelihood(tree: DecisionTree, fv: FeatureVector,
     for cls in tree.classes:
         if priors.get(cls, 0.0) <= 0.0:
             raise ProsodyError(f"prior for {cls!r} must be positive")
-    ratios, _ = _scaled_leaves(tree, [fv], [priors[c] for c in tree.classes])
+    ratios, _ = _scaled_leaves(tree, _rows_by_table([fv]), 1,
+                               [priors[c] for c in tree.classes])
     raw = dict(zip(tree.classes, ratios[0].tolist()))
     by_class = dict(tagset.collapsed)
     scores = {target: raw[lab] for lab in tagset.labels
@@ -433,25 +470,27 @@ def tree_scaled_likelihood(tree: DecisionTree, fv: FeatureVector,
     return {lab: v / total for lab, v in scores.items()}
 
 
-def prosody_likelihood_tables(tree: DecisionTree, convs) -> list:
+def prosody_likelihood_tables(tree: DecisionTree,
+                              convs: Sequence[Conversation]) -> list:
     """Decoder evidence tables from the tree, one per conversation.
 
     Rows are log scaled likelihoods (posterior over the tree's training
     prior) over the tree's classes, normalized to sum 1 before taking logs.
     A class never seen in tree training (prior 0, hence posterior 0
     everywhere) scores flat: the tree carries no evidence about it.
-    Utterances without features get a flat row too.
+    Utterances without features get a flat row too.  Each conversation's
+    feature rows are read from its columns.
     """
     k = len(tree.classes)
     tables = []
     for conv in convs:
         scores = np.full((len(conv), k), -math.log(k))
-        featured = [i for i, utt in enumerate(conv) if utt.prosody is not None]
-        if featured:
+        featured = np.flatnonzero(conv.table_of >= 0)
+        if len(featured):
             # every utterance reaching a leaf gets that leaf's row
-            raw, leaf_of = _scaled_leaves(
-                tree, [conv.utterances[i].prosody for i in featured],
-                tree.training_priors)
+            raw, leaf_of = _scaled_leaves(tree, conv.feature_rows(),
+                                          len(conv), tree.training_priors)
+            leaf_of = leaf_of[featured]
             totals = raw.sum(axis=1)
             zero = totals[leaf_of] <= 0.0
             if zero.any():

@@ -79,9 +79,9 @@ def _words_by_class(convs: Sequence[Conversation], tagset: TagSet
     order, each class's in corpus order."""
     by_class: dict[str, list[tuple[str, ...]]] = {lab: [] for lab in tagset}
     for conv in convs:
-        for utt in conv:
-            if utt.da_label is not None:
-                by_class[tagset.collapse(utt.da_label)].append(utt.words)
+        for label, words in zip(conv.labels, conv.words):
+            if label is not None:
+                by_class[tagset.collapse(label)].append(words)
     return by_class
 
 
@@ -144,20 +144,28 @@ def smooth_da_lms(da_lms: DaLmSet, heldout: Sequence[Conversation]
 # Evidence scoring
 # ---------------------------------------------------------------------------
 
-def _evidence_sequences(utt, mode: str) -> tuple[tuple[str, ...], ...]:
+def _evidence_sequences(words: tuple[str, ...], nbest: NBestList | None,
+                        mode: str) -> tuple[tuple[str, ...], ...]:
     """The word sequences one utterance's evidence is scored from."""
     if mode == "true_words":
-        return (utt.words,)
+        return (words,)
     if mode == "one_best":
-        return (utt.nbest.first.words,)
-    return tuple(h.words for h in utt.nbest)
+        return (nbest.first.words,)
+    return tuple(h.words for h in nbest)
 
 
-# Utterances are scored in groups holding at most this many (sequence,
-# scorer) scores and (event window, scorer) scores together (an utterance
-# larger than that is a group of its own), so the scores alive at once stay
-# near 512 KB at any corpus or conversation size.
+# Utterances are scored in groups costing at most this many cells of 8
+# bytes (an utterance costing more is a group of its own), so what a group
+# holds while it scores stays near 512 KB at any corpus or conversation
+# size.  A sequence costs a row of (sequence, scorer) scores, and each of
+# its events (its words and the end) a row of (event window, scorer)
+# scores plus ``_EVENT_CELLS``: the event's entries in the index arrays of
+# :meth:`CompiledModelSet.score` (its token stream, window keys and their
+# ``np.unique``), about 110 bytes.  The backoff walk over the windows runs
+# in blocks of its own (``ngram._BLOCK_CELLS``), which add up to about
+# 1 MB more.
 _GROUP_CELLS = 1 << 16
+_EVENT_CELLS = 16
 
 
 def _scored_evidence(engine: CompiledModelSet, convs: Sequence[Conversation],
@@ -189,12 +197,12 @@ def _scored_evidence(engine: CompiledModelSet, convs: Sequence[Conversation],
             if not index:
                 continue
             scored = sum(map(len, parts))
-            utts = conv.utterances[scored:scored + len(index)]
             if mode == "nbest":
                 # the acoustic-weighted hypothesis sum of every label
                 rows = [_logsumexp(scaling.hyp_scores(
-                    utt.nbest, scores[i[:len(utt.nbest)], :t]), axis=0)
-                    for utt, i in zip(utts, index)]
+                    nbest, scores[i[:len(nbest)], :t]), axis=0)
+                    for nbest, i in zip(
+                        conv.nbest[scored:scored + len(index)], index)]
             else:
                 rows = scores[[i[0] for i in index], :t]
             parts.append(np.reshape(rows, (len(index), t)))
@@ -211,15 +219,15 @@ def _scored_evidence(engine: CompiledModelSet, convs: Sequence[Conversation],
 
     for conv in convs:
         pending.append([conv, [], [], []])
-        for utt in conv:
-            if mode != "true_words" and utt.nbest is None:
-                raise ValueError(f"{conv.conv_id}:{utt.index}: mode "
+        for i, (words, nbest) in enumerate(zip(conv.words, conv.nbest)):
+            if mode != "true_words" and nbest is None:
+                raise ValueError(f"{conv.conv_id}:{i}: mode "
                                  f"{mode!r} needs an n-best list")
-            seqs = _evidence_sequences(utt, mode)
+            seqs = _evidence_sequences(words, nbest, mode)
             if references:
-                seqs += (utt.words,)
-            # a sequence adds a row of scores and at most len + 1 windows
-            cost = engine.n_scorers * sum(len(seq) + 2 for seq in seqs)
+                seqs += (words,)
+            cost = sum(engine.n_scorers + (len(seq) + 1) * (
+                engine.n_scorers + _EVENT_CELLS) for seq in seqs)
             if row_of and cells + cost > _GROUP_CELLS:
                 yield flush()
                 row_of, cells = {}, 0

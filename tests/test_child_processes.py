@@ -10,9 +10,12 @@ byte-identical files, stdout and stderr:
   hash seed and cannot see that;
 - where a command's sums run in BLAS, a third child on one BLAS thread
   (``OPENBLAS_NUM_THREADS=1``) against children at the default count.
+
+One check reads a child's own peak RSS, which only a fresh process shows.
 """
 
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -195,3 +198,73 @@ def test_rescore_writes_one_directory_and_report(root, tmp_path):
          "{out}"], root, tmp_path, ONE_THREAD)
     assert files["report.tsv"].startswith(b"method\twer")
     assert stdout.startswith(b"baseline: WER ")
+
+
+# ---------------------------------------------------------------------------
+# Peak memory of a long tagging run
+# ---------------------------------------------------------------------------
+
+# How far a posterior ``tag --prosody`` over the 10,000 utterances of
+# ``long_run`` may raise a child's peak RSS (VmHWM) above that of a child
+# that only imports the CLI.  Measured on Linux x86-64, Python 3.11 and
+# numpy 2.4: 4.3-4.6 MB, and 7.3-7.7 MB before conversations were held as
+# columns.
+TAG_PEAK_BYTES = 6_000_000
+
+# the child's VmHWM in kB, on stderr's last line, after the CLI runs argv
+_PEAK = """import sys
+from dialact import cli
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+status = open("/proc/self/status").read()
+print(status.split("VmHWM:")[1].split()[0], file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def peak_bytes(*argv: str) -> int:
+    proc = subprocess.run([sys.executable, "-c", _PEAK, *argv], env=ENV,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return 1024 * int(proc.stderr.split()[-1])
+
+
+@pytest.fixture(scope="module")
+def long_run(tmp_path_factory) -> Path:
+    """Models trained on 400 utterances of four acts, and a test corpus of
+    four 2,500-utterance conversations, both with four continuous prosodic
+    features and one categorical."""
+    root = tmp_path_factory.mktemp("long_run")
+    rng = random.Random(7)
+    acts = ("statement", "question", "backchannel", "agreement")
+    (root / "tagset.txt").write_text("\n".join(acts) + "\n")
+    for name, n_convs, n_utts in (("train", 8, 50), ("test", 4, 2500)):
+        corpus, prosody = [], ["f0\tenergy\tduration\trate\tcontour"]
+        for c, i in ((c, i) for c in range(n_convs) for i in range(n_utts)):
+            act = rng.randrange(len(acts))
+            words = [f"w{rng.randrange(10 * act, 10 * act + 20)}"
+                     for _ in range(rng.randint(2, 9))]
+            corpus.append(f"{name}{c}\t{i}\t{rng.choice('AB')}\t{acts[act]}"
+                          f"\t{' '.join(words)}")
+            values = [f"{rng.gauss(act * k / 4, 1.0):.4f}" for k in range(4)]
+            values.append(f"c{(act + rng.randrange(2)) % 6}")
+            prosody.append(f"{name}{c}\t{i}\t" + "\t".join(
+                "NA" if rng.random() < 0.03 else v for v in values))
+        (root / f"{name}.tsv").write_text("\n".join(corpus) + "\n")
+        (root / f"{name}_prosody.tsv").write_text("\n".join(prosody) + "\n")
+    assert cli.main(["train", "--corpus", str(root / "train.tsv"),
+                     "--tagset", str(root / "tagset.txt"), "--prosody",
+                     str(root / "train_prosody.tsv"), "--order", "3",
+                     "--word-order", "3", "--min-leaf", "10",
+                     "--models", str(root / "models")]) == 0
+    return root
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads VmHWM from /proc")
+def test_tagging_ten_thousand_utterances_stays_near_the_import(long_run):
+    tagged = peak_bytes(
+        "tag", "--models", str(long_run / "models"), "--corpus",
+        str(long_run / "test.tsv"), "--prosody",
+        str(long_run / "test_prosody.tsv"), "--decoder", "posterior",
+        "--output", str(long_run / "pred.tsv"))
+    assert tagged - peak_bytes() <= TAG_PEAK_BYTES

@@ -425,6 +425,16 @@ def test_prosody_duplicate_row_names_file_and_line(tmp_path):
         parse_prosody(path)
 
 
+def test_prosody_index_beyond_int64_names_file_and_line(tmp_path):
+    # the reader keeps each conversation's indices in an int64 array
+    path = tmp_path / "p.tsv"
+    path.write_text(f"f0\nc1\t0\t1.5\nc1\t{1 << 63}\t2.5\n")
+    with pytest.raises(CorpusError, match=r"p\.tsv:3: bad utterance index$"):
+        parse_prosody(path)
+    path.write_text(f"f0\nc1\t0\t1.5\nc1\t{-1 << 63}\t2.5\n")
+    assert len(parse_prosody(path)[1]) == 2
+
+
 # each row has one fault; the first in line order is the one reported
 _FAULTY_ROWS = {
     "dup": ("c1\t0\t4.5\tz", r"duplicate prosody row for \('c1', 0\) "
@@ -610,6 +620,55 @@ def test_attaching_keeps_every_other_field(tmp_path):
     assert both.utterances == (
         dataclasses.replace(conv.utterances[0], nbest=nbest, prosody=feats),
         dataclasses.replace(conv.utterances[1], prosody=feats))
+
+
+utterance_specs = st.tuples(
+    st.sampled_from(["A", "B"]), st.sampled_from(["S", "Q", None]),
+    st.lists(st.sampled_from(["a", "b", "xy"]), max_size=3).map(tuple),
+    # the n-best list, if any: (words, acoustic score) per hypothesis
+    st.none() | st.lists(st.tuples(
+        st.lists(st.sampled_from(["a", "zz"]), max_size=2).map(tuple),
+        st.floats(-50.0, 0.0)), min_size=1, max_size=3),
+    # the features, if any: a value of f0, None for missing, and a tone
+    st.none() | st.tuples(st.none() | st.floats(-5.0, 5.0),
+                          st.sampled_from(["hi", "lo"])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(utterance_specs, min_size=1, max_size=5),
+                min_size=1, max_size=3))
+def test_parsed_and_built_conversations_agree(tmp_path_factory, specs):
+    built = [Conversation(f"c{c}", [Utterance(
+        i, spk, lab, words,
+        hyps and NBestList(tuple(Hypothesis(*h) for h in hyps)),
+        feats and FeatureVector({"f0": feats[0], "tone": feats[1]}))
+        for i, (spk, lab, words, hyps, feats) in enumerate(rows)])
+        for c, rows in enumerate(specs)]
+    schema = FeatureSchema(("f0", "tone"), ("continuous", "categorical"))
+    root = tmp_path_factory.mktemp("columns")
+
+    def written(convs, name):
+        """The corpus, n-best and prosody files of ``convs``' views."""
+        views = {(c.conv_id, u.index): u for c in convs for u in c}
+        serialize_conversations(convs, root / f"{name}.tsv")
+        serialize_nbest({k: u.nbest for k, u in views.items() if u.nbest},
+                        root / f"{name}_nbest.tsv")
+        serialize_prosody(schema, {k: u.prosody for k, u in views.items()
+                                   if u.prosody}, root / f"{name}_prosody.tsv")
+        return [(root / f"{name}{part}.tsv").read_bytes()
+                for part in ("", "_nbest", "_prosody")]
+
+    files = written(built, "built")
+    parsed = parse_conversations(
+        root / "built.tsv", nbest=parse_nbest(root / "built_nbest.tsv"),
+        prosody=parse_prosody(root / "built_prosody.tsv")[1])
+    assert written(parsed, "parsed") == files
+    assert parsed == built
+    for a, b in zip(parsed, built):
+        assert list(a) == list(b) and len(a) == len(b)
+        assert (a.speakers, a.labels, a.words, a.nbest) == \
+            (b.speakers, b.labels, b.words, b.nbest)
+        assert a[-1] == b[len(b) - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,13 @@ the file, which is read whole, by Viterbi's back pointers, and by a few
 bytes per utterance for the indices a call keeps per row; per-row text
 lists, an alpha or evidence over every step or a scoring group per long
 conversation each grow it by tens to hundreds of bytes per utterance.
+Two bounds are absolute: what a parsed conversation holds per utterance
+beyond its word tuples, and word scoring's whole transient.
 """
 
 import gc
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -86,6 +89,29 @@ def test_conversation_reader_holds_a_slice_of_lines(inputs):
         text_growth(paths) + PER_ROW * 3 * N
 
 
+# What a parsed conversation may hold per utterance beyond its word
+# tuples: a reference each to its speaker, label, words and n-best list
+# (8 bytes each), its feature table's position (4) and its feature row (8)
+# come to 44 bytes, and 44.7 were measured with and without prosody.
+COLUMN_BYTES = 48
+
+
+def test_a_parsed_conversation_holds_columns(inputs):
+    tagset = TagSet(LABELS)
+    corpus, prosody = inputs[4 * N]
+    _, table = parse_prosody(prosody)
+    for joined in (None, table):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            (conv,) = parse_conversations(corpus, tagset, prosody=joined)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        words = sum(map(sys.getsizeof, conv.words))
+        assert held - words <= COLUMN_BYTES * len(conv)
+
+
 def test_word_scoring_holds_one_group_of_utterances(inputs):
     tagset = TagSet(LABELS)
     convs = {n: parse_conversations(corpus, tagset)
@@ -93,6 +119,10 @@ def test_word_scoring_holds_one_group_of_utterances(inputs):
     da_lms = train_da_lms(convs[N], tagset, order=3)
     assert growth(lambda n: word_likelihood_tables(da_lms, convs[n])) \
         <= 64 * 1024
+    # a group's scores and index arrays near 512 KB, and the backoff walk's
+    # block; 0.83 MB measured
+    assert transient(lambda: word_likelihood_tables(da_lms, convs[4 * N])) \
+        <= 1 << 20
 
 
 def test_forward_backward_holds_one_block_and_its_checkpoints(inputs):

@@ -18,11 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dialact import cli
-from dialact.corpus import (CorpusError, load_tagset, parse_conversations,
-                            parse_nbest, parse_prosody)
+from dialact.corpus import (CorpusError, content_lines, load_tagset,
+                            parse_conversations, parse_nbest, parse_prosody)
 from dialact.discourse import load_discourse
 from dialact.ngram import read_arpa, write_arpa
-from dialact.prosody import ProsodyError, load_tree
+from dialact.prosody import ProsodyError, load_tree, serialize_tree
 
 LABELS = ("Statement", "Question", "Backchannel")
 WORDS = {"Statement": "i think we did so", "Question": "do you know what",
@@ -367,3 +367,72 @@ def test_an_arpa_probability_at_or_below_minus_99_means_none(files, tmp_path,
     path.write_bytes(edited)
     write_arpa(read_arpa(path), tmp_path / "back.arpa")
     assert (tmp_path / "back.arpa").read_bytes() == trained.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Byte-order marks and line ends
+# ---------------------------------------------------------------------------
+
+_BOM = b"\xef\xbb\xbf"
+
+
+def _written(write, name):
+    """What ``write(value, path)`` puts in a file, as a result reader."""
+    def result(value, tmp_path):
+        write(value, tmp_path / name)
+        return (tmp_path / name).read_bytes()
+    return result
+
+
+@pytest.mark.parametrize("name, read, result", [
+    ("corpus.tsv", parse_conversations, lambda convs, _: convs),
+    ("nbest.tsv", parse_nbest, lambda table, _: table),
+    ("prosody.tsv", parse_prosody, lambda read, _: (read[0], dict(read[1]))),
+    ("tagset.txt", load_tagset, lambda tagset, _: tagset),
+    ("models/da_lms/_fallback.arpa", read_arpa, _written(write_arpa, "m")),
+    ("models/prosody.tree", load_tree, _written(serialize_tree, "t")),
+], ids=["corpus", "nbest", "prosody", "tagset", "arpa", "tree"])
+def test_a_leading_byte_order_mark_is_skipped(files, tmp_path, name, read,
+                                              result):
+    path = tmp_path / "bom"
+    path.write_bytes(_BOM + (files / name).read_bytes())
+    assert result(read(path), tmp_path) == result(read(files / name), tmp_path)
+
+
+def test_model_files_and_eval_inputs_skip_a_byte_order_mark(files, tmp_path,
+                                                            capsys):
+    # the manifest and the discourse header have readers of their own
+    shutil.copytree(files / "models", tmp_path / "models")
+    for path in [*(files / "models").rglob("*.*"), *map(files.joinpath, (
+            "corpus.tsv", "pred.tsv"))]:
+        (tmp_path / path.relative_to(files)).write_bytes(
+            _BOM + path.read_bytes())
+    outputs = []
+    for root in (files, tmp_path):
+        assert cli.main(["tag", "--models", str(root / "models"), "--corpus",
+                         str(root / "corpus.tsv"), "--output", "-"]) == 0
+        assert cli.main(["eval", "--reference", str(root / "corpus.tsv"),
+                         "--predictions", str(root / "pred.tsv"),
+                         "--tagset", str(files / "tagset.txt")]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029", "\x0b",
+                                  "\x0c", "\x1c", "\x1d", "\x1e", "\r"])
+def test_only_a_newline_ends_a_line(tmp_path, char):
+    path = tmp_path / "lines.tsv"
+    path.write_bytes(f"a{char}b\tc\r\n\r\nd\te\n# x{char}y\nf".encode())
+    assert list(content_lines(path)) == [(1, [f"a{char}b", "c"]),
+                                         (3, ["d", "e"]), (5, ["f"])]
+
+
+def test_a_line_separator_in_a_word_keeps_the_line_numbers(tmp_path):
+    path = tmp_path / "nel.tsv"
+    path.write_bytes("c\t0\tA\tS\tyes\x85no\nc\t1\tC\tS\tok\n".encode())
+    with pytest.raises(CorpusError, match=r"nel\.tsv:2: bad speaker 'C'$"):
+        parse_conversations(path)
+    path.write_bytes(_BOM + "c\t0\tA\tS\tyes\u2028no\n".encode()
+                     + b"c\t1\tA\tS\tok\xff\n")
+    with pytest.raises(CorpusError, match=r"nel\.tsv:2: not UTF-8"):
+        parse_conversations(path)
