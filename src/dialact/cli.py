@@ -46,8 +46,8 @@ from .discourse import (DiscourseGrammar, GrammarVariant, discourse_perplexity,
                         load_discourse, save_discourse, train_discourse)
 from .hmm import (CombinationWeights, combine_likelihoods,
                   forward_backward_corpus, tune_alpha_beta, viterbi_corpus)
-from .metrics import EvalReport
-from .ngram import _merge, interpolate, perplexity, read_arpa, write_arpa
+from .metrics import EvalReport, confusion_counts
+from .ngram import _build, _parse_arpa, interpolate, perplexity, write_arpa
 from .prosody import (DecisionTree, TreeConfig, load_tree,
                       prosody_likelihood_tables, serialize_tree,
                       train_corpus_tree)
@@ -170,10 +170,10 @@ def load_models(directory: str | Path) -> TrainedModels:
         if lab not in weights:
             raise CorpusError(f"{manifest}:{table[lab][1]}: no "
                               f"smoothing_weight row for {lab!r}")
-    # each model file read once, and all of them merged into one store
+    # each model file read once, and all of them laid out as one store
     paths = list(dict.fromkeys([by_kind["fallback"]["-"][0], *(
         table[lab][0] for lab in tagset.labels)]))
-    model_at = dict(zip(paths, _merge([read_arpa(root / p) for p in paths])))
+    model_at = dict(zip(paths, _build([_parse_arpa(root / p) for p in paths])))
     fallback = model_at[paths[0]]
     models, smoothed = {}, {}
     for lab in tagset.labels:
@@ -371,20 +371,12 @@ def _accuracy(references, tagset: TagSet, predicted) -> EvalReport | None:
     """The accuracy report of ``predicted(conv_id, index)``'s label for each
     labeled utterance against its reference, both collapsed; None if no
     utterance is labeled.  ``references`` holds per conversation its id and
-    its label column, which the counts are read from with no list of
-    pairs."""
-    k = len(tagset.labels)
-    code = {lab: i for i, lab in enumerate(tagset.labels)}
-    # one count per (reference, prediction) cell, coded ref * k + pred
-    cells = np.concatenate([np.empty(0, dtype=np.intp), *(np.fromiter(
-        (code[tagset.collapse(predicted(conv_id, i))]
-         + k * code[tagset.collapse(label)]
-         for i, label in enumerate(labels) if label is not None),
-        dtype=np.intp) for conv_id, labels in references)])
-    if not len(cells):
-        return None
-    return EvalReport(tagset.labels,
-                      np.bincount(cells, minlength=k * k).reshape(k, k))
+    its label column, read one pair at a time."""
+    confusion = confusion_counts(
+        ((tagset.collapse(label), tagset.collapse(predicted(conv_id, i)))
+         for conv_id, labels in references for i, label in enumerate(labels)
+         if label is not None), tagset.labels)
+    return EvalReport(tagset.labels, confusion) if confusion.any() else None
 
 
 def cmd_rescore(args) -> int:

@@ -372,6 +372,16 @@ def _vector_columns(vectors: Sequence[FeatureVector | None]) -> tuple:
     return tuple(table for _, table in tables.values()), table_of, rows
 
 
+def _feature_groups(tables, table_of: np.ndarray, rows: np.ndarray) -> list:
+    """(table, positions, rows) per table of ``tables``: the positions whose
+    ``table_of`` entry names it, ascending, and their ``rows``; one stable
+    sort groups them, however many tables there are."""
+    order = np.argsort(table_of, kind="stable")
+    ends = np.searchsorted(table_of[order], np.arange(len(tables) + 1))
+    return [(table, at, rows[at]) for table, lo, hi
+            in zip(tables, ends[:-1], ends[1:]) for at in [order[lo:hi]]]
+
+
 class Conversation:
     """One conversation held as per-utterance columns.
 
@@ -428,11 +438,7 @@ class Conversation:
                                          np.ndarray]]:
         """Per table, the table, the positions of the utterances whose
         features it holds, ascending, and their rows."""
-        groups = []
-        for t, table in enumerate(self.tables):
-            at = np.flatnonzero(self.table_of == t)
-            groups.append((table, at, self.rows[at]))
-        return groups
+        return _feature_groups(self.tables, self.table_of, self.rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Conversation):

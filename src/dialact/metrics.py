@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -99,17 +99,25 @@ def tagging_accuracy(predicted: Sequence[str], reference: Sequence[str],
     if labels is None:
         labels = sorted(set(reference) | set(predicted))
     labels = tuple(labels)
-    index = {lab: i for i, lab in enumerate(labels)}
+    known = set(labels)
     for lab in list(predicted) + list(reference):
-        if lab not in index:
+        if lab not in known:
             raise ValueError(f"label {lab!r} not in report label set")
-    # one count per (reference, prediction) cell, coded ref * k + pred
+    return EvalReport(labels, confusion_counts(zip(reference, predicted),
+                                               labels))
+
+
+def confusion_counts(pairs: Iterable[tuple[str, str]],
+                     labels: Sequence[str]) -> np.ndarray:
+    """Counts of (reference, prediction) label pairs, references on rows
+    and predictions on columns in ``labels`` order, read from ``pairs``
+    one at a time, so a generator of pairs builds no list of them."""
     k = len(labels)
-    codes = np.fromiter((index[ref] * k + index[pred] for pred, ref
-                         in zip(predicted, reference)), dtype=np.intp,
-                        count=len(reference))
-    return EvalReport(labels, np.bincount(codes, minlength=k * k
-                                          ).reshape(k, k))
+    index = {lab: i for i, lab in enumerate(labels)}
+    # one count per (reference, prediction) cell, coded ref * k + pred
+    codes = np.fromiter((index[ref] * k + index[pred] for ref, pred in pairs),
+                        dtype=np.intp)
+    return np.bincount(codes, minlength=k * k).reshape(k, k)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ backoff.  ``pad=False`` turns both the padding and the reserved tokens off
 Models are held in stores of sorted arrays, one per estimate, ARPA file
 or model directory (Heafield 2011, "KenLM: faster and smaller language
 model queries"), and an :class:`NGramModel` is a handle on one model's
-rows.  Estimation fills a store for a whole set of models.  An ARPA
-file's lines, and the models of a merge (a directory's files become one
-store), are laid out by :func:`_build`, the one encoder of n-gram keys;
+rows.  Estimation fills a store for a whole set of models.  The store of
+an ARPA file, of a model directory (every file in one build) or of a
+merge is laid out by :func:`_build`, the one encoder of n-gram keys;
 :meth:`NGramModel.level` is the one decoder.  :class:`CompiledModelSet`
 scores from a store in place: only a merge copies arrays.
 
@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from array import array
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -605,50 +606,51 @@ class CompiledModelSet:
 
 def _merge(models: Sequence[NGramModel]) -> list[NGramModel]:
     """The models as handles on one store: themselves if they share one,
-    else handles on a store that :func:`_build` lays out over the union of
-    their tokens."""
+    else handles on a store that :func:`_build` lays out from their
+    levels."""
     if len({id(m._store) for m in models}) == 1:
         return list(models)
-    tokens = tuple(sorted(set().union(*(m.tokens for m in models))))
+    return _build([(m.tokens, m.order, m.vocab, m.padded,
+                    list(map(m.level, range(m.order + 1)))) for m in models])
+
+
+def _build(models: Sequence[tuple]) -> list[NGramModel]:
+    """Handles on a new store over the union of the models' tokens holding
+    ``models`` in turn: the one encoder of n-gram keys (``level`` decodes).
+    A model is ``(tokens, order, vocab, padded, levels)``, ``levels[n]``
+    its rows ``(grams, lp, bow)`` of level n = 0..order as ``level`` gives
+    them, with ids into its own ``tokens`` (of level 0 only ``bow`` is
+    read).  A missing prefix of a gram becomes a row with no probability
+    or backoff weight, and of the rows of one gram the first is kept."""
+    tokens = tuple(sorted(set().union(*(model[0] for model in models))))
     ids = {t: i for i, t in enumerate(tokens)}
-    # each distinct vocabulary once, over the union's strings
+    # each model's ids mapped into the union's, and each string and each
+    # distinct vocabulary held once
+    maps = [np.array([ids[t] for t in model[0]] + [len(tokens)])
+            for model in models]
     vocabs = {v: frozenset(tokens[ids[t]] for t in v)
-              for v in {m.vocab for m in models}}
-    maps = {id(m): np.array([ids[t] for t in m.tokens] + [len(tokens)])
-            for m in models}
-    return _build(tokens, [(m.order, vocabs[m.vocab], m.padded, [
-        (maps[id(m)][grams], lp, bow) for grams, lp, bow
-        in map(m.level, range(m.order + 1))]) for m in models])
-
-
-def _build(tokens: tuple[str, ...], models: Sequence[tuple]
-           ) -> list[NGramModel]:
-    """Handles on a new store over ``tokens`` holding ``models`` in turn:
-    the one encoder of n-gram keys (:meth:`NGramModel.level` decodes).
-    A model is ``(order, vocab, padded, levels)``, ``levels[n]`` its rows
-    ``(grams, lp, bow)`` of level n = 0..order as ``level`` gives them,
-    with ids into ``tokens`` (of level 0 only ``bow`` is read).  A missing
-    prefix of a gram becomes a row with no probability or backoff weight,
-    and of the rows of one gram the first is kept."""
-    base, top = len(tokens) + 1, max(order for order, *_ in models)
-    # per level, top down: each model's rows, led by the model's index,
-    # then every prefix of a row one level up
-    rows = {top + 1: [np.zeros((0, top + 2), dtype=np.int64)]}
+              for v in {vocab for _, _, vocab, *_ in models}}
+    base, top = len(tokens) + 1, max(order for _, order, *_ in models)
+    # per level, top down: each model's rows, led by their level-1 row
+    # (the model's index * base + id), then every prefix of a row one
+    # level up (level 1 is dense, so it holds every prefix already)
+    rows = {top + 1: [np.zeros((0, top + 1), dtype=np.int64)]}
     for n in range(top, 0, -1):
-        up = rows[n + 1][0][:, :-1]
-        parts = [(np.column_stack([np.full(len(grams), j), grams]), lp, bow)
-                 for j, (order, *_, levels) in enumerate(models) if n <= order
-                 for grams, lp, bow in [levels[n]]]
-        parts.append((up, np.full(len(up), math.nan), np.zeros(len(up))))
+        parts = [(maps[j][grams] + np.eye(1, n, dtype=np.int64) * j * base,
+                  lp, bow) for j, (_, order, *_, levels) in enumerate(models)
+                 if n <= order for grams, lp, bow in [levels[n]]]
+        if n > 1:
+            up = rows[n + 1][0][:, :-1]
+            parts.append((up, np.full(len(up), math.nan), np.zeros(len(up))))
         rows[n] = [np.concatenate(column) for column in zip(*parts)]
     keys, lp = [None, None], [None, np.full(len(models) * base, math.nan)]
     bow = [np.array([levels[0][2][0] for *_, levels in models]),
            np.zeros(len(lp[1]))]
     for n in range(1, top + 1):
-        grams, lps, bows = rows[n]
-        row = grams[:, 0] * base + grams[:, 1]
-        for i in range(2, n):
-            row = keys[i].searchsorted(row * base + grams[:, i])
+        grams, lps, bows = rows.pop(n)
+        row = grams[:, 0]
+        for i in range(1, n - 1):
+            row = keys[i + 1].searchsorted(row * base + grams[:, i])
         # the first of a key's rows: the one given, if any
         level, pick = np.unique(row * base + grams[:, -1] if n > 1 else row,
                                 return_index=True)
@@ -658,7 +660,8 @@ def _build(tokens: tuple[str, ...], models: Sequence[tuple]
             keys.append(np.append(level, _NO_KEY))
             lp.append(np.append(lps[pick], math.nan))
             bow.append(np.append(bows[pick], 0.0))
-    store = _Store(tokens, [model[:3] for model in models], keys, lp, bow)
+    store = _Store(tokens, [(order, vocabs[vocab], padded) for _, order,
+                            vocab, padded, _ in models], keys, lp, bow)
     return [NGramModel(store, j) for j in range(len(models))]
 
 
@@ -708,16 +711,23 @@ def write_arpa(model, path: str | Path, comments: Sequence[str] = ()) -> None:
 def read_arpa(path: str | Path) -> NGramModel:
     """Read an ARPA-format model written by :func:`write_arpa` (or elsewhere).
 
-    Lines before ``\\data\\`` are ignored.  An n-gram line is
-    ``log10 prob <TAB> space-separated gram [<TAB> log10 backoff]``, and an
-    n-gram appears at most once per section.  A log10 probability is finite
-    or ``-inf``, and at or below -99 means no probability; a backoff weight
-    is finite.
+    Lines before ``\\data\\`` are ignored.  The header declares each
+    order's count once, orders from 1 up, and each declared order has at
+    most one section.  An n-gram line is ``log10 prob <TAB> space-separated
+    gram [<TAB> log10 backoff]``, and an n-gram appears at most once per
+    section.  A log10 probability is finite or ``-inf``, and at or below
+    -99 means no probability; a backoff weight is finite.
     """
+    return _build([_parse_arpa(path)])[0]
+
+
+def _parse_arpa(path: str | Path) -> tuple:
+    """The model of an ARPA file as :func:`_build` takes it, ``(tokens,
+    order, vocab, padded, levels)``, with ids into the file's tokens."""
     declared: dict[int, tuple[int, int]] = {}   # order -> (count, line)
-    # per section: log10 prob, log10 backoff weight and gram of each line
-    entries: dict[int, list[tuple[float, float, list[str]]]] = {}
-    first_at: dict[tuple[str, ...], int] = {}   # gram -> its line
+    # per section: each line's gram, keyed to its line, and its log10 prob
+    # and log10 backoff weight in turn
+    sections: dict[int, tuple[dict[tuple[str, ...], int], array]] = {}
     # None before \data\, 0 among its counts or after \end\, else the
     # order of the section being read
     n: int | None = None
@@ -732,21 +742,29 @@ def read_arpa(path: str | Path) -> NGramModel:
                 n = int(head[1:-len("-grams:")])
                 if n not in declared:
                     raise ValueError(f"undeclared section {head}")
-                entries.setdefault(n, [])
+                if n in sections:
+                    raise ValueError(f"second {head} section")
+                grams, values = sections[n] = {}, array("d")
             elif head == "\\end\\":
                 n = 0
             elif n == 0 and head.startswith("ngram "):
                 n_s, count_s = head[len("ngram "):].split("=")
-                declared[int(n_s)] = (int(count_s), lineno)
+                k, count = int(n_s), int(count_s)
+                if k < 1:
+                    raise ValueError(f"order {k} is below 1")
+                if k in declared:
+                    raise ValueError(f"second count for order {k} (the "
+                                     f"first is on line {declared[k][1]})")
+                declared[k] = (count, lineno)
             elif n == 0:
                 raise ValueError("entry outside any section")
             elif len(fields) not in (2, 3):
                 raise ValueError("bad n-gram line")
             else:
-                gram = fields[1].split()
+                gram = tuple(fields[1].split())
                 if len(gram) != n:
                     raise ValueError(f"{len(gram)}-gram in {n}-gram section")
-                first = first_at.setdefault(tuple(gram), lineno)
+                first = grams.setdefault(gram, lineno)
                 if first != lineno:
                     raise ValueError(f"duplicate n-gram {' '.join(gram)!r} "
                                      f"(first at line {first})")
@@ -758,27 +776,28 @@ def read_arpa(path: str | Path) -> NGramModel:
                 if not math.isfinite(bow10):
                     raise ValueError(f"log10 backoff weight {fields[2]!r} "
                                      f"must be finite")
-                entries[n].append((lp10, bow10, gram))
+                values.extend((lp10, bow10))
     for k, (count, line) in declared.items():
-        if len(entries.get(k, ())) != count:
+        held = len(sections[k][0]) if k in sections else 0
+        if held != count:
             raise CorpusError(f"{path}:{line}: \\{k}-grams: section has "
-                              f"{len(entries.get(k, ()))} entries, header "
-                              f"declared {count}")
-    tokens = tuple(sorted({t for rows in entries.values()
-                           for row in rows for t in row[2]}))
+                              f"{held} entries, header declared {count}")
+    tokens = tuple(sorted({t for grams, _ in sections.values()
+                           for gram in grams for t in gram}))
     ids = {t: i for i, t in enumerate(tokens)}
     order = max([1, *declared])
     levels = [(None, None, [0.0])]
     for k in range(1, order + 1):
-        rows = entries.get(k, [])
-        lp10 = np.array([row[0] for row in rows])
-        levels.append((np.array([[ids[t] for t in row[2]] for row in rows],
-                                dtype=np.int64).reshape(-1, k),
-                       np.where(lp10 > _LOG10_NONE, lp10 * _LN10, math.nan),
-                       np.array([row[1] for row in rows]) * _LN10))
-    vocab = frozenset(tokens[ids[gram[0]]] for lp10, _, gram
-                      in entries.get(1, ()) if lp10 > _LOG10_NONE)
+        grams, values = sections.pop(k, ({}, array("d")))
+        lp10, bow10 = np.frombuffer(values).reshape(-1, 2).T
+        levels.append((np.fromiter(
+            map(ids.__getitem__, itertools.chain.from_iterable(grams)),
+            dtype=np.int64, count=k * len(grams)).reshape(-1, k),
+            np.where(lp10 > _LOG10_NONE, lp10 * _LN10, math.nan),
+            bow10 * _LN10))
+    grams, lp, _ = levels[1]
+    vocab = frozenset(tokens[i] for i in grams[~np.isnan(lp), 0].tolist())
     if not vocab:
         raise CorpusError(f"{path}:{lineno}: no \\data\\ section with "
                           f"unigram probabilities")
-    return _build(tokens, [(order, vocab, END in vocab, levels)])[0]
+    return tokens, order, vocab, END in vocab, levels

@@ -33,7 +33,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import (Conversation, FeatureColumn, FeatureSchema,
-                     FeatureVector, TagSet, content_lines)
+                     FeatureVector, TagSet, _feature_groups, _vector_columns,
+                     content_lines)
 from .hmm import LikelihoodTable
 from .ngram import left_sum
 
@@ -112,11 +113,7 @@ def _gini(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 def _rows_by_table(fvs: Sequence[FeatureVector]) -> list:
     """(table, positions in the batch, rows of the table) per distinct
     table of the batch, in first-seen order."""
-    batch: dict[int, list[int]] = {}
-    for pos, fv in enumerate(fvs):
-        batch.setdefault(id(fv.table), []).append(pos)
-    return [(fvs[at[0]].table, np.array(at), np.array([fvs[p].row for p in at]))
-            for at in batch.values()]
+    return _feature_groups(*_vector_columns(fvs))
 
 
 def _gather(groups: list, n: int, name: str, continuous: bool):

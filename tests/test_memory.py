@@ -25,6 +25,7 @@ from dialact.corpus import TagSet, parse_conversations, parse_prosody
 from dialact.discourse import GrammarVariant, train_discourse
 from dialact.hmm import (LikelihoodTable, forward_backward_corpus,
                          viterbi_corpus)
+from dialact.ngram import read_arpa, train_ngram, write_arpa
 from dialact.wordmodels import train_da_lms, word_likelihood_tables
 
 N = 4096                # a full chunk of prosody rows, two scoring groups
@@ -110,6 +111,35 @@ def test_a_parsed_conversation_holds_columns(inputs):
             tracemalloc.stop()
         words = sum(map(sys.getsizeof, conv.words))
         assert held - words <= COLUMN_BYTES * len(conv)
+
+
+# What reading an ARPA file may trace at its peak per n-gram line: the
+# decoded text, each line's gram tuple, held once as the key of its line,
+# its log prob and backoff weight as 8-byte floats, and the store laid out
+# from them.  356 bytes were measured on this file, and 731 when each line
+# also kept a tuple of floats and a list of strings beside its gram tuple.
+ARPA_LINE_BYTES = 400
+
+
+def test_an_arpa_file_reads_through_columns(tmp_path):
+    rng = random.Random(5)
+    words = [f"w{i:04d}" for i in range(2000)]
+    model = train_ngram([rng.choices(words[:rng.randrange(50, 2000)],
+                                     k=rng.randrange(3, 12))
+                         for _ in range(4000)], 3)
+    path = tmp_path / "m.arpa"
+    write_arpa(model, path)
+    lines = sum(line.count("\t") > 0 for line in
+                path.read_text(encoding="utf-8").splitlines())
+    read_arpa(path)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        read_arpa(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ARPA_LINE_BYTES * lines, (peak / lines, lines)
 
 
 def test_word_scoring_holds_one_group_of_utterances(inputs):

@@ -1,13 +1,15 @@
 """A model directory is one n-gram store, read in place by every scorer.
 
-``load_models`` reads each ARPA file into a store of its own and merges
-them into one, whose rows every compiled scorer set then walks without a
-copy.  Both the reader and the merge lay out their stores through one
-builder, so a merged model keeps its source's rows and a read model the
-rows its file gives, with every missing prefix added.  The directory here is shaped like the Switchboard bench data: the
-42 bundled acts with Zipf frequencies (so rare acts share the pooled
-file), an 80-word vocabulary, and bigram word models; the write-back test
-adds word orders 3 and 4.
+``load_models`` parses every ARPA file of a directory and lays out their
+models as one store in a single build, the same store a merge of the
+files read one by one gives; every compiled scorer set then walks its
+rows without a copy.  The reader, the directory load and the merge all
+lay out their stores through one builder, so a merged model keeps its
+source's rows and a read model the rows its file gives, with every
+missing prefix added.  The directory here is shaped like the Switchboard
+bench data: the 42 bundled acts with Zipf frequencies (so rare acts share
+the pooled file), an 80-word vocabulary, and bigram word models; the
+write-back test adds word orders 3 and 4.
 """
 
 import gc
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dialact import cli
+from dialact import cli, ngram
 from dialact.corpus import CorpusError, default_tagset
 from dialact.discourse import save_discourse
 from dialact.ngram import (CompiledModelSet, _merge, _train_set, read_arpa,
@@ -142,6 +144,49 @@ def test_a_directory_loads_into_one_store_that_writes_its_files_back(
         got = CompiledModelSet([model]).score(seqs)
         want = CompiledModelSet([own]).score(seqs)
         assert got.tobytes() == want.tobytes(), path.name
+
+
+def test_a_directory_is_laid_out_in_one_build(trained, monkeypatch):
+    built, init = [], ngram._Store.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(ngram._Store, "__init__", counted)
+    cli.load_models(trained)
+    # the word models and the grammar; 44 here when each file was a store
+    # of its own and a merge laid out their union again
+    assert len(built) == 2
+
+
+STORE_ARRAYS = ("keys", "lp", "bow", "first", "has_children")
+
+
+@pytest.mark.parametrize("orders", [(2, 2), (2, 3), (3, 4)],
+                         ids=["words-2", "words-3", "grammar-3-words-4"])
+def test_one_build_lays_out_the_store_a_merge_of_its_files_does(corpora,
+                                                                orders):
+    root = train(corpora, *orders)
+    loaded = cli.load_models(root)
+    files = model_files(root, loaded)
+    # the files in the order load_models read them: by their group
+    paths = sorted(files, key=lambda p: files[p]._group)
+    assert sorted(files[p]._group for p in paths) == list(range(len(paths)))
+    got = loaded.da_lms.fallback._store
+    want = _merge([read_arpa(p) for p in paths])[0]._store
+    assert (got.tokens, got.groups) == (want.tokens, want.groups)
+    for name in ("in_vocab", "orders", "log_uniform"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    for name in STORE_ARRAYS:
+        mine, theirs = getattr(got, name), getattr(want, name)
+        assert len(mine) == len(theirs), name
+        for n, (a, b) in enumerate(zip(mine, theirs)):
+            if a is None or b is None:
+                assert a is b, (name, n)
+            else:
+                assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), \
+                    (name, n)
 
 
 def test_a_loaded_store_keeps_one_string_per_token(trained):

@@ -229,6 +229,16 @@ def _arpa_line_fault(needle, line):
     return apply
 
 
+def _arpa_unigram_count_twice(models, root):
+    """The pooled word model's unigram count declared again, as
+    ``ngram 1=0<count>``, which reads as the same count."""
+    path = models / "da_lms/_fallback.arpa"
+    count = re.search(rb"\nngram 1=(\d+)\n", path.read_bytes())[1]
+    _edit(path, b"\nngram 2=", b"\nngram 1=0" + count + b"\nngram 2=")
+    return path, ["tag", "--models", str(models),
+                  "--corpus", str(root / "corpus.tsv")]
+
+
 def _corpus_fault(models, root):
     bad = root / "bad_corpus.tsv"
     shutil.copy(root / "corpus.tsv", bad)
@@ -285,6 +295,11 @@ def _eval_index_fault(models, root):
     (_arpa_line_fault(b"\t<start>\t", b"nan\t<start>\t-0.5"), b"nan\t"),
     (_arpa_line_fault(b"\t<start>\t", b"-99\t<start>\tnan"), b"\tnan"),
     (_arpa_line_fault(b"\t<start>\t", b"-99\t<start>\t-inf"), b"\t-inf"),
+    (_arpa_unigram_count_twice, b"ngram 1=0"),
+    (_model_fault("da_lms/_fallback.arpa", b"\nngram 2=",
+                  b"\nngram 0=0\nngram 2="), b"ngram 0=0"),
+    (_model_fault("da_lms/_fallback.arpa", b"\n\\end\\",
+                  b"\n\\1-grams:\t\n\\end\\"), b"\\1-grams:\t"),
     (_model_fault("prosody.tree", b"priors\t0.", b"priors\t0.x"), b"0.x"),
     (_model_fault("prosody.tree", b":continuous", b""), b"features"),
     (_model_fault("prosody.tree", b"node\tf0\t<=\t116.5",
@@ -314,7 +329,8 @@ def _eval_index_fault(models, root):
     (_tag_input_fault("prosody.tsv", b"\trise", b"\tri\xffse"), b"\xff"),
 ], ids=["discourse-no-order", "discourse-bad-variant", "arpa-bad-prob",
         "arpa-bad-backoff", "arpa-inf-prob", "arpa-nan-prob",
-        "arpa-nan-backoff", "arpa-minus-inf-backoff", "tree-bad-float",
+        "arpa-nan-backoff", "arpa-minus-inf-backoff", "arpa-second-count",
+        "arpa-order-zero", "arpa-second-section", "tree-bad-float",
         "tree-feature-without-kind", "tree-feature-not-in-header",
         "tree-threshold-on-categorical", "tree-categories-on-continuous",
         "tree-nan-threshold", "corpus-not-utf8", "tagset-not-utf8",
@@ -353,6 +369,27 @@ def test_repeated_arpa_ngram_names_its_second_line(tmp_path, sections, gram):
         path.read_text().splitlines(), 1) if line.split("\t")[1:2] == [gram]]
     with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}:{second}: "
                        rf"duplicate n-gram '{gram}' \(first at line {first}\)"):
+        read_arpa(path)
+
+
+@pytest.mark.parametrize("header, sections, line, message", [
+    # the later count used to win
+    (["ngram 1=1", "ngram 1=2"], [["-0.3\ta", "-0.3\tb"]], 3,
+     r"second count for order 1 \(the first is on line 2\)"),
+    (["ngram 0=0", "ngram 1=2"], [["-0.3\ta", "-0.3\tb"]], 2,
+     r"order 0 is below 1"),
+    # the second section's lines used to join the first's
+    (["ngram 1=2"], [["-0.3\ta"], ["-0.3\tb"]], 7,
+     r"second \\1-grams: section"),
+], ids=["second-count", "order-zero", "second-section"])
+def test_an_arpa_header_fault_names_its_line(tmp_path, header, sections, line,
+                                             message):
+    path = tmp_path / "bad.arpa"
+    path.write_text("\n".join(["\\data\\", *header] + [
+        f"\n\\1-grams:\n" + "\n".join(rows) for rows in sections]
+        + ["\n\\end\\\n"]))
+    with pytest.raises(CorpusError,
+                       match=rf"^{re.escape(str(path))}:{line}: {message}$"):
         read_arpa(path)
 
 
